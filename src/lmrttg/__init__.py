@@ -52,9 +52,6 @@ from .quadratic import (
     QuadPolynomial,
     band_bounds_check,
     count_roots,
-    eval_gap_lower,
-    eval_margin,
-    eval_spread_upper,
     refine_root,
     sturm_sequence,
 )

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, isqrt
 
 from .errors import DomainError
 from .families import quasi_complete_params, quasi_star_params
@@ -52,7 +52,7 @@ def spectrum(n: int) -> SpectrumParams:
     if n < 5:
         raise DomainError(f"spectrum defined for n >= 5; got {n}")
     nn = n * (n - 1)
-    k = max(1, round((n / 1.4142135623730951)))
+    k = isqrt(n * n // 2)
     while 2 * k * (k - 1) > nn:
         k -= 1
     while 2 * k * (k + 1) <= nn:

@@ -35,21 +35,18 @@ from .scans import (
     identity_suite,
     scan_tie_band,
     scan_uniqueness,
+    sturm_passes,
     sturm_report,
     verify_seven_pairs,
 )
 
 
+def _dumps(obj) -> str:
+    return json.dumps(obj, indent=2, sort_keys=True, default=str) + "\n"
+
+
 def _print_json(obj) -> None:
-    print(json.dumps(obj, indent=2, sort_keys=True, default=str))
-
-
-def _emit_report(report: ScanReport, fmt: str, meta: bool) -> int:
-    if fmt == "json":
-        _print_json(report.to_json_obj(meta=meta))
-    else:
-        print(report.to_markdown(), end="")
-    return 0 if report.verdict else 1
+    print(_dumps(obj), end="")
 
 
 def _parse_range(text: str) -> tuple:
@@ -142,55 +139,63 @@ def _default_jobs() -> int:
     return max(1, os.cpu_count() or 1)
 
 
-def _cmd_verify(args) -> int:
-    meta = not args.no_meta
-    fmt = args.format
-    sub = args.verify_cmd
-    if sub in ("seven-pairs", "lemma7"):
-        return _emit_report(verify_seven_pairs(), fmt, meta)
-    if sub == "istar-scan":
-        return _emit_report(scan_tie_band(args.from_n, args.to_n), fmt, meta)
-    if sub == "theorem-main":
-        report = scan_uniqueness(args.max_n, m_cap=args.m_cap, n_min=args.min_n, jobs=args.jobs)
-        return _emit_report(report, fmt, meta)
-    if sub == "brute":
-        rec = brute_record(args.n, args.m, deep=args.deep)
-        if not meta:
-            rec.pop("elapsed", None)
-        _print_json(rec)
-        return 0 if rec["ok"] else 1
-    if sub == "sturm":
-        rep = sturm_report()
-        _print_json(rep)
-        ok = rep["roots_in_436_437"] == 1 and rep["roots_in_437_1e6"] == 0 and rep["sign_at_437"] > 0
-        return 0 if ok else 1
-    if sub == "identities":
-        return _emit_report(identity_suite(seed=args.seed, samples=args.samples), fmt, meta)
-    if sub == "bounds":
-        report = band_bounds_report(args.from_n, args.to_n)
-        violations = band_decomposition_violations(args.from_n, min(args.to_n, 200))
-        if violations:
-            report.verdict = False
-            report.records.append({"check": "decomposition bounds", "violations": violations, "ok": False})
-        return _emit_report(report, fmt, meta)
-    # sub == "all"
-    failures = 0
-    for report in (
-        verify_seven_pairs(),
-        scan_tie_band(8, 436),
-        identity_suite(seed=args.seed),
-        band_bounds_report(8, 60),
-    ):
-        failures += _emit_report(report, fmt, meta)
-    cap = {n: (12 if n >= 7 else None) for n in range(4, args.max_n + 1)}
-    for n in range(4, args.max_n + 1):
-        report = scan_uniqueness(n, m_cap=cap[n], n_min=n, jobs=args.jobs)
-        failures += _emit_report(report, fmt, meta)
+def _outcome(args) -> tuple:
+    """Run the check bound to a verify subcommand: (JSON document, md text, passed).  A check
+    returns a ScanReport, or a (document, passed) pair that both formats print as JSON."""
+    result = args.check(args)
+    if isinstance(result, ScanReport):
+        return result.to_json_obj(meta=not args.no_meta), result.to_markdown(), result.verdict
+    return result[0], _dumps(result[0]), result[1]
+
+
+def _check_brute(args) -> tuple:
+    rec = brute_record(args.n, args.m, deep=args.deep)
+    if args.no_meta:
+        rec.pop("elapsed", None)
+    return rec, rec["ok"]
+
+
+def _check_sturm(args) -> tuple:
     rep = sturm_report()
-    _print_json(rep)
-    if not (rep["roots_in_436_437"] == 1 and rep["roots_in_437_1e6"] == 0 and rep["sign_at_437"] > 0):
-        failures += 1
-    return 0 if failures == 0 else 1
+    return rep, sturm_passes(rep)
+
+
+def _bounds(args) -> ScanReport:
+    report = band_bounds_report(args.from_n, args.to_n)
+    violations = band_decomposition_violations(args.from_n, min(args.to_n, 200))
+    if violations:
+        report.records.append({"check": "decomposition bounds", "violations": violations, "ok": False})
+    return report
+
+
+def _cmd_verify(args) -> int:
+    doc, text, ok = _outcome(args)
+    if args.format == "json":
+        _print_json(doc)
+    else:
+        print(text, end="")
+    return 0 if ok else 1
+
+
+def _cmd_verify_all(args) -> int:
+    """Run these single verify commands through the parser and their bound checks:
+    md output is theirs in turn, json output is one document."""
+    steps = [["seven-pairs"], ["istar-scan"], ["identities", "--seed", str(args.seed)], ["bounds"]]
+    for n in range(4, args.max_n + 1):
+        cap = ["--m-cap", "12"] if n >= 7 else []
+        steps.append(["theorem-main", "--min-n", str(n), "--max-n", str(n), "--jobs", str(args.jobs), *cap])
+    steps.append(["sturm"])
+    shared = ["--format", args.format] + (["--no-meta"] if args.no_meta else [])
+    parser = build_parser()
+    outcomes = []
+    for step in steps:
+        outcomes.append(_outcome(parser.parse_args(["verify", *step, *shared])))
+        if args.format == "md":
+            print(outcomes[-1][1], end="")
+    passed = all(ok for _, _, ok in outcomes)
+    if args.format == "json":
+        _print_json({"verdict": "pass" if passed else "fail", "reports": [doc for doc, _, _ in outcomes]})
+    return 0 if passed else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -227,48 +232,49 @@ def build_parser() -> argparse.ArgumentParser:
     v = sub.add_parser("verify", help="verification scans")
     vsub = v.add_subparsers(dest="verify_cmd", required=True)
 
-    def common(p):
+    def verify(name, help, check, **kw):
+        p = vsub.add_parser(name, help=help, **kw)
         p.add_argument("--format", choices=["md", "json"], default="md")
         p.add_argument("--no-meta", action="store_true", help="omit timing for byte-stable output")
-        p.set_defaults(func=_cmd_verify)
+        p.set_defaults(func=_cmd_verify, check=check)
+        return p
 
-    common(vsub.add_parser("seven-pairs", aliases=["lemma7"], help="the seven exceptional tie pairs"))
+    verify("seven-pairs", "the seven exceptional tie pairs", lambda a: verify_seven_pairs(), aliases=["lemma7"])
 
-    p = vsub.add_parser("istar-scan", help="central-band dominance scan")
+    p = verify("istar-scan", "central-band dominance scan", lambda a: scan_tie_band(a.from_n, a.to_n))
     p.add_argument("--from", dest="from_n", type=int, default=8)
     p.add_argument("--to", dest="to_n", type=int, default=436)
-    common(p)
 
-    p = vsub.add_parser("theorem-main", help="brute-force uniqueness of the construction")
+    p = verify(
+        "theorem-main",
+        "brute-force uniqueness of the construction",
+        lambda a: scan_uniqueness(a.max_n, m_cap=a.m_cap, n_min=a.min_n, jobs=a.jobs),
+    )
     p.add_argument("--max-n", type=int, default=6)
     p.add_argument("--min-n", type=int, default=4)
     p.add_argument("--m-cap", type=int, default=None)
     p.add_argument("--jobs", type=int, default=_default_jobs())
-    common(p)
 
-    p = vsub.add_parser("brute", help="brute-force one (n, m) pair")
+    p = verify("brute", "brute-force one (n, m) pair", _check_brute)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--deep", action="store_true", help="lift the default vertex bound")
-    common(p)
 
-    common(vsub.add_parser("sturm", help="root isolation for the dominance margin"))
+    verify("sturm", "root isolation for the dominance margin", _check_sturm)
 
-    p = vsub.add_parser("identities", help="randomized exact identity suite")
+    p = verify("identities", "randomized exact identity suite", lambda a: identity_suite(a.seed, a.samples))
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--samples", type=int, default=1000)
-    common(p)
 
-    p = vsub.add_parser("bounds", help="polynomial bounds on the central band")
+    p = verify("bounds", "polynomial bounds on the central band", _bounds)
     p.add_argument("--from", dest="from_n", type=int, default=8)
     p.add_argument("--to", dest="to_n", type=int, default=60)
-    common(p)
 
-    p = vsub.add_parser("all", help="run every verification")
+    p = verify("all", "run the single verifications above in turn", None)
+    p.set_defaults(func=_cmd_verify_all)
     p.add_argument("--max-n", type=int, default=6)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--jobs", type=int, default=_default_jobs())
-    common(p)
 
     return parser
 
@@ -278,7 +284,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (DomainError, FamilyDoesNotExist, SizeLimitError, FileNotFoundError, ValueError) as exc:
+    except (DomainError, FamilyDoesNotExist, SizeLimitError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -224,12 +224,22 @@ def _min_mask(g: Graph, groups) -> int:
     return best or 0
 
 
-def _degree_groups(vertices, degs):
-    """Group vertices by degree, highest degree first."""
+def _canonical(g: Graph, lead, max_n: int):
+    """Key over relabelings that put each leading vertex group, in order, on
+    the first slots and every other vertex in its degree class: ``n``, each
+    leading group's sorted degrees, the other degrees descending, the mask."""
+    if g.n > max_n:
+        raise SizeLimitError(f"canonical form limited to n <= {max_n} (got {g.n})")
+    degs = g.degrees()
+    led = {v for grp in lead for v in grp}
     by_deg = {}
-    for v in vertices:
-        by_deg.setdefault(degs[v], []).append(v)
-    return [by_deg[d] for d in sorted(by_deg, reverse=True)]
+    for v in range(g.n):
+        if v not in led:
+            by_deg.setdefault(degs[v], []).append(v)
+    classes = [by_deg[d] for d in sorted(by_deg, reverse=True)]
+    lead_degs = tuple(tuple(sorted(degs[v] for v in grp)) for grp in lead)
+    inner_degs = tuple(degs[grp[0]] for grp in classes for _ in grp)
+    return (g.n, *lead_degs, inner_degs, _min_mask(g, list(lead) + classes))
 
 
 def canonical_key(tg: TwoTerminalGraph, max_n: int = CANONICAL_MAX_N):
@@ -238,45 +248,31 @@ def canonical_key(tg: TwoTerminalGraph, max_n: int = CANONICAL_MAX_N):
     Two two-terminal graphs get equal keys iff some graph isomorphism maps
     the one terminal pair onto the other (as an unordered pair).
     """
-    g = tg.graph
-    if g.n > max_n:
-        raise SizeLimitError(f"canonical form limited to n <= {max_n} (got {g.n})")
-    degs = g.degrees()
-    inner = [v for v in range(g.n) if v != tg.s and v != tg.t]
-    groups = [[tg.s, tg.t]] + _degree_groups(inner, degs)
-    term_degs = tuple(sorted((degs[tg.s], degs[tg.t])))
-    inner_degs = tuple(sorted((degs[v] for v in inner), reverse=True))
-    return (g.n, term_degs, inner_degs, _min_mask(g, groups))
+    return _canonical(tg.graph, [[tg.s, tg.t]], max_n)
 
 
 def canonical_key_ordered(tg: TwoTerminalGraph, max_n: int = CANONICAL_MAX_N):
     """Like canonical_key but with the terminals taken as an ordered pair."""
-    g = tg.graph
-    if g.n > max_n:
-        raise SizeLimitError(f"canonical form limited to n <= {max_n} (got {g.n})")
-    degs = g.degrees()
-    inner = [v for v in range(g.n) if v != tg.s and v != tg.t]
-    groups = [[tg.s], [tg.t]] + _degree_groups(inner, degs)
-    inner_degs = tuple(sorted((degs[v] for v in inner), reverse=True))
-    return (g.n, degs[tg.s], degs[tg.t], inner_degs, _min_mask(g, groups))
+    return _canonical(tg.graph, [[tg.s], [tg.t]], max_n)
 
 
 def graph_key(g: Graph, max_n: int = 8):
     """Complete isomorphism invariant for plain graphs (small n only)."""
-    if g.n > max_n:
-        raise SizeLimitError(f"canonical form limited to n <= {max_n} (got {g.n})")
-    degs = g.degrees()
-    groups = _degree_groups(range(g.n), degs)
-    return (g.n, tuple(sorted(degs, reverse=True)), _min_mask(g, groups))
+    return _canonical(g, [], max_n)
+
+
+def form_of_key(key) -> TwoTerminalGraph:
+    """The canonically labeled graph a ``canonical_key`` stands for:
+    terminals at 0,1 and the key's minimal edge mask."""
+    n, mask = key[0], key[-1]
+    pairs = vertex_pairs(n)
+    edges = [pairs[i] for i in range(len(pairs)) if (mask >> i) & 1]
+    return TwoTerminalGraph(Graph.from_edges(n, edges), 0, 1)
 
 
 def canonical_form(tg: TwoTerminalGraph, max_n: int = CANONICAL_MAX_N) -> TwoTerminalGraph:
     """A canonically labeled copy: terminals at 0,1, minimal edge mask."""
-    key = canonical_key(tg, max_n=max_n)
-    mask = key[-1]
-    pairs = vertex_pairs(tg.graph.n)
-    edges = [pairs[i] for i in range(len(pairs)) if (mask >> i) & 1]
-    return TwoTerminalGraph(Graph.from_edges(tg.graph.n, edges), 0, 1)
+    return form_of_key(canonical_key(tg, max_n=max_n))
 
 
 # ---------------------------------------------------------------------------
@@ -293,11 +289,23 @@ def to_json_obj(obj) -> dict:
     return d
 
 
+def _int_pair(value, what: str) -> tuple:
+    if not (isinstance(value, list) and len(value) == 2 and all(type(x) is int for x in value)):
+        raise DomainError(f"graph JSON: {what} must be a pair of integers, got {value!r}")
+    return tuple(value)
+
+
 def from_json_obj(d):
-    g = Graph.from_edges(d["n"], [tuple(e) for e in d["edges"]])
-    if "terminals" in d and d["terminals"] is not None:
-        s, t = d["terminals"]
-        return TwoTerminalGraph(g, s, t)
+    """Graph from its JSON object; malformed input raises DomainError naming the bad field."""
+    if not isinstance(d, dict):
+        raise DomainError(f"graph JSON must be an object, got {type(d).__name__}")
+    if type(d.get("n")) is not int:
+        raise DomainError(f"graph JSON: 'n' must be an integer, got {d.get('n')!r}")
+    if not isinstance(d.get("edges"), list):
+        raise DomainError(f"graph JSON: 'edges' must be a list, got {d.get('edges')!r}")
+    g = Graph.from_edges(d["n"], [_int_pair(e, "each edge") for e in d["edges"]])
+    if d.get("terminals") is not None:
+        return TwoTerminalGraph(g, *_int_pair(d["terminals"], "'terminals'"))
     return g
 
 

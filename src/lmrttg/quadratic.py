@@ -245,23 +245,8 @@ GAP_LOWER = QuadPolynomial(
 SPREAD_UPPER = QuadPolynomial([_eighth(4), _eighth(0, -16), _eighth(-2), _eighth(0, 2)])
 
 #: Dominance margin: gap bound minus spread bound.  Once this is positive,
-#: the C-side family beats every S-side family.  Expanded coefficients are
-#: written out and unit-tested against GAP_LOWER - SPREAD_UPPER.
-MARGIN = QuadPolynomial(
-    [_eighth(68), _eighth(-46, -210), _eighth(21, 76), _eighth(-20, -39), _eighth(3, -2)]
-)
-
-
-def eval_gap_lower(x) -> QuadNumber:
-    return GAP_LOWER(Fraction(x))
-
-
-def eval_spread_upper(x) -> QuadNumber:
-    return SPREAD_UPPER(Fraction(x))
-
-
-def eval_margin(x) -> QuadNumber:
-    return MARGIN(Fraction(x))
+#: the C-side family beats every S-side family.
+MARGIN = GAP_LOWER - SPREAD_UPPER
 
 
 @dataclass(frozen=True)
@@ -290,11 +275,11 @@ def band_bounds_check(n: int, m: int) -> BandBoundsReport:
         raise DomainError(f"({n},{m}) lies outside the central band")
     h_c1 = family_h(n, m, FamilyTag.C1)
     h_s1 = family_h(n, m, FamilyTag.S1)
-    gap_margin = QuadNumber.of(h_c1 - h_s1) - eval_gap_lower(n)
+    gap_margin = QuadNumber.of(h_c1 - h_s1) - GAP_LOWER(n)
     s_tags = [t for t in (FamilyTag.S1, FamilyTag.S2, FamilyTag.S3) if family_exists(n, m, t)]
     h_vals = [family_h(n, m, t) for t in s_tags]
     spread = max(abs(x - y) for x in h_vals for y in h_vals)
-    spread_margin = eval_spread_upper(n) - QuadNumber.of(spread)
+    spread_margin = SPREAD_UPPER(n) - QuadNumber.of(spread)
     return BandBoundsReport(
         n=n,
         m=m,

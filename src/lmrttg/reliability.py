@@ -21,7 +21,7 @@ from itertools import combinations
 from math import comb
 
 from .errors import DomainError, SizeLimitError
-from .graphs import Graph, TwoTerminalGraph, canonical_form, canonical_key, canonical_key_ordered, vertex_pairs
+from .graphs import Graph, TwoTerminalGraph, canonical_key, canonical_key_ordered, form_of_key, vertex_pairs
 
 DEFAULT_MAX_EDGES = 24
 DEFAULT_MAX_VERTICES = 7
@@ -227,7 +227,7 @@ def _search(n: int, m: int, max_n: int = None, max_edges: int = None) -> dict:
     if max_edges is None:
         max_edges = _max_edges()
     if n > max_n:
-        raise SizeLimitError(f"search limited to n <= {max_n} (got {n}); set LMRTTG_MAX_ENUM/flags to raise")
+        raise SizeLimitError(f"search limited to n <= {max_n} (got {n}); raise with `verify brute --deep` or max_n")
     if m > max_edges:
         raise SizeLimitError(f"search limited to m <= {max_edges} (got {m})")
     if n < 2 or not 1 <= m <= comb(n, 2):
@@ -244,7 +244,7 @@ def _search(n: int, m: int, max_n: int = None, max_edges: int = None) -> dict:
         key = canonical_key(tg)
         ordered_keys.add(canonical_key_ordered(tg))
         if key not in reps:
-            reps[key] = canonical_form(tg)
+            reps[key] = form_of_key(key)
     return {
         "n": n,
         "m": m,

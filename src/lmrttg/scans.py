@@ -1,9 +1,9 @@
 """Verification scans: the exceptional pairs, the central band, and the
 end-to-end brute-force check of the optimal construction.
 
-Each scan returns a ScanReport with one record per examined pair and an
-overall verdict; reports serialize to JSON (machine) and Markdown (human)
-and are deterministic once timing metadata is stripped.
+Each scan returns a ScanReport whose records each carry an ``ok`` flag;
+the verdict is derived from them.  Reports serialize to JSON (machine) and
+Markdown (human) and are deterministic once timing metadata is stripped.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from .invariants import (
     zagreb1,
     zagreb2,
 )
-from .quadratic import MARGIN, band_bounds_check, count_roots, eval_margin, refine_root
+from .quadratic import MARGIN, band_bounds_check, count_roots, refine_root
 from .reliability import _search
 
 
@@ -46,9 +46,13 @@ from .reliability import _search
 class ScanReport:
     scope: str
     records: list = field(default_factory=list)
-    verdict: bool = True
     pairs_scanned: int = 0
     elapsed: float = None
+
+    @property
+    def verdict(self) -> bool:
+        """Pass iff every kept record is ``ok`` (a scan that keeps only failures passes empty)."""
+        return all(rec["ok"] for rec in self.records)
 
     def to_json_obj(self, meta: bool = True) -> dict:
         d = {
@@ -126,7 +130,6 @@ def verify_seven_pairs() -> ScanReport:
     report.records.append(
         {"check": "tie pair list", "expected": str(expected_pairs), "found": str(found_pairs), "ok": pairs_ok}
     )
-    verdict = pairs_ok
     for (n, m), tag in sorted(SEVEN_PAIR_TAGS.items()):
         best_m1, max_h, runner_up, winners = _labeled_h_optima(n, m)
         predicted = build_family(n, m, tag)
@@ -136,7 +139,6 @@ def verify_seven_pairs() -> ScanReport:
         family_m1 = max(zagreb1(g) for _, g in candidate_set(n, m))
         family_agrees = best_m1 == family_m1 and max_h == h_by_tag[str(tag)] == max(h_by_tag.values())
         ok = single_class and family_agrees
-        verdict = verdict and ok
         report.records.append(
             {
                 "n": n,
@@ -151,7 +153,6 @@ def verify_seven_pairs() -> ScanReport:
             }
         )
         report.pairs_scanned += 1
-    report.verdict = verdict
     report.elapsed = time.perf_counter() - t0
     return report
 
@@ -200,23 +201,23 @@ def scan_tie_band(n_lo: int, n_hi: int) -> ScanReport:
     for n in range(n_lo, n_hi + 1):
         report.records.extend(_tie_band_records(n))
     report.pairs_scanned = len(report.records)
-    report.verdict = all(r["ok"] for r in report.records)
     report.elapsed = time.perf_counter() - t0
     return report
 
 
 def spot_check_large_band(ns=(437, 500, 1000)) -> ScanReport:
-    """Closed-form dominance at selected large n, plus margin positivity."""
+    """Closed-form dominance at selected large n, plus margin positivity;
+    fails when it scans no pair."""
     t0 = time.perf_counter()
     report = ScanReport(scope=f"large-n spot checks at {list(ns)}")
     for n in ns:
         recs = _tie_band_records(n)
         for rec in recs:
-            rec["margin_poly_sign"] = eval_margin(n).sign()
+            rec["margin_poly_sign"] = MARGIN(n).sign()
             rec["ok"] = rec["ok"] and rec["margin_poly_sign"] > 0
         report.records.extend(recs)
     report.pairs_scanned = len(report.records)
-    report.verdict = report.pairs_scanned > 0 and all(r["ok"] for r in report.records)
+    report.records = report.records or [{"check": "pairs scanned", "ok": False}]
     report.elapsed = time.perf_counter() - t0
     return report
 
@@ -247,7 +248,6 @@ def band_bounds_report(n_lo: int = 8, n_hi: int = 60) -> ScanReport:
             report.pairs_scanned += 1
             if not chk.ok:
                 report.records.append({"n": n, "m": m, "gap_ok": chk.gap_ok, "spread_ok": chk.spread_ok, "ok": False})
-    report.verdict = not report.records
     report.elapsed = time.perf_counter() - t0
     return report
 
@@ -311,7 +311,6 @@ def scan_uniqueness(n_max: int, m_cap: int = None, n_min: int = 4, jobs: int = 1
     report = ScanReport(scope=f"brute-force uniqueness, n in {n_min}..{n_max}")
     report.records = records
     report.pairs_scanned = len(records)
-    report.verdict = all(r["ok"] for r in records)
     report.elapsed = time.perf_counter() - t0
     return report
 
@@ -377,7 +376,6 @@ def identity_suite(seed: int = 0, samples: int = 1000, max_random_n: int = 9, ma
                 if fails:
                     report.records.append({"n": n, "m": m, "tag": str(tag), "failed": fails, "ok": False})
     report.pairs_scanned = checked
-    report.verdict = not report.records
     report.elapsed = time.perf_counter() - t0
     return report
 
@@ -393,7 +391,12 @@ def sturm_report() -> dict:
     return {
         "roots_in_436_437": count_roots(MARGIN, 436, 437),
         "roots_in_437_1e6": count_roots(MARGIN, 437, 10**6),
-        "sign_at_437": eval_margin(437).sign(),
+        "sign_at_437": MARGIN(437).sign(),
         "greatest_root_bracket": [str(lo), str(hi)],
         "bracket_width": str(hi - lo),
     }
+
+
+def sturm_passes(rep: dict) -> bool:
+    """Pass rule for ``sturm_report``: one root in (436, 437], none in (437, 10^6], positive at 437."""
+    return rep["roots_in_436_437"] == 1 and rep["roots_in_437_1e6"] == 0 and rep["sign_at_437"] > 0

@@ -18,7 +18,6 @@ from lmrttg import (
     classify,
     coarse_sign,
     count_roots,
-    eval_margin,
     family_exists,
     family_h,
     h_invariant,
@@ -151,7 +150,7 @@ def test_criterion_7_sturm_claims():
     t0 = time.perf_counter()
     ok = count_roots(MARGIN, 436, 437) == 1
     ok = ok and count_roots(MARGIN, 437, 10**6) == 0
-    ok = ok and eval_margin(437).sign() > 0
+    ok = ok and MARGIN(437).sign() > 0
     elapsed = time.perf_counter() - t0
     ok = ok and elapsed < 1.0
     _report(7, ok, "margin polynomial: one root in (436,437], none beyond, positive at 437, budget 1s", elapsed)

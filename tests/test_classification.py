@@ -28,7 +28,7 @@ def test_spectrum_small_values():
 
 
 def test_spectrum_defining_relations():
-    for n in range(5, 300):
+    for n in range(5, 3000):
         sp = spectrum(n)
         half = Fraction(comb(n, 2), 2)
         assert comb(sp.k, 2) <= half < comb(sp.k + 1, 2)

@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from lmrttg import Graph, TwoTerminalGraph, to_json
+from lmrttg import Graph, TwoTerminalGraph, cli, to_json
 from lmrttg.cli import main
 
 
@@ -125,6 +125,72 @@ def test_verify_all_desk_scale(capsys):
     code, out, _ = run_cli(capsys, "verify", "all", "--max-n", "4", "--jobs", "1", "--no-meta")
     assert code == 0
     assert "FAIL" not in out
+
+
+def test_verify_all_md_is_the_single_checks_in_turn(capsys, monkeypatch, seven_pairs_report):
+    # the exhaustive scan is shared with the session fixture; dispatch is what is under test
+    monkeypatch.setattr(cli, "verify_seven_pairs", lambda: seven_pairs_report)
+    singles = [
+        ("seven-pairs",),
+        ("istar-scan",),
+        ("identities", "--seed", "0"),
+        ("bounds",),
+        ("theorem-main", "--min-n", "4", "--max-n", "4", "--jobs", "1"),
+        ("sturm",),
+    ]
+    expected = ""
+    for argv in singles:
+        code, out, _ = run_cli(capsys, "verify", *argv, "--no-meta")
+        assert code == 0
+        expected += out
+    code, out, _ = run_cli(capsys, "verify", "all", "--max-n", "4", "--jobs", "1", "--no-meta")
+    assert code == 0
+    assert out == expected
+
+
+def test_verify_all_json_is_one_document_with_the_decomposition_check(capsys, monkeypatch, seven_pairs_report):
+    # a planted decomposition violation must reach the bounds report and the overall verdict
+    monkeypatch.setattr(cli, "verify_seven_pairs", lambda: seven_pairs_report)
+    monkeypatch.setattr(cli, "band_decomposition_violations", lambda lo, hi: [(lo, 0, 0)])
+    code, out, _ = run_cli(capsys, "verify", "all", "--max-n", "4", "--jobs", "1", "--format", "json", "--no-meta")
+    doc = json.loads(out)
+    assert code == 1 and doc["verdict"] == "fail"
+    reports = doc["reports"]
+    scopes = [r.get("scope", "sturm") for r in reports]
+    assert len(reports) == 6
+    assert scopes[0] == "seven exceptional pairs" and scopes[-1] == "sturm"
+    assert reports[-1]["roots_in_436_437"] == 1
+    (bounds,) = [r for r in reports if r.get("scope", "").startswith("band polynomial bounds")]
+    assert bounds["verdict"] == "fail"
+    assert bounds["records"] == [{"check": "decomposition bounds", "violations": [[8, 0, 0]], "ok": False}]
+    assert all(r["verdict"] == "pass" for r in reports[:-1] if r is not bounds)
+
+
+@pytest.mark.parametrize(
+    "content",
+    [
+        '{"edges": [[0, 1]]}',
+        '{"n": 3}',
+        '{"n": 3, "edges": [["a", 1]]}',
+        "[[0, 1]]",
+        '{"n": 3, "edges": [[0, 1]], "terminals": [0]}',
+        None,
+    ],
+    ids=["missing-n", "missing-edges", "string-endpoint", "top-level-list", "one-terminal", "directory"],
+)
+def test_malformed_graph_file_is_usage_error(tmp_path, content):
+    path = tmp_path
+    if content is not None:
+        path = tmp_path / "g.json"
+        path.write_text(content)
+    proc = subprocess.run(
+        [sys.executable, "-m", "lmrttg", "invariants", "--graph", str(path)],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error:")
+    assert "Traceback" not in proc.stderr
 
 
 def test_usage_error_exit_code():

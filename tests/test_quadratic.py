@@ -15,9 +15,6 @@ from lmrttg import (
     band_bounds_check,
     classify,
     count_roots,
-    eval_gap_lower,
-    eval_margin,
-    eval_spread_upper,
     refine_root,
     spot_check_large_band,
     sturm_sequence,
@@ -103,14 +100,16 @@ def test_count_roots_boundary_conventions():
 
 
 def test_margin_polynomial_is_gap_minus_spread():
-    assert MARGIN == GAP_LOWER - SPREAD_UPPER
-    assert eval_margin(437) == eval_gap_lower(437) - eval_spread_upper(437)
-    assert eval_spread_upper(0) == q(Fraction(1, 2))  # constant term 4/8
+    # the expanded coefficients of GAP_LOWER - SPREAD_UPPER, in eighths
+    eighths = [(68, 0), (-46, -210), (21, 76), (-20, -39), (3, -2)]
+    assert MARGIN.coeffs == tuple(q(Fraction(a, 8), Fraction(b, 8)) for a, b in eighths)
+    assert MARGIN(437) == GAP_LOWER(437) - SPREAD_UPPER(437)
+    assert SPREAD_UPPER(0) == q(Fraction(1, 2))  # constant term 4/8
 
 
 def test_margin_root_isolation():
-    assert eval_margin(437).sign() == 1
-    assert eval_margin(436).sign() == -1
+    assert MARGIN(437).sign() == 1
+    assert MARGIN(436).sign() == -1
     assert count_roots(MARGIN, 436, 437) == 1
     assert count_roots(MARGIN, 437, 10**6) == 0
 
@@ -127,7 +126,7 @@ def test_refine_root_bracket():
     lo, hi = refine_root(MARGIN, 436, 437, Fraction(1, 10**6))
     assert hi - lo < Fraction(1, 10**6)
     assert 436 < lo < hi <= 437
-    assert eval_margin(lo).sign() <= 0 <= eval_margin(hi).sign()
+    assert MARGIN(lo).sign() <= 0 <= MARGIN(hi).sign()
 
 
 def test_band_bounds_small_band():

@@ -202,7 +202,7 @@ def test_find_lmrttg_small_cases():
     assert len(winners) == 1
     assert winners[0].graph == Graph.complete(6)
 
-    with pytest.raises(SizeLimitError):
+    with pytest.raises(SizeLimitError, match=r"`verify brute --deep` or max_n"):
         find_lmrttg(8, 6)
     with pytest.raises(DomainError):
         find_lmrttg(5, 0)

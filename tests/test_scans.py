@@ -5,12 +5,14 @@ import pytest
 
 from lmrttg import (
     DomainError,
+    ScanReport,
     band_bounds_report,
     band_decomposition_violations,
     brute_record,
     identity_suite,
     scan_tie_band,
     scan_uniqueness,
+    spot_check_large_band,
     sturm_report,
 )
 
@@ -109,3 +111,18 @@ def test_report_markdown_render(seven_pairs_report):
     md = seven_pairs_report.to_markdown()
     assert "verdict: **pass**" in md
     assert "| n | m |" in md or "| check |" in md
+
+
+def test_report_verdict_follows_its_records():
+    report = ScanReport(scope="two records", records=[{"n": 8, "ok": True}, {"n": 9, "ok": False}], pairs_scanned=2)
+    assert not report.verdict
+    assert report.to_json_obj()["verdict"] == "fail"
+    assert "verdict: **FAIL**" in report.to_markdown()
+    report.records.pop()
+    assert report.verdict
+
+
+def test_spot_check_fails_when_it_scans_nothing():
+    report = spot_check_large_band(())
+    assert report.pairs_scanned == 0
+    assert not report.verdict
