@@ -17,7 +17,6 @@ from .families import (
 from .graphs import (
     Graph,
     TwoTerminalGraph,
-    canonical_form,
     canonical_key,
     complement,
     disjoint_union,

@@ -123,7 +123,10 @@ def _cmd_reliability(args) -> int:
     obj = _load_graph(args.graph)
     if not isinstance(obj, TwoTerminalGraph):
         raise DomainError("graph file must carry terminals for reliability evaluation")
-    p = Fraction(args.at)
+    try:
+        p = Fraction(args.at)
+    except ZeroDivisionError:
+        raise DomainError(f"--at must be a probability; {args.at!r} has a zero denominator") from None
     value = reliability_at(obj, p)
     _print_json(
         {

@@ -270,11 +270,6 @@ def form_of_key(key) -> TwoTerminalGraph:
     return TwoTerminalGraph(Graph.from_edges(n, edges), 0, 1)
 
 
-def canonical_form(tg: TwoTerminalGraph, max_n: int = CANONICAL_MAX_N) -> TwoTerminalGraph:
-    """A canonically labeled copy: terminals at 0,1, minimal edge mask."""
-    return form_of_key(canonical_key(tg, max_n=max_n))
-
-
 # ---------------------------------------------------------------------------
 # Serialization: the graph JSON format and DOT export.
 # ---------------------------------------------------------------------------

@@ -9,13 +9,12 @@ The search never assumes anything about the winner's shape.  It streams
 every labeled candidate (terminals fixed at 0 and 1, which every
 two-terminal graph can be relabeled to), prunes by exactly computed
 ``(N_1, N_2, N_3)`` prefixes (the first three rounds of the iterative
-argmax filtration), and only then enumerates full edge subsets
-for the survivors.
+argmax filtration), and only then scores the survivors' full vectors by
+inclusion-exclusion over vertex sets.
 """
 
 from __future__ import annotations
 
-import os
 from fractions import Fraction
 from itertools import combinations
 from math import comb
@@ -23,62 +22,62 @@ from math import comb
 from .errors import DomainError, SizeLimitError
 from .graphs import Graph, TwoTerminalGraph, canonical_key, canonical_key_ordered, form_of_key, vertex_pairs
 
-DEFAULT_MAX_EDGES = 24
 DEFAULT_MAX_VERTICES = 7
+NVEC_MAX_VERTICES = 14
 
 
-def _max_edges() -> int:
-    value = os.environ.get("LMRTTG_MAX_ENUM")
-    return int(value) if value else DEFAULT_MAX_EDGES
+def _nvec(n: int, s: int, t: int, edges) -> tuple:
+    """``(N_1, ..., N_m)`` by inclusion-exclusion over vertex sets, O(3^n).
 
+    For S containing s, conn[S] counts the connected spanning edge sets of
+    G[S] by size.  An edge set of G[S] whose s-component is T leaves the
+    edges of G[S - T] free, so ``conn[S] = (1+x)^e(S) - sum over s in T < S
+    of conn[T] (1+x)^e(S - T)``.  A subset of E joins s to t iff its
+    s-component is some S containing t, so ``N(x) = sum over those S of
+    conn[S] (1+x)^e(V - S)``.
 
-def _connects(pairs_bits, mask: int, sbit: int, tbit: int) -> bool:
-    """Whether the edge subset ``mask`` joins s to t (bitset fixpoint)."""
-    active = []
-    w = mask
-    while w:
-        b = w & -w
-        active.append(pairs_bits[b.bit_length() - 1])
-        w ^= b
-    reach = sbit
-    changed = True
-    while changed and not reach & tbit:
-        changed = False
-        for ub, vb in active:
-            if reach & ub:
-                if not reach & vb:
-                    reach |= vb
-                    changed = True
-            elif reach & vb:
-                reach |= ub
-                changed = True
-    return bool(reach & tbit)
-
-
-def _nvec(n: int, s: int, t: int, edges, max_edges: int) -> tuple:
+    Each polynomial is held as one int, its value at X = 2^(m+1); int sums
+    and products are the values of the polynomial ones.  Every coefficient
+    of N counts edge subsets, so it lies in [0, 2^m] below X, and the
+    base-X digits of the result are exactly N_0, ..., N_m.
+    """
+    if n > NVEC_MAX_VERTICES:
+        raise SizeLimitError(f"coefficient vectors limited to n <= {NVEC_MAX_VERTICES} (got {n})")
     m = len(edges)
-    if m > max_edges:
-        raise SizeLimitError(f"subset enumeration limited to m <= {max_edges} (got {m})")
-    counts = [0] * (m + 1)
-    st = (min(s, t), max(s, t))
-    sbit, tbit = 1 << s, 1 << t
-    rest = [e for e in edges if (min(e), max(e)) != st]
-    if len(rest) < m:
-        # every subset containing the terminal edge connects
-        for i in range(1, m + 1):
-            counts[i] += comb(m - 1, i - 1)
-    pairs_bits = [(1 << u, 1 << v) for u, v in rest]
-    for mask in range(1, 1 << len(rest)):
-        if _connects(pairs_bits, mask, sbit, tbit):
-            counts[mask.bit_count()] += 1
-    return tuple(counts[1:])
+    width = m + 1
+    pw = [((1 << width) + 1) ** k for k in range(m + 1)]
+    rows = [0] * n
+    for u, v in edges:
+        rows[u] |= 1 << v
+        rows[v] |= 1 << u
+    e = [0] * (1 << n)
+    for S in range(1, 1 << n):
+        low = S & -S
+        e[S] = e[S ^ low] + (rows[low.bit_length() - 1] & S).bit_count()
+    sbit, tbit, full = 1 << s, 1 << t, (1 << n) - 1
+    conn = [0] * (1 << n)
+    total = 0
+    # a proper subset of S has a smaller number, so its conn is ready
+    for S in range(sbit, 1 << n):
+        if not S & sbit:
+            continue
+        rest = S ^ sbit
+        poly = pw[e[S]]
+        sub = rest
+        while sub:
+            sub = (sub - 1) & rest
+            poly -= conn[sub | sbit] * pw[e[rest ^ sub]]
+        conn[S] = poly
+        if S & tbit:
+            total += poly * pw[e[full ^ S]]
+    digit = (1 << width) - 1
+    return tuple((total >> (i * width)) & digit for i in range(1, m + 1))
 
 
-def n_vector(tg: TwoTerminalGraph, max_edges: int = None) -> tuple:
-    """Exact coefficient vector ``(N_1, ..., N_m)`` by subset enumeration."""
-    if max_edges is None:
-        max_edges = _max_edges()
-    return _nvec(tg.graph.n, tg.s, tg.t, tg.graph.edges(), max_edges)
+def n_vector(tg: TwoTerminalGraph) -> tuple:
+    """Exact coefficient vector ``(N_1, ..., N_m)`` by inclusion-exclusion
+    over vertex sets; graphs above NVEC_MAX_VERTICES raise SizeLimitError."""
+    return _nvec(tg.graph.n, tg.s, tg.t, tg.graph.edges())
 
 
 def prefix3(tg: TwoTerminalGraph) -> tuple:
@@ -112,12 +111,12 @@ def prefix3(tg: TwoTerminalGraph) -> tuple:
     return tuple(out)
 
 
-def reliability_at(tg: TwoTerminalGraph, p, max_edges: int = None) -> Fraction:
+def reliability_at(tg: TwoTerminalGraph, p) -> Fraction:
     """Exact terminal-connection probability at edge survival rate ``p``."""
     p = Fraction(p)
     if not 0 <= p <= 1:
         raise DomainError(f"survival probability must lie in [0,1]; got {p}")
-    counts = n_vector(tg, max_edges=max_edges)
+    counts = n_vector(tg)
     m = len(counts)
     q = 1 - p
     return sum((c * p**i * q ** (m - i) for i, c in enumerate(counts, start=1)), Fraction(0))
@@ -133,7 +132,7 @@ def lex_compare(a, b) -> int:
     return 1 if a > b else 0
 
 
-def filtration(candidates, level: int, max_edges: int = None):
+def filtration(candidates, level: int):
     """Iterative argmax refinement by N_1, then N_2, ... up to ``level``.
 
     All candidates must share (n, m).  Carried to ``level = m`` this yields
@@ -148,7 +147,7 @@ def filtration(candidates, level: int, max_edges: int = None):
     m = cands[0].graph.m
     if not 1 <= level <= m:
         raise DomainError(f"level must lie in 1..m; got {level}")
-    vecs = [n_vector(c, max_edges=max_edges) for c in cands]
+    vecs = [n_vector(c) for c in cands]
     keep = list(range(len(cands)))
     for i in range(level):
         best = max(vecs[idx][i] for idx in keep)
@@ -220,20 +219,16 @@ def _prefix_scan(n: int, m: int):
     return edge_lists, examined
 
 
-def _search(n: int, m: int, max_n: int = None, max_edges: int = None) -> dict:
+def _search(n: int, m: int, max_n: int = None) -> dict:
     """Full optimum search; returns winners plus bookkeeping for reports."""
     if max_n is None:
         max_n = DEFAULT_MAX_VERTICES
-    if max_edges is None:
-        max_edges = _max_edges()
     if n > max_n:
         raise SizeLimitError(f"search limited to n <= {max_n} (got {n}); raise with `verify brute --deep` or max_n")
-    if m > max_edges:
-        raise SizeLimitError(f"search limited to m <= {max_edges} (got {m})")
     if n < 2 or not 1 <= m <= comb(n, 2):
         raise DomainError(f"need n >= 2 and 1 <= m <= C(n,2); got n={n}, m={m}")
     edge_lists, examined = _prefix_scan(n, m)
-    scored = [(_nvec(n, 0, 1, edges, max_edges), edges) for edges in edge_lists]
+    scored = [(_nvec(n, 0, 1, edges), edges) for edges in edge_lists]
     best_vec = max(vec for vec, _ in scored)
     reps = {}
     ordered_keys = set()
@@ -256,6 +251,6 @@ def _search(n: int, m: int, max_n: int = None, max_edges: int = None) -> dict:
     }
 
 
-def find_lmrttg(n: int, m: int, max_n: int = None, max_edges: int = None) -> list:
+def find_lmrttg(n: int, m: int, max_n: int = None) -> list:
     """All lexicographic maximizers, one canonical representative each."""
-    return _search(n, m, max_n=max_n, max_edges=max_edges)["winners"]
+    return _search(n, m, max_n=max_n)["winners"]

@@ -17,7 +17,7 @@ from math import comb
 from multiprocessing import Pool
 
 from .classify import Sign, classify, tie_pairs
-from .errors import DomainError
+from .errors import DomainError, SizeLimitError
 from .families import (
     SEVEN_PAIR_TAGS,
     FamilyTag,
@@ -39,7 +39,7 @@ from .invariants import (
     zagreb2,
 )
 from .quadratic import MARGIN, band_bounds_check, count_roots, refine_root
-from .reliability import _search
+from .reliability import DEFAULT_MAX_VERTICES, _search
 
 
 @dataclass
@@ -298,6 +298,11 @@ def scan_uniqueness(n_max: int, m_cap: int = None, n_min: int = 4, jobs: int = 1
     the lexicographic maximizer set must be a single class equal to the
     construction.  Deterministic regardless of the worker count.
     """
+    if n_max > DEFAULT_MAX_VERTICES:
+        raise SizeLimitError(
+            f"theorem-main is limited to n <= {DEFAULT_MAX_VERTICES} (got --max-n {n_max}); "
+            "brute-force single pairs above it with `verify brute --deep`"
+        )
     t0 = time.perf_counter()
     pairs = []
     for n in range(n_min, n_max + 1):

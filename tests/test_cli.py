@@ -1,6 +1,8 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -8,10 +10,21 @@ from lmrttg import Graph, TwoTerminalGraph, cli, to_json
 from lmrttg.cli import main
 
 
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_module(*argv):
+    """``python -m lmrttg`` in a subprocess that imports the package from ``src``."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "lmrttg", *argv], capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path)
+    )
 
 
 def test_construct_json(capsys):
@@ -73,6 +86,22 @@ def test_reliability_needs_terminals(tmp_path, capsys):
     path.write_text(to_json(Graph.complete(3)))
     code, _, err = run_cli(capsys, "reliability", "--graph", str(path), "--at", "1/2")
     assert code == 2 and "terminals" in err
+
+
+def test_reliability_zero_denominator_is_usage_error(tmp_path):
+    path = tmp_path / "g.json"
+    path.write_text(to_json(TwoTerminalGraph(Graph.from_edges(3, [(0, 1), (1, 2)]), 0, 1)))
+    proc = run_module("reliability", "--graph", str(path), "--at", "1/0")
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error:")
+    assert "Traceback" not in proc.stderr
+
+
+def test_theorem_main_above_search_bound_is_usage_error(capsys):
+    code, out, err = run_cli(capsys, "verify", "theorem-main", "--min-n", "8", "--max-n", "8", "--m-cap", "5", "--jobs", "1")
+    assert code == 2 and out == ""
+    assert "theorem-main is limited to n <= 7" in err
+    assert "`verify brute --deep`" in err
 
 
 def test_verify_brute_pass(capsys):
@@ -183,11 +212,7 @@ def test_malformed_graph_file_is_usage_error(tmp_path, content):
     if content is not None:
         path = tmp_path / "g.json"
         path.write_text(content)
-    proc = subprocess.run(
-        [sys.executable, "-m", "lmrttg", "invariants", "--graph", str(path)],
-        capture_output=True,
-        text=True,
-    )
+    proc = run_module("invariants", "--graph", str(path))
     assert proc.returncode == 2
     assert proc.stderr.startswith("error:")
     assert "Traceback" not in proc.stderr
@@ -200,10 +225,6 @@ def test_usage_error_exit_code():
 
 
 def test_module_entry_point():
-    proc = subprocess.run(
-        [sys.executable, "-m", "lmrttg", "construct", "--n", "5", "--m", "5", "--family", "s1"],
-        capture_output=True,
-        text=True,
-    )
+    proc = run_module("construct", "--n", "5", "--m", "5", "--family", "s1")
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["n"] == 5

@@ -22,6 +22,7 @@ from lmrttg import (
     reliability_at,
 )
 from lmrttg.graphs import vertex_pairs
+from lmrttg.reliability import NVEC_MAX_VERTICES
 from oracles import nvec_oracle
 
 
@@ -46,6 +47,8 @@ def test_n_vector_complete_graph():
     expected = (1, 7, 18, 15, 6, 1)
     assert nvec_oracle(tg) == expected
     assert n_vector(tg) == expected
+    k6 = TwoTerminalGraph(Graph.complete(6), 0, 1)
+    assert n_vector(k6) == nvec_oracle(k6)
 
 
 def test_n_vector_disconnected_terminals():
@@ -55,21 +58,22 @@ def test_n_vector_disconnected_terminals():
 
 
 def test_n_vector_matches_oracle_randomized():
+    # any terminal pair; m = 0 and disconnected terminals stay in the draw
     rnd = random.Random(20)
-    for _ in range(60):
-        tg = _random_two_terminal(rnd)
+    for _ in range(200):
+        tg = _random_two_terminal(rnd, 2, 7, 12)
         assert n_vector(tg) == nvec_oracle(tg)
 
 
-def test_n_vector_size_bound(monkeypatch):
-    tg = TwoTerminalGraph(Graph.complete(4), 0, 1)
+def test_n_vector_size_bound():
+    # the cap counts vertices, whatever the edge count
+    at_cap = TwoTerminalGraph(Graph.from_edges(NVEC_MAX_VERTICES, [(0, 1)]), 0, 1)
+    assert n_vector(at_cap) == (1,)
+    above = TwoTerminalGraph(Graph.from_edges(NVEC_MAX_VERTICES + 1, [(0, 1)]), 0, 1)
+    with pytest.raises(SizeLimitError, match=f"n <= {NVEC_MAX_VERTICES}"):
+        n_vector(above)
     with pytest.raises(SizeLimitError):
-        n_vector(tg, max_edges=5)
-    monkeypatch.setenv("LMRTTG_MAX_ENUM", "5")
-    with pytest.raises(SizeLimitError):
-        n_vector(tg)
-    monkeypatch.setenv("LMRTTG_MAX_ENUM", "6")
-    assert n_vector(tg)[0] == 1
+        reliability_at(above, Fraction(1, 2))
 
 
 def test_prefix3_matches_full_vector():
