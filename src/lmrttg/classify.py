@@ -17,7 +17,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, isqrt
 
-from .errors import DomainError
+from .errors import DomainError, InvariantError
 from .families import quasi_complete_params, quasi_star_params
 from .invariants import quasi_complete_m1, quasi_star_m1
 
@@ -60,7 +60,8 @@ def spectrum(n: int) -> SpectrumParams:
     # invariant: C(k,2) <= C(n,2)/2 < C(k+1,2)
     q = Fraction(1 - 2 * (2 * k - 3) ** 2 + (2 * n - 5) ** 2, 4)
     den = -1 - 2 * (2 * k - 4) ** 2 + (2 * n - 5) ** 2
-    assert den != 0, "crossover denominator vanished"
+    if den == 0:
+        raise InvariantError(f"crossover denominator vanished at n={n}")
     r = Fraction(4 * (comb(n, 2) - 2 * comb(k, 2)) * (k - 2), den)
     return SpectrumParams(k=k, alpha=comb(k, 2), q=q, r=r)
 

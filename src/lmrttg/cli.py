@@ -2,7 +2,7 @@
 
 Subcommands: construct, invariants, classify, reliability, verify.
 Exit codes: 0 on success or a passing verification, 1 on verification
-failure, 2 on usage or domain errors.
+failure or a broken internal invariant, 2 on usage or domain errors.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from fractions import Fraction
 from math import comb
 
 from .classify import classify, spectrum
-from .errors import DomainError, FamilyDoesNotExist, SizeLimitError
+from .errors import DomainError, FamilyDoesNotExist, InvariantError, SizeLimitError
 from .families import (
     FamilyParams,
     FamilyTag,
@@ -185,8 +185,7 @@ def _cmd_verify_all(args) -> int:
     md output is theirs in turn, json output is one document."""
     steps = [["seven-pairs"], ["istar-scan"], ["identities", "--seed", str(args.seed)], ["bounds"]]
     for n in range(4, args.max_n + 1):
-        cap = ["--m-cap", "12"] if n >= 7 else []
-        steps.append(["theorem-main", "--min-n", str(n), "--max-n", str(n), "--jobs", str(args.jobs), *cap])
+        steps.append(["theorem-main", "--min-n", str(n), "--max-n", str(n), "--jobs", str(args.jobs)])
     steps.append(["sturm"])
     shared = ["--format", args.format] + (["--no-meta"] if args.no_meta else [])
     parser = build_parser()
@@ -290,6 +289,9 @@ def main(argv=None) -> int:
     except (DomainError, FamilyDoesNotExist, SizeLimitError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except InvariantError as exc:
+        print(f"error: invariant failed: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -11,3 +11,7 @@ class SizeLimitError(ValueError):
 
 class FamilyDoesNotExist(ValueError):
     """The requested graph family has no member for the given parameters."""
+
+
+class InvariantError(Exception):
+    """A mathematical invariant the code relies on failed to hold: a defect, not bad input."""

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from enum import Enum
 from math import comb, isqrt
 
-from .errors import DomainError, FamilyDoesNotExist
+from .errors import DomainError, FamilyDoesNotExist, InvariantError
 from .graphs import Graph, TwoTerminalGraph, disjoint_union, join
 
 
@@ -57,7 +57,8 @@ def quasi_complete_params(m: int) -> tuple:
     while comb(k + 1, 2) <= m:
         k += 1
     j = comb(k + 1, 2) - m
-    assert 1 <= j <= k
+    if not 1 <= j <= k:
+        raise DomainError(f"no (k, j) with 1 <= j <= k for m={m}; got k={k}, j={j}")
     return k, j
 
 
@@ -169,7 +170,8 @@ def build_family(n: int, m: int, tag: FamilyTag) -> Graph:
     if not family_exists(n, m, tag):
         raise FamilyDoesNotExist(f"{tag} has no member at n={n}, m={m}")
     g = _BUILDERS[tag](n, m)
-    assert g.n == n and g.m == m, f"builder produced ({g.n},{g.m}) for ({n},{m},{tag})"
+    if (g.n, g.m) != (n, m):
+        raise InvariantError(f"builder produced ({g.n},{g.m}) for ({n},{m},{tag})")
     return g
 
 
@@ -226,12 +228,14 @@ def build_h_optimal(n: int, m: int) -> tuple:
         if family_exists(n, m, FamilyTag.S2):
             # the S2-over-S1 gap has sign k'-7/2; k'=3 only happens at the
             # tie pair (5,5), never on this branch
-            assert quasi_star_params(n, m)[0] >= 4
+            if quasi_star_params(n, m)[0] < 4:
+                raise InvariantError(f"S2 branch reached with k' < 4 at ({n},{m})")
             return make(FamilyTag.S2)
         return make(FamilyTag.S1)
     if sign is Sign.MINUS:
         # m=5 would flip the C2/C1 order, but (n,5) is never on this branch
-        assert m != 5
+        if m == 5:
+            raise InvariantError(f"C-side branch reached at m = 5 for n={n}")
         if family_exists(n, m, FamilyTag.C3):
             return make(FamilyTag.C3)
         return make(FamilyTag.C1)
@@ -241,7 +245,8 @@ def build_h_optimal(n: int, m: int) -> tuple:
         return make(FamilyTag.S1)
     if (n, m) in SEVEN_PAIR_TAGS:
         return make(SEVEN_PAIR_TAGS[(n, m)])
-    assert classify(n, m).in_J, f"unclassified tie pair ({n},{m})"
+    if not classify(n, m).in_J:
+        raise InvariantError(f"unclassified tie pair ({n},{m})")
     if family_exists(n, m, FamilyTag.C3):
         return make(FamilyTag.C3)
     return make(FamilyTag.C1)

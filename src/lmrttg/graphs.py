@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations, product
 
-from .errors import DomainError, SizeLimitError
+from .errors import DomainError, InvariantError, SizeLimitError
 
 #: Default vertex bound for the brute-force canonical forms.
 CANONICAL_MAX_N = 10
@@ -105,11 +105,13 @@ class Graph:
         return Graph(self.n, rows)
 
     def check(self) -> None:
-        """Assert structural invariants (used by the test suite)."""
+        """Raise InvariantError unless adjacency is symmetric and the degrees sum to 2m."""
         for u in range(self.n):
             for v in range(u + 1, self.n):
-                assert self.has_edge(u, v) == self.has_edge(v, u)
-        assert sum(self.degrees()) == 2 * self.m
+                if self.has_edge(u, v) != self.has_edge(v, u):
+                    raise InvariantError(f"asymmetric adjacency between {u} and {v}")
+        if sum(self.degrees()) != 2 * self.m:
+            raise InvariantError("degree sum differs from twice the edge count")
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Graph) and self.n == other.n and self.rows == other.rows

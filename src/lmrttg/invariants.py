@@ -2,7 +2,7 @@
 
 Everything here is integer arithmetic.  The one half-integer intermediate
 (the ``n - 9/2`` factor in the complement-sum identity) is carried as an
-even product and divided at the end, with the divisibility asserted.
+even product and divided at the end, with the divisibility checked.
 """
 
 from __future__ import annotations
@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
-from .errors import DomainError, FamilyDoesNotExist
+from .errors import DomainError, FamilyDoesNotExist, InvariantError
 from .families import FamilyTag, family_exists, quasi_complete_params, quasi_star_params
 from .graphs import Graph, complement
 
@@ -105,6 +105,13 @@ def ramsey_residuals(g: Graph) -> tuple:
 # ---------------------------------------------------------------------------
 
 
+def _half(num: int) -> int:
+    """``num / 2`` for a numerator that its closed form makes even."""
+    if num % 2:
+        raise InvariantError(f"closed form has odd numerator {num}")
+    return num // 2
+
+
 def quasi_complete_h(k: int, j: int) -> int:
     """Closed form of the h-invariant of the quasi-complete graph.
 
@@ -114,8 +121,7 @@ def quasi_complete_h(k: int, j: int) -> int:
     if not 1 <= j <= k:
         raise DomainError(f"need 1 <= j <= k; got k={k}, j={j}")
     num = k**4 - k**3 - 6 * j * k * k + 2 * (j * j + 7 * j + 1) * k - (5 * j * j + 7 * j)
-    assert num % 2 == 0
-    return num // 2
+    return _half(num)
 
 
 def quasi_complete_m1(k: int, j: int) -> int:
@@ -167,18 +173,13 @@ def family_h(n: int, m: int, tag: FamilyTag) -> int:
     if tag is FamilyTag.C3:
         return quasi_complete_h(k, j) + 3
     if tag is FamilyTag.C2:
-        num = (2 * k - 7) * (k - j) * (k - j - 1)
-        assert num % 2 == 0
-        return quasi_complete_h(k, j) - num // 2
+        return quasi_complete_h(k, j) - _half((2 * k - 7) * (k - j) * (k - j - 1))
     kp, jp = quasi_star_params(n, m)
     mc = comb(n, 2) - m
-    prod = (2 * n - 9) * quasi_star_m1(n, kp, jp)
-    assert prod % 2 == 0  # M1 is always even
-    s1 = prod // 2 + h_sum_offset(n, m) - quasi_complete_h(*quasi_complete_params(mc))
+    half_m1 = _half((2 * n - 9) * quasi_star_m1(n, kp, jp))  # M1 is always even
+    s1 = half_m1 + h_sum_offset(n, m) - quasi_complete_h(*quasi_complete_params(mc))
     if tag is FamilyTag.S1:
         return s1
     if tag is FamilyTag.S3:
         return s1 - 3
-    num = (2 * kp - 7) * (kp - jp) * (kp - jp - 1)
-    assert num % 2 == 0
-    return s1 + num // 2
+    return s1 + _half((2 * kp - 7) * (kp - jp) * (kp - jp - 1))

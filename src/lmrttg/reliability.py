@@ -5,12 +5,13 @@ spanning subgraphs that still join the terminals.  The graph whose vector
 is lexicographically maximal over all two-terminal graphs with the same
 (n, m) beats every peer near p = 0; the search below finds all of them.
 
-The search never assumes anything about the winner's shape.  It streams
+The search never assumes anything about the winner's shape.  It covers
 every labeled candidate (terminals fixed at 0 and 1, which every
-two-terminal graph can be relabeled to), prunes by exactly computed
-``(N_1, N_2, N_3)`` prefixes (the first three rounds of the iterative
-argmax filtration), and only then scores the survivors' full vectors by
-inclusion-exclusion over vertex sets.
+two-terminal graph can be relabeled to) by grouping them into cells by
+the terminals' inner neighbourhoods, where the ``(N_1, N_2, N_3)`` prefix
+(the first three rounds of the iterative argmax filtration) has a closed
+maximum.  Only the prefix maximisers are built, and their full vectors are
+scored by inclusion-exclusion over vertex sets as they stream.
 """
 
 from __future__ import annotations
@@ -22,8 +23,15 @@ from math import comb
 from .errors import DomainError, SizeLimitError
 from .graphs import Graph, TwoTerminalGraph, canonical_key, canonical_key_ordered, form_of_key, vertex_pairs
 
-DEFAULT_MAX_VERTICES = 7
+DEFAULT_MAX_VERTICES = 8
 NVEC_MAX_VERTICES = 14
+# enumerate_classes keys every labeled graph, so its bound stays lower
+CLASS_MAX_VERTICES = 7
+
+
+def _check_nvec_size(n: int) -> None:
+    if n > NVEC_MAX_VERTICES:
+        raise SizeLimitError(f"coefficient vectors limited to n <= {NVEC_MAX_VERTICES} (got {n})")
 
 
 def _nvec(n: int, s: int, t: int, edges) -> tuple:
@@ -41,8 +49,7 @@ def _nvec(n: int, s: int, t: int, edges) -> tuple:
     of N counts edge subsets, so it lies in [0, 2^m] below X, and the
     base-X digits of the result are exactly N_0, ..., N_m.
     """
-    if n > NVEC_MAX_VERTICES:
-        raise SizeLimitError(f"coefficient vectors limited to n <= {NVEC_MAX_VERTICES} (got {n})")
+    _check_nvec_size(n)
     m = len(edges)
     width = m + 1
     pw = [((1 << width) + 1) ** k for k in range(m + 1)]
@@ -155,14 +162,12 @@ def filtration(candidates, level: int):
     return [cands[idx] for idx in keep]
 
 
-def enumerate_classes(n: int, m: int, max_n: int = None):
+def enumerate_classes(n: int, m: int, max_n: int = CLASS_MAX_VERTICES):
     """One representative per two-terminal isomorphism class, terminals 0,1.
 
     Every two-terminal graph is isomorphic to one with terminals so
     labeled, hence this streams all of T_{n,m} up to isomorphism.
     """
-    if max_n is None:
-        max_n = DEFAULT_MAX_VERTICES
     if n > max_n:
         raise SizeLimitError(f"class enumeration limited to n <= {max_n} (got {n})")
     pairs = vertex_pairs(n)
@@ -177,64 +182,106 @@ def enumerate_classes(n: int, m: int, max_n: int = None):
             yield tg
 
 
-def _prefix_scan(n: int, m: int):
-    """Stream all labeled candidates containing the terminal edge and keep
-    the max ``(N_2, N_3)`` prefix (N_1 = 1 is forced: some candidate always
-    has the terminal edge, and N_1 dominates lexicographically).
+def _prefix_scan(n: int, m: int) -> tuple:
+    """The labeled candidates with the max ``(N_2, N_3)`` prefix, found by
+    cells instead of one candidate at a time.
 
-    Returns ``(survivor edge lists, candidates examined)``.
+    N_1 = 1 is forced: some candidate has the terminal edge, and N_1
+    dominates lexicographically.  With terminals 0 and 1 and the terminal
+    edge fixed, a candidate is exactly a triple (A, B, F): A and B are the
+    inner neighbours of 0 and of 1, subsets of I = {2..n-1}, and F is a
+    k-subset of the P = C(n-2, 2) inner pairs with k = m-1-|A|-|B|.  In the
+    cell (A, B), with x = |A & B|,
+
+        N_2 = (m-1) + x,
+        N_3 = C(m-1, 2) + x(m-3) + sum over uv in F of w(uv),
+
+    where w(uv) = [u in A][v in B] + [v in A][u in B] counts the paths
+    0-u-v-1 and 0-v-u-1.  So the best N_3 in a cell takes the k heaviest
+    pairs: the C(x, 2) pairs inside A & B weigh 2, the x(a+b) + ab pairs
+    joining A & B, A - B and B - A (a = |A - B|, b = |B - A|) weigh 1, and
+    the rest weigh 0.  A cell's best key depends only on (x, a, b), so the
+    scan walks those types, each standing for C(r; x, a, b) cells of
+    C(P, k) candidates (r = n-2), and expands only the types at the best
+    key.  In each of their cells the maximisers are the pairs above the
+    threshold weight plus any subset of the right size from the threshold
+    class, and nothing else.
+
+    No candidate is skipped and no shape is assumed: the cells partition
+    the candidates, so ``examined``, the sum of C(P, k) over all cells,
+    equals C(C(n,2)-1, m-1) by Vandermonde's identity (the m-1 free edges
+    split into |A|+|B| of the 2r terminal pairs and k inner pairs).
+
+    Returns ``(examined, survivor edge lists)``; the edge lists are a lazy
+    stream, so memory does not grow with the number of survivors.
     """
-    pairs = vertex_pairs(n)
-    e_total = len(pairs)
-    inner_mask = ((1 << n) - 1) ^ 3
-    best = None
-    survivors = []
+    r, free = n - 2, m - 1
+    inner_pairs = comb(r, 2)
     examined = 0
-    for rest in combinations(range(1, e_total), m - 1):
-        examined += 1
-        rows = [0] * n
-        rows[0] = 2
-        rows[1] = 1
-        for e in rest:
-            u, v = pairs[e]
-            rows[u] |= 1 << v
-            rows[v] |= 1 << u
-        common = (rows[0] & rows[1]).bit_count()
-        n2 = (m - 1) + common
-        if best is not None and n2 < best[0]:
-            continue
-        three_paths = 0
-        w = rows[0] & inner_mask
-        while w:
-            b = w & -w
-            three_paths += (rows[b.bit_length() - 1] & rows[1] & inner_mask).bit_count()
-            w ^= b
-        key = (n2, comb(m - 1, 2) + common * (m - 3) + three_paths)
-        if best is None or key > best:
-            best = key
-            survivors = [rest]
-        elif key == best:
-            survivors.append(rest)
-    edge_lists = [[(0, 1)] + [pairs[e] for e in rest] for rest in survivors]
-    return edge_lists, examined
+    by_key = {}
+    for x in range(r + 1):
+        for a in range(r - x + 1):
+            for b in range(r - x - a + 1):
+                k = free - 2 * x - a - b
+                if not 0 <= k <= inner_pairs:
+                    continue
+                examined += comb(r, x) * comb(r - x, a) * comb(r - x - a, b) * comb(inner_pairs, k)
+                heavy, light = comb(x, 2), x * (a + b) + a * b
+                top = 2 * min(k, heavy) + min(max(k - heavy, 0), light)
+                key = (free + x, comb(free, 2) + x * (m - 3) + top)
+                by_key.setdefault(key, []).append((x, a, b, k))
+    return examined, _cell_maximisers(n, by_key[max(by_key)])
+
+
+def _cell_maximisers(n: int, types):
+    """Every ``(N_2, N_3)`` maximiser of every cell of the given types
+    ``(x, a, b, k)``, as an edge list that starts with the terminal edge."""
+    inner = range(2, n)
+    inner_pairs = list(combinations(inner, 2))
+    for x, a, b, k in types:
+        for A in combinations(inner, x + a):
+            outside = [v for v in inner if v not in A]
+            for both in combinations(A, x):
+                for only_b in combinations(outside, b):
+                    B = both + only_b
+                    by_weight = ([], [], [])
+                    for u, v in inner_pairs:
+                        by_weight[(u in A and v in B) + (v in A and u in B)].append((u, v))
+                    forced = [(0, 1)] + [(0, v) for v in A] + [(1, v) for v in B]
+                    need = k
+                    for cls in reversed(by_weight):
+                        if need <= len(cls):
+                            for pick in combinations(cls, need):
+                                yield forced + list(pick)
+                            break
+                        forced += cls
+                        need -= len(cls)
 
 
 def _search(n: int, m: int, max_n: int = None) -> dict:
-    """Full optimum search; returns winners plus bookkeeping for reports."""
+    """Full optimum search; returns winners plus bookkeeping for reports.
+
+    Survivors are scored as they stream, and only those tying the best
+    vector so far are kept."""
     if max_n is None:
         max_n = DEFAULT_MAX_VERTICES
     if n > max_n:
         raise SizeLimitError(f"search limited to n <= {max_n} (got {n}); raise with `verify brute --deep` or max_n")
+    _check_nvec_size(n)
     if n < 2 or not 1 <= m <= comb(n, 2):
         raise DomainError(f"need n >= 2 and 1 <= m <= C(n,2); got n={n}, m={m}")
-    edge_lists, examined = _prefix_scan(n, m)
-    scored = [(_nvec(n, 0, 1, edges), edges) for edges in edge_lists]
-    best_vec = max(vec for vec, _ in scored)
+    examined, survivors = _prefix_scan(n, m)
+    count, best_vec, tied = 0, None, []
+    for edges in survivors:
+        count += 1
+        vec = _nvec(n, 0, 1, edges)
+        if best_vec is None or vec > best_vec:
+            best_vec, tied = vec, [edges]
+        elif vec == best_vec:
+            tied.append(edges)
     reps = {}
     ordered_keys = set()
-    for vec, edges in scored:
-        if vec != best_vec:
-            continue
+    for edges in tied:
         tg = TwoTerminalGraph(Graph.from_edges(n, edges), 0, 1)
         key = canonical_key(tg)
         ordered_keys.add(canonical_key_ordered(tg))
@@ -246,7 +293,7 @@ def _search(n: int, m: int, max_n: int = None) -> dict:
         "winners": [reps[k] for k in sorted(reps)],
         "n_vector": best_vec,
         "examined": examined,
-        "survivors": len(scored),
+        "survivors": count,
         "unique_ordered": len(ordered_keys) == 1,
     }
 

@@ -260,7 +260,7 @@ def band_bounds_report(n_lo: int = 8, n_hi: int = 60) -> ScanReport:
 def brute_record(n: int, m: int, deep: bool = False) -> dict:
     """Search one (n, m) pair and compare against the construction."""
     t0 = time.perf_counter()
-    res = _search(n, m, max_n=max(n, 7) if deep else None)
+    res = _search(n, m, max_n=max(n, DEFAULT_MAX_VERTICES) if deep else None)
     rec = {
         "n": n,
         "m": m,

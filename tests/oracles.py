@@ -11,29 +11,52 @@ from itertools import combinations, permutations
 import networkx as nx
 
 
+def _joins(edges, s, t):
+    """Whether the edge list joins s to t, by dict-BFS."""
+    adj = {}
+    for u, v in edges:
+        adj.setdefault(u, []).append(v)
+        adj.setdefault(v, []).append(u)
+    seen = {s}
+    queue = deque([s])
+    while queue:
+        x = queue.popleft()
+        for y in adj.get(x, ()):
+            if y not in seen:
+                seen.add(y)
+                queue.append(y)
+    return t in seen
+
+
 def nvec_oracle(tg):
     """Coefficient vector by enumerating every edge subset with dict-BFS."""
-    g = tg.graph
-    edges = g.edges()
+    edges = tg.graph.edges()
     m = len(edges)
-    counts = [0] * m
-    for r in range(1, m + 1):
-        for sub in combinations(edges, r):
-            adj = {}
-            for u, v in sub:
-                adj.setdefault(u, []).append(v)
-                adj.setdefault(v, []).append(u)
-            seen = {tg.s}
-            queue = deque([tg.s])
-            while queue:
-                x = queue.popleft()
-                for y in adj.get(x, ()):
-                    if y not in seen:
-                        seen.add(y)
-                        queue.append(y)
-            if tg.t in seen:
-                counts[r - 1] += 1
-    return tuple(counts)
+    return tuple(sum(1 for sub in combinations(edges, r) if _joins(sub, tg.s, tg.t)) for r in range(1, m + 1))
+
+
+def prefix_survivors_oracle(n, m):
+    """Edge sets, as frozensets, of the labeled graphs on n vertices and m
+    edges with terminals 0 and 1 whose ``(N_1, N_2, N_3)`` is maximal.
+
+    Streams every m-subset of the vertex pairs, terminal edge or not, and
+    counts each N_i over the i-subsets of its edges with dict-BFS; N_3 is
+    only counted where ``(N_1, N_2)`` can still reach the best so far.
+    """
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    best, found = None, []
+    for edges in combinations(pairs, m):
+        key = ()
+        for i in (1, 2, 3):
+            key += (sum(1 for sub in combinations(edges, i) if _joins(sub, 0, 1)),)
+            if best is not None and key < best[:i]:
+                break
+        else:
+            if best is None or key > best:
+                best, found = key, [edges]
+            elif key == best:
+                found.append(edges)
+    return {frozenset(edges) for edges in found}
 
 
 def triangle_oracle(g):

@@ -2,11 +2,12 @@ import json
 import os
 import subprocess
 import sys
+from math import comb
 from pathlib import Path
 
 import pytest
 
-from lmrttg import Graph, TwoTerminalGraph, cli, to_json
+from lmrttg import Graph, TwoTerminalGraph, cli, families, reliability, to_json
 from lmrttg.cli import main
 
 
@@ -98,10 +99,38 @@ def test_reliability_zero_denominator_is_usage_error(tmp_path):
 
 
 def test_theorem_main_above_search_bound_is_usage_error(capsys):
-    code, out, err = run_cli(capsys, "verify", "theorem-main", "--min-n", "8", "--max-n", "8", "--m-cap", "5", "--jobs", "1")
+    code, out, err = run_cli(capsys, "verify", "theorem-main", "--min-n", "9", "--max-n", "9", "--m-cap", "5", "--jobs", "1")
     assert code == 2 and out == ""
-    assert "theorem-main is limited to n <= 7" in err
+    assert "theorem-main is limited to n <= 8" in err
     assert "`verify brute --deep`" in err
+
+
+def test_brute_above_coefficient_cap_is_usage_error_before_scanning(capsys, monkeypatch):
+    def no_scan(n, m):
+        raise AssertionError("scanned before the size check")
+
+    monkeypatch.setattr(reliability, "_prefix_scan", no_scan)
+    code, out, err = run_cli(capsys, "verify", "brute", "--deep", "--n", "15", "--m", "5")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "n <= 14" in err
+
+
+def test_broken_invariant_is_a_failed_verdict(capsys, monkeypatch):
+    # a builder that returns the wrong edge count trips the size invariant
+    monkeypatch.setitem(families._BUILDERS, families.FamilyTag.C1, lambda n, m: Graph.complete(n))
+    code, out, err = run_cli(capsys, "construct", "--n", "6", "--m", "6", "--family", "c1")
+    assert code == 1 and out == ""
+    assert err.startswith("error: invariant failed:") and "(6,15)" in err
+
+
+def test_theorem_main_records_do_not_depend_on_jobs(capsys):
+    outs = []
+    for jobs in ("1", "2"):
+        code, out, _ = run_cli(capsys, "verify", "theorem-main", "--max-n", "6", "--jobs", jobs, "--format", "json", "--no-meta")
+        assert code == 0
+        outs.append(out)
+    assert outs[0] == outs[1]
+    assert len(json.loads(outs[0])["records"]) == sum(comb(n, 2) - 4 for n in (4, 5, 6))
 
 
 def test_verify_brute_pass(capsys):

@@ -22,8 +22,8 @@ from lmrttg import (
     reliability_at,
 )
 from lmrttg.graphs import vertex_pairs
-from lmrttg.reliability import NVEC_MAX_VERTICES
-from oracles import nvec_oracle
+from lmrttg.reliability import NVEC_MAX_VERTICES, _prefix_scan
+from oracles import nvec_oracle, prefix_survivors_oracle
 
 
 def _random_two_terminal(rnd, n_lo=2, n_hi=5, m_hi=8):
@@ -207,6 +207,22 @@ def test_find_lmrttg_small_cases():
     assert winners[0].graph == Graph.complete(6)
 
     with pytest.raises(SizeLimitError, match=r"`verify brute --deep` or max_n"):
-        find_lmrttg(8, 6)
+        find_lmrttg(9, 6)
     with pytest.raises(DomainError):
         find_lmrttg(5, 0)
+
+
+def test_prefix_scan_survivors_match_oracle():
+    # every labeled graph, terminal edge or not, against the cell scan's maximisers
+    for n in range(2, 7):
+        for m in range(1, comb(n, 2) + 1):
+            survivors = [frozenset(edges) for edges in _prefix_scan(n, m)[1]]
+            assert len(set(survivors)) == len(survivors)
+            assert set(survivors) == prefix_survivors_oracle(n, m), (n, m)
+
+
+def test_prefix_scan_covers_every_labeled_candidate():
+    # the cells' C(P, k) counts add up to every (m-1)-subset of the non-terminal pairs
+    for n in range(2, 9):
+        for m in range(1, comb(n, 2) + 1):
+            assert _prefix_scan(n, m)[0] == comb(comb(n, 2) - 1, m - 1), (n, m)
