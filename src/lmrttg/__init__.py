@@ -54,15 +54,7 @@ from .quadratic import (
     refine_root,
     sturm_sequence,
 )
-from .reliability import (
-    enumerate_classes,
-    filtration,
-    find_lmrttg,
-    lex_compare,
-    n_vector,
-    prefix3,
-    reliability_at,
-)
+from .reliability import find_lmrttg, n_vector, reliability_at
 from .scans import (
     ScanReport,
     band_bounds_report,

@@ -77,6 +77,14 @@ class PairClass:
     m1_c1: object  # int | None
 
 
+@lru_cache(maxsize=None)
+def central_band(n: int) -> range:
+    """The edge counts within n/2 of half the possible edges: ``C(n,2) - n
+    <= 2m <= C(n,2) + n``, clipped to ``0..C(n,2)``."""
+    c = comb(n, 2)
+    return range(max(0, (c - n + 1) // 2), min(c, (c + n) // 2) + 1)
+
+
 def classify(n: int, m: int) -> PairClass:
     """Exact classification of the pair (n, m).
 
@@ -96,7 +104,7 @@ def classify(n: int, m: int) -> PairClass:
             sign = Sign.TIE
         else:
             sign = Sign.PLUS if m1s > m1c else Sign.MINUS
-    in_j = n >= 8 and valid and c - n <= 2 * m <= c + n
+    in_j = n >= 8 and m in central_band(n)
     return PairClass(n=n, m=m, in_I=in_i, in_J=in_j, sign=sign, m1_s1=m1s, m1_c1=m1c)
 
 

@@ -260,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = verify("brute", "brute-force one (n, m) pair", _check_brute)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
-    p.add_argument("--deep", action="store_true", help="lift the default vertex bound")
+    p.add_argument("--deep", action="store_true", help="lift the search's vertex cap up to the canonical-key cap")
 
     verify("sturm", "root isolation for the dominance margin", _check_sturm)
 

@@ -46,6 +46,11 @@ class FamilyTag(str, Enum):
         return self.value
 
 
+def _check_range(n: int, m: int) -> None:
+    if n < 0 or not 0 <= m <= comb(n, 2):
+        raise DomainError(f"need 0 <= m <= C(n,2); got n={n}, m={m}")
+
+
 def quasi_complete_params(m: int) -> tuple:
     """The unique ``(k, j)`` with ``1 <= j <= k`` and ``m = C(k+1,2) - j``."""
     if m < 0:
@@ -64,8 +69,7 @@ def quasi_complete_params(m: int) -> tuple:
 
 def quasi_star_params(n: int, m: int) -> tuple:
     """The unique ``(k', j')`` with ``m = C(n,2) - C(k'+1,2) + j'``."""
-    if n < 0 or not 0 <= m <= comb(n, 2):
-        raise DomainError(f"need 0 <= m <= C(n,2); got n={n}, m={m}")
+    _check_range(n, m)
     return quasi_complete_params(comb(n, 2) - m)
 
 
@@ -83,11 +87,6 @@ class FamilyParams:
         k, j = quasi_complete_params(m)
         kp, jp = quasi_star_params(n, m)
         return cls(k, j, kp, jp)
-
-
-def _check_range(n: int, m: int) -> None:
-    if n < 0 or not 0 <= m <= comb(n, 2):
-        raise DomainError(f"need 0 <= m <= C(n,2); got n={n}, m={m}")
 
 
 def family_exists(n: int, m: int, tag: FamilyTag) -> bool:

@@ -16,8 +16,10 @@ from itertools import permutations, product
 
 from .errors import DomainError, InvariantError, SizeLimitError
 
-#: Default vertex bound for the brute-force canonical forms.
+#: Vertex bound for the brute-force canonical forms of two-terminal graphs.
 CANONICAL_MAX_N = 10
+#: Vertex bound for graph_key, the canonical form of plain graphs.
+GRAPH_KEY_MAX_N = 8
 
 
 class Graph:
@@ -244,23 +246,23 @@ def _canonical(g: Graph, lead, max_n: int):
     return (g.n, *lead_degs, inner_degs, _min_mask(g, list(lead) + classes))
 
 
-def canonical_key(tg: TwoTerminalGraph, max_n: int = CANONICAL_MAX_N):
+def canonical_key(tg: TwoTerminalGraph):
     """Complete invariant of (graph, unordered terminal pair) isomorphism.
 
     Two two-terminal graphs get equal keys iff some graph isomorphism maps
     the one terminal pair onto the other (as an unordered pair).
     """
-    return _canonical(tg.graph, [[tg.s, tg.t]], max_n)
+    return _canonical(tg.graph, [[tg.s, tg.t]], CANONICAL_MAX_N)
 
 
-def canonical_key_ordered(tg: TwoTerminalGraph, max_n: int = CANONICAL_MAX_N):
+def canonical_key_ordered(tg: TwoTerminalGraph):
     """Like canonical_key but with the terminals taken as an ordered pair."""
-    return _canonical(tg.graph, [[tg.s], [tg.t]], max_n)
+    return _canonical(tg.graph, [[tg.s], [tg.t]], CANONICAL_MAX_N)
 
 
-def graph_key(g: Graph, max_n: int = 8):
-    """Complete isomorphism invariant for plain graphs (small n only)."""
-    return _canonical(g, [], max_n)
+def graph_key(g: Graph):
+    """Complete isomorphism invariant for plain graphs (up to GRAPH_KEY_MAX_N vertices)."""
+    return _canonical(g, [], GRAPH_KEY_MAX_N)
 
 
 def form_of_key(key) -> TwoTerminalGraph:

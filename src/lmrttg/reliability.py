@@ -9,9 +9,9 @@ The search never assumes anything about the winner's shape.  It covers
 every labeled candidate (terminals fixed at 0 and 1, which every
 two-terminal graph can be relabeled to) by grouping them into cells by
 the terminals' inner neighbourhoods, where the ``(N_1, N_2, N_3)`` prefix
-(the first three rounds of the iterative argmax filtration) has a closed
-maximum.  Only the prefix maximisers are built, and their full vectors are
-scored by inclusion-exclusion over vertex sets as they stream.
+has a closed maximum.  Only the prefix maximisers are built, and their
+full vectors are scored by inclusion-exclusion over vertex sets as they
+stream.
 """
 
 from __future__ import annotations
@@ -21,12 +21,10 @@ from itertools import combinations
 from math import comb
 
 from .errors import DomainError, SizeLimitError
-from .graphs import Graph, TwoTerminalGraph, canonical_key, canonical_key_ordered, form_of_key, vertex_pairs
+from .graphs import CANONICAL_MAX_N, Graph, TwoTerminalGraph, canonical_key, canonical_key_ordered, form_of_key
 
 DEFAULT_MAX_VERTICES = 8
 NVEC_MAX_VERTICES = 14
-# enumerate_classes keys every labeled graph, so its bound stays lower
-CLASS_MAX_VERTICES = 7
 
 
 def _check_nvec_size(n: int) -> None:
@@ -87,37 +85,6 @@ def n_vector(tg: TwoTerminalGraph) -> tuple:
     return _nvec(tg.graph.n, tg.s, tg.t, tg.graph.edges())
 
 
-def prefix3(tg: TwoTerminalGraph) -> tuple:
-    """``(N_1, N_2, N_3)`` by closed combinatorial counts (no enumeration).
-
-    N_1 is the terminal edge indicator.  A 2-subset connects iff it
-    contains the terminal edge or is a length-two path.  A 3-subset
-    connects iff it contains the terminal edge, contains a length-two path
-    plus any other edge, or is itself a length-three path.
-    """
-    g, s, t = tg.graph, tg.s, tg.t
-    m = g.m
-    if m == 0:
-        return ()
-    rows = g.rows
-    common = (rows[s] & rows[t]).bit_count()
-    inner_mask = ((1 << g.n) - 1) ^ (1 << s) ^ (1 << t)
-    three_paths = 0
-    w = rows[s] & inner_mask
-    while w:
-        b = w & -w
-        u = b.bit_length() - 1
-        three_paths += (rows[u] & rows[t] & inner_mask).bit_count()
-        w ^= b
-    n1 = 1 if g.has_edge(s, t) else 0
-    out = [n1]
-    if m >= 2:
-        out.append((m - 1) * n1 + common)
-    if m >= 3:
-        out.append(n1 * comb(m - 1, 2) + common * (m - 2 - n1) + three_paths)
-    return tuple(out)
-
-
 def reliability_at(tg: TwoTerminalGraph, p) -> Fraction:
     """Exact terminal-connection probability at edge survival rate ``p``."""
     p = Fraction(p)
@@ -127,59 +94,6 @@ def reliability_at(tg: TwoTerminalGraph, p) -> Fraction:
     m = len(counts)
     q = 1 - p
     return sum((c * p**i * q ** (m - i) for i, c in enumerate(counts, start=1)), Fraction(0))
-
-
-def lex_compare(a, b) -> int:
-    """Lexicographic order on coefficient vectors: -1, 0 or +1."""
-    a, b = tuple(a), tuple(b)
-    if len(a) != len(b):
-        raise DomainError("coefficient vectors must have equal length")
-    if a < b:
-        return -1
-    return 1 if a > b else 0
-
-
-def filtration(candidates, level: int):
-    """Iterative argmax refinement by N_1, then N_2, ... up to ``level``.
-
-    All candidates must share (n, m).  Carried to ``level = m`` this yields
-    exactly the set of locally most reliable graphs among the candidates.
-    """
-    cands = list(candidates)
-    if not cands:
-        raise DomainError("filtration needs at least one candidate")
-    nm = {(c.graph.n, c.graph.m) for c in cands}
-    if len(nm) != 1:
-        raise DomainError("candidates must share vertex and edge counts")
-    m = cands[0].graph.m
-    if not 1 <= level <= m:
-        raise DomainError(f"level must lie in 1..m; got {level}")
-    vecs = [n_vector(c) for c in cands]
-    keep = list(range(len(cands)))
-    for i in range(level):
-        best = max(vecs[idx][i] for idx in keep)
-        keep = [idx for idx in keep if vecs[idx][i] == best]
-    return [cands[idx] for idx in keep]
-
-
-def enumerate_classes(n: int, m: int, max_n: int = CLASS_MAX_VERTICES):
-    """One representative per two-terminal isomorphism class, terminals 0,1.
-
-    Every two-terminal graph is isomorphic to one with terminals so
-    labeled, hence this streams all of T_{n,m} up to isomorphism.
-    """
-    if n > max_n:
-        raise SizeLimitError(f"class enumeration limited to n <= {max_n} (got {n})")
-    pairs = vertex_pairs(n)
-    if not 0 <= m <= len(pairs):
-        raise DomainError(f"need 0 <= m <= C(n,2); got n={n}, m={m}")
-    seen = set()
-    for combo in combinations(range(len(pairs)), m):
-        tg = TwoTerminalGraph(Graph.from_edges(n, [pairs[i] for i in combo]), 0, 1)
-        key = canonical_key(tg)
-        if key not in seen:
-            seen.add(key)
-            yield tg
 
 
 def _prefix_scan(n: int, m: int) -> tuple:
@@ -261,13 +175,17 @@ def _cell_maximisers(n: int, types):
 def _search(n: int, m: int, max_n: int = None) -> dict:
     """Full optimum search; returns winners plus bookkeeping for reports.
 
-    Survivors are scored as they stream, and only those tying the best
-    vector so far are kept."""
+    Every vertex cap (the search's, the coefficient vectors' and the
+    canonical keys') is checked before the scan starts.  Survivors are
+    scored as they stream, and only those tying the best vector so far
+    are kept."""
     if max_n is None:
         max_n = DEFAULT_MAX_VERTICES
     if n > max_n:
         raise SizeLimitError(f"search limited to n <= {max_n} (got {n}); raise with `verify brute --deep` or max_n")
     _check_nvec_size(n)
+    if n > CANONICAL_MAX_N:
+        raise SizeLimitError(f"search winners are keyed canonically, limited to n <= {CANONICAL_MAX_N} (got {n})")
     if n < 2 or not 1 <= m <= comb(n, 2):
         raise DomainError(f"need n >= 2 and 1 <= m <= C(n,2); got n={n}, m={m}")
     examined, survivors = _prefix_scan(n, m)

@@ -16,7 +16,7 @@ from itertools import combinations, permutations
 from math import comb
 from multiprocessing import Pool
 
-from .classify import Sign, classify, tie_pairs
+from .classify import Sign, central_band, classify, tie_pairs
 from .errors import DomainError, SizeLimitError
 from .families import (
     SEVEN_PAIR_TAGS,
@@ -162,15 +162,10 @@ def verify_seven_pairs() -> ScanReport:
 # ---------------------------------------------------------------------------
 
 
-def _band_edge_range(n: int) -> range:
-    c = comb(n, 2)
-    return range(max(0, (c - n + 1) // 2), min(c, (c + n) // 2) + 1)
-
-
 def _tie_band_records(n: int) -> list:
     """One record per tie pair in the central band at this n."""
     out = []
-    for m in _band_edge_range(n):
+    for m in central_band(n):
         if classify(n, m).sign is not Sign.TIE:
             continue
         h_by_tag = {t: family_h(n, m, t) for t in FamilyTag if family_exists(n, m, t)}
@@ -227,7 +222,7 @@ def band_decomposition_violations(n_lo: int = 8, n_hi: int = 200) -> list:
     (n/sqrt(2) - 2, n/sqrt(2) + 1); checked by exact squared comparisons."""
     bad = []
     for n in range(n_lo, n_hi + 1):
-        for m in _band_edge_range(n):
+        for m in central_band(n):
             k, _ = quasi_complete_params(m)
             kp, _ = quasi_star_params(n, m)
             for val in (k, kp):
@@ -243,7 +238,7 @@ def band_bounds_report(n_lo: int = 8, n_hi: int = 60) -> ScanReport:
     t0 = time.perf_counter()
     report = ScanReport(scope=f"band polynomial bounds, n in {n_lo}..{n_hi}")
     for n in range(n_lo, n_hi + 1):
-        for m in _band_edge_range(n):
+        for m in central_band(n):
             chk = band_bounds_check(n, m)
             report.pairs_scanned += 1
             if not chk.ok:

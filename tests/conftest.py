@@ -1,6 +1,12 @@
 import pytest
+from hypothesis import settings
 
 from lmrttg import verify_seven_pairs
+
+# the same examples every run, no example database in the checkout, and no
+# timing-dependent deadline failures
+settings.register_profile("lmrttg", derandomize=True, database=None, deadline=None)
+settings.load_profile("lmrttg")
 
 
 @pytest.fixture(scope="session")

@@ -95,7 +95,7 @@ def to_networkx(obj):
         g = obj.graph
     G = nx.Graph()
     for v in range(g.n):
-        G.add_node(v, terminal=v in terminals)
+        G.add_node(v, terminal=v in terminals, role=terminals.index(v) if v in terminals else None)
     G.add_edges_from(g.edges())
     return G
 
@@ -105,6 +105,12 @@ def iso_oracle(a, b):
     return nx.is_isomorphic(
         to_networkx(a), to_networkx(b), node_match=lambda x, y: x["terminal"] == y["terminal"]
     )
+
+
+def ordered_iso_oracle(a, b):
+    """Isomorphism sending the first terminal to the first and the second to
+    the second (networkx VF2)."""
+    return nx.is_isomorphic(to_networkx(a), to_networkx(b), node_match=lambda x, y: x["role"] == y["role"])
 
 
 def random_graph(rnd, n_lo=2, n_hi=8):

@@ -110,9 +110,11 @@ def test_brute_above_coefficient_cap_is_usage_error_before_scanning(capsys, monk
         raise AssertionError("scanned before the size check")
 
     monkeypatch.setattr(reliability, "_prefix_scan", no_scan)
-    code, out, err = run_cli(capsys, "verify", "brute", "--deep", "--n", "15", "--m", "5")
-    assert code == 2 and out == ""
-    assert err.startswith("error:") and "n <= 14" in err
+    # n = 15 is above the coefficient-vector cap, n = 11 only above the canonical-key cap
+    for n, bound in ((15, "n <= 14"), (11, "n <= 10")):
+        code, out, err = run_cli(capsys, "verify", "brute", "--deep", "--n", str(n), "--m", "5")
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and bound in err
 
 
 def test_broken_invariant_is_a_failed_verdict(capsys, monkeypatch):

@@ -2,6 +2,8 @@ import random
 from itertools import permutations
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from lmrttg import (
     DomainError,
@@ -20,7 +22,8 @@ from lmrttg import (
     to_dot,
     to_json,
 )
-from oracles import iso_oracle, random_graph
+from lmrttg.graphs import canonical_key_ordered, vertex_pairs
+from oracles import iso_oracle, ordered_iso_oracle, random_graph
 
 
 def test_complement_of_empty_is_complete():
@@ -163,7 +166,30 @@ def test_canonical_key_size_bound():
     big = TwoTerminalGraph(Graph.empty(11), 0, 1)
     with pytest.raises(SizeLimitError):
         canonical_key(big)
-    assert canonical_key(big, max_n=11)  # explicit override works
+
+
+@st.composite
+def _relabeled_pair(draw):
+    """A two-terminal graph on at most 7 vertices, a vertex permutation, and
+    the permuted graph with the terminals moved along or drawn anew."""
+    n = draw(st.integers(2, 7))
+    pairs = vertex_pairs(n)
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=len(pairs)))
+    g = Graph.from_edges(n, edges)
+    s, t = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+    perm = draw(st.permutations(range(n)))
+    s2, t2 = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+    h = g.relabel(perm)
+    return TwoTerminalGraph(g, s, t), TwoTerminalGraph(h, perm[s], perm[t]), TwoTerminalGraph(h, s2, t2)
+
+
+@given(_relabeled_pair())
+def test_canonical_keys_are_relabel_invariant_and_match_vf2(case):
+    tg, image, other = case
+    assert canonical_key(image) == canonical_key(tg)
+    assert canonical_key_ordered(image) == canonical_key_ordered(tg)
+    assert (canonical_key(other) == canonical_key(tg)) == iso_oracle(other, tg)
+    assert (canonical_key_ordered(other) == canonical_key_ordered(tg)) == ordered_iso_oracle(other, tg)
 
 
 def test_json_roundtrip():

@@ -13,17 +13,19 @@ from lmrttg import (
     build_lmrttg,
     build_lmrttg_sparse,
     canonical_key,
-    enumerate_classes,
-    filtration,
     find_lmrttg,
-    lex_compare,
     n_vector,
-    prefix3,
     reliability_at,
 )
 from lmrttg.graphs import vertex_pairs
 from lmrttg.reliability import NVEC_MAX_VERTICES, _prefix_scan
 from oracles import nvec_oracle, prefix_survivors_oracle
+
+
+def _labeled_graphs(n, m):
+    """Every graph on n vertices and m edges, terminals 0 and 1."""
+    for edges in combinations(vertex_pairs(n), m):
+        yield TwoTerminalGraph(Graph.from_edges(n, edges), 0, 1)
 
 
 def _random_two_terminal(rnd, n_lo=2, n_hi=5, m_hi=8):
@@ -76,19 +78,11 @@ def test_n_vector_size_bound():
         reliability_at(above, Fraction(1, 2))
 
 
-def test_prefix3_matches_full_vector():
-    rnd = random.Random(21)
-    for _ in range(120):
-        tg = _random_two_terminal(rnd, 2, 6, 10)
-        full = n_vector(tg)
-        assert prefix3(tg) == full[:3]
-
-
 def test_n_vector_extension_inequality():
     # every connecting i-set extends by any of the m-i leftover edges, and
     # each (i+1)-set arises at most i+1 times
     for n, m in ((4, 5), (4, 6), (5, 6)):
-        for tg in enumerate_classes(n, m):
+        for tg in _labeled_graphs(n, m):
             vec = n_vector(tg)
             for i in range(m - 1):
                 assert (i + 2) * vec[i + 1] >= (m - i - 1) * vec[i]
@@ -118,79 +112,28 @@ def test_reliability_monotone_on_grid():
         assert all(0 <= v <= 1 for v in values)
 
 
-def test_lex_compare():
-    assert lex_compare((1, 6, 10, 5, 1), (1, 6, 10, 5, 1)) == 0
-    assert lex_compare((1, 6, 0, 0, 0), (0, 7, 99, 99, 99)) == 1
-    assert lex_compare((1, 5, 9), (1, 6, 0)) == -1
-    with pytest.raises(DomainError):
-        lex_compare((1, 2), (1, 2, 3))
-
-
 def test_lex_max_is_unique_at_4_5():
-    cands = list(enumerate_classes(4, 5))
-    vecs = {tg: n_vector(tg) for tg in cands}
+    # of the six labeled graphs, only K4 minus the inner edge 23 has the max vector
+    vecs = {tg: n_vector(tg) for tg in _labeled_graphs(4, 5)}
     best = max(vecs.values())
     winners = [tg for tg, v in vecs.items() if v == best]
     assert len(winners) == 1
     assert canonical_key(winners[0]) == canonical_key(build_lmrttg_sparse(4, 5))
 
 
-def test_filtration_equals_full_sort():
-    for n, m in ((4, 5), (4, 6), (5, 5), (5, 7)):
-        cands = list(enumerate_classes(n, m))
-        filtered = filtration(cands, m)
-        vecs = [n_vector(c) for c in cands]
-        best = max(vecs)
-        lexmax = [c for c, v in zip(cands, vecs) if v == best]
-        assert {id(c) for c in filtered} == {id(c) for c in lexmax}
-
-
 def test_filtration_level_three_gives_universal_terminals():
-    # past the two-path range, the three-round filtration is exactly the
-    # universal-terminal candidates
-    from lmrttg import is_universal
-
-    for n, m in ((5, 8), (5, 9)):
-        cands = list(enumerate_classes(n, m))
-        kept = filtration(cands, 3)
-        expected = [c for c in cands if is_universal(c, c.s) and is_universal(c, c.t)]
-        assert {id(c) for c in kept} == {id(c) for c in expected}
-
-
-def test_filtration_errors():
-    with pytest.raises(DomainError):
-        filtration([], 1)
-    a = TwoTerminalGraph(Graph.complete(3), 0, 1)
-    b = TwoTerminalGraph(Graph.complete(4), 0, 1)
-    with pytest.raises(DomainError):
-        filtration([a, b], 1)
-    with pytest.raises(DomainError):
-        filtration([a], 5)
-
-
-def test_enumerate_classes_counts():
-    # (4,5): the complement is a single missing edge, which can be the
-    # terminal pair, terminal-inner, or inner-inner: three classes
-    assert sum(1 for _ in enumerate_classes(4, 5)) == 3
-    assert sum(1 for _ in enumerate_classes(4, 6)) == 1
-    for tg in enumerate_classes(5, 4):
-        assert (tg.graph.n, tg.graph.m) == (5, 4)
-        assert (tg.s, tg.t) == (0, 1)
-    with pytest.raises(SizeLimitError):
-        next(enumerate_classes(8, 5))
-
-
-def test_enumerate_classes_complete_partition():
-    # class sizes weighted by labeled copies must cover every labeled graph
-    n, m = 4, 4
-    pairs = vertex_pairs(n)
-    total = comb(len(pairs), m)
-    seen = set()
-    for combo in combinations(range(len(pairs)), m):
-        tg = TwoTerminalGraph(Graph.from_edges(n, [pairs[i] for i in combo]), 0, 1)
-        seen.add(canonical_key(tg))
-    assert len(list(enumerate_classes(n, m))) == len(seen)
-    assert total == comb(6, 4)
+    # the level-three filtration keeps the max (N_1, N_2, N_3) prefix, which
+    # is what _prefix_scan returns; from m = 2n-3 on its survivors are
+    # exactly the graphs with both terminals universal: all 2n-3 terminal
+    # edges plus any m-2n+3 of the C(n-2, 2) inner pairs
+    for n in range(4, 9):
+        terminal_edges = {(0, 1)} | {(t, v) for t in (0, 1) for v in range(2, n)}
+        for m in range(2 * n - 3, comb(n, 2) + 1):
+            count = 0
+            for edges in _prefix_scan(n, m)[1]:
+                assert terminal_edges <= set(edges), (n, m)
+                count += 1
+            assert count == comb(comb(n - 2, 2), m - 2 * n + 3), (n, m)
 
 
 def test_find_lmrttg_small_cases():
