@@ -37,6 +37,7 @@ from .scans import (
     scan_uniqueness,
     sturm_passes,
     sturm_report,
+    uniqueness_pairs,
     verify_seven_pairs,
 )
 
@@ -142,6 +143,17 @@ def _default_jobs() -> int:
     return max(1, os.cpu_count() or 1)
 
 
+def _jobs(text: str) -> int:
+    """The ``--jobs`` worker count, an integer of at least 1."""
+    try:
+        jobs = int(text)
+    except ValueError:
+        jobs = 0
+    if jobs < 1:
+        raise argparse.ArgumentTypeError(f"need an integer of at least 1; got {text!r}")
+    return jobs
+
+
 def _outcome(args) -> tuple:
     """Run the check bound to a verify subcommand: (JSON document, md text, passed).  A check
     returns a ScanReport, or a (document, passed) pair that both formats print as JSON."""
@@ -184,6 +196,8 @@ def _cmd_verify_all(args) -> int:
     """Run these single verify commands through the parser and their bound checks:
     md output is theirs in turn, json output is one document."""
     steps = [["seven-pairs"], ["istar-scan"], ["identities", "--seed", str(args.seed)], ["bounds"]]
+    if args.max_n >= 4:
+        uniqueness_pairs(4, args.max_n)  # a range the theorem-main steps reject fails before any step runs
     for n in range(4, args.max_n + 1):
         steps.append(["theorem-main", "--min-n", str(n), "--max-n", str(n), "--jobs", str(args.jobs)])
     steps.append(["sturm"])
@@ -255,7 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-n", type=int, default=6)
     p.add_argument("--min-n", type=int, default=4)
     p.add_argument("--m-cap", type=int, default=None)
-    p.add_argument("--jobs", type=int, default=_default_jobs())
+    p.add_argument("--jobs", type=_jobs, default=_default_jobs())
 
     p = verify("brute", "brute-force one (n, m) pair", _check_brute)
     p.add_argument("--n", type=int, required=True)
@@ -276,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_verify_all)
     p.add_argument("--max-n", type=int, default=6)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--jobs", type=int, default=_default_jobs())
+    p.add_argument("--jobs", type=_jobs, default=_default_jobs())
 
     return parser
 

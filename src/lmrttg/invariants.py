@@ -8,6 +8,7 @@ even product and divided at the end, with the divisibility checked.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from math import comb
 
 from .errors import DomainError, FamilyDoesNotExist, InvariantError
@@ -18,6 +19,96 @@ from .graphs import Graph, complement
 def zagreb1(g: Graph) -> int:
     """Sum of squared degrees."""
     return sum(d * d for d in g.degrees())
+
+
+def _sequences(total: int, length: int, cap: int):
+    """Non-increasing tuples of ``length`` integers in ``0..cap`` summing to ``total``."""
+    if length == 0:
+        if total == 0:
+            yield ()
+        return
+    for first in range(min(cap, total), -1, -1):
+        if first * length < total:
+            return
+        for rest in _sequences(total - first, length - 1, first):
+            yield (first,) + rest
+
+
+def _erdos_gallai(seq) -> bool:
+    """Whether a non-increasing sequence with even sum is the degree sequence
+    of a simple graph: ``d_1 + ... + d_k <= k(k-1) + sum_{i>k} min(d_i, k)``
+    for every k (Erdős & Gallai 1960)."""
+    head = 0
+    for k in range(1, len(seq) + 1):
+        head += seq[k - 1]
+        tail = 0
+        for d in seq[k:]:
+            tail += d if d < k else k
+        if head > k * (k - 1) + tail:
+            return False
+    return True
+
+
+def max_m1_sequences(n: int, m: int) -> tuple:
+    """``(max M1, argmax sequences)`` over the graphs on n vertices and m edges.
+
+    M1 is a function of the degree sequence, and the Erdős–Gallai test is an
+    iff, so the maximum over the graphical non-increasing sequences of length
+    n, entries at most ``n-1`` and sum ``2m`` is the maximum over the graphs.
+    The argmax sequences come in decreasing lexicographic order.
+    """
+    if n < 1 or not 0 <= m <= comb(n, 2):
+        raise DomainError(f"need n >= 1 and 0 <= m <= C(n,2); got n={n}, m={m}")
+    best, argmax = -1, []
+    for seq in _sequences(2 * m, n, n - 1):
+        m1 = sum(d * d for d in seq)
+        if m1 < best or not _erdos_gallai(seq):
+            continue
+        if m1 > best:
+            best, argmax = m1, []
+        argmax.append(seq)
+    return best, argmax
+
+
+def realisations(degrees):
+    """Every labeled graph whose degree vector is exactly ``degrees``, each once.
+
+    Vertices are settled in index order: vertex v takes the rest of its
+    degree as a set of neighbours among the later vertices that still need
+    edges.  Those sets are v's edges to later vertices, so distinct choices
+    give distinct graphs, and each graph with this vector is reached by
+    choosing its own neighbour sets.  A vertex is entered only while the
+    needs of the vertices from it on form a graphical sequence: by
+    Erdős–Gallai that holds iff some graph on them completes the choices
+    made so far, so no branch of the search is a dead end.
+    """
+    n = len(degrees)
+    if any(not 0 <= d < n for d in degrees):
+        raise DomainError(f"degrees must lie in 0..{n - 1}; got {tuple(degrees)}")
+    need = list(degrees)
+    rows = [0] * n
+
+    def settle(v):
+        rest = sorted((d for d in need[v:] if d), reverse=True)
+        if sum(rest) % 2 or not _erdos_gallai(rest):
+            return
+        if v == n:
+            yield Graph(n, rows)
+            return
+        earlier = rows[v]
+        later = [u for u in range(v + 1, n) if need[u]]
+        for nbrs in combinations(later, need[v]):
+            for u in nbrs:
+                need[u] -= 1
+                rows[u] |= 1 << v
+            rows[v] = earlier | sum(1 << u for u in nbrs)
+            yield from settle(v + 1)
+            for u in nbrs:
+                need[u] += 1
+                rows[u] ^= 1 << v
+        rows[v] = earlier
+
+    yield from settle(0)
 
 
 def zagreb2(g: Graph) -> int:

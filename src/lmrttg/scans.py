@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, permutations
 from math import comb
-from multiprocessing import Pool
 
 from .classify import Sign, central_band, classify, tie_pairs
 from .errors import DomainError, SizeLimitError
@@ -30,13 +29,14 @@ from .families import (
 )
 from .graphs import Graph, canonical_key, complement, graph_key, to_json_obj, vertex_pairs
 from .invariants import (
-    count_triangles,
     family_h,
+    h_invariant,
     h_sum_offset,
     invariant_bundle,
+    max_m1_sequences,
     ramsey_residuals,
+    realisations,
     zagreb1,
-    zagreb2,
 )
 from .quadratic import MARGIN, band_bounds_check, count_roots, refine_root
 from .reliability import DEFAULT_MAX_VERTICES, _search
@@ -80,38 +80,32 @@ class ScanReport:
 
 
 # ---------------------------------------------------------------------------
-# Exceptional pairs: exhaustive maximization over ALL labeled graphs.
+# Exceptional pairs: exhaustive maximization over ALL labeled graphs,
+# by degree sequences.
 # ---------------------------------------------------------------------------
 
 
-def _labeled_h_optima(n: int, m: int):
-    """Max first Zagreb index over all labeled graphs in G_{n,m}, then max
+def _h_optima(n: int, m: int):
+    """Max first Zagreb index over every labeled graph in G_{n,m}, then max
     h-invariant among the maximizers.  Returns
-    (max_m1, max_h, runner_up_h, winner_edge_lists)."""
-    pairs = vertex_pairs(n)
-    us = tuple(u for u, _ in pairs)
-    vs = tuple(v for _, v in pairs)
-    best_m1 = -1
-    m1_winners = []
-    for combo in combinations(range(len(pairs)), m):
-        degs = [0] * n
-        for e in combo:
-            degs[us[e]] += 1
-            degs[vs[e]] += 1
-        m1 = sum(d * d for d in degs)
-        if m1 > best_m1:
-            best_m1 = m1
-            m1_winners = [combo]
-        elif m1 == best_m1:
-            m1_winners.append(combo)
-    scored = []
-    for combo in m1_winners:
-        g = Graph.from_edges(n, [pairs[e] for e in combo])
-        scored.append((zagreb2(g) - 6 * count_triangles(g), combo))
+    (max_m1, max_h, runner_up_h, winner_edge_lists).
+
+    Exhaustive by degree sequences.  M1 is a function of the degree
+    sequence and Erdős–Gallai is an iff test, so ``max_m1_sequences`` gives
+    the maximum over all of G_{n,m} and every sorted degree sequence that
+    attains it.  Relabeling a maximizer so that degrees do not increase
+    with the vertex index makes it a realisation of its sequence as a fixed
+    vector, and ``realisations`` yields every such graph; so every maximizer
+    is a relabeling of some realisation.  h and ``graph_key`` are
+    isomorphism invariants, hence max_h, the runner-up and the set of
+    winner classes are those over all labeled maximizers; the winners are
+    the realisations that attain max_h.
+    """
+    best_m1, sequences = max_m1_sequences(n, m)
+    scored = [(h_invariant(g), g) for seq in sequences for g in realisations(seq)]
     max_h = max(h for h, _ in scored)
-    lower = [h for h, _ in scored if h < max_h]
-    runner_up = max(lower) if lower else None
-    winners = [[pairs[e] for e in combo] for h, combo in scored if h == max_h]
+    runner_up = max((h for h, _ in scored if h < max_h), default=None)
+    winners = [g.edges() for h, g in scored if h == max_h]
     return best_m1, max_h, runner_up, winners
 
 
@@ -120,7 +114,7 @@ def verify_seven_pairs() -> ScanReport:
 
     The tie lists for n in {5,6,7} are recomputed from scratch, and for
     each pair the unique optimum is found by exhaustive maximization over
-    every labeled graph, not just the candidate families.
+    every labeled graph, not just the candidate families (``_h_optima``).
     """
     t0 = time.perf_counter()
     report = ScanReport(scope="seven exceptional pairs")
@@ -131,7 +125,7 @@ def verify_seven_pairs() -> ScanReport:
         {"check": "tie pair list", "expected": str(expected_pairs), "found": str(found_pairs), "ok": pairs_ok}
     )
     for (n, m), tag in sorted(SEVEN_PAIR_TAGS.items()):
-        best_m1, max_h, runner_up, winners = _labeled_h_optima(n, m)
+        best_m1, max_h, runner_up, winners = _h_optima(n, m)
         predicted = build_family(n, m, tag)
         pkey = graph_key(predicted)
         single_class = all(graph_key(Graph.from_edges(n, edges)) == pkey for edges in winners)
@@ -286,25 +280,39 @@ def _uniqueness_record(nm) -> dict:
     return rec
 
 
-def scan_uniqueness(n_max: int, m_cap: int = None, n_min: int = 4, jobs: int = 1) -> ScanReport:
-    """Brute-force the unique optimum for every pair in range.
-
-    For each n in [n_min, n_max] and each m from 5 up to C(n,2) (or m_cap),
-    the lexicographic maximizer set must be a single class equal to the
-    construction.  Deterministic regardless of the worker count.
-    """
+def uniqueness_pairs(n_min: int, n_max: int, m_cap: int = None) -> list:
+    """The (n, m) pairs that ``scan_uniqueness`` searches: each n in
+    [n_min, n_max] with m from 5 up to C(n,2), or up to m_cap.  Raises before
+    any search when n_max is above the search's vertex bound or the range
+    holds no pair."""
     if n_max > DEFAULT_MAX_VERTICES:
         raise SizeLimitError(
             f"theorem-main is limited to n <= {DEFAULT_MAX_VERTICES} (got --max-n {n_max}); "
             "brute-force single pairs above it with `verify brute --deep`"
         )
-    t0 = time.perf_counter()
     pairs = []
     for n in range(n_min, n_max + 1):
         top = comb(n, 2) if m_cap is None else min(comb(n, 2), m_cap)
         pairs.extend((n, m) for m in range(5, top + 1))
+    if not pairs:
+        cap = "" if m_cap is None else f" and --m-cap {m_cap}"
+        raise DomainError(f"theorem-main has no (n, m) pair with m >= 5 for n in {n_min}..{n_max}{cap}")
+    return pairs
+
+
+def scan_uniqueness(n_max: int, m_cap: int = None, n_min: int = 4, jobs: int = 1) -> ScanReport:
+    """Brute-force the unique optimum for every pair in ``uniqueness_pairs``.
+
+    For each pair the lexicographic maximizer set must be a single class
+    equal to the construction.  Deterministic regardless of the worker
+    count; at most one worker per pair is started.
+    """
+    t0 = time.perf_counter()
+    pairs = uniqueness_pairs(n_min, n_max, m_cap)
     if jobs > 1 and len(pairs) > 1:
-        with Pool(jobs) as pool:
+        from multiprocessing import Pool  # imported here so that commands without workers start faster
+
+        with Pool(min(jobs, len(pairs))) as pool:
             records = pool.map(_uniqueness_record, pairs)
     else:
         records = [_uniqueness_record(nm) for nm in pairs]
@@ -355,6 +363,8 @@ def _identity_failures(g: Graph) -> list:
 
 def identity_suite(seed: int = 0, samples: int = 1000, max_random_n: int = 9, max_family_n: int = 12) -> ScanReport:
     """Exact identity checks on random graphs plus every family graph."""
+    if samples < 0:
+        raise DomainError(f"need samples >= 0; got {samples}")
     t0 = time.perf_counter()
     rnd = random.Random(seed)
     report = ScanReport(scope=f"identity suite (seed={seed}, samples={samples})")

@@ -59,6 +59,41 @@ def prefix_survivors_oracle(n, m):
     return {frozenset(edges) for edges in found}
 
 
+def h_optima_oracle(n, m):
+    """``(max M1, max h, runner-up h, winner edge lists)`` over every labeled
+    graph on n vertices and m edges, with ``h = M2 - 6 k3`` taken among the
+    M1 maximizers; the winners are every labeled graph attaining max h.
+
+    Streams every m-subset of the vertex pairs with plain degree lists.
+    """
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    best_m1, m1_winners = -1, []
+    for edges in combinations(pairs, m):
+        deg = [0] * n
+        for u, v in edges:
+            deg[u] += 1
+            deg[v] += 1
+        m1 = sum(d * d for d in deg)
+        if m1 > best_m1:
+            best_m1, m1_winners = m1, [edges]
+        elif m1 == best_m1:
+            m1_winners.append(edges)
+    scored = {}
+    for edges in m1_winners:
+        deg = [0] * n
+        adj = {v: set() for v in range(n)}
+        for u, v in edges:
+            deg[u] += 1
+            deg[v] += 1
+            adj[u].add(v)
+            adj[v].add(u)
+        k3 = sum(len(adj[u] & adj[v]) for u, v in edges) // 3
+        h = sum(deg[u] * deg[v] for u, v in edges) - 6 * k3
+        scored.setdefault(h, []).append(list(edges))
+    hs = sorted(scored, reverse=True)
+    return best_m1, hs[0], hs[1] if len(hs) > 1 else None, scored[hs[0]]
+
+
 def triangle_oracle(g):
     return sum(
         1

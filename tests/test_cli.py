@@ -1,4 +1,5 @@
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -15,7 +16,10 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run_cli(capsys, *argv):
-    code = main(list(argv))
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:  # argparse rejects a malformed argument
+        code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -125,6 +129,59 @@ def test_broken_invariant_is_a_failed_verdict(capsys, monkeypatch):
     assert err.startswith("error: invariant failed:") and "(6,15)" in err
 
 
+class _SerialPool:
+    """Stands in for multiprocessing.Pool: records each requested size and maps in process."""
+
+    sizes = []
+
+    def __init__(self, processes):
+        self.sizes.append(processes)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return [fn(x) for x in items]
+
+
+def test_theorem_main_pool_is_sized_to_the_pairs(capsys, monkeypatch):
+    monkeypatch.setattr(multiprocessing, "Pool", _SerialPool)
+    monkeypatch.setattr(_SerialPool, "sizes", [])
+    code, out, _ = run_cli(capsys, "verify", "theorem-main", "--max-n", "4", "--jobs", "3", "--format", "json", "--no-meta")
+    assert code == 0 and _SerialPool.sizes == [2]  # n = 4 has the pairs m = 5 and m = 6
+    assert len(json.loads(out)["records"]) == 2
+    for argv in (("theorem-main", "--max-n", "4"), ("all", "--max-n", "4")):
+        code, out, err = run_cli(capsys, "verify", *argv, "--jobs", "0")
+        assert code == 2 and out == ""
+        assert "error: argument --jobs" in err
+    assert _SerialPool.sizes == [2]
+
+
+def test_verify_all_above_search_bound_fails_before_any_step(capsys, monkeypatch):
+    def no_step():
+        raise AssertionError("a step ran before the range check")
+
+    monkeypatch.setattr(cli, "verify_seven_pairs", no_step)
+    code, out, err = run_cli(capsys, "verify", "all", "--max-n", "9", "--jobs", "1")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "n <= 8" in err
+
+
+def test_theorem_main_empty_range_is_usage_error(capsys):
+    code, out, err = run_cli(capsys, "verify", "theorem-main", "--min-n", "5", "--max-n", "4", "--jobs", "1")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "5..4" in err
+
+
+def test_identities_negative_samples_is_usage_error(capsys):
+    code, out, err = run_cli(capsys, "verify", "identities", "--samples", "-1")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "samples" in err
+
+
 def test_theorem_main_records_do_not_depend_on_jobs(capsys):
     outs = []
     for jobs in ("1", "2"):
@@ -187,9 +244,7 @@ def test_verify_all_desk_scale(capsys):
     assert "FAIL" not in out
 
 
-def test_verify_all_md_is_the_single_checks_in_turn(capsys, monkeypatch, seven_pairs_report):
-    # the exhaustive scan is shared with the session fixture; dispatch is what is under test
-    monkeypatch.setattr(cli, "verify_seven_pairs", lambda: seven_pairs_report)
+def test_verify_all_md_is_the_single_checks_in_turn(capsys):
     singles = [
         ("seven-pairs",),
         ("istar-scan",),
@@ -208,9 +263,8 @@ def test_verify_all_md_is_the_single_checks_in_turn(capsys, monkeypatch, seven_p
     assert out == expected
 
 
-def test_verify_all_json_is_one_document_with_the_decomposition_check(capsys, monkeypatch, seven_pairs_report):
+def test_verify_all_json_is_one_document_with_the_decomposition_check(capsys, monkeypatch):
     # a planted decomposition violation must reach the bounds report and the overall verdict
-    monkeypatch.setattr(cli, "verify_seven_pairs", lambda: seven_pairs_report)
     monkeypatch.setattr(cli, "band_decomposition_violations", lambda lo, hi: [(lo, 0, 0)])
     code, out, _ = run_cli(capsys, "verify", "all", "--max-n", "4", "--jobs", "1", "--format", "json", "--no-meta")
     doc = json.loads(out)

@@ -1,4 +1,5 @@
 import random
+from itertools import combinations, product
 from math import comb
 
 import pytest
@@ -27,6 +28,7 @@ from lmrttg import (
 )
 from lmrttg.errors import FamilyDoesNotExist
 from lmrttg.graphs import disjoint_union
+from lmrttg.invariants import max_m1_sequences, realisations
 from oracles import p3_oracle, p4_oracle, random_graph, triangle_oracle
 
 
@@ -171,3 +173,41 @@ def test_invariant_bundle():
     assert (b.m1, b.m2, b.k3, b.p3, b.p4, b.h_value, b.m) == (36, 54, 4, 12, 12, 30, 6)
     assert b.m1 == 2 * b.p3 + 2 * b.m
     assert b.h_value == -3 * b.k3 + b.p4 + 2 * b.p3 + b.m
+
+
+def _graphs_by_degree_vector(n):
+    """Edge sets of every labeled graph on n vertices, keyed by degree vector."""
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    out = {}
+    for m in range(len(pairs) + 1):
+        for edges in combinations(pairs, m):
+            deg = [0] * n
+            for u, v in edges:
+                deg[u] += 1
+                deg[v] += 1
+            out.setdefault(tuple(deg), set()).add(frozenset(edges))
+    return out
+
+
+def test_realisations_are_every_graph_with_the_degree_vector():
+    for n in range(1, 7):
+        expected = _graphs_by_degree_vector(n)
+        for degrees in product(range(n), repeat=n):
+            got = [frozenset(g.edges()) for g in realisations(degrees)]
+            assert len(got) == len(set(got)), degrees
+            assert set(got) == expected.get(degrees, set()), degrees
+    with pytest.raises(DomainError):
+        next(realisations((1, 3, 0)))
+
+
+def test_max_m1_sequences_match_labeled_graphs():
+    for n in range(1, 7):
+        vectors = _graphs_by_degree_vector(n)
+        for m in range(comb(n, 2) + 1):
+            sized = [d for d in vectors if sum(d) == 2 * m]
+            best = max(sum(x * x for x in d) for d in sized)
+            argmax = {tuple(sorted(d, reverse=True)) for d in sized if sum(x * x for x in d) == best}
+            got_best, got = max_m1_sequences(n, m)
+            assert got_best == best and got == sorted(argmax, reverse=True), (n, m)
+    with pytest.raises(DomainError):
+        max_m1_sequences(5, 11)

@@ -1,20 +1,30 @@
 import json
+from math import comb
 from pathlib import Path
 
 import pytest
 
 from lmrttg import (
     DomainError,
+    FamilyTag,
+    Graph,
     ScanReport,
     band_bounds_report,
     band_decomposition_violations,
     brute_record,
+    build_family,
+    candidate_set,
+    family_h,
+    graph_key,
     identity_suite,
     scan_tie_band,
     scan_uniqueness,
     spot_check_large_band,
     sturm_report,
+    zagreb1,
 )
+from lmrttg.scans import _h_optima, _tie_band_records
+from oracles import h_optima_oracle, iso_oracle
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -36,6 +46,30 @@ def test_seven_pairs_report_matches_golden(seven_pairs_report):
     got = seven_pairs_report.to_json_obj(meta=False)
     want = json.loads((GOLDEN / "seven_pairs.json").read_text())
     assert got == want
+
+
+def test_h_optima_match_labeled_oracle():
+    pairs = [(n, m) for n in range(1, 7) for m in range(comb(n, 2) + 1)] + [(7, 9), (7, 12)]
+    for n, m in pairs:
+        got, want = _h_optima(n, m), h_optima_oracle(n, m)
+        assert got[:3] == want[:3], (n, m)
+        # the winners are labeled winners, and they cover every winner class
+        assert {frozenset(e) for e in got[3]} <= {frozenset(e) for e in want[3]}, (n, m)
+        classes = [{graph_key(Graph.from_edges(n, e)) for e in side[3]} for side in (got, want)]
+        assert classes[0] == classes[1], (n, m)
+
+
+def test_central_band_ties_are_exhaustive_h_optima_at_n_8_to_12():
+    # the seven-pairs maximisation, run on every central-band tie pair at n = 8..12
+    records = [rec for n in range(8, 13) for rec in _tie_band_records(n)]
+    assert [(r["n"], r["m"]) for r in records] == [(8, 10), (8, 14), (8, 18), (9, 18), (10, 20), (10, 25), (12, 33)]
+    for rec in records:
+        n, m, tag = rec["n"], rec["m"], FamilyTag(rec["tag"])
+        best_m1, max_h, _, winners = _h_optima(n, m)
+        assert best_m1 == max(zagreb1(g) for _, g in candidate_set(n, m)), (n, m)
+        assert len(winners) == 1, (n, m)
+        assert max_h == family_h(n, m, tag), (n, m)
+        assert iso_oracle(Graph.from_edges(n, winners[0]), build_family(n, m, tag)), (n, m)
 
 
 def test_tie_band_scan_small():
