@@ -1,6 +1,6 @@
 """Exact construction and verification of locally most reliable two-terminal graphs."""
 
-from .classify import PairClass, Sign, SpectrumParams, classify, coarse_sign, moptimal_predict, spectrum, tie_pairs
+from .classify import PairClass, Sign, SpectrumParams, classify, spectrum, tie_pairs
 from .errors import DomainError, FamilyDoesNotExist, SizeLimitError
 from .families import (
     FamilyParams,
@@ -22,7 +22,6 @@ from .graphs import (
     disjoint_union,
     from_json,
     graph_key,
-    is_universal,
     join,
     to_dot,
     to_json,
@@ -63,7 +62,6 @@ from .scans import (
     identity_suite,
     scan_tie_band,
     scan_uniqueness,
-    spot_check_large_band,
     sturm_report,
     verify_seven_pairs,
 )

@@ -2,11 +2,11 @@
 
 For ``n >= 5`` and ``0 <= m <= C(n,2)``, the pair is classified by the sign
 of ``M1(S1) - M1(C1)``: PLUS when the quasi-star wins, MINUS when the
-quasi-complete wins, TIE on equality.  The direct exact comparison is the
-ground truth; the threshold-based case analysis (``moptimal_predict``) and
-the coarse far-from-center rule (``coarse_sign``) are independent
-cross-checks of it.  Everything is exact: thresholds with half-integer
-values are compared as rationals.
+quasi-complete wins, TIE on equality.  The sign is decided by that direct
+exact comparison of the two closed forms, nothing else.  ``spectrum(n)``
+reports the threshold data of the published case analysis (the clique
+order ``k``, the regime selector ``q`` and the crossover offset ``r``) as
+exact rationals, for the classification table; it decides no sign.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from functools import lru_cache
 from math import comb, isqrt
 
 from .errors import DomainError, InvariantError
-from .families import quasi_complete_params, quasi_star_params
+from .families import quasi_complete_params, quasi_star_params, trivial_tie_ms
 from .invariants import quasi_complete_m1, quasi_star_m1
 
 
@@ -36,13 +36,11 @@ class SpectrumParams:
     """Threshold data governing where the Zagreb comparison changes sign.
 
     ``k`` is the largest clique order whose edge count stays within half of
-    C(n,2); ``alpha = C(k,2)``; ``q`` decides which of three comparison
-    regimes applies; ``r`` locates the interior crossover points when
-    ``q < 0``.
+    C(n,2); ``q`` decides which of three comparison regimes applies; ``r``
+    locates the interior crossover points when ``q < 0``.
     """
 
     k: int
-    alpha: int
     q: Fraction
     r: Fraction
 
@@ -63,7 +61,7 @@ def spectrum(n: int) -> SpectrumParams:
     if den == 0:
         raise InvariantError(f"crossover denominator vanished at n={n}")
     r = Fraction(4 * (comb(n, 2) - 2 * comb(k, 2)) * (k - 2), den)
-    return SpectrumParams(k=k, alpha=comb(k, 2), q=q, r=r)
+    return SpectrumParams(k=k, q=q, r=r)
 
 
 @dataclass(frozen=True)
@@ -108,12 +106,6 @@ def classify(n: int, m: int) -> PairClass:
     return PairClass(n=n, m=m, in_I=in_i, in_J=in_j, sign=sign, m1_s1=m1s, m1_c1=m1c)
 
 
-def trivial_tie_ms(n: int) -> frozenset:
-    """Edge counts within 3 of empty or complete (always ties for n >= 5)."""
-    c = comb(n, 2)
-    return frozenset({0, 1, 2, 3, c, c - 1, c - 2, c - 3})
-
-
 def tie_pairs(n: int, include_trivial: bool = True) -> list:
     """All m with a first-Zagreb tie at this n, optionally dropping the
     near-empty/near-complete ones."""
@@ -124,61 +116,3 @@ def tie_pairs(n: int, include_trivial: bool = True) -> list:
         skip = trivial_tie_ms(n)
         out = [m for m in out if m not in skip]
     return out
-
-
-def moptimal_predict(n: int, m: int) -> Sign:
-    """Sign prediction from the threshold case analysis (cross-check only).
-
-    Splits on the sign of the spectrum's q: positive and zero regimes tie
-    exactly at the trivial edge counts, the midpoint, and (q > 0, under a
-    side condition) at alpha and its mirror, or (q = 0) on the whole
-    [alpha, C(n,2)-alpha] band; the negative regime ties at the midpoint
-    and at the two crossover offsets r.
-    """
-    if n < 5 or not 0 <= m <= comb(n, 2):
-        raise DomainError(f"need n >= 5 and 0 <= m <= C(n,2); got n={n}, m={m}")
-    sp = spectrum(n)
-    c = comb(n, 2)
-    half = Fraction(c, 2)
-    trivial = trivial_tie_ms(n)
-    if sp.q > 0:
-        tie = m in trivial or m == half
-        if not tie and m in (sp.alpha, c - sp.alpha):
-            # the published side condition for these two points misses real
-            # ties (n = 8: both indices equal 80 at m = 10), so the two
-            # boundary points are decided by the exact comparison
-            tie = classify(n, m).sign is Sign.TIE
-        if tie:
-            return Sign.TIE
-        return Sign.PLUS if m < half else Sign.MINUS
-    if sp.q == 0:
-        if m in trivial or m == half or sp.alpha <= m <= c - sp.alpha:
-            return Sign.TIE
-        return Sign.PLUS if m < half else Sign.MINUS
-    lo = half - sp.r
-    hi = half + sp.r
-    if m in trivial or m == half or m == lo or m == hi:
-        return Sign.TIE
-    if m < lo:
-        return Sign.PLUS
-    if m < half:
-        return Sign.MINUS
-    if m < hi:
-        return Sign.PLUS
-    return Sign.MINUS
-
-
-def coarse_sign(n: int, m: int):
-    """Definite sign when m is at least n/2 away from half the edge count.
-
-    Returns PLUS for ``4 <= m < C(n,2)/2 - n/2``, MINUS for the mirrored
-    range, and None inside the central band or at the extreme edge counts.
-    """
-    if n < 6:
-        raise DomainError(f"coarse sign rule needs n >= 6; got {n}")
-    c = comb(n, 2)
-    if 4 <= m and 2 * m < c - n:
-        return Sign.PLUS
-    if 2 * m > c + n and m <= c - 4:
-        return Sign.MINUS
-    return None

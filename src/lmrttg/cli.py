@@ -14,7 +14,7 @@ import sys
 from fractions import Fraction
 from math import comb
 
-from .classify import classify, spectrum
+from .classify import Sign, classify, spectrum
 from .errors import DomainError, FamilyDoesNotExist, InvariantError, SizeLimitError
 from .families import (
     FamilyParams,
@@ -93,7 +93,7 @@ def _cmd_classify(args) -> int:
         sp = spectrum(n) if n >= 5 else None
         for m in range(comb(n, 2) + 1):
             pc = classify(n, m)
-            if args.istar_only and pc.sign is not None and pc.sign.value != "=":
+            if args.istar_only and pc.sign is not Sign.TIE:
                 continue
             fp = FamilyParams.from_nm(n, m)
             rows.append(
@@ -196,8 +196,7 @@ def _cmd_verify_all(args) -> int:
     """Run these single verify commands through the parser and their bound checks:
     md output is theirs in turn, json output is one document."""
     steps = [["seven-pairs"], ["istar-scan"], ["identities", "--seed", str(args.seed)], ["bounds"]]
-    if args.max_n >= 4:
-        uniqueness_pairs(4, args.max_n)  # a range the theorem-main steps reject fails before any step runs
+    uniqueness_pairs(4, args.max_n)  # a range the theorem-main steps reject fails before any step runs
     for n in range(4, args.max_n + 1):
         steps.append(["theorem-main", "--min-n", str(n), "--max-n", str(n), "--jobs", str(args.jobs)])
     steps.append(["sturm"])

@@ -196,59 +196,60 @@ SEVEN_PAIR_TAGS = {
 }
 
 
-def _trivial_m(n: int, m: int) -> bool:
+def trivial_tie_ms(n: int) -> frozenset:
+    """Edge counts within 3 of empty or complete (always ties for n >= 5)."""
     c = comb(n, 2)
-    return m in (0, 1, 2, 3) or c - m in (0, 1, 2, 3)
+    return frozenset({0, 1, 2, 3, c, c - 1, c - 2, c - 3})
 
 
-def build_h_optimal(n: int, m: int) -> tuple:
-    """The unique maximizer of ``M2 - 6*k3`` among first-Zagreb maximizers.
+def h_optimal_tag(n: int, m: int) -> FamilyTag:
+    """The family of the unique maximizer of ``M2 - 6*k3`` among
+    first-Zagreb maximizers; builds no graph.
 
-    Returns ``(tag, graph)``.  Branches, in priority order: outside the
-    n >= 5 range the quasi-star wins outright; otherwise the sign of
-    ``M1(S1) - M1(C1)`` selects the S-side or C-side chain, ties go to the
-    quasi-star at near-empty/near-complete edge counts, to a tabulated
-    family on the seven exceptional pairs, and to the C-side inside the
-    central band.
+    Branches, in priority order: outside the n >= 5 range the quasi-star
+    wins outright; otherwise the sign of ``M1(S1) - M1(C1)`` selects the
+    S-side or C-side chain, ties go to the quasi-star at
+    near-empty/near-complete edge counts, to a tabulated family on the
+    seven exceptional pairs, and to the C-side inside the central band.
+    On the C-side, ``C3`` wins when it exists, else ``C1``.
     """
     from .classify import Sign, classify  # deferred: classify builds on this module's params
 
     _check_range(n, m)
     if n < 1:
         raise DomainError("need at least one vertex")
-
-    def make(tag):
-        return tag, build_family(n, m, tag)
-
     if n <= 4:
-        return make(FamilyTag.S1)
-    sign = classify(n, m).sign
-    if sign is Sign.PLUS:
-        if family_exists(n, m, FamilyTag.S2):
-            # the S2-over-S1 gap has sign k'-7/2; k'=3 only happens at the
-            # tie pair (5,5), never on this branch
-            if quasi_star_params(n, m)[0] < 4:
-                raise InvariantError(f"S2 branch reached with k' < 4 at ({n},{m})")
-            return make(FamilyTag.S2)
-        return make(FamilyTag.S1)
-    if sign is Sign.MINUS:
+        return FamilyTag.S1
+    pc = classify(n, m)
+    if pc.sign is Sign.PLUS:
+        if not family_exists(n, m, FamilyTag.S2):
+            return FamilyTag.S1
+        # the S2-over-S1 gap has sign k'-7/2; k'=3 only happens at the
+        # tie pair (5,5), never on this branch
+        if quasi_star_params(n, m)[0] < 4:
+            raise InvariantError(f"S2 branch reached with k' < 4 at ({n},{m})")
+        return FamilyTag.S2
+    if pc.sign is Sign.MINUS:
         # m=5 would flip the C2/C1 order, but (n,5) is never on this branch
         if m == 5:
             raise InvariantError(f"C-side branch reached at m = 5 for n={n}")
-        if family_exists(n, m, FamilyTag.C3):
-            return make(FamilyTag.C3)
-        return make(FamilyTag.C1)
-    # tie: near-trivial edge counts, the seven exceptional pairs, then the
-    # central band (which is the only remaining possibility)
-    if _trivial_m(n, m):
-        return make(FamilyTag.S1)
-    if (n, m) in SEVEN_PAIR_TAGS:
-        return make(SEVEN_PAIR_TAGS[(n, m)])
-    if not classify(n, m).in_J:
-        raise InvariantError(f"unclassified tie pair ({n},{m})")
-    if family_exists(n, m, FamilyTag.C3):
-        return make(FamilyTag.C3)
-    return make(FamilyTag.C1)
+    else:
+        # tie: near-trivial edge counts, the seven exceptional pairs, then
+        # the central band (which is the only remaining possibility)
+        if m in trivial_tie_ms(n):
+            return FamilyTag.S1
+        if (n, m) in SEVEN_PAIR_TAGS:
+            return SEVEN_PAIR_TAGS[(n, m)]
+        if not pc.in_J:
+            raise InvariantError(f"unclassified tie pair ({n},{m})")
+    return FamilyTag.C3 if family_exists(n, m, FamilyTag.C3) else FamilyTag.C1
+
+
+def build_h_optimal(n: int, m: int) -> tuple:
+    """``(tag, graph)``: the unique maximizer of ``M2 - 6*k3`` among
+    first-Zagreb maximizers, built from ``h_optimal_tag``."""
+    tag = h_optimal_tag(n, m)
+    return tag, build_family(n, m, tag)
 
 
 def build_lmrttg_sparse(n: int, m: int) -> TwoTerminalGraph:

@@ -164,15 +164,6 @@ def join(g: Graph, h: Graph) -> Graph:
     return Graph(g.n + h.n, rows)
 
 
-def is_universal(g, v: int) -> bool:
-    """True iff ``v`` is adjacent to every other vertex."""
-    if isinstance(g, TwoTerminalGraph):
-        g = g.graph
-    if not 0 <= v < g.n:
-        raise DomainError("vertex out of range")
-    return g.degree(v) == g.n - 1
-
-
 @lru_cache(maxsize=None)
 def vertex_pairs(n: int) -> tuple:
     """All unordered pairs ``(u, v)`` with ``u < v`` in lexicographic order."""

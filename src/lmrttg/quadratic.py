@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .errors import DomainError
 
@@ -249,6 +250,12 @@ SPREAD_UPPER = QuadPolynomial([_eighth(4), _eighth(0, -16), _eighth(-2), _eighth
 MARGIN = GAP_LOWER - SPREAD_UPPER
 
 
+@lru_cache(maxsize=None)
+def _bounds_at(n: int) -> tuple:
+    """``(GAP_LOWER(n), SPREAD_UPPER(n))``: both depend on n alone."""
+    return GAP_LOWER(n), SPREAD_UPPER(n)
+
+
 @dataclass(frozen=True)
 class BandBoundsReport:
     """Outcome of the two band inequalities at one (n, m) pair."""
@@ -273,13 +280,14 @@ def band_bounds_check(n: int, m: int) -> BandBoundsReport:
 
     if not classify(n, m).in_J:
         raise DomainError(f"({n},{m}) lies outside the central band")
+    gap_lower, spread_upper = _bounds_at(n)
     h_c1 = family_h(n, m, FamilyTag.C1)
     h_s1 = family_h(n, m, FamilyTag.S1)
-    gap_margin = QuadNumber.of(h_c1 - h_s1) - GAP_LOWER(n)
+    gap_margin = QuadNumber.of(h_c1 - h_s1) - gap_lower
     s_tags = [t for t in (FamilyTag.S1, FamilyTag.S2, FamilyTag.S3) if family_exists(n, m, t)]
     h_vals = [family_h(n, m, t) for t in s_tags]
     spread = max(abs(x - y) for x in h_vals for y in h_vals)
-    spread_margin = SPREAD_UPPER(n) - QuadNumber.of(spread)
+    spread_margin = spread_upper - QuadNumber.of(spread)
     return BandBoundsReport(
         n=n,
         m=m,

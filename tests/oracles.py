@@ -6,6 +6,8 @@ only, so a bug in the package cannot hide behind itself.
 """
 
 from collections import deque
+from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, permutations
 
 import networkx as nx
@@ -92,6 +94,69 @@ def h_optima_oracle(n, m):
         scored.setdefault(h, []).append(list(edges))
     hs = sorted(scored, reverse=True)
     return best_m1, hs[0], hs[1] if len(hs) > 1 else None, scored[hs[0]]
+
+
+@lru_cache(maxsize=None)
+def m1_race_oracle(n):
+    """For every m in 0..C(n,2), the sign (``"+"``, ``"-"`` or ``"="``) of
+    ``M1(first m pairs in lex order) - M1(first m pairs in colex order)``.
+
+    The first m pairs in lex order form the quasi-star, in colex order the
+    quasi-complete graph; M1 is updated pair by pair on plain degree lists.
+    """
+    lex = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    colex = [(u, v) for v in range(n) for u in range(v)]
+    signs = ["="]
+    deg_s, deg_c = [0] * n, [0] * n
+    m1_s = m1_c = 0
+    for (a, b), (x, y) in zip(lex, colex):
+        m1_s += 2 * (deg_s[a] + deg_s[b]) + 2
+        deg_s[a] += 1
+        deg_s[b] += 1
+        m1_c += 2 * (deg_c[x] + deg_c[y]) + 2
+        deg_c[x] += 1
+        deg_c[y] += 1
+        signs.append("+" if m1_s > m1_c else "-" if m1_s < m1_c else "=")
+    return tuple(signs)
+
+
+def threshold_sign_oracle(n, m):
+    """The sign of the quasi-star/quasi-complete M1 race at (n, m), n >= 5,
+    from the published threshold case analysis.
+
+    ``k`` is the largest clique order with ``C(k,2) <= C(n,2)/2`` and
+    ``alpha = C(k,2)``; the sign of ``q`` picks the regime.  For q > 0 the
+    ties are the trivial edge counts, the midpoint and possibly alpha and
+    its mirror; for q = 0 the whole band ``[alpha, C(n,2) - alpha]`` ties;
+    for q < 0 the ties are the midpoint and the two crossover points
+    ``C(n,2)/2 -+ r``.
+    """
+    c = n * (n - 1) // 2
+    k = 1
+    while 2 * (k + 1) * k <= n * (n - 1):
+        k += 1
+    alpha = k * (k - 1) // 2
+    q = Fraction(1 - 2 * (2 * k - 3) ** 2 + (2 * n - 5) ** 2, 4)
+    r = Fraction(4 * (c - 2 * alpha) * (k - 2), -1 - 2 * (2 * k - 4) ** 2 + (2 * n - 5) ** 2)
+    half = Fraction(c, 2)
+    trivial = m <= 3 or m >= c - 3
+    if q > 0:
+        # the published side condition for alpha and its mirror misses real
+        # ties (n = 8: both indices equal 80 at m = 10), so a tie at those
+        # two points is read off the M1 race itself
+        if trivial or m == half or (m in (alpha, c - alpha) and m1_race_oracle(n)[m] == "="):
+            return "="
+        return "+" if m < half else "-"
+    if q == 0:
+        if trivial or m == half or alpha <= m <= c - alpha:
+            return "="
+        return "+" if m < half else "-"
+    lo, hi = half - r, half + r
+    if trivial or m in (half, lo, hi):
+        return "="
+    if m < lo or half < m < hi:
+        return "+"
+    return "-"
 
 
 def triangle_oracle(g):

@@ -16,13 +16,11 @@ from lmrttg import (
     band_decomposition_violations,
     build_family,
     classify,
-    coarse_sign,
     count_roots,
     family_exists,
     family_h,
     h_invariant,
     identity_suite,
-    moptimal_predict,
     quasi_complete_h,
     quasi_complete_params,
     quasi_star_m1,
@@ -30,10 +28,11 @@ from lmrttg import (
     scan_tie_band,
     scan_uniqueness,
     spectrum,
-    spot_check_large_band,
     tie_pairs,
     zagreb1,
 )
+from lmrttg.scans import _tie_band_records
+from oracles import m1_race_oracle, threshold_sign_oracle
 
 
 def _report(num: int, ok: bool, detail: str, elapsed: float) -> None:
@@ -132,18 +131,20 @@ def test_criterion_6_classification_agreement():
     ok = (sp7.k, sp7.q, sp7.r) == (5, Fraction(-4), Fraction(3, 2))
     ok = ok and tie_pairs(7, include_trivial=False) == [9, 12]
     for n in range(5, 61):
-        for m in range(comb(n, 2) + 1):
-            sign = classify(n, m).sign
-            ok = ok and moptimal_predict(n, m) is sign
-            if n >= 6:
-                coarse = coarse_sign(n, m)
-                ok = ok and (coarse is None or coarse is sign)
+        c = comb(n, 2)
+        race = m1_race_oracle(n)
+        for m in range(c + 1):
+            sign = str(classify(n, m).sign)
+            ok = ok and race[m] == sign and threshold_sign_oracle(n, m) == sign
+            # the coarse rule: outside the central band, + iff below the midpoint
+            if n >= 6 and 4 <= m <= c - 4 and not c - n <= 2 * m <= c + n:
+                ok = ok and sign == ("+" if 2 * m < c else "-")
             if not ok:
                 break
         if not ok:
             break
     elapsed = time.perf_counter() - t0
-    _report(6, ok, "classification and both predictors coincide for 5 <= n <= 60", elapsed)
+    _report(6, ok, "classification, the M1 race, the threshold analysis and the coarse rule coincide for 5 <= n <= 60", elapsed)
 
 
 def test_criterion_7_sturm_claims():
@@ -179,7 +180,8 @@ def test_criterion_9_band_polynomial_bounds():
             checked += 1
             ok = ok and chk.ok
     # desk-scale stand-in for the unbounded-n dominance claim
-    spots = spot_check_large_band((437, 500, 1000))
-    ok = ok and spots.verdict
+    spots = [rec for n in (437, 500, 1000) for rec in _tie_band_records(n)]
+    ok = ok and len(spots) >= 3 and all(rec["ok"] for rec in spots)
+    ok = ok and all(MARGIN(n).sign() > 0 for n in (437, 500, 1000))
     elapsed = time.perf_counter() - t0
     _report(9, ok, f"polynomial bounds exact on {checked} band pairs (n <= 60) + large-n spot checks", elapsed)

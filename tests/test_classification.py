@@ -6,21 +6,30 @@ import pytest
 from lmrttg import (
     DomainError,
     classify,
-    coarse_sign,
-    moptimal_predict,
     quasi_complete_params,
     quasi_star_params,
     spectrum,
     tie_pairs,
 )
-from lmrttg.classify import Sign, trivial_tie_ms
+from lmrttg.classify import Sign
+from lmrttg.families import trivial_tie_ms
+from oracles import m1_race_oracle, threshold_sign_oracle
+
+
+def coarse_rule(n, m):
+    """Outside the central band, with 4 <= m <= C(n,2) - 4, the sign is +
+    iff 2m < C(n,2); None elsewhere."""
+    c = comb(n, 2)
+    if 4 <= m <= c - 4 and not c - n <= 2 * m <= c + n:
+        return "+" if 2 * m < c else "-"
+    return None
 
 
 def test_spectrum_small_values():
     s5 = spectrum(5)
     assert (s5.k, s5.q) == (3, 2)
     s6 = spectrum(6)
-    assert (s6.k, s6.q, s6.alpha) == (4, 0, 6)
+    assert (s6.k, s6.q) == (4, 0)
     s7 = spectrum(7)
     assert (s7.k, s7.q, s7.r) == (5, -4, Fraction(3, 2))
     with pytest.raises(DomainError):
@@ -32,7 +41,6 @@ def test_spectrum_defining_relations():
         sp = spectrum(n)
         half = Fraction(comb(n, 2), 2)
         assert comb(sp.k, 2) <= half < comb(sp.k + 1, 2)
-        assert sp.alpha == comb(sp.k, 2)
         assert sp.q == Fraction(1 - 2 * (2 * sp.k - 3) ** 2 + (2 * n - 5) ** 2, 4)
 
 
@@ -65,37 +73,39 @@ def test_tie_pairs_filtered():
 
 
 def test_moptimal_examples():
+    # the threshold case analysis, as an independent oracle
     for m in range(6, 10):
-        assert moptimal_predict(6, m) is Sign.TIE
-    assert moptimal_predict(7, 9) is Sign.TIE  # half - r = 21/2 - 3/2
+        assert threshold_sign_oracle(6, m) == "="
+    assert threshold_sign_oracle(7, 9) == "="  # half - r = 21/2 - 3/2
     for n in range(5, 20):
-        assert moptimal_predict(n, 2) is Sign.TIE
+        assert threshold_sign_oracle(n, 2) == "="
 
 
 def test_coarse_sign_examples():
-    assert coarse_sign(10, 10) is Sign.PLUS
-    assert coarse_sign(10, 41) is Sign.MINUS
-    assert coarse_sign(8, 14) is None
-    with pytest.raises(DomainError):
-        coarse_sign(5, 3)
+    assert coarse_rule(10, 10) == "+"
+    assert coarse_rule(10, 41) == "-"
+    assert coarse_rule(8, 14) is None  # central band
+    assert coarse_rule(10, 3) is None and coarse_rule(10, 42) is None  # near-empty, near-complete
 
 
 def test_predictions_agree_with_exact_classification():
     for n in range(5, 26):
+        race = m1_race_oracle(n)
         for m in range(comb(n, 2) + 1):
-            sign = classify(n, m).sign
-            assert moptimal_predict(n, m) is sign, (n, m)
+            sign = str(classify(n, m).sign)
+            assert race[m] == sign, (n, m)
+            assert threshold_sign_oracle(n, m) == sign, (n, m)
             if n >= 6:
-                coarse = coarse_sign(n, m)
-                assert coarse is None or coarse is sign, (n, m)
+                coarse = coarse_rule(n, m)
+                assert coarse is None or coarse == sign, (n, m)
 
 
 def test_boundary_ties_missed_by_published_side_condition():
     # at n = 8 both constructions hit first Zagreb index 80 at m = alpha = 10
     pc = classify(8, 10)
     assert pc.sign is Sign.TIE and pc.m1_s1 == pc.m1_c1 == 80
-    assert moptimal_predict(8, 10) is Sign.TIE
-    assert moptimal_predict(8, 18) is Sign.TIE
+    assert threshold_sign_oracle(8, 10) == "="
+    assert threshold_sign_oracle(8, 18) == "="
 
 
 def test_sign_flips_under_complementation():

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import multiprocessing
 import os
@@ -7,9 +9,12 @@ from math import comb
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lmrttg import Graph, TwoTerminalGraph, cli, families, reliability, to_json
 from lmrttg.cli import main
+from lmrttg.graphs import vertex_pairs
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -182,6 +187,31 @@ def test_identities_negative_samples_is_usage_error(capsys):
     assert err.startswith("error:") and "samples" in err
 
 
+@pytest.mark.parametrize("bounds", [("9", "8"), ("1", "0")], ids=["descending", "below-band"])
+def test_bounds_empty_range_is_usage_error(capsys, bounds):
+    code, out, err = run_cli(capsys, "verify", "bounds", "--from", bounds[0], "--to", bounds[1])
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and f"{bounds[0]}..{bounds[1]}" in err
+
+
+def test_verify_all_without_a_uniqueness_pair_is_usage_error(capsys, monkeypatch):
+    def no_step():
+        raise AssertionError("a step ran before the range check")
+
+    monkeypatch.setattr(cli, "verify_seven_pairs", no_step)
+    code, out, err = run_cli(capsys, "verify", "all", "--max-n", "3", "--jobs", "1")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "4..3" in err
+
+
+def test_classify_istar_only_keeps_only_ties(capsys):
+    code, out, _ = run_cli(capsys, "classify", "--n", "3..5", "--istar-only")
+    assert code == 0
+    rows = [line.split(",") for line in out.strip().splitlines()[1:]]
+    assert [int(r[1]) for r in rows] == [0, 1, 2, 3, 5, 7, 8, 9, 10]
+    assert all(r[0] == "5" and r[2] == "=" for r in rows)
+
+
 def test_theorem_main_records_do_not_depend_on_jobs(capsys):
     outs = []
     for jobs in ("1", "2"):
@@ -313,3 +343,108 @@ def test_module_entry_point():
     proc = run_module("construct", "--n", "5", "--m", "5", "--family", "s1")
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["n"] == 5
+
+
+# ---------------------------------------------------------------------------
+# Exit-code contract under generated arguments: 0, 1 or 2, never an escape.
+# ---------------------------------------------------------------------------
+
+
+_NOT_INTEGERS = ("x", "", "1.5", "1e3", "-")
+
+
+def _int_arg(lo, hi):
+    """A decimal integer in [lo, hi] or, now and then, a word that is not one."""
+    return st.integers(lo, hi + len(_NOT_INTEGERS)).map(lambda i: str(i) if i <= hi else _NOT_INTEGERS[i - hi - 1])
+
+
+def _argv(*parts):
+    """Strategy for one flat argv from fixed words, tuples of words and strategies of either."""
+    drawn = [p if isinstance(p, st.SearchStrategy) else st.just(p) for p in parts]
+    return st.tuples(*drawn).map(lambda ps: [w for p in ps for w in (p if isinstance(p, tuple) else (p,))])
+
+
+_graph_obj = st.integers(2, 7).flatmap(
+    lambda n: st.fixed_dictionaries(
+        {"n": st.just(n), "edges": st.lists(st.sampled_from(vertex_pairs(n)), unique=True, max_size=12)},
+        optional={"terminals": st.just([0, 1])},
+    )
+)
+_malformed_graph_obj = st.fixed_dictionaries(
+    {},
+    optional={
+        "n": st.one_of(st.integers(-1, 9), st.sampled_from(["3", 2.5, None, True])),
+        "edges": st.lists(st.tuples(st.integers(-1, 9), st.integers(-1, 9)), max_size=8),
+        "terminals": st.lists(st.integers(-1, 9), max_size=3),
+    },
+)
+_graph_text = st.one_of(
+    _graph_obj.map(json.dumps),
+    _malformed_graph_obj.map(json.dumps),
+    st.sampled_from(["", "{", "[]", "null", '{"n": 1e999}', '{"n": 3, "edges": {}}']),
+)
+_at = st.one_of(
+    st.sampled_from(["1/2", "0", "1", "2", "-1/3", "1/0", "abc", "", "0.25", "nan", "inf", "1e-3"]),
+    st.fractions(0, 1, max_denominator=9).map(str),
+)
+_commands = st.one_of(
+    _argv(
+        ("construct", "--n"),
+        _int_arg(-1, 12),
+        "--m",
+        _int_arg(-1, 40),
+        "--family",
+        st.sampled_from(["c1", "c2", "c3", "s1", "s2", "s3", "h", "g", "sparse", "q"]),
+        st.sampled_from([(), ("--format", "dot")]),
+    ),
+    _argv(
+        ("classify", "--n"),
+        st.one_of(
+            st.tuples(st.integers(-2, 12), st.integers(-2, 12)).map(lambda ab: f"{ab[0]}..{ab[1]}"),
+            _int_arg(-2, 12),
+            st.sampled_from(["a..b", "5..", "..6"]),
+        ),
+        st.sampled_from([(), ("--istar-only",)]),
+        st.sampled_from([(), ("--format", "json")]),
+    ),
+    _argv(("invariants", "--graph", "GRAPH")),
+    _argv(("reliability", "--graph", "GRAPH", "--at"), _at),
+    _argv(("verify", "brute", "--n"), _int_arg(2, 6), "--m", _int_arg(3, 15), st.sampled_from([(), ("--deep",)])),
+    _argv(
+        st.sampled_from([("verify", "istar-scan"), ("verify", "bounds")]),
+        "--from",
+        _int_arg(7, 14),
+        "--to",
+        _int_arg(8, 20),
+    ),
+    _argv(
+        ("verify", "theorem-main", "--min-n"),
+        _int_arg(4, 5),
+        "--max-n",
+        _int_arg(3, 5),
+        "--jobs",
+        st.sampled_from(["1", "0", "two"]),  # never above 1: no worker process starts
+        st.one_of(st.just(()), st.tuples(st.just("--m-cap"), _int_arg(-1, 12))),
+    ),
+)
+
+
+@pytest.fixture(scope="module")
+def graph_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "g.json"
+
+
+@settings(max_examples=250)
+@given(argv=_commands, graph_text=_graph_text)
+def test_generated_arguments_keep_the_exit_code_contract(graph_path, argv, graph_text):
+    graph_path.write_text(graph_text)
+    argv = [str(graph_path) if a == "GRAPH" else a for a in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects a malformed argument
+            code = exc.code
+    assert code in (0, 1, 2), argv
+    if code == 2:
+        assert out.getvalue() == "", argv

@@ -17,7 +17,6 @@ from lmrttg import (
     disjoint_union,
     from_json,
     graph_key,
-    is_universal,
     join,
     to_dot,
     to_json,
@@ -76,17 +75,6 @@ def test_degree_sum_is_twice_edges_randomized():
         assert sum(degs) == 2 * g.m
         assert all(d <= max(g.n - 1, 0) for d in degs)
         g.check()
-
-
-def test_is_universal():
-    star = join(Graph.complete(1), Graph.empty(4))
-    assert is_universal(star, 0)
-    assert not is_universal(star, 1)
-    assert not is_universal(disjoint_union(Graph.complete(1), Graph.complete(1)), 0)
-    k4 = Graph.complete(4)
-    assert all(is_universal(k4, v) for v in range(4))
-    with pytest.raises(DomainError):
-        is_universal(k4, 4)
 
 
 def test_construction_validation():

@@ -6,6 +6,7 @@ import pytest
 
 from lmrttg import (
     DomainError,
+    families,
     FamilyTag,
     Graph,
     ScanReport,
@@ -19,10 +20,10 @@ from lmrttg import (
     identity_suite,
     scan_tie_band,
     scan_uniqueness,
-    spot_check_large_band,
     sturm_report,
     zagreb1,
 )
+from lmrttg import scans
 from lmrttg.scans import _h_optima, _tie_band_records
 from oracles import h_optima_oracle, iso_oracle
 
@@ -70,6 +71,28 @@ def test_central_band_ties_are_exhaustive_h_optima_at_n_8_to_12():
         assert len(winners) == 1, (n, m)
         assert max_h == family_h(n, m, tag), (n, m)
         assert iso_oracle(Graph.from_edges(n, winners[0]), build_family(n, m, tag)), (n, m)
+
+
+def test_seven_pairs_scan_checks_the_construction(monkeypatch):
+    # a construction that picks the quasi-star at every exceptional pair is
+    # wrong at (6, 7), (7, 9) and (7, 12), where s2 wins
+    real = families.h_optimal_tag
+    monkeypatch.setattr(
+        families, "h_optimal_tag", lambda n, m: FamilyTag.S1 if (n, m) in families.SEVEN_PAIR_TAGS else real(n, m)
+    )
+    rep = scans.verify_seven_pairs()
+    failed = [(r["n"], r["m"]) for r in rep.records if not r["ok"]]
+    assert not rep.verdict and failed == [(6, 7), (7, 9), (7, 12)]
+
+
+def test_tie_band_scan_checks_the_construction(monkeypatch):
+    # the scan asks the construction only at band ties; one that always picks
+    # c1 there loses to c3 wherever c3 exists, e.g. at (8, 18)
+    c3_pairs = {(r["n"], r["m"]) for r in scan_tie_band(8, 20).records if r["tag"] == "c3"}
+    monkeypatch.setattr(scans, "h_optimal_tag", lambda n, m: FamilyTag.C1)
+    rep = scan_tie_band(8, 20)
+    assert (8, 18) in c3_pairs
+    assert {(r["n"], r["m"]) for r in rep.records if not r["ok"]} == c3_pairs
 
 
 def test_tie_band_scan_small():
@@ -154,9 +177,3 @@ def test_report_verdict_follows_its_records():
     assert "verdict: **FAIL**" in report.to_markdown()
     report.records.pop()
     assert report.verdict
-
-
-def test_spot_check_fails_when_it_scans_nothing():
-    report = spot_check_large_band(())
-    assert report.pairs_scanned == 0
-    assert not report.verdict
