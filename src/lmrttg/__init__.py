@@ -24,12 +24,11 @@ from .graphs import (
     graph_key,
     join,
     to_dot,
-    to_json,
 )
 from .invariants import (
     InvariantBundle,
+    complement_residuals,
     count_p3,
-    count_p4,
     count_triangles,
     family_h,
     h_invariant,
@@ -38,7 +37,6 @@ from .invariants import (
     quasi_complete_h,
     quasi_complete_m1,
     quasi_star_m1,
-    ramsey_residuals,
     zagreb1,
     zagreb2,
 )

@@ -11,6 +11,7 @@ import argparse
 import json
 import os
 import sys
+import time
 from fractions import Fraction
 from math import comb
 
@@ -156,17 +157,20 @@ def _jobs(text: str) -> int:
 
 def _outcome(args) -> tuple:
     """Run the check bound to a verify subcommand: (JSON document, md text, passed).  A check
-    returns a ScanReport, or a (document, passed) pair that both formats print as JSON."""
+    returns a ScanReport, or a (document, passed) pair that both formats print as JSON.  The
+    check is timed here, and the document gets its ``elapsed`` seconds unless ``--no-meta``."""
+    t0 = time.perf_counter()
     result = args.check(args)
-    if isinstance(result, ScanReport):
-        return result.to_json_obj(meta=not args.no_meta), result.to_markdown(), result.verdict
-    return result[0], _dumps(result[0]), result[1]
+    elapsed = round(time.perf_counter() - t0, 3)
+    is_report = isinstance(result, ScanReport)
+    doc, ok = (result.to_json_obj(), result.verdict) if is_report else result
+    if not args.no_meta:
+        doc["elapsed"] = elapsed
+    return doc, result.to_markdown() if is_report else _dumps(doc), ok
 
 
 def _check_brute(args) -> tuple:
     rec = brute_record(args.n, args.m, deep=args.deep)
-    if args.no_meta:
-        rec.pop("elapsed", None)
     return rec, rec["ok"]
 
 

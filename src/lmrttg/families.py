@@ -55,16 +55,10 @@ def quasi_complete_params(m: int) -> tuple:
     """The unique ``(k, j)`` with ``1 <= j <= k`` and ``m = C(k+1,2) - j``."""
     if m < 0:
         raise DomainError("edge count must be nonnegative")
-    # k is the unique integer with C(k,2) <= m < C(k+1,2)
-    k = max(1, (1 + isqrt(1 + 8 * m)) // 2)
-    while comb(k, 2) > m:
-        k -= 1
-    while comb(k + 1, 2) <= m:
-        k += 1
-    j = comb(k + 1, 2) - m
-    if not 1 <= j <= k:
-        raise DomainError(f"no (k, j) with 1 <= j <= k for m={m}; got k={k}, j={j}")
-    return k, j
+    # k is the unique integer with C(k,2) <= m < C(k+1,2), that is with
+    # (2k-1)^2 <= 8m+1 < (2k+1)^2, so isqrt(8m+1) is 2k-1 or 2k
+    k = (1 + isqrt(8 * m + 1)) // 2
+    return k, comb(k + 1, 2) - m
 
 
 def quasi_star_params(n: int, m: int) -> tuple:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations, product
 
-from .errors import DomainError, InvariantError, SizeLimitError
+from .errors import DomainError, SizeLimitError
 
 #: Vertex bound for the brute-force canonical forms of two-terminal graphs.
 CANONICAL_MAX_N = 10
@@ -92,28 +92,6 @@ class Graph:
                 w >>= 1
                 v += 1
         return out
-
-    def relabel(self, perm) -> "Graph":
-        """Image under the vertex bijection ``perm`` (old index -> new index)."""
-        rows = [0] * self.n
-        for u, row in enumerate(self.rows):
-            r = 0
-            w = row
-            while w:
-                b = w & -w
-                r |= 1 << perm[b.bit_length() - 1]
-                w ^= b
-            rows[perm[u]] = r
-        return Graph(self.n, rows)
-
-    def check(self) -> None:
-        """Raise InvariantError unless adjacency is symmetric and the degrees sum to 2m."""
-        for u in range(self.n):
-            for v in range(u + 1, self.n):
-                if self.has_edge(u, v) != self.has_edge(v, u):
-                    raise InvariantError(f"asymmetric adjacency between {u} and {v}")
-        if sum(self.degrees()) != 2 * self.m:
-            raise InvariantError("degree sum differs from twice the edge count")
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Graph) and self.n == other.n and self.rows == other.rows
@@ -297,10 +275,6 @@ def from_json_obj(d):
     if d.get("terminals") is not None:
         return TwoTerminalGraph(g, *_int_pair(d["terminals"], "'terminals'"))
     return g
-
-
-def to_json(obj) -> str:
-    return json.dumps(to_json_obj(obj), separators=(",", ":"), sort_keys=True)
 
 
 def from_json(text: str):

@@ -13,7 +13,7 @@ from math import comb
 
 from .errors import DomainError, FamilyDoesNotExist, InvariantError
 from .families import FamilyTag, family_exists, quasi_complete_params, quasi_star_params
-from .graphs import Graph, complement
+from .graphs import Graph
 
 
 def zagreb1(g: Graph) -> int:
@@ -130,17 +130,6 @@ def count_p3(g: Graph) -> int:
     return sum(comb(d, 2) for d in g.degrees())
 
 
-def count_p4(g: Graph) -> int:
-    """Paths on four vertices, each counted once.
-
-    An ordered walk u-v-w-x with distinct endpoints is a choice of central
-    edge vw plus neighbors u != w of v and x != v of w; the u = x cases are
-    exactly three per triangle.  Halving the ordered count gives
-    ``M2 - M1 + m - 3*k3``.
-    """
-    return zagreb2(g) - zagreb1(g) + g.m - 3 * count_triangles(g)
-
-
 def h_invariant(g: Graph) -> int:
     """Second Zagreb index minus six times the triangle count."""
     return zagreb2(g) - 6 * count_triangles(g)
@@ -158,6 +147,15 @@ class InvariantBundle:
 
 
 def invariant_bundle(g: Graph) -> InvariantBundle:
+    """The exact invariants of one graph, each computed once.
+
+    ``p4`` counts paths on four vertices, each once.  A walk a-u-v-b is a
+    choice of an oriented middle edge uv plus neighbours a != v of u and
+    b != u of v; over both orientations of every edge these are
+    ``2 * sum (d(u)-1)(d(v)-1) = 2*(M2 - M1 + m)`` walks.  The walks with
+    a = b are six per triangle, and every path is two walks, so
+    ``p4 = M2 - M1 + m - 3*k3``.
+    """
     m1 = zagreb1(g)
     m2 = zagreb2(g)
     k3 = count_triangles(g)
@@ -166,22 +164,19 @@ def invariant_bundle(g: Graph) -> InvariantBundle:
     return InvariantBundle(m1=m1, m2=m2, k3=k3, p3=p3, p4=p4, h_value=m2 - 6 * k3, m=g.m)
 
 
-def ramsey_residuals(g: Graph) -> tuple:
-    """Left-minus-right of the three complementation identities.
+def complement_residuals(n: int, b: InvariantBundle, bc: InvariantBundle) -> tuple:
+    """Left-minus-right of the three complementation identities, from the
+    bundles of a graph on n vertices (``b``) and of its complement (``bc``).
 
     The triangle, three-path and four-path counts of a graph and its
-    complement satisfy linear identities in n, m and p3(G); all three
-    residuals are zero for every simple graph.
+    complement satisfy linear identities in n, m and p3(G) (Goodman 1959);
+    all three residuals are zero for every simple graph.
     """
-    n, m = g.n, g.m
-    gc = complement(g)
-    k3g, k3c = count_triangles(g), count_triangles(gc)
-    p3g, p3c = count_p3(g), count_p3(gc)
-    p4g, p4c = count_p4(g), count_p4(gc)
-    r_k3 = (k3g + k3c) - (comb(n, 3) - m * (n - 2) + p3g)
-    r_p3 = (p3g + p3c) - (2 * p3g + (n - 2) * (comb(n, 2) - 2 * m))
-    r_p4 = (p4g + p4c) - (
-        2 * (n - 5) * p3g
+    m, p3 = b.m, b.p3
+    r_k3 = (b.k3 + bc.k3) - (comb(n, 3) - m * (n - 2) + p3)
+    r_p3 = (p3 + bc.p3) - (2 * p3 + (n - 2) * (comb(n, 2) - 2 * m))
+    r_p4 = (b.p4 + bc.p4) - (
+        2 * (n - 5) * p3
         + 2 * m * m
         - 8 * m
         + 3 * m * n

@@ -31,16 +31,11 @@ class QuadNumber:
         other = _coerce(other)
         return QuadNumber(self.a + other.a, self.b + other.b)
 
-    __radd__ = __add__
-
     def __neg__(self):
         return QuadNumber(-self.a, -self.b)
 
     def __sub__(self, other):
         return self + (-_coerce(other))
-
-    def __rsub__(self, other):
-        return _coerce(other) + (-self)
 
     def __mul__(self, other):
         other = _coerce(other)
@@ -56,9 +51,6 @@ class QuadNumber:
         if den == 0:
             raise ZeroDivisionError("division by zero in Q[sqrt(2)]")
         return QuadNumber(self.a / den, -self.b / den)
-
-    def __truediv__(self, other):
-        return self * _coerce(other).inverse()
 
     def sign(self) -> int:
         """Exact sign, decided by comparing a^2 against 2 b^2."""
@@ -76,24 +68,6 @@ class QuadNumber:
 
     def is_zero(self) -> bool:
         return self.a == 0 and self.b == 0
-
-    def __lt__(self, other):
-        return (self - _coerce(other)).sign() < 0
-
-    def __le__(self, other):
-        return (self - _coerce(other)).sign() <= 0
-
-    def __gt__(self, other):
-        return (self - _coerce(other)).sign() > 0
-
-    def __ge__(self, other):
-        return (self - _coerce(other)).sign() >= 0
-
-    def __float__(self) -> float:
-        return float(self.a) + float(self.b) * 2**0.5
-
-    def __str__(self) -> str:
-        return f"{self.a} + {self.b}*sqrt(2)"
 
 
 def _coerce(x) -> QuadNumber:
@@ -145,12 +119,6 @@ class QuadPolynomial:
             b = other.coeffs[i] if i < len(other.coeffs) else _ZERO
             out.append(a - b)
         return QuadPolynomial(out)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, QuadPolynomial) and self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash(self.coeffs)
 
     def __mod__(self, other: "QuadPolynomial") -> "QuadPolynomial":
         """Remainder of field division."""

@@ -3,16 +3,14 @@ end-to-end brute-force check of the optimal construction.
 
 Each scan returns a ScanReport whose records each carry an ``ok`` flag;
 the verdict is derived from them.  Reports serialize to JSON (machine) and
-Markdown (human) and are deterministic once timing metadata is stripped.
+Markdown (human) and carry no timing, so they are deterministic.
 """
 
 from __future__ import annotations
 
 import random
-import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations, permutations
 from math import comb
 
 from .classify import Sign, central_band, classify, tie_pairs
@@ -30,12 +28,12 @@ from .families import (
 )
 from .graphs import Graph, canonical_key, complement, graph_key, to_json_obj, vertex_pairs
 from .invariants import (
+    complement_residuals,
     family_h,
     h_invariant,
     h_sum_offset,
     invariant_bundle,
     max_m1_sequences,
-    ramsey_residuals,
     realisations,
     zagreb1,
 )
@@ -48,23 +46,19 @@ class ScanReport:
     scope: str
     records: list = field(default_factory=list)
     pairs_scanned: int = 0
-    elapsed: float = None
 
     @property
     def verdict(self) -> bool:
         """Pass iff every kept record is ``ok`` (a scan that keeps only failures passes empty)."""
         return all(rec["ok"] for rec in self.records)
 
-    def to_json_obj(self, meta: bool = True) -> dict:
-        d = {
+    def to_json_obj(self) -> dict:
+        return {
             "scope": self.scope,
             "verdict": "pass" if self.verdict else "fail",
             "pairs_scanned": self.pairs_scanned,
             "records": self.records,
         }
-        if meta and self.elapsed is not None:
-            d["elapsed"] = round(self.elapsed, 3)
-        return d
 
     def to_markdown(self) -> str:
         lines = [f"## {self.scope}", ""]
@@ -118,7 +112,6 @@ def verify_seven_pairs() -> ScanReport:
     every labeled graph, not just the candidate families (``_h_optima``),
     and compared with the construction's choice (``build_h_optimal``).
     """
-    t0 = time.perf_counter()
     report = ScanReport(scope="seven exceptional pairs")
     expected_pairs = sorted(SEVEN_PAIR_TAGS)
     found_pairs = [(n, m) for n in (5, 6, 7) for m in tie_pairs(n, include_trivial=False)]
@@ -149,7 +142,6 @@ def verify_seven_pairs() -> ScanReport:
             }
         )
         report.pairs_scanned += 1
-    report.elapsed = time.perf_counter() - t0
     return report
 
 
@@ -187,12 +179,10 @@ def scan_tie_band(n_lo: int, n_hi: int) -> ScanReport:
     forms)."""
     if not 8 <= n_lo <= n_hi:
         raise DomainError(f"need 8 <= n_lo <= n_hi; got {n_lo}..{n_hi}")
-    t0 = time.perf_counter()
     report = ScanReport(scope=f"central-band ties, n in {n_lo}..{n_hi}")
     for n in range(n_lo, n_hi + 1):
         report.records.extend(_tie_band_records(n))
     report.pairs_scanned = len(report.records)
-    report.elapsed = time.perf_counter() - t0
     return report
 
 
@@ -216,7 +206,6 @@ def band_bounds_report(n_lo: int = 8, n_hi: int = 60) -> ScanReport:
     """Exact polynomial-bound checks on every central-band pair."""
     if not 8 <= n_lo <= n_hi:
         raise DomainError(f"need 8 <= n_lo <= n_hi; got {n_lo}..{n_hi}")
-    t0 = time.perf_counter()
     report = ScanReport(scope=f"band polynomial bounds, n in {n_lo}..{n_hi}")
     for n in range(n_lo, n_hi + 1):
         for m in central_band(n):
@@ -224,7 +213,6 @@ def band_bounds_report(n_lo: int = 8, n_hi: int = 60) -> ScanReport:
             report.pairs_scanned += 1
             if not chk.ok:
                 report.records.append({"n": n, "m": m, "gap_ok": chk.gap_ok, "spread_ok": chk.spread_ok, "ok": False})
-    report.elapsed = time.perf_counter() - t0
     return report
 
 
@@ -235,7 +223,6 @@ def band_bounds_report(n_lo: int = 8, n_hi: int = 60) -> ScanReport:
 
 def brute_record(n: int, m: int, deep: bool = False) -> dict:
     """Search one (n, m) pair and compare against the construction."""
-    t0 = time.perf_counter()
     res = _search(n, m, max_n=max(n, DEFAULT_MAX_VERTICES) if deep else None)
     rec = {
         "n": n,
@@ -256,13 +243,11 @@ def brute_record(n: int, m: int, deep: bool = False) -> dict:
     rec["ok"] = bool(rec["unique"] and rec["matches_construction"])
     if m == 2 * n - 3:
         rec["note"] = "sparse/dense boundary"
-    rec["elapsed"] = time.perf_counter() - t0
     return rec
 
 
 def _uniqueness_record(nm) -> dict:
     rec = brute_record(*nm)
-    rec.pop("elapsed", None)
     rec.pop("winner_canonical", None)
     return rec
 
@@ -294,7 +279,6 @@ def scan_uniqueness(n_max: int, m_cap: int = None, n_min: int = 4, jobs: int = 1
     equal to the construction.  Deterministic regardless of the worker
     count; at most one worker per pair is started.
     """
-    t0 = time.perf_counter()
     pairs = uniqueness_pairs(n_min, n_max, m_cap)
     if jobs > 1 and len(pairs) > 1:
         from multiprocessing import Pool  # imported here so that commands without workers start faster
@@ -306,7 +290,6 @@ def scan_uniqueness(n_max: int, m_cap: int = None, n_min: int = 4, jobs: int = 1
     report = ScanReport(scope=f"brute-force uniqueness, n in {n_min}..{n_max}")
     report.records = records
     report.pairs_scanned = len(records)
-    report.elapsed = time.perf_counter() - t0
     return report
 
 
@@ -314,50 +297,57 @@ def scan_uniqueness(n_max: int, m_cap: int = None, n_min: int = 4, jobs: int = 1
 # Randomized identity suite.
 # ---------------------------------------------------------------------------
 
-_PATH4_ORDERS = tuple(p for p in permutations(range(4)) if p[0] < p[3])
+#: Vertex bound of the random graphs in the identity suite.
+IDENTITY_RANDOM_MAX_N = 9
+#: Vertex bound of the family graphs in the identity suite.
+IDENTITY_FAMILY_MAX_N = 12
 
 
-def _p4_by_subsets(g: Graph) -> int:
-    """Four-vertex path count by direct enumeration (independent of the
-    closed formula used by the invariants module)."""
+def _p4_by_walk(g: Graph) -> int:
+    """Four-vertex paths counted at their middle edge: each edge uv with
+    u < v, every neighbour a != v of u and every neighbour b != u, a of v
+    give the path a-u-v-b, and every path has one middle edge and so is
+    counted once.  Independent of the closed form in ``invariant_bundle``:
+    no degree sums or triangle counts."""
     rows = g.rows
     total = 0
-    for quad in combinations(range(g.n), 4):
-        for a, b, c, d in _PATH4_ORDERS:
-            x, y, z, w = quad[a], quad[b], quad[c], quad[d]
-            if (rows[x] >> y) & 1 and (rows[y] >> z) & 1 and (rows[z] >> w) & 1:
-                total += 1
+    for u, v in g.edges():
+        ends = rows[v] & ~(1 << u)
+        starts = rows[u] & ~(1 << v)
+        while starts:
+            a = starts & -starts
+            total += (ends & ~a).bit_count()
+            starts ^= a
     return total
 
 
 def _identity_failures(g: Graph) -> list:
     fails = []
     b = invariant_bundle(g)
-    p4 = _p4_by_subsets(g)
+    bc = invariant_bundle(complement(g))
+    p4 = _p4_by_walk(g)
     if p4 != b.p4:
         fails.append("p4 closed form")
     if b.h_value != -3 * b.k3 + p4 + 2 * b.p3 + b.m:
         fails.append("triangle/path expansion of h")
-    gc = complement(g)
-    lhs = 2 * (b.h_value + invariant_bundle(gc).h_value)
+    lhs = 2 * (b.h_value + bc.h_value)
     rhs = (2 * g.n - 9) * b.m1 + 2 * h_sum_offset(g.n, g.m)
     if lhs != rhs:
         fails.append("complement-sum identity")
-    if ramsey_residuals(g) != (0, 0, 0):
+    if complement_residuals(g.n, b, bc) != (0, 0, 0):
         fails.append("complementation identities")
     return fails
 
 
-def identity_suite(seed: int = 0, samples: int = 1000, max_random_n: int = 9, max_family_n: int = 12) -> ScanReport:
+def identity_suite(seed: int = 0, samples: int = 1000) -> ScanReport:
     """Exact identity checks on random graphs plus every family graph."""
     if samples < 0:
         raise DomainError(f"need samples >= 0; got {samples}")
-    t0 = time.perf_counter()
     rnd = random.Random(seed)
     report = ScanReport(scope=f"identity suite (seed={seed}, samples={samples})")
     checked = 0
     for _ in range(samples):
-        n = rnd.randint(5, max_random_n)
+        n = rnd.randint(5, IDENTITY_RANDOM_MAX_N)
         pairs = vertex_pairs(n)
         edges = rnd.sample(pairs, rnd.randint(0, len(pairs)))
         g = Graph.from_edges(n, edges)
@@ -365,7 +355,7 @@ def identity_suite(seed: int = 0, samples: int = 1000, max_random_n: int = 9, ma
         checked += 1
         if fails:
             report.records.append({"n": n, "edges": edges, "failed": fails, "ok": False})
-    for n in range(5, max_family_n + 1):
+    for n in range(5, IDENTITY_FAMILY_MAX_N + 1):
         for m in range(comb(n, 2) + 1):
             for tag, g in candidate_set(n, m):
                 fails = _identity_failures(g)
@@ -373,7 +363,6 @@ def identity_suite(seed: int = 0, samples: int = 1000, max_random_n: int = 9, ma
                 if fails:
                     report.records.append({"n": n, "m": m, "tag": str(tag), "failed": fails, "ok": False})
     report.pairs_scanned = checked
-    report.elapsed = time.perf_counter() - t0
     return report
 
 

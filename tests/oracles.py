@@ -213,6 +213,13 @@ def ordered_iso_oracle(a, b):
     return nx.is_isomorphic(to_networkx(a), to_networkx(b), node_match=lambda x, y: x["role"] == y["role"])
 
 
+def relabel(g, perm):
+    """Image of g under the vertex bijection ``perm`` (old index -> new index)."""
+    from lmrttg import Graph
+
+    return Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
 def random_graph(rnd, n_lo=2, n_hi=8):
     from lmrttg import Graph
     from lmrttg.graphs import vertex_pairs

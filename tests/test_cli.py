@@ -12,9 +12,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lmrttg import Graph, TwoTerminalGraph, cli, families, reliability, to_json
+from lmrttg import Graph, TwoTerminalGraph, cli, families, reliability
 from lmrttg.cli import main
-from lmrttg.graphs import vertex_pairs
+from lmrttg.graphs import to_json_obj, vertex_pairs
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -64,7 +64,7 @@ def test_construct_two_terminal(capsys):
 
 def test_invariants_command(tmp_path, capsys):
     path = tmp_path / "k4.json"
-    path.write_text(to_json(Graph.complete(4)))
+    path.write_text(json.dumps(to_json_obj(Graph.complete(4))))
     code, out, _ = run_cli(capsys, "invariants", "--graph", str(path))
     assert code == 0
     data = json.loads(out)
@@ -83,7 +83,7 @@ def test_classify_rows(capsys):
 def test_reliability_command(tmp_path, capsys):
     tg = TwoTerminalGraph(Graph.from_edges(4, [(0, 1), (0, 2), (1, 2), (0, 3), (1, 3)]), 0, 1)
     path = tmp_path / "g.json"
-    path.write_text(to_json(tg))
+    path.write_text(json.dumps(to_json_obj(tg)))
     code, out, _ = run_cli(capsys, "reliability", "--graph", str(path), "--at", "1/2")
     assert code == 0
     data = json.loads(out)
@@ -93,14 +93,14 @@ def test_reliability_command(tmp_path, capsys):
 
 def test_reliability_needs_terminals(tmp_path, capsys):
     path = tmp_path / "g.json"
-    path.write_text(to_json(Graph.complete(3)))
+    path.write_text(json.dumps(to_json_obj(Graph.complete(3))))
     code, _, err = run_cli(capsys, "reliability", "--graph", str(path), "--at", "1/2")
     assert code == 2 and "terminals" in err
 
 
 def test_reliability_zero_denominator_is_usage_error(tmp_path):
     path = tmp_path / "g.json"
-    path.write_text(to_json(TwoTerminalGraph(Graph.from_edges(3, [(0, 1), (1, 2)]), 0, 1)))
+    path.write_text(json.dumps(to_json_obj(TwoTerminalGraph(Graph.from_edges(3, [(0, 1), (1, 2)]), 0, 1))))
     proc = run_module("reliability", "--graph", str(path), "--at", "1/0")
     assert proc.returncode == 2
     assert proc.stderr.startswith("error:")
@@ -241,6 +241,14 @@ def test_verify_sturm(capsys):
     code, out, _ = run_cli(capsys, "verify", "sturm", "--no-meta")
     assert code == 0
     assert json.loads(out)["roots_in_436_437"] == 1
+
+
+def test_verify_meta_mode_times_each_check(capsys):
+    # without --no-meta every verify document carries its check's time in seconds, rounded to ms
+    for argv in (["sturm"], ["brute", "--n", "4", "--m", "5"], ["istar-scan", "--from", "8", "--to", "12", "--format", "json"]):
+        code, out, _ = run_cli(capsys, "verify", *argv)
+        elapsed = json.loads(out)["elapsed"]
+        assert code == 0 and elapsed == round(elapsed, 3) >= 0, argv
 
 
 def test_verify_seven_pairs_alias(capsys):

@@ -54,6 +54,11 @@ def test_decomposition_consistency_exhaustive():
             k, j = quasi_complete_params(m)
             assert 1 <= j <= k and m == comb(k + 1, 2) - j
             assert quasi_star_params(n, m) == quasi_complete_params(c - m)
+    # large m on both sides of each boundary C(k,2)
+    for big_k in range(10**7, 10**7 + 5000):
+        for m in (comb(big_k, 2) - 1, comb(big_k, 2), comb(big_k + 1, 2) - 1):
+            k, j = quasi_complete_params(m)
+            assert 1 <= j <= k and m == comb(k + 1, 2) - j
 
 
 def test_family_params_bundle():

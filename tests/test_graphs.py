@@ -1,3 +1,4 @@
+import json
 import random
 from itertools import permutations
 
@@ -19,10 +20,9 @@ from lmrttg import (
     graph_key,
     join,
     to_dot,
-    to_json,
 )
-from lmrttg.graphs import canonical_key_ordered, vertex_pairs
-from oracles import iso_oracle, ordered_iso_oracle, random_graph
+from lmrttg.graphs import canonical_key_ordered, to_json_obj, vertex_pairs
+from oracles import iso_oracle, ordered_iso_oracle, random_graph, relabel
 
 
 def test_complement_of_empty_is_complete():
@@ -74,7 +74,7 @@ def test_degree_sum_is_twice_edges_randomized():
         degs = g.degrees()
         assert sum(degs) == 2 * g.m
         assert all(d <= max(g.n - 1, 0) for d in degs)
-        g.check()
+        assert all(g.has_edge(u, v) == g.has_edge(v, u) for u in range(g.n) for v in range(g.n))
 
 
 def test_construction_validation():
@@ -97,7 +97,7 @@ def test_canonical_key_terminal_swap():
 
 def test_canonical_key_inner_transposition():
     g = Graph.from_edges(5, [(0, 2), (2, 1), (0, 3), (3, 4)])
-    swapped = g.relabel([0, 1, 2, 4, 3])
+    swapped = relabel(g, [0, 1, 2, 4, 3])
     assert canonical_key(TwoTerminalGraph(g, 0, 1)) == canonical_key(TwoTerminalGraph(swapped, 0, 1))
 
 
@@ -121,7 +121,7 @@ def test_canonical_key_invariance_randomized():
         for _ in range(20):
             perm = list(range(g.n))
             rnd.shuffle(perm)
-            tg2 = TwoTerminalGraph(g.relabel(perm), perm[s], perm[t])
+            tg2 = TwoTerminalGraph(relabel(g, perm), perm[s], perm[t])
             if rnd.random() < 0.5:
                 tg2 = TwoTerminalGraph(tg2.graph, tg2.t, tg2.s)
             assert canonical_key(tg2) == key
@@ -167,7 +167,7 @@ def _relabeled_pair(draw):
     s, t = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
     perm = draw(st.permutations(range(n)))
     s2, t2 = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
-    h = g.relabel(perm)
+    h = relabel(g, perm)
     return TwoTerminalGraph(g, s, t), TwoTerminalGraph(h, perm[s], perm[t]), TwoTerminalGraph(h, s2, t2)
 
 
@@ -182,9 +182,9 @@ def test_canonical_keys_are_relabel_invariant_and_match_vf2(case):
 
 def test_json_roundtrip():
     g = Graph.from_edges(5, [(0, 1), (2, 4), (1, 3)])
-    assert from_json(to_json(g)) == g
+    assert from_json(json.dumps(to_json_obj(g))) == g
     tg = TwoTerminalGraph(g, 4, 0)
-    back = from_json(to_json(tg))
+    back = from_json(json.dumps(to_json_obj(tg)))
     assert back.graph == g and (back.s, back.t) == (4, 0)
 
 
@@ -198,6 +198,6 @@ def test_dot_marks_terminals():
 def test_relabel_permutes_edges():
     g = Graph.from_edges(4, [(0, 1), (1, 2)])
     for perm in permutations(range(4)):
-        h = g.relabel(perm)
+        h = relabel(g, perm)
         expected = {tuple(sorted((perm[u], perm[v]))) for u, v in g.edges()}
         assert set(h.edges()) == expected

@@ -10,8 +10,8 @@ from lmrttg import (
     Graph,
     build_family,
     complement,
+    complement_residuals,
     count_p3,
-    count_p4,
     count_triangles,
     family_exists,
     family_h,
@@ -22,13 +22,13 @@ from lmrttg import (
     quasi_complete_params,
     quasi_star_m1,
     quasi_star_params,
-    ramsey_residuals,
     zagreb1,
     zagreb2,
 )
 from lmrttg.errors import FamilyDoesNotExist
 from lmrttg.graphs import disjoint_union
 from lmrttg.invariants import max_m1_sequences, realisations
+from lmrttg.scans import _p4_by_walk
 from oracles import p3_oracle, p4_oracle, random_graph, triangle_oracle
 
 
@@ -47,11 +47,11 @@ def test_zagreb2_examples():
 
 def test_subgraph_count_examples():
     k4 = Graph.complete(4)
-    assert (count_triangles(k4), count_p3(k4), count_p4(k4)) == (4, 12, 12)
+    assert (count_triangles(k4), count_p3(k4), invariant_bundle(k4).p4) == (4, 12, 12)
     assert count_triangles(build_family(6, 8, FamilyTag.C1)) == 5
     assert count_triangles(build_family(6, 8, FamilyTag.S1)) == 3
     p4 = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
-    assert (count_triangles(p4), count_p3(p4), count_p4(p4)) == (0, 2, 1)
+    assert (count_triangles(p4), count_p3(p4), invariant_bundle(p4).p4) == (0, 2, 1)
 
 
 def test_counts_against_enumeration_oracle():
@@ -60,7 +60,7 @@ def test_counts_against_enumeration_oracle():
         g = random_graph(rnd, 1, 7)
         assert count_triangles(g) == triangle_oracle(g)
         assert count_p3(g) == p3_oracle(g)
-        assert count_p4(g) == p4_oracle(g)
+        assert invariant_bundle(g).p4 == _p4_by_walk(g) == p4_oracle(g)
 
 
 def test_h_invariant_examples():
@@ -149,11 +149,15 @@ def test_family_h_offsets():
         family_h(6, 6, FamilyTag.C3)
 
 
+def _residuals(g):
+    return complement_residuals(g.n, invariant_bundle(g), invariant_bundle(complement(g)))
+
+
 def test_ramsey_residuals_zero():
     rnd = random.Random(14)
     for _ in range(200):
-        assert ramsey_residuals(random_graph(rnd, 1, 10)) == (0, 0, 0)
-    assert ramsey_residuals(Graph.complete(5)) == (0, 0, 0)
+        assert _residuals(random_graph(rnd, 1, 10)) == (0, 0, 0)
+    assert _residuals(Graph.complete(5)) == (0, 0, 0)
 
 
 def test_ramsey_residuals_petersen():
@@ -164,8 +168,8 @@ def test_ramsey_residuals_petersen():
     # oracle counts on the graph itself (complement counts are implied by the identities)
     assert triangle_oracle(pet) == count_triangles(pet) == 0
     assert p3_oracle(pet) == count_p3(pet) == 30
-    assert p4_oracle(pet) == count_p4(pet) == 60
-    assert ramsey_residuals(pet) == (0, 0, 0)
+    assert p4_oracle(pet) == invariant_bundle(pet).p4 == _p4_by_walk(pet) == 60
+    assert _residuals(pet) == (0, 0, 0)
 
 
 def test_invariant_bundle():
