@@ -3,7 +3,6 @@
 from .classify import PairClass, Sign, SpectrumParams, classify, spectrum, tie_pairs
 from .errors import DomainError, FamilyDoesNotExist, SizeLimitError
 from .families import (
-    FamilyParams,
     FamilyTag,
     build_family,
     build_h_optimal,

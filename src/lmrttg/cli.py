@@ -12,23 +12,25 @@ import json
 import os
 import sys
 import time
-from fractions import Fraction
 from math import comb
 
 from .classify import Sign, classify, spectrum
 from .errors import DomainError, FamilyDoesNotExist, InvariantError, SizeLimitError
 from .families import (
-    FamilyParams,
     FamilyTag,
     build_family,
     build_h_optimal,
     build_lmrttg,
     build_lmrttg_sparse,
+    quasi_complete_params,
+    quasi_star_params,
 )
 from .graphs import TwoTerminalGraph, from_json, to_dot, to_json_obj
 from .invariants import invariant_bundle
-from .reliability import n_vector, reliability_at
+from .reliability import n_vector, probability, reliability_from_counts
 from .scans import (
+    DECOMPOSITION_MAX_N,
+    TIE_SCAN_MAX_N,
     ScanReport,
     band_bounds_report,
     band_decomposition_violations,
@@ -87,6 +89,9 @@ def _cmd_invariants(args) -> int:
     return 0
 
 
+_CLASSIFY_COLUMNS = ("n", "m", "sign", "in_J", "k", "j", "kp", "jp", "k_n", "q_n", "R_n")
+
+
 def _cmd_classify(args) -> int:
     n_lo, n_hi = _parse_range(args.n)
     rows = []
@@ -96,28 +101,16 @@ def _cmd_classify(args) -> int:
             pc = classify(n, m)
             if args.istar_only and pc.sign is not Sign.TIE:
                 continue
-            fp = FamilyParams.from_nm(n, m)
-            rows.append(
-                {
-                    "n": n,
-                    "m": m,
-                    "sign": str(pc.sign) if pc.sign else "",
-                    "in_J": int(pc.in_J),
-                    "k": fp.k,
-                    "j": fp.j,
-                    "kp": fp.kp,
-                    "jp": fp.jp,
-                    "k_n": sp.k if sp else "",
-                    "q_n": str(sp.q) if sp else "",
-                    "R_n": str(sp.r) if sp else "",
-                }
-            )
+            values = (n, m, str(pc.sign) if pc.sign else "", int(pc.in_J))
+            values += quasi_complete_params(m) + quasi_star_params(n, m)
+            values += (sp.k, str(sp.q), str(sp.r)) if sp else ("", "", "")
+            rows.append(dict(zip(_CLASSIFY_COLUMNS, values)))
     if args.format == "json":
         _print_json(rows)
     else:
-        print("n,m,sign,in_J,k,j,kp,jp,k_n,q_n,R_n")
+        print(",".join(_CLASSIFY_COLUMNS))
         for r in rows:
-            print(",".join(str(r[c]) for c in ("n", "m", "sign", "in_J", "k", "j", "kp", "jp", "k_n", "q_n", "R_n")))
+            print(",".join(str(v) for v in r.values()))
     return 0
 
 
@@ -125,18 +118,9 @@ def _cmd_reliability(args) -> int:
     obj = _load_graph(args.graph)
     if not isinstance(obj, TwoTerminalGraph):
         raise DomainError("graph file must carry terminals for reliability evaluation")
-    try:
-        p = Fraction(args.at)
-    except ZeroDivisionError:
-        raise DomainError(f"--at must be a probability; {args.at!r} has a zero denominator") from None
-    value = reliability_at(obj, p)
-    _print_json(
-        {
-            "at": str(p),
-            "reliability": str(value),
-            "n_vector": list(n_vector(obj)),
-        }
-    )
+    p = probability(args.at)
+    counts = n_vector(obj)
+    _print_json({"at": str(p), "reliability": str(reliability_from_counts(counts, p)), "n_vector": list(counts)})
     return 0
 
 
@@ -181,7 +165,7 @@ def _check_sturm(args) -> tuple:
 
 def _bounds(args) -> ScanReport:
     report = band_bounds_report(args.from_n, args.to_n)
-    violations = band_decomposition_violations(args.from_n, min(args.to_n, 200))
+    violations = band_decomposition_violations(args.from_n, min(args.to_n, DECOMPOSITION_MAX_N))
     if violations:
         report.records.append({"check": "decomposition bounds", "violations": violations, "ok": False})
     return report
@@ -262,7 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = verify("istar-scan", "central-band dominance scan", lambda a: scan_tie_band(a.from_n, a.to_n))
     p.add_argument("--from", dest="from_n", type=int, default=8)
-    p.add_argument("--to", dest="to_n", type=int, default=436)
+    p.add_argument("--to", dest="to_n", type=int, default=TIE_SCAN_MAX_N)
 
     p = verify(
         "theorem-main",

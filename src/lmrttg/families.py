@@ -17,21 +17,23 @@ parameter pairs drive six named families:
   exists iff ``k'+1 <= 2k'-j'-1 <= n-1``.
 * ``S3``: universal vertices over ``K_3 u (k'-2)K_1``; exists iff ``j' = 3``.
 
-For each i, the complement of ``Si`` on (n, m) is ``Ci`` on (n, C(n,2)-m).
-The module also builds the unique best-in-class graphs assembled from the
-families: the maximizer of the second-Zagreb-minus-six-triangles invariant
-among first-Zagreb maximizers, and the locally most reliable two-terminal
-graph derived from it.
+Only the C side is built from parts.  Each ``Si`` on (n, m) is the
+complement of ``Ci`` on (n, C(n,2) - m), whose parameters are ``(k', j')``
+(Ahlswede & Katona 1978), so ``mirror`` ties the two sides together once
+and every S-side fact is derived from its C-side mirror.  The module also
+builds the unique best-in-class graphs assembled from the families: the
+maximizer of the second-Zagreb-minus-six-triangles invariant among
+first-Zagreb maximizers, and the locally most reliable two-terminal graph
+derived from it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from math import comb, isqrt
 
 from .errors import DomainError, FamilyDoesNotExist, InvariantError
-from .graphs import Graph, TwoTerminalGraph, disjoint_union, join
+from .graphs import Graph, TwoTerminalGraph, complement, disjoint_union, join
 
 
 class FamilyTag(str, Enum):
@@ -44,6 +46,18 @@ class FamilyTag(str, Enum):
 
     def __str__(self) -> str:  # keep CLI/CSV output compact
         return self.value
+
+
+#: Each quasi-star family and the quasi-complete family it complements.
+_MIRROR_TAGS = {FamilyTag.S1: FamilyTag.C1, FamilyTag.S2: FamilyTag.C2, FamilyTag.S3: FamilyTag.C3}
+
+
+def mirror(n: int, m: int, tag: FamilyTag):
+    """``(Ci, C(n,2) - m)`` for ``tag = Si``: the C-side family and edge count
+    whose member on n vertices is the complement of this one.  None for a
+    C-side tag."""
+    tag = FamilyTag(tag)
+    return (_MIRROR_TAGS[tag], comb(n, 2) - m) if tag in _MIRROR_TAGS else None
 
 
 def _check_range(n: int, m: int) -> None:
@@ -67,37 +81,17 @@ def quasi_star_params(n: int, m: int) -> tuple:
     return quasi_complete_params(comb(n, 2) - m)
 
 
-@dataclass(frozen=True)
-class FamilyParams:
-    """Both decompositions of an edge count, bundled for reports."""
-
-    k: int
-    j: int
-    kp: int
-    jp: int
-
-    @classmethod
-    def from_nm(cls, n: int, m: int) -> "FamilyParams":
-        k, j = quasi_complete_params(m)
-        kp, jp = quasi_star_params(n, m)
-        return cls(k, j, kp, jp)
-
-
 def family_exists(n: int, m: int, tag: FamilyTag) -> bool:
     """Whether the family has a member on ``n`` vertices and ``m`` edges."""
     _check_range(n, m)
     tag = FamilyTag(tag)
-    if tag in (FamilyTag.C1, FamilyTag.S1):
+    tag, m = mirror(n, m, tag) or (tag, m)
+    if tag is FamilyTag.C1:
         return True
-    if tag in (FamilyTag.C2, FamilyTag.C3):
-        k, j = quasi_complete_params(m)
-        if tag is FamilyTag.C2:
-            return j <= k - 2 and 2 * k - j <= n
-        return j == 3 and k <= n - 1
-    kp, jp = quasi_star_params(n, m)
-    if tag is FamilyTag.S2:
-        return jp <= kp - 2 and 2 * kp - jp <= n
-    return jp == 3 and kp <= n - 1
+    k, j = quasi_complete_params(m)
+    if tag is FamilyTag.C2:
+        return j <= k - 2 and 2 * k - j <= n
+    return j == 3 and k <= n - 1
 
 
 def _build_c1(n: int, m: int) -> Graph:
@@ -123,46 +117,30 @@ def _build_c3(n: int, m: int) -> Graph:
     return disjoint_union(join(Graph.complete(k - 2), Graph.empty(3)), Graph.empty(n - k - 1))
 
 
-def _build_s1(n: int, m: int) -> Graph:
-    if m == 0:
-        return Graph.empty(n)
-    kp, jp = quasi_star_params(n, m)
-    star = join(Graph.complete(1), Graph.empty(jp))
-    inner = disjoint_union(star, Graph.empty(kp - jp))
-    return join(Graph.complete(n - kp - 1), inner)
-
-
-def _build_s2(n: int, m: int) -> Graph:
-    kp, jp = quasi_star_params(n, m)
-    inner = disjoint_union(join(Graph.complete(kp - jp), Graph.empty(kp - 1)), Graph.complete(1))
-    return join(Graph.complete(n - 2 * kp + jp), inner)
-
-
-def _build_s3(n: int, m: int) -> Graph:
-    kp, _ = quasi_star_params(n, m)
-    inner = disjoint_union(Graph.complete(3), Graph.empty(kp - 2))
-    return join(Graph.complete(n - kp - 1), inner)
-
-
 _BUILDERS = {
     FamilyTag.C1: _build_c1,
     FamilyTag.C2: _build_c2,
     FamilyTag.C3: _build_c3,
-    FamilyTag.S1: _build_s1,
-    FamilyTag.S2: _build_s2,
-    FamilyTag.S3: _build_s3,
 }
 
 
 def build_family(n: int, m: int, tag: FamilyTag) -> Graph:
     """The named family member on ``n`` vertices and ``m`` edges.
 
+    An S-side member is the complement of its C-side mirror with every
+    vertex v renamed n-1-v, which puts its universal vertices first.
     Raises FamilyDoesNotExist when the family's side condition fails.
     """
     tag = FamilyTag(tag)
     if not family_exists(n, m, tag):
         raise FamilyDoesNotExist(f"{tag} has no member at n={n}, m={m}")
-    g = _BUILDERS[tag](n, m)
+    c_side = mirror(n, m, tag)
+    if c_side:
+        c_tag, mc = c_side
+        edges = complement(_BUILDERS[c_tag](n, mc)).edges()
+        g = Graph.from_edges(n, [(n - 1 - u, n - 1 - v) for u, v in edges])
+    else:
+        g = _BUILDERS[tag](n, m)
     if (g.n, g.m) != (n, m):
         raise InvariantError(f"builder produced ({g.n},{g.m}) for ({n},{m},{tag})")
     return g

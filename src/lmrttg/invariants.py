@@ -3,6 +3,9 @@
 Everything here is integer arithmetic.  The one half-integer intermediate
 (the ``n - 9/2`` factor in the complement-sum identity) is carried as an
 even product and divided at the end, with the divisibility checked.
+The closed forms are written for the quasi-complete side; each quasi-star
+value follows from its quasi-complete mirror (``families.mirror``) by a
+complementation identity.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ from itertools import combinations
 from math import comb
 
 from .errors import DomainError, FamilyDoesNotExist, InvariantError
-from .families import FamilyTag, family_exists, quasi_complete_params, quasi_star_params
+from .families import FamilyTag, family_exists, mirror, quasi_complete_params
 from .graphs import Graph
 
 
@@ -218,19 +221,18 @@ def quasi_complete_m1(k: int, j: int) -> int:
 
 
 def quasi_star_m1(n: int, kp: int, jp: int) -> int:
-    """First Zagreb index of the quasi-star graph, from its degree data.
+    """First Zagreb index of the quasi-star graph, from its quasi-complete
+    mirror on ``mc = C(k'+1,2) - j'`` edges.
 
+    A vertex of degree d in G has degree n-1-d in the complement, so
+    ``M1(complement) = n(n-1)^2 - 4(n-1)m + M1(G)`` for G with m edges.
     Accepts ``kp = n`` (the empty graph's degenerate parameters), where the
-    formula correctly collapses to zero.
+    mirror is K_n and the value is zero.
     """
     if not (1 <= jp <= kp <= n):
         raise DomainError(f"need 1 <= j' <= k' <= n; got n={n}, k'={kp}, j'={jp}")
-    return (
-        (n - kp - 1 + jp) ** 2
-        + jp * (n - kp) ** 2
-        + (kp - jp) * (n - kp - 1) ** 2
-        + (n - kp - 1) * (n - 1) ** 2
-    )
+    mc = comb(kp + 1, 2) - jp
+    return n * (n - 1) ** 2 - 4 * (n - 1) * mc + quasi_complete_m1(kp, jp)
 
 
 def h_sum_offset(n: int, m: int) -> int:
@@ -242,30 +244,36 @@ def h_sum_offset(n: int, m: int) -> int:
     return 2 * m * m - 6 * comb(n, 3) + (n - 1) ** 2 * comb(n, 2) - 3 * (n - 1) * (n - 3) * m
 
 
-def family_h(n: int, m: int, tag: FamilyTag) -> int:
-    """h-invariant of a family member, by closed form.
-
-    C-side values come from the quasi-complete closed form and the fixed
-    offsets between variants; S-side values use the complement-sum identity
-    (the complement of the quasi-star is the quasi-complete on the
-    complementary edge count).  Raises FamilyDoesNotExist for absent tags.
-    """
-    tag = FamilyTag(tag)
-    if not family_exists(n, m, tag):
-        raise FamilyDoesNotExist(f"{tag} has no member at n={n}, m={m}")
+def _quasi_complete_family_h(m: int, tag: FamilyTag) -> int:
+    """h of the C-side family member on m edges: the quasi-complete closed
+    form plus the fixed offset of the variant."""
     k, j = quasi_complete_params(m)
     if tag is FamilyTag.C1:
         return quasi_complete_h(k, j)
     if tag is FamilyTag.C3:
         return quasi_complete_h(k, j) + 3
-    if tag is FamilyTag.C2:
-        return quasi_complete_h(k, j) - _half((2 * k - 7) * (k - j) * (k - j - 1))
-    kp, jp = quasi_star_params(n, m)
-    mc = comb(n, 2) - m
-    half_m1 = _half((2 * n - 9) * quasi_star_m1(n, kp, jp))  # M1 is always even
-    s1 = half_m1 + h_sum_offset(n, m) - quasi_complete_h(*quasi_complete_params(mc))
-    if tag is FamilyTag.S1:
-        return s1
-    if tag is FamilyTag.S3:
-        return s1 - 3
-    return s1 + _half((2 * kp - 7) * (kp - jp) * (kp - jp - 1))
+    return quasi_complete_h(k, j) - _half((2 * k - 7) * (k - j) * (k - j - 1))
+
+
+def family_h(n: int, m: int, tag: FamilyTag) -> int:
+    """h-invariant of a family member, by closed form.
+
+    An S-side member is the complement of its
+    C-side mirror ``Ci`` on ``mc = C(n,2) - m`` edges, so the complement-sum
+    identity gives ``h(Si) = (n - 9/2) M1(Si) + offset(n, m) - h(Ci)``.
+    ``M1(Si) = M1(S1)`` because C1, C2 and C3 have equal M1: with
+    ``a = k - j`` their degrees are k (a times), k-1 (j times) and a; 2k-j-1,
+    k-1 (k-1 times) and 1 (a times); k (k-2 times) and k-2 (3 times, j = 3);
+    each sum of squares is ``k(k-1)^2 + a(2k-1) + a^2``.  Raises
+    FamilyDoesNotExist for absent tags.
+    """
+    tag = FamilyTag(tag)
+    if not family_exists(n, m, tag):
+        raise FamilyDoesNotExist(f"{tag} has no member at n={n}, m={m}")
+    c_side = mirror(n, m, tag)
+    if c_side:
+        c_tag, mc = c_side
+        half_m1 = _half((2 * n - 9) * quasi_star_m1(n, *quasi_complete_params(mc)))  # M1 is always even
+        return half_m1 + h_sum_offset(n, m) - _quasi_complete_family_h(mc, c_tag)
+    return _quasi_complete_family_h(m, tag)
+

@@ -13,7 +13,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
+from .classify import classify
 from .errors import DomainError
+from .families import FamilyTag, family_exists
+from .invariants import family_h
 
 
 @dataclass(frozen=True)
@@ -226,14 +229,12 @@ def _bounds_at(n: int) -> tuple:
 
 @dataclass(frozen=True)
 class BandBoundsReport:
-    """Outcome of the two band inequalities at one (n, m) pair."""
+    """Outcome of the two band inequalities at one (n, m) pair: ``gap_ok`` is
+    ``h(C1) - h(S1) >= GAP_LOWER(n)``, ``spread_ok`` is
+    ``max |h(Si) - h(Sj)| <= SPREAD_UPPER(n)``."""
 
-    n: int
-    m: int
     gap_ok: bool
     spread_ok: bool
-    gap_margin: QuadNumber  # h(C1) - h(S1) - gap_lower(n) >= 0
-    spread_margin: QuadNumber  # spread_upper(n) - max |h(Si) - h(Sj)| >= 0
 
     @property
     def ok(self) -> bool:
@@ -242,10 +243,6 @@ class BandBoundsReport:
 
 def band_bounds_check(n: int, m: int) -> BandBoundsReport:
     """Verify both polynomial bounds at a central-band pair, exactly."""
-    from .classify import classify
-    from .families import FamilyTag, family_exists
-    from .invariants import family_h
-
     if not classify(n, m).in_J:
         raise DomainError(f"({n},{m}) lies outside the central band")
     gap_lower, spread_upper = _bounds_at(n)
@@ -256,11 +253,4 @@ def band_bounds_check(n: int, m: int) -> BandBoundsReport:
     h_vals = [family_h(n, m, t) for t in s_tags]
     spread = max(abs(x - y) for x in h_vals for y in h_vals)
     spread_margin = spread_upper - QuadNumber.of(spread)
-    return BandBoundsReport(
-        n=n,
-        m=m,
-        gap_ok=gap_margin.sign() >= 0,
-        spread_ok=spread_margin.sign() >= 0,
-        gap_margin=gap_margin,
-        spread_margin=spread_margin,
-    )
+    return BandBoundsReport(gap_ok=gap_margin.sign() >= 0, spread_ok=spread_margin.sign() >= 0)

@@ -85,12 +85,26 @@ def n_vector(tg: TwoTerminalGraph) -> tuple:
     return _nvec(tg.graph.n, tg.s, tg.t, tg.graph.edges())
 
 
-def reliability_at(tg: TwoTerminalGraph, p) -> Fraction:
-    """Exact terminal-connection probability at edge survival rate ``p``."""
-    p = Fraction(p)
+def probability(p) -> Fraction:
+    """``p`` as an exact edge survival probability; DomainError unless it lies in [0, 1]."""
+    try:
+        p = Fraction(p)
+    except ZeroDivisionError:
+        raise DomainError(f"survival probability {p!r} has a zero denominator") from None
     if not 0 <= p <= 1:
         raise DomainError(f"survival probability must lie in [0,1]; got {p}")
-    counts = n_vector(tg)
+    return p
+
+
+def reliability_at(tg: TwoTerminalGraph, p) -> Fraction:
+    """Exact terminal-connection probability at edge survival rate ``p``."""
+    p = probability(p)
+    return reliability_from_counts(n_vector(tg), p)
+
+
+def reliability_from_counts(counts, p: Fraction) -> Fraction:
+    """Exact terminal-connection probability at a survival rate checked by
+    ``probability``, for a graph with coefficient vector ``(N_1, ..., N_m)``."""
     m = len(counts)
     q = 1 - p
     return sum((c * p**i * q ** (m - i) for i, c in enumerate(counts, start=1)), Fraction(0))

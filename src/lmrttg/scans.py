@@ -150,6 +150,14 @@ def verify_seven_pairs() -> ScanReport:
 # ---------------------------------------------------------------------------
 
 
+#: Last n of the central-band tie scan.  The Sturm report isolates the
+#: dominance margin's greatest root in (TIE_SCAN_MAX_N, TIE_SCAN_MAX_N + 1],
+#: so from the next n on the margin decides every tie and the scan can stop.
+TIE_SCAN_MAX_N = 436
+#: Last n of the decomposition-parameter check; ``verify bounds`` clips there.
+DECOMPOSITION_MAX_N = 200
+
+
 def _tie_band_records(n: int) -> list:
     """One record per tie pair in the central band at this n."""
     out = []
@@ -186,7 +194,7 @@ def scan_tie_band(n_lo: int, n_hi: int) -> ScanReport:
     return report
 
 
-def band_decomposition_violations(n_lo: int = 8, n_hi: int = 200) -> list:
+def band_decomposition_violations(n_lo: int = 8, n_hi: int = DECOMPOSITION_MAX_N) -> list:
     """Central-band pairs whose decomposition parameters escape
     (n/sqrt(2) - 2, n/sqrt(2) + 1); checked by exact squared comparisons."""
     bad = []
@@ -371,18 +379,29 @@ def identity_suite(seed: int = 0, samples: int = 1000) -> ScanReport:
 # ---------------------------------------------------------------------------
 
 
+#: Keys of the three facts that ``sturm_passes`` reads.
+_ROOTS_AT_END, _ROOTS_BEYOND, _SIGN_BEYOND = (
+    f"roots_in_{TIE_SCAN_MAX_N}_{TIE_SCAN_MAX_N + 1}",
+    f"roots_in_{TIE_SCAN_MAX_N + 1}_1e6",
+    f"sign_at_{TIE_SCAN_MAX_N + 1}",
+)
+
+
 def sturm_report() -> dict:
-    """Root isolation facts for the dominance margin polynomial."""
-    lo, hi = refine_root(MARGIN, 436, 437, Fraction(1, 10**6))
+    """Root isolation facts for the dominance margin polynomial, on the unit
+    interval that starts where the tie scan ends."""
+    a, b = TIE_SCAN_MAX_N, TIE_SCAN_MAX_N + 1
+    lo, hi = refine_root(MARGIN, a, b, Fraction(1, 10**6))
     return {
-        "roots_in_436_437": count_roots(MARGIN, 436, 437),
-        "roots_in_437_1e6": count_roots(MARGIN, 437, 10**6),
-        "sign_at_437": MARGIN(437).sign(),
+        _ROOTS_AT_END: count_roots(MARGIN, a, b),
+        _ROOTS_BEYOND: count_roots(MARGIN, b, 10**6),
+        _SIGN_BEYOND: MARGIN(b).sign(),
         "greatest_root_bracket": [str(lo), str(hi)],
         "bracket_width": str(hi - lo),
     }
 
 
 def sturm_passes(rep: dict) -> bool:
-    """Pass rule for ``sturm_report``: one root in (436, 437], none in (437, 10^6], positive at 437."""
-    return rep["roots_in_436_437"] == 1 and rep["roots_in_437_1e6"] == 0 and rep["sign_at_437"] > 0
+    """Pass rule for ``sturm_report``: one root in (a, a+1], none in (a+1, 10^6]
+    and positive at a+1, for ``a = TIE_SCAN_MAX_N``."""
+    return rep[_ROOTS_AT_END] == 1 and rep[_ROOTS_BEYOND] == 0 and rep[_SIGN_BEYOND] > 0

@@ -159,6 +159,43 @@ def threshold_sign_oracle(n, m):
     return "-"
 
 
+def quasi_star_oracle(n, m, family):
+    """Edge list of the quasi-star family member ``family`` ("s1", "s2" or
+    "s3") on n vertices and m edges, or None when it does not exist.
+
+    Plain pair lists from the definitions: with ``m = C(n,2) - C(k'+1,2) + j'``
+    and ``1 <= j' <= k'``, the u universal vertices come first, then
+
+    * s1: a star centre with j' leaves, then k' - j' more vertices
+      (u = n - k' - 1; the empty graph at m = 0);
+    * s2: a clique on k' - j' vertices joined to k' - 1 independent
+      vertices, then one more vertex (u = n - 2k' + j', needs j' <= k' - 2);
+    * s3: a triangle, then k' - 2 more vertices (u = n - k' - 1, needs j' = 3).
+    """
+    if m == 0 and family == "s1":
+        return []
+    kp = 1
+    while (kp + 1) * kp // 2 <= n * (n - 1) // 2 - m:
+        kp += 1
+    jp = m - n * (n - 1) // 2 + (kp + 1) * kp // 2
+    if family == "s1":
+        u, cliques, joined = n - kp - 1, [], [([n - kp - 1], range(n - kp, n - kp + jp))]
+    elif family == "s2" and jp <= kp - 2:
+        u = n - 2 * kp + jp
+        block = range(u, u + kp - jp)
+        cliques, joined = [block], [(block, range(u + kp - jp, u + 2 * kp - jp - 1))]
+    elif family == "s3" and jp == 3:
+        u, cliques, joined = n - kp - 1, [range(n - kp - 1, n - kp + 2)], []
+    else:
+        return None
+    if u < 0:
+        return None
+    edges = {(a, b) for a in range(u) for b in range(a + 1, n)}
+    edges |= {(a, b) for block in cliques for a in block for b in block if a < b}
+    edges |= {(a, b) for left, right in joined for a in left for b in right}
+    return sorted(edges)
+
+
 def triangle_oracle(g):
     return sum(
         1

@@ -91,6 +91,18 @@ def test_reliability_command(tmp_path, capsys):
     assert data["n_vector"] == [1, 6, 10, 5, 1]
 
 
+def test_reliability_command_counts_once(tmp_path, capsys, monkeypatch):
+    calls = []
+    nvec = reliability._nvec
+    monkeypatch.setattr(reliability, "_nvec", lambda *a: calls.append(a) or nvec(*a))
+    tg = TwoTerminalGraph(Graph.from_edges(4, [(0, 1), (0, 2), (1, 2), (0, 3), (1, 3)]), 0, 1)
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(to_json_obj(tg)))
+    code, out, _ = run_cli(capsys, "reliability", "--graph", str(path), "--at", "1/3")
+    assert code == 0 and len(calls) == 1
+    assert json.loads(out)["reliability"] == str(reliability.reliability_at(tg, "1/3"))
+
+
 def test_reliability_needs_terminals(tmp_path, capsys):
     path = tmp_path / "g.json"
     path.write_text(json.dumps(to_json_obj(Graph.complete(3))))

@@ -5,7 +5,6 @@ import pytest
 from lmrttg import (
     DomainError,
     FamilyDoesNotExist,
-    FamilyParams,
     FamilyTag,
     Graph,
     build_family,
@@ -35,6 +34,7 @@ def test_quasi_complete_params_examples():
     assert quasi_complete_params(6) == (4, 4)
     assert quasi_complete_params(0) == (1, 1)
     assert quasi_complete_params(12) == (5, 3)
+    assert quasi_complete_params(7) == (4, 3)
     with pytest.raises(DomainError):
         quasi_complete_params(-1)
 
@@ -43,6 +43,7 @@ def test_quasi_star_params_examples():
     assert quasi_star_params(6, 6) == (4, 1)
     assert quasi_star_params(6, 8) == (4, 3)
     assert quasi_star_params(7, 9) == (5, 3)
+    assert quasi_star_params(6, 7) == (4, 2)
     with pytest.raises(DomainError):
         quasi_star_params(5, 11)
 
@@ -59,11 +60,6 @@ def test_decomposition_consistency_exhaustive():
         for m in (comb(big_k, 2) - 1, comb(big_k, 2), comb(big_k + 1, 2) - 1):
             k, j = quasi_complete_params(m)
             assert 1 <= j <= k and m == comb(k + 1, 2) - j
-
-
-def test_family_params_bundle():
-    fp = FamilyParams.from_nm(6, 7)
-    assert (fp.k, fp.j, fp.kp, fp.jp) == (4, 3, 4, 2)
 
 
 def test_build_family_known_graphs():
@@ -137,6 +133,22 @@ def test_complement_duality_of_families():
                         assert graph_key(a) == graph_key(b), (n, m, s_tag)
                     else:
                         assert nx.is_isomorphic(to_networkx(a), to_networkx(b)), (n, m, s_tag)
+
+
+def test_quasi_star_labels_match_the_definitions():
+    # construct prints these exact labels, not just the isomorphism class
+    from oracles import quasi_star_oracle
+
+    members = 0
+    for n in range(13):
+        for m in range(comb(n, 2) + 1):
+            for tag in (FamilyTag.S1, FamilyTag.S2, FamilyTag.S3):
+                edges = quasi_star_oracle(n, m, tag.value)
+                assert family_exists(n, m, tag) == (edges is not None), (n, m, tag)
+                if edges is not None:
+                    assert build_family(n, m, tag).edges() == edges, (n, m, tag)
+                    members += 1
+    assert members == 414
 
 
 def test_h_optimal_examples():

@@ -21,3 +21,22 @@ def test_library_has_no_floats():
     assert len(paths) > 5
     found = [f"{path.name}:{line}: {what}" for path in paths for line, what in _float_uses(path)]
     assert found == []
+
+
+def _function_imports(path):
+    """(function, module) for each import statement inside a function of a source file."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    for fn in ast.walk(tree):
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for node in ast.walk(fn):
+                if isinstance(node, ast.Import):
+                    yield from ((fn.name, alias.name) for alias in node.names)
+                elif isinstance(node, ast.ImportFrom):
+                    yield fn.name, node.module
+
+
+def test_library_imports_at_module_level():
+    # a deferred import hides a module's dependencies; each allowed one gives its reason where it stands
+    allowed = {"scans.py:scan_uniqueness:multiprocessing", "families.py:h_optimal_tag:classify"}
+    found = {f"{path.name}:{fn}:{module}" for path in sorted(SRC.glob("*.py")) for fn, module in _function_imports(path)}
+    assert sorted(found - allowed) == []
