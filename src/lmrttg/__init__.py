@@ -1,6 +1,6 @@
 """Exact construction and verification of locally most reliable two-terminal graphs."""
 
-from .classify import PairClass, Sign, SpectrumParams, classify, spectrum, tie_pairs
+from .classify import Sign, SpectrumParams, classify, spectrum, tie_pairs
 from .errors import DomainError, FamilyDoesNotExist, SizeLimitError
 from .families import (
     FamilyTag,

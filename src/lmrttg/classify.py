@@ -1,12 +1,16 @@
-"""Sign classification of (n, m) pairs by the quasi-star/quasi-complete race.
+"""Sign classification of (n, m) pairs by the quasi-star/quasi-complete race,
+and the central band.
 
-For ``n >= 5`` and ``0 <= m <= C(n,2)``, the pair is classified by the sign
-of ``M1(S1) - M1(C1)``: PLUS when the quasi-star wins, MINUS when the
-quasi-complete wins, TIE on equality.  The sign is decided by that direct
-exact comparison of the two closed forms, nothing else.  ``spectrum(n)``
-reports the threshold data of the published case analysis (the clique
-order ``k``, the regime selector ``q`` and the crossover offset ``r``) as
-exact rationals, for the classification table; it decides no sign.
+For ``n >= 5`` and ``0 <= m <= C(n,2)``, ``classify`` returns the sign of
+``M1(S1) - M1(C1)``: PLUS when the quasi-star wins, MINUS when the
+quasi-complete wins, TIE on equality, decided by that direct exact
+comparison of the two closed forms, nothing else.  The central band J, the
+hard case of the analysis, is ``m in central_band(n)``; it starts at
+``n = BAND_MIN_N``, and every band scan takes its n range from
+``band_n_range``.  ``spectrum(n)`` reports the threshold data of the
+published case analysis (the clique order ``k``, the regime selector ``q``
+and the crossover offset ``r``) as exact rationals, for the classification
+table; it decides no sign.
 """
 
 from __future__ import annotations
@@ -64,55 +68,46 @@ def spectrum(n: int) -> SpectrumParams:
     return SpectrumParams(k=k, q=q, r=r)
 
 
-@dataclass(frozen=True)
-class PairClass:
-    n: int
-    m: int
-    in_I: bool
-    in_J: bool
-    sign: object  # Sign | None
-    m1_s1: object  # int | None
-    m1_c1: object  # int | None
+#: Smallest n of the central band J.  Below it every tie is a near-trivial
+#: edge count or one of the seven exceptional pairs at n in 5..7.
+BAND_MIN_N = 8
 
 
 @lru_cache(maxsize=None)
 def central_band(n: int) -> range:
-    """The edge counts within n/2 of half the possible edges: ``C(n,2) - n
-    <= 2m <= C(n,2) + n``, clipped to ``0..C(n,2)``."""
+    """The central band J at n: the edge counts within n/2 of half the
+    possible edges, ``C(n,2) - n <= 2m <= C(n,2) + n``.  Empty for
+    ``n < BAND_MIN_N``."""
+    if n < BAND_MIN_N:
+        return range(0)
     c = comb(n, 2)
-    return range(max(0, (c - n + 1) // 2), min(c, (c + n) // 2) + 1)
+    return range((c - n + 1) // 2, (c + n) // 2 + 1)
 
 
-def classify(n: int, m: int) -> PairClass:
-    """Exact classification of the pair (n, m).
-
-    ``in_I`` means n >= 5 with m in range; ``in_J`` means n >= 8 with m
-    within n/2 of half the possible edges.  Outside the valid edge range
-    everything is None/False.
-    """
-    c = comb(n, 2) if n >= 0 else -1
-    valid = n >= 1 and 0 <= m <= c
-    m1s = m1c = sign = None
-    if valid:
-        m1c = quasi_complete_m1(*quasi_complete_params(m))
-        m1s = quasi_star_m1(n, *quasi_star_params(n, m))
-    in_i = n >= 5 and valid
-    if in_i:
-        if m1s == m1c:
-            sign = Sign.TIE
-        else:
-            sign = Sign.PLUS if m1s > m1c else Sign.MINUS
-    in_j = n >= 8 and m in central_band(n)
-    return PairClass(n=n, m=m, in_I=in_i, in_J=in_j, sign=sign, m1_s1=m1s, m1_c1=m1c)
+def band_n_range(n_lo: int, n_hi: int) -> range:
+    """The n range ``n_lo..n_hi`` of a central-band scan; raises DomainError
+    unless ``BAND_MIN_N <= n_lo <= n_hi``."""
+    if not BAND_MIN_N <= n_lo <= n_hi:
+        raise DomainError(f"need {BAND_MIN_N} <= n_lo <= n_hi; got {n_lo}..{n_hi}")
+    return range(n_lo, n_hi + 1)
 
 
-def tie_pairs(n: int, include_trivial: bool = True) -> list:
-    """All m with a first-Zagreb tie at this n, optionally dropping the
-    near-empty/near-complete ones."""
+def classify(n: int, m: int) -> Sign | None:
+    """The sign of ``M1(S1) - M1(C1)`` at (n, m), exactly: a Sign, or None
+    for ``n < 5`` or m outside ``0..C(n,2)``."""
+    if n < 5 or not 0 <= m <= comb(n, 2):
+        return None
+    m1c = quasi_complete_m1(*quasi_complete_params(m))
+    m1s = quasi_star_m1(n, *quasi_star_params(n, m))
+    if m1s == m1c:
+        return Sign.TIE
+    return Sign.PLUS if m1s > m1c else Sign.MINUS
+
+
+def tie_pairs(n: int) -> list:
+    """All m with a first-Zagreb tie at this n, except the near-empty and
+    near-complete ones (``trivial_tie_ms``)."""
     if n < 5:
         raise DomainError(f"tie classification needs n >= 5; got {n}")
-    out = [m for m in range(comb(n, 2) + 1) if classify(n, m).sign is Sign.TIE]
-    if not include_trivial:
-        skip = trivial_tie_ms(n)
-        out = [m for m in out if m not in skip]
-    return out
+    skip = trivial_tie_ms(n)
+    return [m for m in range(comb(n, 2) + 1) if m not in skip and classify(n, m) is Sign.TIE]

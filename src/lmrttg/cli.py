@@ -14,7 +14,7 @@ import sys
 import time
 from math import comb
 
-from .classify import Sign, classify, spectrum
+from .classify import BAND_MIN_N, Sign, central_band, classify, spectrum
 from .errors import DomainError, FamilyDoesNotExist, InvariantError, SizeLimitError
 from .families import (
     FamilyTag,
@@ -29,11 +29,9 @@ from .graphs import TwoTerminalGraph, from_json, to_dot, to_json_obj
 from .invariants import invariant_bundle
 from .reliability import n_vector, probability, reliability_from_counts
 from .scans import (
-    DECOMPOSITION_MAX_N,
     TIE_SCAN_MAX_N,
     ScanReport,
     band_bounds_report,
-    band_decomposition_violations,
     brute_record,
     identity_suite,
     scan_tie_band,
@@ -98,10 +96,10 @@ def _cmd_classify(args) -> int:
     for n in range(n_lo, n_hi + 1):
         sp = spectrum(n) if n >= 5 else None
         for m in range(comb(n, 2) + 1):
-            pc = classify(n, m)
-            if args.istar_only and pc.sign is not Sign.TIE:
+            sign = classify(n, m)
+            if args.istar_only and sign is not Sign.TIE:
                 continue
-            values = (n, m, str(pc.sign) if pc.sign else "", int(pc.in_J))
+            values = (n, m, str(sign) if sign else "", int(m in central_band(n)))
             values += quasi_complete_params(m) + quasi_star_params(n, m)
             values += (sp.k, str(sp.q), str(sp.r)) if sp else ("", "", "")
             rows.append(dict(zip(_CLASSIFY_COLUMNS, values)))
@@ -161,14 +159,6 @@ def _check_brute(args) -> tuple:
 def _check_sturm(args) -> tuple:
     rep = sturm_report()
     return rep, sturm_passes(rep)
-
-
-def _bounds(args) -> ScanReport:
-    report = band_bounds_report(args.from_n, args.to_n)
-    violations = band_decomposition_violations(args.from_n, min(args.to_n, DECOMPOSITION_MAX_N))
-    if violations:
-        report.records.append({"check": "decomposition bounds", "violations": violations, "ok": False})
-    return report
 
 
 def _cmd_verify(args) -> int:
@@ -245,7 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify("seven-pairs", "the seven exceptional tie pairs", lambda a: verify_seven_pairs(), aliases=["lemma7"])
 
     p = verify("istar-scan", "central-band dominance scan", lambda a: scan_tie_band(a.from_n, a.to_n))
-    p.add_argument("--from", dest="from_n", type=int, default=8)
+    p.add_argument("--from", dest="from_n", type=int, default=BAND_MIN_N)
     p.add_argument("--to", dest="to_n", type=int, default=TIE_SCAN_MAX_N)
 
     p = verify(
@@ -269,8 +259,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--samples", type=int, default=1000)
 
-    p = verify("bounds", "polynomial bounds on the central band", _bounds)
-    p.add_argument("--from", dest="from_n", type=int, default=8)
+    p = verify("bounds", "polynomial bounds on the central band", lambda a: band_bounds_report(a.from_n, a.to_n))
+    p.add_argument("--from", dest="from_n", type=int, default=BAND_MIN_N)
     p.add_argument("--to", dest="to_n", type=int, default=60)
 
     p = verify("all", "run the single verifications above in turn", None)

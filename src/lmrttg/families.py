@@ -185,15 +185,15 @@ def h_optimal_tag(n: int, m: int) -> FamilyTag:
     seven exceptional pairs, and to the C-side inside the central band.
     On the C-side, ``C3`` wins when it exists, else ``C1``.
     """
-    from .classify import Sign, classify  # deferred: classify builds on this module's params
+    from .classify import Sign, central_band, classify  # deferred: classify builds on this module's params
 
     _check_range(n, m)
     if n < 1:
         raise DomainError("need at least one vertex")
     if n <= 4:
         return FamilyTag.S1
-    pc = classify(n, m)
-    if pc.sign is Sign.PLUS:
+    sign = classify(n, m)
+    if sign is Sign.PLUS:
         if not family_exists(n, m, FamilyTag.S2):
             return FamilyTag.S1
         # the S2-over-S1 gap has sign k'-7/2; k'=3 only happens at the
@@ -201,7 +201,7 @@ def h_optimal_tag(n: int, m: int) -> FamilyTag:
         if quasi_star_params(n, m)[0] < 4:
             raise InvariantError(f"S2 branch reached with k' < 4 at ({n},{m})")
         return FamilyTag.S2
-    if pc.sign is Sign.MINUS:
+    if sign is Sign.MINUS:
         # m=5 would flip the C2/C1 order, but (n,5) is never on this branch
         if m == 5:
             raise InvariantError(f"C-side branch reached at m = 5 for n={n}")
@@ -212,7 +212,7 @@ def h_optimal_tag(n: int, m: int) -> FamilyTag:
             return FamilyTag.S1
         if (n, m) in SEVEN_PAIR_TAGS:
             return SEVEN_PAIR_TAGS[(n, m)]
-        if not pc.in_J:
+        if m not in central_band(n):
             raise InvariantError(f"unclassified tie pair ({n},{m})")
     return FamilyTag.C3 if family_exists(n, m, FamilyTag.C3) else FamilyTag.C1
 

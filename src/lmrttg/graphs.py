@@ -71,14 +71,8 @@ class Graph:
             self._m = sum(row.bit_count() for row in self.rows) // 2
         return self._m
 
-    def degree(self, v: int) -> int:
-        return self.rows[v].bit_count()
-
     def degrees(self) -> tuple:
         return tuple(row.bit_count() for row in self.rows)
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return bool((self.rows[u] >> v) & 1)
 
     def edges(self) -> list:
         """All edges as sorted ``(u, v)`` pairs with ``u < v``."""

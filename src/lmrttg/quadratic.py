@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .classify import classify
+from .classify import central_band
 from .errors import DomainError
 from .families import FamilyTag, family_exists
 from .invariants import family_h
@@ -243,7 +243,7 @@ class BandBoundsReport:
 
 def band_bounds_check(n: int, m: int) -> BandBoundsReport:
     """Verify both polynomial bounds at a central-band pair, exactly."""
-    if not classify(n, m).in_J:
+    if m not in central_band(n):
         raise DomainError(f"({n},{m}) lies outside the central band")
     gap_lower, spread_upper = _bounds_at(n)
     h_c1 = family_h(n, m, FamilyTag.C1)

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
 
-from .classify import Sign, central_band, classify, tie_pairs
+from .classify import Sign, band_n_range, central_band, classify, tie_pairs
 from .errors import DomainError, SizeLimitError
 from .families import (
     SEVEN_PAIR_TAGS,
@@ -23,6 +23,7 @@ from .families import (
     candidate_set,
     family_exists,
     h_optimal_tag,
+    mirror,
     quasi_complete_params,
     quasi_star_params,
 )
@@ -34,6 +35,8 @@ from .invariants import (
     h_sum_offset,
     invariant_bundle,
     max_m1_sequences,
+    quasi_complete_m1,
+    quasi_star_m1,
     realisations,
     zagreb1,
 )
@@ -114,7 +117,7 @@ def verify_seven_pairs() -> ScanReport:
     """
     report = ScanReport(scope="seven exceptional pairs")
     expected_pairs = sorted(SEVEN_PAIR_TAGS)
-    found_pairs = [(n, m) for n in (5, 6, 7) for m in tie_pairs(n, include_trivial=False)]
+    found_pairs = [(n, m) for n in (5, 6, 7) for m in tie_pairs(n)]
     pairs_ok = found_pairs == expected_pairs
     report.records.append(
         {"check": "tie pair list", "expected": str(expected_pairs), "found": str(found_pairs), "ok": pairs_ok}
@@ -154,7 +157,7 @@ def verify_seven_pairs() -> ScanReport:
 #: dominance margin's greatest root in (TIE_SCAN_MAX_N, TIE_SCAN_MAX_N + 1],
 #: so from the next n on the margin decides every tie and the scan can stop.
 TIE_SCAN_MAX_N = 436
-#: Last n of the decomposition-parameter check; ``verify bounds`` clips there.
+#: Last n of the decomposition-parameter check; ``band_bounds_report`` clips there.
 DECOMPOSITION_MAX_N = 200
 
 
@@ -162,7 +165,7 @@ def _tie_band_records(n: int) -> list:
     """One record per tie pair in the central band at this n."""
     out = []
     for m in central_band(n):
-        if classify(n, m).sign is not Sign.TIE:
+        if classify(n, m) is not Sign.TIE:
             continue
         h_by_tag = {t: family_h(n, m, t) for t in FamilyTag if family_exists(n, m, t)}
         expected = h_optimal_tag(n, m)
@@ -185,20 +188,18 @@ def scan_tie_band(n_lo: int, n_hi: int) -> ScanReport:
     """For every central-band tie pair, check that the construction's choice
     (``h_optimal_tag``) wins strictly over all other candidates (closed
     forms)."""
-    if not 8 <= n_lo <= n_hi:
-        raise DomainError(f"need 8 <= n_lo <= n_hi; got {n_lo}..{n_hi}")
     report = ScanReport(scope=f"central-band ties, n in {n_lo}..{n_hi}")
-    for n in range(n_lo, n_hi + 1):
+    for n in band_n_range(n_lo, n_hi):
         report.records.extend(_tie_band_records(n))
     report.pairs_scanned = len(report.records)
     return report
 
 
-def band_decomposition_violations(n_lo: int = 8, n_hi: int = DECOMPOSITION_MAX_N) -> list:
+def band_decomposition_violations(n_lo: int, n_hi: int) -> list:
     """Central-band pairs whose decomposition parameters escape
     (n/sqrt(2) - 2, n/sqrt(2) + 1); checked by exact squared comparisons."""
     bad = []
-    for n in range(n_lo, n_hi + 1):
+    for n in band_n_range(n_lo, n_hi):
         for m in central_band(n):
             k, _ = quasi_complete_params(m)
             kp, _ = quasi_star_params(n, m)
@@ -210,17 +211,21 @@ def band_decomposition_violations(n_lo: int = 8, n_hi: int = DECOMPOSITION_MAX_N
     return bad
 
 
-def band_bounds_report(n_lo: int = 8, n_hi: int = 60) -> ScanReport:
-    """Exact polynomial-bound checks on every central-band pair."""
-    if not 8 <= n_lo <= n_hi:
-        raise DomainError(f"need 8 <= n_lo <= n_hi; got {n_lo}..{n_hi}")
+def band_bounds_report(n_lo: int, n_hi: int) -> ScanReport:
+    """Exact polynomial-bound checks on every central-band pair, then the
+    decomposition-parameter check on the part of the range up to
+    ``DECOMPOSITION_MAX_N``, as one record listing its violations."""
     report = ScanReport(scope=f"band polynomial bounds, n in {n_lo}..{n_hi}")
-    for n in range(n_lo, n_hi + 1):
+    for n in band_n_range(n_lo, n_hi):
         for m in central_band(n):
             chk = band_bounds_check(n, m)
             report.pairs_scanned += 1
             if not chk.ok:
                 report.records.append({"n": n, "m": m, "gap_ok": chk.gap_ok, "spread_ok": chk.spread_ok, "ok": False})
+    if n_lo <= DECOMPOSITION_MAX_N:
+        violations = band_decomposition_violations(n_lo, min(n_hi, DECOMPOSITION_MAX_N))
+        if violations:
+            report.records.append({"check": "decomposition bounds", "violations": violations, "ok": False})
     return report
 
 
@@ -329,7 +334,10 @@ def _p4_by_walk(g: Graph) -> int:
     return total
 
 
-def _identity_failures(g: Graph) -> list:
+def _identity_failures(g: Graph, tag: FamilyTag = None) -> list:
+    """The identities that fail on g.  With a ``tag``, g is that family's
+    member on (g.n, g.m), and the closed forms of its h and M1 are checked
+    against the bundle too."""
     fails = []
     b = invariant_bundle(g)
     bc = invariant_bundle(complement(g))
@@ -344,6 +352,15 @@ def _identity_failures(g: Graph) -> list:
         fails.append("complement-sum identity")
     if complement_residuals(g.n, b, bc) != (0, 0, 0):
         fails.append("complementation identities")
+    if tag is not None:
+        if family_h(g.n, g.m, tag) != b.h_value:
+            fails.append("family h closed form")
+        if mirror(g.n, g.m, tag) is None:
+            m1 = quasi_complete_m1(*quasi_complete_params(g.m))
+        else:
+            m1 = quasi_star_m1(g.n, *quasi_star_params(g.n, g.m))
+        if m1 != b.m1:
+            fails.append("M1 closed form")
     return fails
 
 
@@ -366,7 +383,7 @@ def identity_suite(seed: int = 0, samples: int = 1000) -> ScanReport:
     for n in range(5, IDENTITY_FAMILY_MAX_N + 1):
         for m in range(comb(n, 2) + 1):
             for tag, g in candidate_set(n, m):
-                fails = _identity_failures(g)
+                fails = _identity_failures(g, tag)
                 checked += 1
                 if fails:
                     report.records.append({"n": n, "m": m, "tag": str(tag), "failed": fails, "ok": False})

@@ -196,28 +196,36 @@ def quasi_star_oracle(n, m, family):
     return sorted(edges)
 
 
+def _adjacency(g):
+    """Neighbour sets of g, from its edge list."""
+    adj = {v: set() for v in range(g.n)}
+    for u, v in g.edges():
+        adj[u].add(v)
+        adj[v].add(u)
+    return adj
+
+
 def triangle_oracle(g):
-    return sum(
-        1
-        for a, b, c in combinations(range(g.n), 3)
-        if g.has_edge(a, b) and g.has_edge(a, c) and g.has_edge(b, c)
-    )
+    adj = _adjacency(g)
+    return sum(1 for a, b, c in combinations(range(g.n), 3) if b in adj[a] and c in adj[a] and c in adj[b])
 
 
 def p3_oracle(g):
+    adj = _adjacency(g)
     total = 0
     for mid in range(g.n):
         others = [v for v in range(g.n) if v != mid]
         for a, b in combinations(others, 2):
-            if g.has_edge(a, mid) and g.has_edge(mid, b):
+            if a in adj[mid] and b in adj[mid]:
                 total += 1
     return total
 
 
 def p4_oracle(g):
+    adj = _adjacency(g)
     total = 0
     for a, b, c, d in permutations(range(g.n), 4):
-        if a < d and g.has_edge(a, b) and g.has_edge(b, c) and g.has_edge(c, d):
+        if a < d and b in adj[a] and c in adj[b] and d in adj[c]:
             total += 1
     return total
 

@@ -32,6 +32,7 @@ from lmrttg import (
     verify_seven_pairs,
     zagreb1,
 )
+from lmrttg.classify import central_band
 from lmrttg.scans import _tie_band_records
 from oracles import m1_race_oracle, threshold_sign_oracle
 
@@ -130,12 +131,12 @@ def test_criterion_6_classification_agreement():
     t0 = time.perf_counter()
     sp7 = spectrum(7)
     ok = (sp7.k, sp7.q, sp7.r) == (5, Fraction(-4), Fraction(3, 2))
-    ok = ok and tie_pairs(7, include_trivial=False) == [9, 12]
+    ok = ok and tie_pairs(7) == [9, 12]
     for n in range(5, 61):
         c = comb(n, 2)
         race = m1_race_oracle(n)
         for m in range(c + 1):
-            sign = str(classify(n, m).sign)
+            sign = str(classify(n, m))
             ok = ok and race[m] == sign and threshold_sign_oracle(n, m) == sign
             # the coarse rule: outside the central band, + iff below the midpoint
             if n >= 6 and 4 <= m <= c - 4 and not c - n <= 2 * m <= c + n:
@@ -175,7 +176,7 @@ def test_criterion_9_band_polynomial_bounds():
     for n in range(8, 61):
         c = comb(n, 2)
         for m in range((c - n + 1) // 2, (c + n) // 2 + 1):
-            if not classify(n, m).in_J:
+            if m not in central_band(n):
                 continue
             chk = band_bounds_check(n, m)
             checked += 1

@@ -6,12 +6,14 @@ import pytest
 from lmrttg import (
     DomainError,
     classify,
+    quasi_complete_m1,
     quasi_complete_params,
+    quasi_star_m1,
     quasi_star_params,
     spectrum,
     tie_pairs,
 )
-from lmrttg.classify import Sign
+from lmrttg.classify import BAND_MIN_N, Sign, central_band
 from lmrttg.families import trivial_tie_ms
 from oracles import m1_race_oracle, threshold_sign_oracle
 
@@ -44,32 +46,40 @@ def test_spectrum_defining_relations():
         assert sp.q == Fraction(1 - 2 * (2 * sp.k - 3) ** 2 + (2 * n - 5) ** 2, 4)
 
 
+def m1_pair(n, m):
+    """``(M1(S1), M1(C1))`` at (n, m), from the closed forms."""
+    return quasi_star_m1(n, *quasi_star_params(n, m)), quasi_complete_m1(*quasi_complete_params(m))
+
+
 def test_classify_examples():
-    assert classify(6, 7).sign is Sign.TIE
-    pc = classify(6, 5)
-    assert pc.sign is Sign.PLUS and (pc.m1_s1, pc.m1_c1) == (30, 26)
-    assert classify(5, 5).sign is Sign.TIE  # the midpoint m = C(5,2)/2
+    assert classify(6, 7) is Sign.TIE
+    assert classify(6, 5) is Sign.PLUS and m1_pair(6, 5) == (30, 26)
+    assert classify(5, 5) is Sign.TIE  # the midpoint m = C(5,2)/2
     assert 2 * 5 == comb(5, 2)
 
 
 def test_classify_outside_range():
-    pc = classify(4, 5)
-    assert not pc.in_I and pc.sign is None and pc.m1_s1 is not None
-    pc = classify(5, 11)
-    assert not pc.in_I and pc.m1_s1 is None
+    # n < 5: the closed forms exist but no sign is given
+    assert classify(4, 5) is None and m1_pair(4, 5) == (26, 26)
+    # m above C(n,2): no decomposition exists
+    assert classify(5, 11) is None
+    with pytest.raises(DomainError):
+        quasi_star_params(5, 11)
 
 
 def test_band_membership():
-    assert classify(8, 10).in_J and classify(8, 18).in_J
-    assert not classify(8, 9).in_J
-    assert not classify(7, 10).in_J  # band needs n >= 8
+    assert 10 in central_band(8) and 18 in central_band(8)
+    assert 9 not in central_band(8) and 19 not in central_band(8)
+    assert BAND_MIN_N == 8
+    assert central_band(7) == range(0)  # the band starts at n = BAND_MIN_N
 
 
 def test_tie_pairs_filtered():
-    assert tie_pairs(5, include_trivial=False) == [5]
-    assert tie_pairs(6, include_trivial=False) == [6, 7, 8, 9]
-    assert tie_pairs(7, include_trivial=False) == [9, 12]
-    assert set(tie_pairs(6)) >= set(trivial_tie_ms(6))
+    assert tie_pairs(5) == [5]
+    assert tie_pairs(6) == [6, 7, 8, 9]
+    assert tie_pairs(7) == [9, 12]
+    # the left-out edge counts are ties too
+    assert all(classify(6, m) is Sign.TIE for m in trivial_tie_ms(6))
 
 
 def test_moptimal_examples():
@@ -92,7 +102,7 @@ def test_predictions_agree_with_exact_classification():
     for n in range(5, 26):
         race = m1_race_oracle(n)
         for m in range(comb(n, 2) + 1):
-            sign = str(classify(n, m).sign)
+            sign = str(classify(n, m))
             assert race[m] == sign, (n, m)
             assert threshold_sign_oracle(n, m) == sign, (n, m)
             if n >= 6:
@@ -102,8 +112,7 @@ def test_predictions_agree_with_exact_classification():
 
 def test_boundary_ties_missed_by_published_side_condition():
     # at n = 8 both constructions hit first Zagreb index 80 at m = alpha = 10
-    pc = classify(8, 10)
-    assert pc.sign is Sign.TIE and pc.m1_s1 == pc.m1_c1 == 80
+    assert classify(8, 10) is Sign.TIE and m1_pair(8, 10) == (80, 80)
     assert threshold_sign_oracle(8, 10) == "="
     assert threshold_sign_oracle(8, 18) == "="
 
@@ -113,7 +122,7 @@ def test_sign_flips_under_complementation():
     for n in range(5, 26):
         c = comb(n, 2)
         for m in range(c + 1):
-            assert classify(n, c - m).sign is flip[classify(n, m).sign], (n, m)
+            assert classify(n, c - m) is flip[classify(n, m)], (n, m)
 
 
 def test_band_decomposition_bounds_exact():
@@ -122,7 +131,7 @@ def test_band_decomposition_bounds_exact():
     for n in range(8, 101):
         c = comb(n, 2)
         for m in range((c - n + 1) // 2, (c + n) // 2 + 1):
-            if not classify(n, m).in_J:
+            if m not in central_band(n):
                 continue
             for val in (quasi_complete_params(m)[0], quasi_star_params(n, m)[0]):
                 assert n * n < 2 * (val + 2) ** 2, (n, m, val)

@@ -12,9 +12,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lmrttg import Graph, TwoTerminalGraph, cli, families, reliability
+from lmrttg import Graph, TwoTerminalGraph, cli, families, reliability, scans
+from lmrttg.classify import BAND_MIN_N
 from lmrttg.cli import main
 from lmrttg.graphs import to_json_obj, vertex_pairs
+from lmrttg.scans import TIE_SCAN_MAX_N
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -294,6 +296,13 @@ def test_verify_all_desk_scale(capsys):
     assert "FAIL" not in out
 
 
+def test_band_scan_defaults_come_from_their_constants():
+    parser = cli.build_parser()
+    istar = parser.parse_args(["verify", "istar-scan"])
+    assert (istar.from_n, istar.to_n) == (BAND_MIN_N, TIE_SCAN_MAX_N)
+    assert parser.parse_args(["verify", "bounds"]).from_n == BAND_MIN_N
+
+
 def test_verify_all_md_is_the_single_checks_in_turn(capsys):
     singles = [
         ("seven-pairs",),
@@ -315,7 +324,7 @@ def test_verify_all_md_is_the_single_checks_in_turn(capsys):
 
 def test_verify_all_json_is_one_document_with_the_decomposition_check(capsys, monkeypatch):
     # a planted decomposition violation must reach the bounds report and the overall verdict
-    monkeypatch.setattr(cli, "band_decomposition_violations", lambda lo, hi: [(lo, 0, 0)])
+    monkeypatch.setattr(scans, "band_decomposition_violations", lambda lo, hi: [(lo, 0, 0)])
     code, out, _ = run_cli(capsys, "verify", "all", "--max-n", "4", "--jobs", "1", "--format", "json", "--no-meta")
     doc = json.loads(out)
     assert code == 1 and doc["verdict"] == "fail"

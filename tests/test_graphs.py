@@ -74,7 +74,7 @@ def test_degree_sum_is_twice_edges_randomized():
         degs = g.degrees()
         assert sum(degs) == 2 * g.m
         assert all(d <= max(g.n - 1, 0) for d in degs)
-        assert all(g.has_edge(u, v) == g.has_edge(v, u) for u in range(g.n) for v in range(g.n))
+        assert all((g.rows[u] >> v) & 1 == (g.rows[v] >> u) & 1 for u in range(g.n) for v in range(g.n))
 
 
 def test_construction_validation():

@@ -143,8 +143,27 @@ def test_identity_suite_deterministic_and_green():
     assert a.records == b.records == []
 
 
+def test_identity_suite_checks_the_family_closed_forms(monkeypatch):
+    # a wrong C3 offset and a wrong quasi-star M1 each fail the family graphs they touch
+    real_h = scans.family_h
+    monkeypatch.setattr(scans, "family_h", lambda n, m, t: real_h(n, m, t) + 2 * (t is FamilyTag.C3))
+    monkeypatch.setattr(scans, "quasi_star_m1", lambda n, kp, jp: -1)
+    rep = identity_suite(seed=0, samples=0)
+    fails = {(r["tag"], f) for r in rep.records for f in r["failed"]}
+    assert fails == {("c3", "family h closed form")} | {(t, "M1 closed form") for t in ("s1", "s2", "s3")}
+    assert rep.pairs_scanned == 796
+
+
 def test_band_decomposition_violations_empty():
     assert band_decomposition_violations(8, 60) == []
+
+
+@pytest.mark.parametrize("scan", [scan_tie_band, band_bounds_report, band_decomposition_violations])
+@pytest.mark.parametrize("n_lo, n_hi", [(1, 7), (9, 8)])
+def test_band_scans_reject_ranges_outside_the_band(scan, n_lo, n_hi):
+    # below the band's first n, or descending: nothing would be checked
+    with pytest.raises(DomainError):
+        scan(n_lo, n_hi)
 
 
 def test_band_bounds_report_small():
