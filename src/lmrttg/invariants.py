@@ -5,13 +5,14 @@ Everything here is integer arithmetic.  The one half-integer intermediate
 even product and divided at the end, with the divisibility checked.
 The closed forms are written for the quasi-complete side; each quasi-star
 value follows from its quasi-complete mirror (``families.mirror``) by a
-complementation identity.
+complementation identity.  ``max_m1_graphs`` is the first-Zagreb argmax
+engine: every maximizer over the graphs with n vertices and m edges is a
+threshold graph, so it enumerates the threshold graphs' dominating sets.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from math import comb
 
 from .errors import DomainError, FamilyDoesNotExist, InvariantError
@@ -24,94 +25,53 @@ def zagreb1(g: Graph) -> int:
     return sum(d * d for d in g.degrees())
 
 
-def _sequences(total: int, length: int, cap: int):
-    """Non-increasing tuples of ``length`` integers in ``0..cap`` summing to ``total``."""
-    if length == 0:
-        if total == 0:
-            yield ()
-        return
-    for first in range(min(cap, total), -1, -1):
-        if first * length < total:
-            return
-        for rest in _sequences(total - first, length - 1, first):
-            yield (first,) + rest
+def max_m1_graphs(n: int, m: int) -> tuple:
+    """``(max M1, argmax graphs)`` over the graphs on n vertices and m edges,
+    with one threshold graph for each isomorphism class of maximizers.
 
-
-def _erdos_gallai(seq) -> bool:
-    """Whether a non-increasing sequence with even sum is the degree sequence
-    of a simple graph: ``d_1 + ... + d_k <= k(k-1) + sum_{i>k} min(d_i, k)``
-    for every k (Erdős & Gallai 1960)."""
-    head = 0
-    for k in range(1, len(seq) + 1):
-        head += seq[k - 1]
-        tail = 0
-        for d in seq[k:]:
-            tail += d if d < k else k
-        if head > k * (k - 1) + tail:
-            return False
-    return True
-
-
-def max_m1_sequences(n: int, m: int) -> tuple:
-    """``(max M1, argmax sequences)`` over the graphs on n vertices and m edges.
-
-    M1 is a function of the degree sequence, and the Erdős–Gallai test is an
-    iff, so the maximum over the graphical non-increasing sequences of length
-    n, entries at most ``n-1`` and sum ``2m`` is the maximum over the graphs.
-    The argmax sequences come in decreasing lexicographic order.
+    A threshold graph adds the vertices 0..n-1 in turn, each isolated or
+    joined to every earlier vertex.  With D the set of dominating vertices
+    (vertex 0 is the same either way, so D lies in {1..n-1}), vertex v has
+    degree ``v*[v in D] + #{u in D : u > v}`` and the graph has ``sum(D)``
+    edges.  Every maximizer G is such a graph.  If ``d_u >= d_v`` and v has
+    a neighbour y outside N[u], replacing edge vy by uy changes M1 by
+    ``2(d_u - d_v) + 2 > 0``.  So with w of largest degree in G, a vertex
+    outside N[w] is no one's neighbour: G has a dominating or an isolated
+    vertex.  Deleting it leaves a maximizer on n-1 vertices, since M1(G)
+    grows with M1 of the rest, and by induction G is built as above with
+    that vertex last.  Distinct sets give distinct degree sequences: the
+    zeros are exactly the vertices after ``t = max(D)``, vertex t has
+    degree t, and removing both and lowering the rest by one leaves the
+    sequence of ``D - {t}``.  So the maximizers of one degree sequence are
+    all isomorphic, and each class is one set D.  The sets are enumerated
+    largest element first, stopping once ``1 + ... + i`` falls short of
+    the edges still to place.
     """
     if n < 1 or not 0 <= m <= comb(n, 2):
         raise DomainError(f"need n >= 1 and 0 <= m <= C(n,2); got n={n}, m={m}")
+
+    def dominating_sets(rem, top):
+        if rem == 0:
+            yield ()
+        for i in range(min(top, rem), 0, -1):
+            if i * (i + 1) // 2 < rem:
+                return
+            for rest in dominating_sets(rem - i, i - 1):
+                yield (i,) + rest
+
     best, argmax = -1, []
-    for seq in _sequences(2 * m, n, n - 1):
-        m1 = sum(d * d for d in seq)
-        if m1 < best or not _erdos_gallai(seq):
+    for dom in dominating_sets(m, n - 1):
+        later, m1 = 0, 0
+        for v in range(n - 1, -1, -1):
+            d = later + (v if v in dom else 0)
+            m1 += d * d
+            later += v in dom
+        if m1 < best:
             continue
         if m1 > best:
             best, argmax = m1, []
-        argmax.append(seq)
+        argmax.append(Graph.from_edges(n, [(u, v) for v in dom for u in range(v)]))
     return best, argmax
-
-
-def realisations(degrees):
-    """Every labeled graph whose degree vector is exactly ``degrees``, each once.
-
-    Vertices are settled in index order: vertex v takes the rest of its
-    degree as a set of neighbours among the later vertices that still need
-    edges.  Those sets are v's edges to later vertices, so distinct choices
-    give distinct graphs, and each graph with this vector is reached by
-    choosing its own neighbour sets.  A vertex is entered only while the
-    needs of the vertices from it on form a graphical sequence: by
-    Erdős–Gallai that holds iff some graph on them completes the choices
-    made so far, so no branch of the search is a dead end.
-    """
-    n = len(degrees)
-    if any(not 0 <= d < n for d in degrees):
-        raise DomainError(f"degrees must lie in 0..{n - 1}; got {tuple(degrees)}")
-    need = list(degrees)
-    rows = [0] * n
-
-    def settle(v):
-        rest = sorted((d for d in need[v:] if d), reverse=True)
-        if sum(rest) % 2 or not _erdos_gallai(rest):
-            return
-        if v == n:
-            yield Graph(n, rows)
-            return
-        earlier = rows[v]
-        later = [u for u in range(v + 1, n) if need[u]]
-        for nbrs in combinations(later, need[v]):
-            for u in nbrs:
-                need[u] -= 1
-                rows[u] |= 1 << v
-            rows[v] = earlier | sum(1 << u for u in nbrs)
-            yield from settle(v + 1)
-            for u in nbrs:
-                need[u] += 1
-                rows[u] ^= 1 << v
-        rows[v] = earlier
-
-    yield from settle(0)
 
 
 def zagreb2(g: Graph) -> int:

@@ -34,10 +34,9 @@ from .invariants import (
     h_invariant,
     h_sum_offset,
     invariant_bundle,
-    max_m1_sequences,
+    max_m1_graphs,
     quasi_complete_m1,
     quasi_star_m1,
-    realisations,
     zagreb1,
 )
 from .quadratic import MARGIN, band_bounds_check, count_roots, refine_root
@@ -79,7 +78,7 @@ class ScanReport:
 
 # ---------------------------------------------------------------------------
 # Exceptional pairs: exhaustive maximization over ALL labeled graphs,
-# by degree sequences.
+# by threshold graphs.
 # ---------------------------------------------------------------------------
 
 
@@ -88,19 +87,14 @@ def _h_optima(n: int, m: int):
     h-invariant among the maximizers.  Returns
     (max_m1, max_h, runner_up_h, winner_edge_lists).
 
-    Exhaustive by degree sequences.  M1 is a function of the degree
-    sequence and Erdős–Gallai is an iff test, so ``max_m1_sequences`` gives
-    the maximum over all of G_{n,m} and every sorted degree sequence that
-    attains it.  Relabeling a maximizer so that degrees do not increase
-    with the vertex index makes it a realisation of its sequence as a fixed
-    vector, and ``realisations`` yields every such graph; so every maximizer
-    is a relabeling of some realisation.  h and ``graph_key`` are
-    isomorphism invariants, hence max_h, the runner-up and the set of
-    winner classes are those over all labeled maximizers; the winners are
-    the realisations that attain max_h.
+    Exhaustive by isomorphism classes: ``max_m1_graphs`` gives the maximum
+    over all of G_{n,m} and one graph per class of maximizers.  h is an
+    isomorphism invariant, so max_h, the runner-up and the winner classes
+    are those over all labeled maximizers; the winners are the graphs that
+    attain max_h, one per class.
     """
-    best_m1, sequences = max_m1_sequences(n, m)
-    scored = [(h_invariant(g), g) for seq in sequences for g in realisations(seq)]
+    best_m1, graphs = max_m1_graphs(n, m)
+    scored = [(h_invariant(g), g) for g in graphs]
     max_h = max(h for h, _ in scored)
     runner_up = max((h for h, _ in scored if h < max_h), default=None)
     winners = [g.edges() for h, g in scored if h == max_h]
@@ -127,8 +121,9 @@ def verify_seven_pairs() -> ScanReport:
         tag, predicted = build_h_optimal(n, m)
         pkey = graph_key(predicted)
         single_class = all(graph_key(Graph.from_edges(n, edges)) == pkey for edges in winners)
-        h_by_tag = {str(t): family_h(n, m, t) for t, _ in candidate_set(n, m)}
-        family_m1 = max(zagreb1(g) for _, g in candidate_set(n, m))
+        candidates = candidate_set(n, m)
+        h_by_tag = {str(t): family_h(n, m, t) for t, _ in candidates}
+        family_m1 = max(zagreb1(g) for _, g in candidates)
         family_agrees = best_m1 == family_m1 and max_h == h_by_tag[str(tag)] == max(h_by_tag.values())
         ok = single_class and family_agrees
         report.records.append(

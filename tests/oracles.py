@@ -96,6 +96,50 @@ def h_optima_oracle(n, m):
     return best_m1, hs[0], hs[1] if len(hs) > 1 else None, scored[hs[0]]
 
 
+def _sequences(total, length, cap):
+    """Non-increasing tuples of ``length`` integers in ``0..cap`` summing to ``total``."""
+    if length == 0:
+        if total == 0:
+            yield ()
+        return
+    for first in range(min(cap, total), -1, -1):
+        if first * length < total:
+            return
+        for rest in _sequences(total - first, length - 1, first):
+            yield (first,) + rest
+
+
+def _erdos_gallai(seq):
+    """Whether a non-increasing sequence with even sum is the degree sequence
+    of a simple graph: ``d_1 + ... + d_k <= k(k-1) + sum_{i>k} min(d_i, k)``
+    for every k (Erdős & Gallai 1960)."""
+    head = 0
+    for k in range(1, len(seq) + 1):
+        head += seq[k - 1]
+        if head > k * (k - 1) + sum(min(d, k) for d in seq[k:]):
+            return False
+    return True
+
+
+def max_m1_oracle(n, m):
+    """``(max M1, argmax sequences)`` over the graphs on n vertices and m
+    edges, the sequences non-increasing and in decreasing lexicographic order.
+
+    M1 is a function of the degree sequence and the Erdős–Gallai test is an
+    iff, so the maximum over the graphical non-increasing sequences of length
+    n, entries at most ``n-1`` and sum ``2m`` is the maximum over the graphs.
+    """
+    best, argmax = -1, []
+    for seq in _sequences(2 * m, n, n - 1):
+        m1 = sum(d * d for d in seq)
+        if m1 < best or not _erdos_gallai(seq):
+            continue
+        if m1 > best:
+            best, argmax = m1, []
+        argmax.append(seq)
+    return best, argmax
+
+
 @lru_cache(maxsize=None)
 def m1_race_oracle(n):
     """For every m in 0..C(n,2), the sign (``"+"``, ``"-"`` or ``"="``) of

@@ -23,6 +23,8 @@ from lmrttg import (
 )
 from lmrttg.classify import Sign
 from lmrttg.graphs import disjoint_union, join
+from lmrttg.invariants import max_m1_graphs
+from oracles import iso_oracle
 
 
 def terminals_universal(tg):
@@ -105,6 +107,22 @@ def test_candidate_set():
     empties = candidate_set(5, 0)
     assert empties and all(g.m == 0 for _, g in empties)
     assert {tag for tag, _ in empties} >= {FamilyTag.C1, FamilyTag.S1}
+
+
+def test_candidate_set_holds_every_first_zagreb_maximizer():
+    # up to isomorphism the M1 argmax classes are exactly the family members of largest M1
+    def iso(a, b):
+        return sorted(a.degrees()) == sorted(b.degrees()) and iso_oracle(a, b)
+
+    for n in range(1, 15):
+        for m in range(comb(n, 2) + 1):
+            best, classes = max_m1_graphs(n, m)
+            members = [g for _, g in candidate_set(n, m)]
+            family_best = max(zagreb1(g) for g in members)
+            top = [g for g in members if zagreb1(g) == family_best]
+            assert family_best == best, (n, m)
+            assert all(any(iso(g, h) for h in top) for g in classes), (n, m)
+            assert all(any(iso(g, h) for g in classes) for h in top), (n, m)
 
 
 def test_family_counts_match_for_all_small_nm():

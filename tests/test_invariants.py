@@ -1,5 +1,5 @@
 import random
-from itertools import combinations, product
+from itertools import combinations
 from math import comb
 
 import pytest
@@ -15,6 +15,7 @@ from lmrttg import (
     count_triangles,
     family_exists,
     family_h,
+    graph_key,
     h_invariant,
     h_sum_offset,
     invariant_bundle,
@@ -27,9 +28,9 @@ from lmrttg import (
 )
 from lmrttg.errors import FamilyDoesNotExist
 from lmrttg.graphs import disjoint_union
-from lmrttg.invariants import max_m1_sequences, realisations
+from lmrttg.invariants import max_m1_graphs
 from lmrttg.scans import _p4_by_walk
-from oracles import p3_oracle, p4_oracle, random_graph, triangle_oracle
+from oracles import max_m1_oracle, p3_oracle, p4_oracle, random_graph, triangle_oracle
 
 
 def test_zagreb1_examples():
@@ -179,39 +180,28 @@ def test_invariant_bundle():
     assert b.h_value == -3 * b.k3 + b.p4 + 2 * b.p3 + b.m
 
 
-def _graphs_by_degree_vector(n):
-    """Edge sets of every labeled graph on n vertices, keyed by degree vector."""
-    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    out = {}
-    for m in range(len(pairs) + 1):
-        for edges in combinations(pairs, m):
-            deg = [0] * n
-            for u, v in edges:
-                deg[u] += 1
-                deg[v] += 1
-            out.setdefault(tuple(deg), set()).add(frozenset(edges))
-    return out
-
-
-def test_realisations_are_every_graph_with_the_degree_vector():
+def test_max_m1_graphs_match_labeled_graphs():
     for n in range(1, 7):
-        expected = _graphs_by_degree_vector(n)
-        for degrees in product(range(n), repeat=n):
-            got = [frozenset(g.edges()) for g in realisations(degrees)]
-            assert len(got) == len(set(got)), degrees
-            assert set(got) == expected.get(degrees, set()), degrees
-    with pytest.raises(DomainError):
-        next(realisations((1, 3, 0)))
-
-
-def test_max_m1_sequences_match_labeled_graphs():
-    for n in range(1, 7):
-        vectors = _graphs_by_degree_vector(n)
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
         for m in range(comb(n, 2) + 1):
-            sized = [d for d in vectors if sum(d) == 2 * m]
-            best = max(sum(x * x for x in d) for d in sized)
-            argmax = {tuple(sorted(d, reverse=True)) for d in sized if sum(x * x for x in d) == best}
-            got_best, got = max_m1_sequences(n, m)
-            assert got_best == best and got == sorted(argmax, reverse=True), (n, m)
+            labeled = [Graph.from_edges(n, edges) for edges in combinations(pairs, m)]
+            best = max(zagreb1(g) for g in labeled)
+            argmax = {frozenset(g.edges()) for g in labeled if zagreb1(g) == best}
+            got_best, got = max_m1_graphs(n, m)
+            assert got_best == best, (n, m)
+            # labeled maximizers, one per class, covering every class
+            assert {frozenset(g.edges()) for g in got} <= argmax, (n, m)
+            keys = [graph_key(g) for g in got]
+            assert len(keys) == len(set(keys)), (n, m)
+            assert set(keys) == {graph_key(Graph.from_edges(n, e)) for e in argmax}, (n, m)
     with pytest.raises(DomainError):
-        max_m1_sequences(5, 11)
+        max_m1_graphs(5, 11)
+
+
+def test_max_m1_graphs_match_erdos_gallai_oracle():
+    for n in range(1, 12):
+        for m in range(comb(n, 2) + 1):
+            best, argmax = max_m1_oracle(n, m)
+            got_best, got = max_m1_graphs(n, m)
+            seqs = sorted((tuple(sorted(g.degrees(), reverse=True)) for g in got), reverse=True)
+            assert (got_best, seqs) == (best, argmax), (n, m)

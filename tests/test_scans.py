@@ -60,10 +60,12 @@ def test_h_optima_match_labeled_oracle():
         assert classes[0] == classes[1], (n, m)
 
 
-def test_central_band_ties_are_exhaustive_h_optima_at_n_8_to_12():
-    # the seven-pairs maximisation, run on every central-band tie pair at n = 8..12
-    records = [rec for n in range(8, 13) for rec in _tie_band_records(n)]
-    assert [(r["n"], r["m"]) for r in records] == [(8, 10), (8, 14), (8, 18), (9, 18), (10, 20), (10, 25), (12, 33)]
+def test_central_band_ties_are_exhaustive_h_optima_at_n_8_to_20():
+    # the seven-pairs maximisation, run on every central-band tie pair at n = 8..20
+    records = [rec for n in range(8, 21) for rec in _tie_band_records(n)]
+    ties = [(8, 10), (8, 14), (8, 18), (9, 18), (10, 20), (10, 25), (12, 33), (13, 39)]
+    ties += [(15, 45), (15, 60), (16, 60), (17, 64), (17, 68), (17, 72), (20, 95)]
+    assert [(r["n"], r["m"]) for r in records] == ties
     for rec in records:
         n, m, tag = rec["n"], rec["m"], FamilyTag(rec["tag"])
         best_m1, max_h, _, winners = _h_optima(n, m)

@@ -40,3 +40,16 @@ def test_library_imports_at_module_level():
     allowed = {"scans.py:scan_uniqueness:multiprocessing", "families.py:h_optimal_tag:classify"}
     found = {f"{path.name}:{fn}:{module}" for path in sorted(SRC.glob("*.py")) for fn, module in _function_imports(path)}
     assert sorted(found - allowed) == []
+
+
+
+def test_oracles_import_nothing_from_the_library():
+    # an oracle that runs library code cannot catch that code's bugs
+    path = Path(__file__).with_name("oracles.py")
+    body = ast.parse(path.read_text(encoding="utf-8"), filename=str(path)).body
+    oracles = {node.name for node in body if isinstance(node, ast.FunctionDef) and node.name.endswith("_oracle")}
+    assert "max_m1_oracle" in oracles
+    found = [("<module>", alias.name) for node in body if isinstance(node, ast.Import) for alias in node.names]
+    found += [("<module>", node.module) for node in body if isinstance(node, ast.ImportFrom)]
+    found += [(fn, module) for fn, module in _function_imports(path) if fn in oracles]
+    assert [(fn, module) for fn, module in found if (module or "").split(".")[0] == "lmrttg"] == []
