@@ -59,17 +59,17 @@ def _parse_range(text: str) -> tuple:
     return int(lo), int(hi)
 
 
+#: What ``construct --family`` builds: a family member by its tag, or an optimal graph.
+_CONSTRUCT = {
+    **{tag.value: (lambda n, m, tag=tag: build_family(n, m, tag)) for tag in FamilyTag},
+    "h": lambda n, m: build_h_optimal(n, m)[1],
+    "g": build_lmrttg,
+    "sparse": build_lmrttg_sparse,
+}
+
+
 def _cmd_construct(args) -> int:
-    kind = args.family.lower()
-    if kind == "h":
-        _, g = build_h_optimal(args.n, args.m)
-        obj = g
-    elif kind == "g":
-        obj = build_lmrttg(args.n, args.m)
-    elif kind == "sparse":
-        obj = build_lmrttg_sparse(args.n, args.m)
-    else:
-        obj = build_family(args.n, args.m, FamilyTag(kind))
+    obj = _CONSTRUCT[args.family](args.n, args.m)
     out = to_dot(obj) if args.format == "dot" else json.dumps(to_json_obj(obj), sort_keys=True)
     print(out, end="" if args.format == "dot" else "\n")
     return 0
@@ -201,7 +201,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument(
         "--family",
         required=True,
-        choices=["c1", "c2", "c3", "s1", "s2", "s3", "h", "g", "sparse"],
+        choices=list(_CONSTRUCT),
         help="family tag, or h (optimal core) / g (optimal two-terminal graph)",
     )
     c.add_argument("--format", choices=["json", "dot"], default="json")

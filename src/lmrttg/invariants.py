@@ -47,8 +47,8 @@ def max_m1_graphs(n: int, m: int) -> tuple:
     largest element first, stopping once ``1 + ... + i`` falls short of
     the edges still to place.
     """
-    if n < 1 or not 0 <= m <= comb(n, 2):
-        raise DomainError(f"need n >= 1 and 0 <= m <= C(n,2); got n={n}, m={m}")
+    if n < 0 or not 0 <= m <= comb(n, 2):
+        raise DomainError(f"need n >= 0 and 0 <= m <= C(n,2); got n={n}, m={m}")
 
     def dominating_sets(rem, top):
         if rem == 0:

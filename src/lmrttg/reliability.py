@@ -9,9 +9,9 @@ The search never assumes anything about the winner's shape.  It covers
 every labeled candidate (terminals fixed at 0 and 1, which every
 two-terminal graph can be relabeled to) by grouping them into cells by
 the terminals' inner neighbourhoods, where the ``(N_1, N_2, N_3)`` prefix
-has a closed maximum.  Only the prefix maximisers are built, and their
-full vectors are scored by inclusion-exclusion over vertex sets as they
-stream.
+has a closed maximum.  Only one cell per type is built, and on the dense
+side only the inner graphs of largest M1; their full vectors are scored
+by inclusion-exclusion over vertex sets.
 """
 
 from __future__ import annotations
@@ -21,7 +21,8 @@ from itertools import combinations
 from math import comb
 
 from .errors import DomainError, SizeLimitError
-from .graphs import CANONICAL_MAX_N, Graph, TwoTerminalGraph, canonical_key, canonical_key_ordered, form_of_key
+from .graphs import CANONICAL_MAX_N, Graph, TwoTerminalGraph, canonical_key, canonical_key_ordered, form_of_key, join
+from .invariants import max_m1_graphs
 
 DEFAULT_MAX_VERTICES = 8
 NVEC_MAX_VERTICES = 14
@@ -111,8 +112,8 @@ def reliability_from_counts(counts, p: Fraction) -> Fraction:
 
 
 def _prefix_scan(n: int, m: int) -> tuple:
-    """The labeled candidates with the max ``(N_2, N_3)`` prefix, found by
-    cells instead of one candidate at a time.
+    """The labeled candidates with the max ``(N_2, N_3)`` prefix, counted by
+    cells, and a short list of them holding every optimum up to isomorphism.
 
     N_1 = 1 is forced: some candidate has the terminal edge, and N_1
     dominates lexicographically.  With terminals 0 and 1 and the terminal
@@ -130,18 +131,31 @@ def _prefix_scan(n: int, m: int) -> tuple:
     joining A & B, A - B and B - A (a = |A - B|, b = |B - A|) weigh 1, and
     the rest weigh 0.  A cell's best key depends only on (x, a, b), so the
     scan walks those types, each standing for C(r; x, a, b) cells of
-    C(P, k) candidates (r = n-2), and expands only the types at the best
-    key.  In each of their cells the maximisers are the pairs above the
-    threshold weight plus any subset of the right size from the threshold
-    class, and nothing else.
+    C(P, k) candidates (r = n-2).  In a cell the maximisers are the pairs
+    above the threshold weight plus any subset of the right size from the
+    threshold class, and nothing else.
 
     No candidate is skipped and no shape is assumed: the cells partition
     the candidates, so ``examined``, the sum of C(P, k) over all cells,
     equals C(C(n,2)-1, m-1) by Vandermonde's identity (the m-1 free edges
     split into |A|+|B| of the 2r terminal pairs and k inner pairs).
 
-    Returns ``(examined, survivor edge lists)``; the edge lists are a lazy
-    stream, so memory does not grow with the number of survivors.
+    A permutation of the inner vertices fixes the terminals and maps each
+    cell of a type, with its maximisers, onto every other cell of that
+    type.  So ``survivors`` sums, over the best types, the cells times
+    C(|threshold class|, need), and ``scored`` holds the maximisers of one
+    cell per best type: A = the first x+a inner vertices, B = the first x
+    of them plus the next b.
+
+    The dense type x = r (both terminals universal) has the largest N_2,
+    so it stands alone, and its cell holds every k-edge graph H on I.
+    There N_4 = c(n, k) + M1(H) - 2k: a connecting 4-edge set without the
+    terminal edge or a path 0-v-1 (those are counted by (n, k) alone) is a
+    path 0-u-v-1 plus one of the m-6 other edges, or a path 0-u-w-v-1, and
+    there are sum over w of d_w(d_w-1) of those.  So ``scored`` joins the
+    terminal edges over each class of ``max_m1_graphs(r, k)``.
+
+    Returns ``(examined, survivors, scored edge lists)``.
     """
     r, free = n - 2, m - 1
     inner_pairs = comb(r, 2)
@@ -153,46 +167,39 @@ def _prefix_scan(n: int, m: int) -> tuple:
                 k = free - 2 * x - a - b
                 if not 0 <= k <= inner_pairs:
                     continue
-                examined += comb(r, x) * comb(r - x, a) * comb(r - x - a, b) * comb(inner_pairs, k)
+                cells = comb(r, x) * comb(r - x, a) * comb(r - x - a, b)
+                examined += cells * comb(inner_pairs, k)
                 heavy, light = comb(x, 2), x * (a + b) + a * b
                 top = 2 * min(k, heavy) + min(max(k - heavy, 0), light)
                 key = (free + x, comb(free, 2) + x * (m - 3) + top)
-                by_key.setdefault(key, []).append((x, a, b, k))
-    return examined, _cell_maximisers(n, by_key[max(by_key)])
-
-
-def _cell_maximisers(n: int, types):
-    """Every ``(N_2, N_3)`` maximiser of every cell of the given types
-    ``(x, a, b, k)``, as an edge list that starts with the terminal edge."""
-    inner = range(2, n)
-    inner_pairs = list(combinations(inner, 2))
-    for x, a, b, k in types:
-        for A in combinations(inner, x + a):
-            outside = [v for v in inner if v not in A]
-            for both in combinations(A, x):
-                for only_b in combinations(outside, b):
-                    B = both + only_b
-                    by_weight = ([], [], [])
-                    for u, v in inner_pairs:
-                        by_weight[(u in A and v in B) + (v in A and u in B)].append((u, v))
-                    forced = [(0, 1)] + [(0, v) for v in A] + [(1, v) for v in B]
-                    need = k
-                    for cls in reversed(by_weight):
-                        if need <= len(cls):
-                            for pick in combinations(cls, need):
-                                yield forced + list(pick)
-                            break
-                        forced += cls
-                        need -= len(cls)
+                by_key.setdefault(key, []).append((x, a, b, k, cells))
+    survivors, scored = 0, []
+    for x, a, b, k, cells in by_key[max(by_key)]:
+        A, B = range(2, 2 + x + a), [*range(2, 2 + x), *range(2 + x + a, 2 + x + a + b)]
+        by_weight = ([], [], [])
+        for u, v in combinations(range(2, n), 2):
+            by_weight[(u in A and v in B) + (v in A and u in B)].append((u, v))
+        forced = [(0, 1)] + [(0, v) for v in A] + [(1, v) for v in B]
+        need = k
+        for cls in reversed(by_weight):
+            if need <= len(cls):
+                break
+            forced += cls
+            need -= len(cls)
+        survivors += cells * comb(len(cls), need)
+        if x == r:
+            scored += [join(Graph.complete(2), h).edges() for h in max_m1_graphs(r, k)[1]]
+        else:
+            scored += [forced + list(pick) for pick in combinations(cls, need)]
+    return examined, survivors, scored
 
 
 def _search(n: int, m: int, max_n: int = None) -> dict:
     """Full optimum search; returns winners plus bookkeeping for reports.
 
     Every vertex cap (the search's, the coefficient vectors' and the
-    canonical keys') is checked before the scan starts.  Survivors are
-    scored as they stream, and only those tying the best vector so far
-    are kept."""
+    canonical keys') is checked before the scan starts.  Only the
+    ``scored`` list of ``_prefix_scan`` is scored."""
     if max_n is None:
         max_n = DEFAULT_MAX_VERTICES
     if n > max_n:
@@ -202,31 +209,18 @@ def _search(n: int, m: int, max_n: int = None) -> dict:
         raise SizeLimitError(f"search winners are keyed canonically, limited to n <= {CANONICAL_MAX_N} (got {n})")
     if n < 2 or not 1 <= m <= comb(n, 2):
         raise DomainError(f"need n >= 2 and 1 <= m <= C(n,2); got n={n}, m={m}")
-    examined, survivors = _prefix_scan(n, m)
-    count, best_vec, tied = 0, None, []
-    for edges in survivors:
-        count += 1
-        vec = _nvec(n, 0, 1, edges)
-        if best_vec is None or vec > best_vec:
-            best_vec, tied = vec, [edges]
-        elif vec == best_vec:
-            tied.append(edges)
-    reps = {}
-    ordered_keys = set()
-    for edges in tied:
-        tg = TwoTerminalGraph(Graph.from_edges(n, edges), 0, 1)
-        key = canonical_key(tg)
-        ordered_keys.add(canonical_key_ordered(tg))
-        if key not in reps:
-            reps[key] = form_of_key(key)
+    examined, survivors, scored = _prefix_scan(n, m)
+    vecs = [_nvec(n, 0, 1, edges) for edges in scored]
+    best_vec = max(vecs)
+    tied = [TwoTerminalGraph(Graph.from_edges(n, edges), 0, 1) for edges, vec in zip(scored, vecs) if vec == best_vec]
     return {
         "n": n,
         "m": m,
-        "winners": [reps[k] for k in sorted(reps)],
+        "winners": [form_of_key(key) for key in sorted({canonical_key(tg) for tg in tied})],
         "n_vector": best_vec,
         "examined": examined,
-        "survivors": count,
-        "unique_ordered": len(ordered_keys) == 1,
+        "survivors": survivors,
+        "unique_ordered": len({canonical_key_ordered(tg) for tg in tied}) == 1,
     }
 
 

@@ -275,13 +275,11 @@ def p4_oracle(g):
 
 
 def to_networkx(obj):
-    from lmrttg import TwoTerminalGraph
-
-    terminals = ()
-    g = obj
-    if isinstance(obj, TwoTerminalGraph):
-        terminals = (obj.s, obj.t)
-        g = obj.graph
+    """A graph, or a two-terminal graph read through its ``graph``, ``s`` and
+    ``t`` attributes, as a networkx graph with each vertex's terminal role."""
+    g = getattr(obj, "graph", None)
+    terminals = () if g is None else (obj.s, obj.t)
+    g = obj if g is None else g
     G = nx.Graph()
     for v in range(g.n):
         G.add_node(v, terminal=v in terminals, role=terminals.index(v) if v in terminals else None)

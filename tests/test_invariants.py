@@ -194,8 +194,12 @@ def test_max_m1_graphs_match_labeled_graphs():
             keys = [graph_key(g) for g in got]
             assert len(keys) == len(set(keys)), (n, m)
             assert set(keys) == {graph_key(Graph.from_edges(n, e)) for e in argmax}, (n, m)
+    # no vertices: the empty graph, which the search joins under two terminals at n = 2
+    assert max_m1_graphs(0, 0) == (0, [Graph.empty(0)])
     with pytest.raises(DomainError):
         max_m1_graphs(5, 11)
+    with pytest.raises(DomainError):
+        max_m1_graphs(-1, 0)
 
 
 def test_max_m1_graphs_match_erdos_gallai_oracle():

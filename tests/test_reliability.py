@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 from math import comb
 
 import pytest
@@ -123,17 +123,34 @@ def test_lex_max_is_unique_at_4_5():
 
 def test_filtration_level_three_gives_universal_terminals():
     # the level-three filtration keeps the max (N_1, N_2, N_3) prefix, which
-    # is what _prefix_scan returns; from m = 2n-3 on its survivors are
+    # is what _prefix_scan counts; from m = 2n-3 on its survivors are
     # exactly the graphs with both terminals universal: all 2n-3 terminal
     # edges plus any m-2n+3 of the C(n-2, 2) inner pairs
     for n in range(4, 9):
         terminal_edges = {(0, 1)} | {(t, v) for t in (0, 1) for v in range(2, n)}
         for m in range(2 * n - 3, comb(n, 2) + 1):
-            count = 0
-            for edges in _prefix_scan(n, m)[1]:
-                assert terminal_edges <= set(edges), (n, m)
-                count += 1
-            assert count == comb(comb(n - 2, 2), m - 2 * n + 3), (n, m)
+            _, survivors, scored = _prefix_scan(n, m)
+            assert survivors == comb(comb(n - 2, 2), m - 2 * n + 3), (n, m)
+            assert scored, (n, m)
+            for edges in scored:
+                assert terminal_edges <= set(edges) and len(edges) == m, (n, m)
+
+
+def test_n4_under_universal_terminals_moves_with_m1_alone():
+    # N_4 = c(n, k) + M1(H) - 2k for the inner graph H of k edges, so the
+    # dense search may score the M1 maximisers of H alone
+    rnd = random.Random(4)
+    for n in range(4, 7):
+        inner = list(combinations(range(2, n), 2))
+        terminal_edges = [(0, 1)] + [(t, v) for t in (0, 1) for v in range(2, n)]
+        for k in range(len(inner) + 1):
+            offsets = set()
+            for _ in range(4):
+                h = rnd.sample(inner, k)
+                deg = [sum(v in e for e in h) for v in range(n)]
+                tg = TwoTerminalGraph(Graph.from_edges(n, terminal_edges + h), 0, 1)
+                offsets.add(nvec_oracle(tg)[3] - sum(d * d for d in deg))
+            assert len(offsets) == 1, (n, k, offsets)
 
 
 def test_find_lmrttg_small_cases():
@@ -155,13 +172,32 @@ def test_find_lmrttg_small_cases():
         find_lmrttg(5, 0)
 
 
+def _inner_orbit(n, edges):
+    """The least sorted edge list over the relabellings of the inner
+    vertices 2..n-1, terminals fixed."""
+    return min(
+        tuple(sorted(tuple(sorted(((0, 1) + perm)[u] for u in e)) for e in edges))
+        for perm in permutations(range(2, n))
+    )
+
+
 def test_prefix_scan_survivors_match_oracle():
-    # every labeled graph, terminal edge or not, against the cell scan's maximisers
+    # every labeled graph, terminal edge or not, against the cell scan: the
+    # survivor count, the scored graphs, and every lex-max survivor up to a
+    # relabelling of the inner vertices
     for n in range(2, 7):
         for m in range(1, comb(n, 2) + 1):
-            survivors = [frozenset(edges) for edges in _prefix_scan(n, m)[1]]
-            assert len(set(survivors)) == len(survivors)
-            assert set(survivors) == prefix_survivors_oracle(n, m), (n, m)
+            oracle = prefix_survivors_oracle(n, m)
+            _, survivors, scored = _prefix_scan(n, m)
+            assert survivors == len(oracle), (n, m)
+            assert len({frozenset(edges) for edges in scored}) == len(scored), (n, m)
+            assert {frozenset(edges) for edges in scored} <= oracle, (n, m)
+            vecs = {edges: nvec_oracle(TwoTerminalGraph(Graph.from_edges(n, edges), 0, 1)) for edges in oracle}
+            best = max(vecs.values())
+            orbits = {_inner_orbit(n, edges) for edges in scored}
+            for edges, vec in vecs.items():
+                if vec == best:
+                    assert _inner_orbit(n, edges) in orbits, (n, m, sorted(edges))
 
 
 def test_prefix_scan_covers_every_labeled_candidate():

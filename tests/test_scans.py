@@ -137,6 +137,12 @@ def test_brute_record_boundary_note():
     assert rec["ok"]
 
 
+def test_brute_force_uniqueness_at_n_9():
+    # one vertex above the theorem-main cap, as `verify brute --deep` runs it
+    for m in range(5, comb(9, 2) + 1):
+        assert brute_record(9, m, deep=True)["ok"], m
+
+
 def test_identity_suite_deterministic_and_green():
     a = identity_suite(seed=7, samples=40)
     b = identity_suite(seed=7, samples=40)

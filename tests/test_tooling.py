@@ -1,6 +1,7 @@
 """Static checks on the library source."""
 
 import ast
+from importlib import import_module
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "lmrttg"
@@ -42,14 +43,37 @@ def test_library_imports_at_module_level():
     assert sorted(found - allowed) == []
 
 
-
 def test_oracles_import_nothing_from_the_library():
-    # an oracle that runs library code cannot catch that code's bugs
+    # an oracle that runs library code cannot catch that code's bugs; the
+    # helpers an oracle calls, such as to_networkx, count as the oracle
     path = Path(__file__).with_name("oracles.py")
     body = ast.parse(path.read_text(encoding="utf-8"), filename=str(path)).body
-    oracles = {node.name for node in body if isinstance(node, ast.FunctionDef) and node.name.endswith("_oracle")}
-    assert "max_m1_oracle" in oracles
+    defs = {node.name: node for node in body if isinstance(node, ast.FunctionDef)}
+    oracles = {name for name in defs if name.endswith("_oracle")}
+    todo = list(oracles)
+    while todo:
+        for node in ast.walk(defs[todo.pop()]):
+            if isinstance(node, ast.Name) and node.id in defs and node.id not in oracles:
+                oracles.add(node.id)
+                todo.append(node.id)
+    assert {"max_m1_oracle", "iso_oracle", "to_networkx"} <= oracles
     found = [("<module>", alias.name) for node in body if isinstance(node, ast.Import) for alias in node.names]
     found += [("<module>", node.module) for node in body if isinstance(node, ast.ImportFrom)]
     found += [(fn, module) for fn, module in _function_imports(path) if fn in oracles]
     assert [(fn, module) for fn, module in found if (module or "").split(".")[0] == "lmrttg"] == []
+
+
+def test_traced_layer_functions_exist():
+    # the traced benchmark run wraps these names; read without importing the
+    # harness, so deleting a traced function fails here and not in a trace
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "replay.py"
+    body = ast.parse(path.read_text(encoding="utf-8"), filename=str(path)).body
+    (names,) = [
+        ast.literal_eval(node.value)
+        for node in body
+        if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == ["LAYER_FUNCTIONS"]
+    ]
+    assert len(names) > 10
+    modules = {qual: import_module(f"lmrttg.{qual.split('.')[0]}") for qual in names}
+    missing = [qual for qual, mod in modules.items() if not callable(getattr(mod, qual.split(".")[1], None))]
+    assert missing == []
