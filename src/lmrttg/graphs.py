@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import permutations, product
+from itertools import chain, permutations, product
 
 from .errors import DomainError, SizeLimitError
 
@@ -20,6 +20,8 @@ from .errors import DomainError, SizeLimitError
 CANONICAL_MAX_N = 10
 #: Vertex bound for graph_key, the canonical form of plain graphs.
 GRAPH_KEY_MAX_N = 8
+#: Vertex bound of the graph JSON format, checked before any row is allocated.
+GRAPH_JSON_MAX_N = 1 << 16
 
 
 class Graph:
@@ -142,96 +144,77 @@ def vertex_pairs(n: int) -> tuple:
     return tuple((u, v) for u in range(n) for v in range(u + 1, n))
 
 
-@lru_cache(maxsize=None)
-def pair_index(n: int) -> dict:
-    """Map from an ordered pair ``(u, v)``, ``u < v``, to its slot in vertex_pairs."""
-    return {p: i for i, p in enumerate(vertex_pairs(n))}
-
-
 # ---------------------------------------------------------------------------
 # Canonical forms.
 #
-# Keys are computed as the minimum edge bitmask over all relabelings that
-# send each vertex to a slot of the same degree (and terminals onto the slot
-# pair {0, 1}).  Degrees are preserved by isomorphism, so restricting to
-# degree-compatible relabelings loses nothing, while cutting the search from
-# (n-2)!*2 maps to the product of the degree-class factorials.
+# A key is ``(n, mask)``: the minimum edge bitmask, with the pair bits in
+# vertex_pairs order, over the relabelings that put the lead vertices on
+# the first slots in the given order and every other vertex on a slot of
+# its degree class, the classes by descending degree.  Isomorphisms keep
+# degrees and send lead vertices to lead vertices, so isomorphic inputs
+# reach the same masks; the minimal mask is the relabeled graph itself, so
+# equal keys mean isomorphic inputs.  The degree classes cut the search
+# from (n - len(lead))! maps to the product of the class factorials.
 # ---------------------------------------------------------------------------
 
 
-def _assignments(groups):
-    """Yield vertex->slot maps; each group fills its consecutive slot block."""
-    starts = []
-    slot = 0
-    for grp in groups:
-        starts.append(slot)
-        slot += len(grp)
-    for combo in product(*(permutations(grp) for grp in groups)):
-        perm = {}
-        for start, arranged in zip(starts, combo):
-            for offset, v in enumerate(arranged):
-                perm[v] = start + offset
-        yield perm
-
-
 def _min_mask(g: Graph, groups) -> int:
-    idx = pair_index(g.n)
+    """Minimum mask over the slot orders that arrange each group in turn."""
+    n = g.n
+    bit = [[0] * n for _ in range(n)]
+    for i, (a, b) in enumerate(vertex_pairs(n)):
+        bit[a][b] = bit[b][a] = 1 << i
     edges = g.edges()
+    slot = [0] * n
     best = None
-    for perm in _assignments(groups):
+    for combo in product(*(permutations(grp) for grp in groups)):
+        for i, v in enumerate(chain.from_iterable(combo)):
+            slot[v] = i
         mask = 0
         for u, v in edges:
-            a = perm[u]
-            b = perm[v]
-            if a > b:
-                a, b = b, a
-            mask |= 1 << idx[(a, b)]
+            mask |= bit[slot[u]][slot[v]]
         if best is None or mask < best:
             best = mask
-    return best or 0
+    return best
 
 
-def _canonical(g: Graph, lead, max_n: int):
-    """Key over relabelings that put each leading vertex group, in order, on
-    the first slots and every other vertex in its degree class: ``n``, each
-    leading group's sorted degrees, the other degrees descending, the mask."""
+def _canonical(g: Graph, lead: tuple, max_n: int) -> tuple:
+    """``(n, mask)`` over the relabelings that pin each lead vertex, in
+    order, to the first slots and the other vertices by degree class."""
     if g.n > max_n:
         raise SizeLimitError(f"canonical form limited to n <= {max_n} (got {g.n})")
     degs = g.degrees()
-    led = {v for grp in lead for v in grp}
     by_deg = {}
     for v in range(g.n):
-        if v not in led:
+        if v not in lead:
             by_deg.setdefault(degs[v], []).append(v)
-    classes = [by_deg[d] for d in sorted(by_deg, reverse=True)]
-    lead_degs = tuple(tuple(sorted(degs[v] for v in grp)) for grp in lead)
-    inner_degs = tuple(degs[grp[0]] for grp in classes for _ in grp)
-    return (g.n, *lead_degs, inner_degs, _min_mask(g, list(lead) + classes))
+    groups = [(v,) for v in lead] + [by_deg[d] for d in sorted(by_deg, reverse=True)]
+    return g.n, _min_mask(g, groups)
 
 
-def canonical_key(tg: TwoTerminalGraph):
+def canonical_key(tg: TwoTerminalGraph) -> tuple:
     """Complete invariant of (graph, unordered terminal pair) isomorphism.
 
     Two two-terminal graphs get equal keys iff some graph isomorphism maps
     the one terminal pair onto the other (as an unordered pair).
     """
-    return _canonical(tg.graph, [[tg.s, tg.t]], CANONICAL_MAX_N)
+    return min(_canonical(tg.graph, lead, CANONICAL_MAX_N) for lead in ((tg.s, tg.t), (tg.t, tg.s)))
 
 
-def canonical_key_ordered(tg: TwoTerminalGraph):
+def canonical_key_ordered(tg: TwoTerminalGraph) -> tuple:
     """Like canonical_key but with the terminals taken as an ordered pair."""
-    return _canonical(tg.graph, [[tg.s], [tg.t]], CANONICAL_MAX_N)
+    return _canonical(tg.graph, (tg.s, tg.t), CANONICAL_MAX_N)
 
 
-def graph_key(g: Graph):
+def graph_key(g: Graph) -> tuple:
     """Complete isomorphism invariant for plain graphs (up to GRAPH_KEY_MAX_N vertices)."""
-    return _canonical(g, [], GRAPH_KEY_MAX_N)
+    return _canonical(g, (), GRAPH_KEY_MAX_N)
 
 
 def form_of_key(key) -> TwoTerminalGraph:
     """The canonically labeled graph a ``canonical_key`` stands for:
     terminals at 0,1 and the key's minimal edge mask."""
-    n, mask = key[0], key[-1]
+    n, mask = key
     pairs = vertex_pairs(n)
     edges = [pairs[i] for i in range(len(pairs)) if (mask >> i) & 1]
     return TwoTerminalGraph(Graph.from_edges(n, edges), 0, 1)
@@ -263,6 +246,8 @@ def from_json_obj(d):
         raise DomainError(f"graph JSON must be an object, got {type(d).__name__}")
     if type(d.get("n")) is not int:
         raise DomainError(f"graph JSON: 'n' must be an integer, got {d.get('n')!r}")
+    if not 0 <= d["n"] <= GRAPH_JSON_MAX_N:
+        raise DomainError(f"graph JSON: 'n' must lie in 0..{GRAPH_JSON_MAX_N}, got {d['n']}")
     if not isinstance(d.get("edges"), list):
         raise DomainError(f"graph JSON: 'edges' must be a list, got {d.get('edges')!r}")
     g = Graph.from_edges(d["n"], [_int_pair(e, "each edge") for e in d["edges"]])

@@ -195,7 +195,8 @@ def _prefix_scan(n: int, m: int) -> tuple:
 
 
 def _search(n: int, m: int, max_n: int = None) -> dict:
-    """Full optimum search; returns winners plus bookkeeping for reports.
+    """Full optimum search; returns the sorted canonical keys of the
+    winners plus bookkeeping for reports.
 
     Every vertex cap (the search's, the coefficient vectors' and the
     canonical keys') is checked before the scan starts.  Only the
@@ -214,10 +215,7 @@ def _search(n: int, m: int, max_n: int = None) -> dict:
     best_vec = max(vecs)
     tied = [TwoTerminalGraph(Graph.from_edges(n, edges), 0, 1) for edges, vec in zip(scored, vecs) if vec == best_vec]
     return {
-        "n": n,
-        "m": m,
-        "winners": [form_of_key(key) for key in sorted({canonical_key(tg) for tg in tied})],
-        "n_vector": best_vec,
+        "keys": sorted({canonical_key(tg) for tg in tied}),
         "examined": examined,
         "survivors": survivors,
         "unique_ordered": len({canonical_key_ordered(tg) for tg in tied}) == 1,
@@ -226,4 +224,4 @@ def _search(n: int, m: int, max_n: int = None) -> dict:
 
 def find_lmrttg(n: int, m: int, max_n: int = None) -> list:
     """All lexicographic maximizers, one canonical representative each."""
-    return _search(n, m, max_n=max_n)["winners"]
+    return [form_of_key(key) for key in _search(n, m, max_n=max_n)["keys"]]

@@ -27,7 +27,7 @@ from .families import (
     quasi_complete_params,
     quasi_star_params,
 )
-from .graphs import Graph, canonical_key, complement, graph_key, to_json_obj, vertex_pairs
+from .graphs import Graph, canonical_key, complement, form_of_key, graph_key, to_json_obj, vertex_pairs
 from .invariants import (
     complement_residuals,
     family_h,
@@ -235,17 +235,15 @@ def brute_record(n: int, m: int, deep: bool = False) -> dict:
     rec = {
         "n": n,
         "m": m,
-        "unique": len(res["winners"]) == 1,
+        "unique": len(res["keys"]) == 1,
         "unique_ordered": res["unique_ordered"],
         "classes_examined": res["examined"],
         "survivors": res["survivors"],
-        "winner_canonical": to_json_obj(res["winners"][0]),
+        "winner_canonical": to_json_obj(form_of_key(res["keys"][0])),
     }
     if n >= 4 and 5 <= m <= comb(n, 2):
         expected = build_lmrttg(n, m)
-        rec["matches_construction"] = (
-            rec["unique"] and canonical_key(res["winners"][0]) == canonical_key(expected)
-        )
+        rec["matches_construction"] = rec["unique"] and res["keys"][0] == canonical_key(expected)
     else:
         rec["matches_construction"] = None
     rec["ok"] = bool(rec["unique"] and rec["matches_construction"])

@@ -300,6 +300,28 @@ def ordered_iso_oracle(a, b):
     return nx.is_isomorphic(to_networkx(a), to_networkx(b), node_match=lambda x, y: x["role"] == y["role"])
 
 
+def canonical_form_oracle(tg):
+    """Edge list of the canonical labelling of a two-terminal graph: over
+    every vertex order with the terminals first, in either order, and the
+    other vertices by non-increasing degree, the relabeled edge set whose
+    bitmask is least, with bit i for the i-th pair in lexicographic order."""
+    n, edges = tg.graph.n, tg.graph.edges()
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    deg = [sum(v in e for e in edges) for v in range(n)]
+    inner = [v for v in range(n) if v not in (tg.s, tg.t)]
+    best = None
+    for head in ((tg.s, tg.t), (tg.t, tg.s)):
+        for tail in permutations(inner):
+            if any(deg[a] < deg[b] for a, b in zip(tail, tail[1:])):
+                continue
+            slot = {v: i for i, v in enumerate(head + tail)}
+            image = [tuple(sorted((slot[u], slot[v]))) for u, v in edges]
+            mask = sum(1 << pairs.index(e) for e in image)
+            if best is None or mask < best[0]:
+                best = mask, sorted(image)
+    return best[1]
+
+
 def relabel(g, perm):
     """Image of g under the vertex bijection ``perm`` (old index -> new index)."""
     from lmrttg import Graph

@@ -31,11 +31,15 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def run_module(*argv):
+def run_module(*argv, **kwargs):
     """``python -m lmrttg`` in a subprocess that imports the package from ``src``."""
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, "-m", "lmrttg", *argv], capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path)
+        [sys.executable, "-m", "lmrttg", *argv],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+        **kwargs,
     )
 
 
@@ -362,6 +366,22 @@ def test_malformed_graph_file_is_usage_error(tmp_path, content):
     assert "Traceback" not in proc.stderr
 
 
+def test_graph_file_above_the_vertex_bound_is_usage_error(tmp_path):
+    # the bound is checked before any row is allocated; the child's address
+    # space is capped so that a regression fails fast instead of paging
+    resource = pytest.importorskip("resource")
+    path = tmp_path / "g.json"
+    path.write_text('{"n": 1000000000000, "edges": []}')
+
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    for argv in (("invariants", "--graph", str(path)), ("reliability", "--graph", str(path), "--at", "1/2")):
+        proc = run_module(*argv, preexec_fn=cap_memory)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr == "error: graph JSON: 'n' must lie in 0..65536, got 1000000000000\n"
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["verify", "nonsense"])
@@ -410,7 +430,9 @@ _malformed_graph_obj = st.fixed_dictionaries(
 _graph_text = st.one_of(
     _graph_obj.map(json.dumps),
     _malformed_graph_obj.map(json.dumps),
-    st.sampled_from(["", "{", "[]", "null", '{"n": 1e999}', '{"n": 3, "edges": {}}']),
+    st.sampled_from(
+        ["", "{", "[]", "null", '{"n": 1e999}', '{"n": 3, "edges": {}}', '{"n": 1000000000000, "edges": []}']
+    ),
 )
 _at = st.one_of(
     st.sampled_from(["1/2", "0", "1", "2", "-1/3", "1/0", "abc", "", "0.25", "nan", "inf", "1e-3"]),

@@ -21,8 +21,8 @@ from lmrttg import (
     join,
     to_dot,
 )
-from lmrttg.graphs import canonical_key_ordered, to_json_obj, vertex_pairs
-from oracles import iso_oracle, ordered_iso_oracle, random_graph, relabel
+from lmrttg.graphs import canonical_key_ordered, form_of_key, to_json_obj, vertex_pairs
+from oracles import canonical_form_oracle, iso_oracle, ordered_iso_oracle, random_graph, relabel
 
 
 def test_complement_of_empty_is_complete():
@@ -154,6 +154,25 @@ def test_canonical_key_size_bound():
     big = TwoTerminalGraph(Graph.empty(11), 0, 1)
     with pytest.raises(SizeLimitError):
         canonical_key(big)
+    with pytest.raises(SizeLimitError):
+        canonical_key_ordered(big)
+    canonical_key(TwoTerminalGraph(Graph.empty(10), 0, 1))
+    with pytest.raises(SizeLimitError):
+        graph_key(Graph.empty(9))
+    graph_key(Graph.empty(8))
+
+
+def test_canonical_form_matches_labelling_oracle():
+    # pins the labelling that `verify brute` prints as winner_canonical
+    rnd = random.Random(7)
+    for _ in range(150):
+        g = random_graph(rnd, 2, 7)
+        tg = TwoTerminalGraph(g, *rnd.sample(range(g.n), 2))
+        key = canonical_key(tg)
+        form = form_of_key(key)
+        assert (form.s, form.t) == (0, 1)
+        assert form.graph.edges() == canonical_form_oracle(tg)
+        assert canonical_key(form) == key
 
 
 @st.composite

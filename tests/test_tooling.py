@@ -1,10 +1,15 @@
 """Static checks on the library source."""
 
 import ast
+import re
+import sys
 from importlib import import_module
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "lmrttg"
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "lmrttg"
 
 
 def _float_uses(path):
@@ -66,7 +71,7 @@ def test_oracles_import_nothing_from_the_library():
 def test_traced_layer_functions_exist():
     # the traced benchmark run wraps these names; read without importing the
     # harness, so deleting a traced function fails here and not in a trace
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "replay.py"
+    path = ROOT / "perfbench" / "replay.py"
     body = ast.parse(path.read_text(encoding="utf-8"), filename=str(path)).body
     (names,) = [
         ast.literal_eval(node.value)
@@ -77,3 +82,21 @@ def test_traced_layer_functions_exist():
     modules = {qual: import_module(f"lmrttg.{qual.split('.')[0]}") for qual in names}
     missing = [qual for qual, mod in modules.items() if not callable(getattr(mod, qual.split(".")[1], None))]
     assert missing == []
+
+
+def test_test_extra_names_every_third_party_test_import():
+    # a test dependency missing from the extra breaks a fresh install's suite
+    tomllib = pytest.importorskip("tomllib")
+    tests = sorted(Path(__file__).parent.glob("*.py"))
+    local = {"lmrttg"} | {path.stem for path in tests}
+    imported = set()
+    for path in tests:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+            if isinstance(node, ast.Import):
+                imported |= {alias.name.split(".")[0] for alias in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.split(".")[0])
+    third_party = imported - set(sys.stdlib_module_names) - local
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))["project"]
+    extra = project["optional-dependencies"]["test"]
+    assert third_party == {re.match(r"[A-Za-z0-9_.-]+", req).group(0).lower() for req in extra}
