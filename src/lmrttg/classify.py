@@ -54,12 +54,9 @@ def spectrum(n: int) -> SpectrumParams:
     if n < 5:
         raise DomainError(f"spectrum defined for n >= 5; got {n}")
     nn = n * (n - 1)
-    k = isqrt(n * n // 2)
-    while 2 * k * (k - 1) > nn:
-        k -= 1
-    while 2 * k * (k + 1) <= nn:
-        k += 1
-    # invariant: C(k,2) <= C(n,2)/2 < C(k+1,2)
+    # k is the unique integer with C(k,2) <= C(n,2)/2 < C(k+1,2), that is with
+    # (2k-1)^2 <= 2nn+1 < (2k+1)^2, so isqrt(2nn+1) is 2k-1 or 2k
+    k = (1 + isqrt(2 * nn + 1)) // 2
     q = Fraction(1 - 2 * (2 * k - 3) ** 2 + (2 * n - 5) ** 2, 4)
     den = -1 - 2 * (2 * k - 4) ** 2 + (2 * n - 5) ** 2
     if den == 0:

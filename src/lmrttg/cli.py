@@ -25,7 +25,7 @@ from .families import (
     quasi_complete_params,
     quasi_star_params,
 )
-from .graphs import TwoTerminalGraph, from_json, to_dot, to_json_obj
+from .graphs import GRAPH_JSON_MAX_N, TwoTerminalGraph, from_json, to_dot, to_json_obj
 from .invariants import invariant_bundle
 from .reliability import n_vector, probability, reliability_from_counts
 from .scans import (
@@ -69,6 +69,8 @@ _CONSTRUCT = {
 
 
 def _cmd_construct(args) -> int:
+    if args.n > GRAPH_JSON_MAX_N:  # its output is graph JSON, which holds at most this many vertices
+        raise DomainError(f"construct: --n must be at most {GRAPH_JSON_MAX_N}, got {args.n}")
     obj = _CONSTRUCT[args.family](args.n, args.m)
     out = to_dot(obj) if args.format == "dot" else json.dumps(to_json_obj(obj), sort_keys=True)
     print(out, end="" if args.format == "dot" else "\n")
@@ -283,6 +285,10 @@ def main(argv=None) -> int:
     except InvariantError as exc:
         print(f"error: invariant failed: {exc}", file=sys.stderr)
         return 1
+    except MemoryError:
+        pass  # reported below, once the traceback and the frames it holds are freed
+    print("error: out of memory: the input is too large for this machine", file=sys.stderr)
+    return 2
 
 
 if __name__ == "__main__":

@@ -134,13 +134,10 @@ def build_family(n: int, m: int, tag: FamilyTag) -> Graph:
     tag = FamilyTag(tag)
     if not family_exists(n, m, tag):
         raise FamilyDoesNotExist(f"{tag} has no member at n={n}, m={m}")
-    c_side = mirror(n, m, tag)
-    if c_side:
-        c_tag, mc = c_side
-        edges = complement(_BUILDERS[c_tag](n, mc)).edges()
-        g = Graph.from_edges(n, [(n - 1 - u, n - 1 - v) for u, v in edges])
-    else:
-        g = _BUILDERS[tag](n, m)
+    c_tag, mc = mirror(n, m, tag) or (tag, m)
+    g = _BUILDERS[c_tag](n, mc)
+    if c_tag is not tag:
+        g = Graph.from_edges(n, [(n - 1 - u, n - 1 - v) for u, v in complement(g).edges()])
     if (g.n, g.m) != (n, m):
         raise InvariantError(f"builder produced ({g.n},{g.m}) for ({n},{m},{tag})")
     return g
@@ -227,17 +224,15 @@ def build_h_optimal(n: int, m: int) -> tuple:
 def build_lmrttg_sparse(n: int, m: int) -> TwoTerminalGraph:
     """The optimal two-terminal graph for ``5 <= m <= 2n-3``.
 
-    Terminals 0 and 1 joined by an edge plus length-two paths through
-    inner vertices; even edge counts additionally link the first two
-    inner vertices.  Even counts fit through m = 2n-2, where the graph
-    coincides with the universal-terminal construction.
+    Terminals 0 and 1 joined by an edge plus ``(m-1) // 2`` length-two
+    paths through inner vertices; even edge counts additionally link the
+    first two inner vertices.  Even counts fit through m = 2n-2, where the
+    graph coincides with the universal-terminal construction.
     """
-    even_ok = m % 2 == 0 and m == 2 * n - 2
-    if not (n >= 4 and 5 <= m and (m <= 2 * n - 3 or even_ok)):
+    if not (n >= 4 and 5 <= m <= 2 * n - 2):
         raise DomainError(f"need n >= 4 and 5 <= m <= 2n-3 (or even m = 2n-2); got n={n}, m={m}")
     edges = [(0, 1)]
-    paths = (m - 1) // 2 if m % 2 else (m - 2) // 2
-    for i in range(paths):
+    for i in range((m - 1) // 2):
         edges += [(0, i + 2), (1, i + 2)]
     if m % 2 == 0:
         edges.append((2, 3))

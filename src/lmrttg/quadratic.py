@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import zip_longest
 
 from .classify import central_band
 from .errors import DomainError
@@ -57,17 +58,10 @@ class QuadNumber:
 
     def sign(self) -> int:
         """Exact sign, decided by comparing a^2 against 2 b^2."""
-        a, b = self.a, self.b
-        if a == 0 and b == 0:
-            return 0
-        if a >= 0 and b >= 0:
-            return 1
-        if a <= 0 and b <= 0:
-            return -1
-        big_a = a * a > 2 * b * b  # |a| dominates |b*sqrt(2)|; never equal for a,b != 0
-        if a > 0:
-            return 1 if big_a else -1
-        return -1 if big_a else 1
+        # the term of larger magnitude decides; sqrt(2) is irrational, so
+        # a^2 = 2 b^2 only when a = b = 0, and then lead is 0
+        lead = self.a if self.a * self.a > 2 * self.b * self.b else self.b
+        return (lead > 0) - (lead < 0)
 
     def is_zero(self) -> bool:
         return self.a == 0 and self.b == 0
@@ -115,13 +109,7 @@ class QuadPolynomial:
         return QuadPolynomial([i * c for i, c in enumerate(self.coeffs)][1:])
 
     def __sub__(self, other: "QuadPolynomial") -> "QuadPolynomial":
-        size = max(len(self.coeffs), len(other.coeffs))
-        out = []
-        for i in range(size):
-            a = self.coeffs[i] if i < len(self.coeffs) else _ZERO
-            b = other.coeffs[i] if i < len(other.coeffs) else _ZERO
-            out.append(a - b)
-        return QuadPolynomial(out)
+        return QuadPolynomial(a - b for a, b in zip_longest(self.coeffs, other.coeffs, fillvalue=_ZERO))
 
     def __mod__(self, other: "QuadPolynomial") -> "QuadPolynomial":
         """Remainder of field division."""
@@ -130,10 +118,8 @@ class QuadPolynomial:
         rem = list(self.coeffs)
         d = other.degree()
         inv_lead = other.leading().inverse()
-        while len(rem) - 1 >= d and rem:
-            if rem[-1].is_zero():
-                rem.pop()
-                continue
+        while len(rem) - 1 >= d:
+            # a zero leading term gives factor 0, and the pop drops it
             factor = rem[-1] * inv_lead
             shift = len(rem) - 1 - d
             for i, c in enumerate(other.coeffs):
@@ -151,13 +137,8 @@ def sturm_sequence(f: QuadPolynomial) -> list:
         raise DomainError("Sturm sequence of the zero polynomial")
     chain = [f, f.derivative()]
     while not chain[-1].is_zero():
-        rem = chain[-2] % chain[-1]
-        if rem.is_zero():
-            break
-        chain.append(QuadPolynomial([-c for c in rem.coeffs]))
-    if chain[-1].is_zero():
-        chain.pop()
-    return chain
+        chain.append(QuadPolynomial([-c for c in (chain[-2] % chain[-1]).coeffs]))
+    return chain[:-1]
 
 
 def sign_variations(chain, x) -> int:

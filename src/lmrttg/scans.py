@@ -67,7 +67,7 @@ class ScanReport:
         status = "pass" if self.verdict else "FAIL"
         lines.append(f"verdict: **{status}** ({self.pairs_scanned} pairs scanned)")
         if self.records:
-            cols = list(self.records[0].keys())
+            cols = list(dict.fromkeys(key for rec in self.records for key in rec))  # every field, first seen first
             lines.append("")
             lines.append("| " + " | ".join(cols) + " |")
             lines.append("|" + "---|" * len(cols))

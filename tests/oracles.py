@@ -322,6 +322,72 @@ def canonical_form_oracle(tg):
     return best[1]
 
 
+# Polynomials over Q[sqrt(2)] as ascending lists of (a, b) Fraction pairs,
+# each pair standing for a + b*sqrt(2); the zero polynomial is [].
+
+
+def _qsub(x, y):
+    return (x[0] - y[0], x[1] - y[1])
+
+
+def _qmul(x, y):
+    return (x[0] * y[0] + 2 * x[1] * y[1], x[0] * y[1] + x[1] * y[0])
+
+
+def _qdiv(x, y):
+    den = y[0] * y[0] - 2 * y[1] * y[1]
+    return _qmul(x, (y[0] / den, -y[1] / den))
+
+
+def _trimmed(p):
+    p = [(Fraction(a), Fraction(b)) for a, b in p]
+    while p and p[-1] == (0, 0):
+        p.pop()
+    return p
+
+
+def poly_sub_oracle(p, d):
+    """``p - d``, coefficient by coefficient after padding the shorter one."""
+    zero = (Fraction(0), Fraction(0))
+    size = max(len(p), len(d))
+    p, d = list(p) + [zero] * (size - len(p)), list(d) + [zero] * (size - len(d))
+    return _trimmed(_qsub(x, y) for x, y in zip(p, d))
+
+
+def poly_mul_oracle(p, d):
+    """``p * d`` by the schoolbook product."""
+    out = [(Fraction(0), Fraction(0))] * max(0, len(p) + len(d) - 1)
+    for i, x in enumerate(p):
+        for j, y in enumerate(d):
+            prod = _qmul(x, y)
+            out[i + j] = (out[i + j][0] + prod[0], out[i + j][1] + prod[1])
+    return _trimmed(out)
+
+
+def poly_mod_oracle(p, d):
+    """Remainder of ``p`` by a nonzero ``d``: schoolbook long division yields
+    the quotient q one coefficient at a time, and the remainder is p - q*d."""
+    p, d = _trimmed(p), _trimmed(d)
+    work = list(p)
+    quotient = [(Fraction(0), Fraction(0))] * max(0, len(p) - len(d) + 1)
+    for i in reversed(range(len(quotient))):
+        quotient[i] = _qdiv(work[i + len(d) - 1], d[-1])
+        for j, c in enumerate(d):
+            work[i + j] = _qsub(work[i + j], _qmul(quotient[i], c))
+    rem = poly_sub_oracle(p, poly_mul_oracle(quotient, d))
+    assert len(rem) < len(d)
+    return rem
+
+
+def sturm_degrees_oracle(p):
+    """Degrees of the Sturm chain of a nonzero p: p, p', then negated
+    remainders, up to the last nonzero one."""
+    chain = [_trimmed(p), _trimmed((i * a, i * b) for i, (a, b) in enumerate(p) if i)]
+    while chain[-1]:
+        chain.append([(-a, -b) for a, b in poly_mod_oracle(chain[-2], chain[-1])])
+    return [len(q) - 1 for q in chain[:-1]]
+
+
 def relabel(g, perm):
     """Image of g under the vertex bijection ``perm`` (old index -> new index)."""
     from lmrttg import Graph

@@ -382,6 +382,23 @@ def test_graph_file_above_the_vertex_bound_is_usage_error(tmp_path):
         assert proc.stderr == "error: graph JSON: 'n' must lie in 0..65536, got 1000000000000\n"
 
 
+def test_input_too_large_for_memory_is_usage_error():
+    # never in process: each input runs the child out of its capped address space
+    resource = pytest.importorskip("resource")
+
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 28, 1 << 28))
+
+    for family in ("c1", "g"):
+        proc = run_module("construct", "--n", "1000000000", "--m", "5", "--family", family, preexec_fn=cap_memory)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr == "error: construct: --n must be at most 65536, got 1000000000\n"
+    for argv in (("construct", "--n", "20000", "--m", "5", "--family", "s1"), ("classify", "--n", "100000")):
+        proc = run_module(*argv, preexec_fn=cap_memory)
+        assert (proc.returncode, proc.stdout) == (2, ""), proc.stderr
+        assert proc.stderr == "error: out of memory: the input is too large for this machine\n"
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["verify", "nonsense"])

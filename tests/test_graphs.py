@@ -21,7 +21,7 @@ from lmrttg import (
     join,
     to_dot,
 )
-from lmrttg.graphs import canonical_key_ordered, form_of_key, to_json_obj, vertex_pairs
+from lmrttg.graphs import GRAPH_JSON_MAX_N, canonical_key_ordered, form_of_key, to_json_obj, vertex_pairs
 from oracles import canonical_form_oracle, iso_oracle, ordered_iso_oracle, random_graph, relabel
 
 
@@ -205,6 +205,42 @@ def test_json_roundtrip():
     tg = TwoTerminalGraph(g, 4, 0)
     back = from_json(json.dumps(to_json_obj(tg)))
     assert back.graph == g and (back.s, back.t) == (4, 0)
+
+
+@st.composite
+def _graph_file_case(draw):
+    """A graph on at most 9 vertices, with or without terminals, and its JSON
+    object with one field corrupted."""
+    n = draw(st.integers(0, 9))
+    edges = draw(st.lists(st.sampled_from(vertex_pairs(n)), unique=True)) if n > 1 else []
+    obj = Graph.from_edges(n, edges)
+    if n > 1 and draw(st.booleans()):
+        obj = TwoTerminalGraph(obj, *draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True)))
+    bad = to_json_obj(obj)
+    kinds = ["n", "endpoint", "self-loop", "terminals"] + (["duplicate"] if edges else [])
+    kind = draw(st.sampled_from(kinds))
+    if kind == "n":
+        bad["n"] = draw(st.one_of(st.integers(max_value=-1), st.integers(min_value=GRAPH_JSON_MAX_N + 1)))
+    elif kind == "endpoint":
+        bad["edges"].append([draw(st.integers(0, 9)), draw(st.sampled_from([1.0, "1", None, True, [1]]))])
+    elif kind == "self-loop":
+        v = draw(st.integers(0, max(n - 1, 0)))
+        bad["edges"].append([v, v])
+    elif kind == "duplicate":
+        u, v = draw(st.sampled_from(bad["edges"]))
+        bad["edges"].append(draw(st.sampled_from([[u, v], [v, u]])))
+    else:
+        s = draw(st.integers(0, 9))
+        bad["terminals"] = draw(st.sampled_from([[s, s], [s, n + s], [s], [s, s + 1, s + 2], [s, "1"], s]))
+    return obj, kind, bad
+
+
+@given(_graph_file_case())
+def test_graph_json_round_trip_and_corruptions(case):
+    obj, kind, bad = case
+    assert from_json(json.dumps(to_json_obj(obj))) == obj
+    with pytest.raises(DomainError):
+        from_json(json.dumps(bad))
 
 
 def test_dot_marks_terminals():

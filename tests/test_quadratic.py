@@ -4,6 +4,8 @@ from fractions import Fraction
 from math import comb
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from lmrttg import (
     GAP_LOWER,
@@ -19,6 +21,7 @@ from lmrttg import (
 )
 from lmrttg.classify import central_band
 from lmrttg.scans import _tie_band_records
+from oracles import poly_mod_oracle, poly_mul_oracle, poly_sub_oracle, sturm_degrees_oracle
 
 getcontext().prec = 60
 SQRT2_DEC = Decimal(2).sqrt()
@@ -90,6 +93,47 @@ def test_count_roots_boundary_conventions():
         count_roots(f, 2, 3)  # f(lo) = 0
     with pytest.raises(DomainError):
         count_roots(f, 3, 3)
+
+
+#: A coefficient a + b*sqrt(2) of a drawn polynomial, zero one time in three.
+_COEFF = st.one_of(
+    st.just((Fraction(0), Fraction(0))),
+    st.builds(lambda a, b, c: (Fraction(a, c), Fraction(b, c)), st.integers(-3, 3), st.integers(-3, 3), st.integers(1, 3)),
+)
+_POLY = st.lists(_COEFF, max_size=5)
+
+
+@st.composite
+def _poly_pair(draw):
+    """``(p, d)`` as ascending coefficient lists: p drawn freely, or sharing
+    d's leading coefficients, or a multiple of d plus a drawn remainder, so
+    that subtraction and division cancel leading terms."""
+    d = draw(_POLY)
+    how = draw(st.sampled_from(("free", "shared top", "multiple")))
+    if how == "free":
+        return draw(_POLY), d
+    if how == "shared top":
+        k = draw(st.integers(0, len(d)))
+        return draw(st.lists(_COEFF, min_size=len(d) - k, max_size=len(d) - k)) + d[len(d) - k :], d
+    return poly_sub_oracle(draw(_POLY), poly_mul_oracle(draw(_POLY), d)), d
+
+
+def _pairs(poly):
+    return [(c.a, c.b) for c in poly.coeffs]
+
+
+@given(_poly_pair())
+def test_polynomial_operations_match_schoolbook_oracle(case):
+    p, d = case
+    fp, fd = QuadPolynomial(q(a, b) for a, b in p), QuadPolynomial(q(a, b) for a, b in d)
+    assert _pairs(fp - fd) == poly_sub_oracle(p, d)
+    if fd.is_zero():
+        with pytest.raises(ZeroDivisionError):
+            fp % fd
+    else:
+        assert _pairs(fp % fd) == poly_mod_oracle(p, d)
+    if not fp.is_zero():
+        assert [f.degree() for f in sturm_sequence(fp)] == sturm_degrees_oracle(p)
 
 
 def test_margin_polynomial_is_gap_minus_spread():

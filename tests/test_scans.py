@@ -191,10 +191,33 @@ def test_sturm_report_contents():
     assert hi - lo < Fraction(1, 10**6)
 
 
+def _markdown_rows(md):
+    """The table of a rendered report as one dict per record, keyed by the header cells."""
+    cells = [[c.strip() for c in line.strip()[1:-1].split("|")] for line in md.splitlines() if line.startswith("| ")]
+    return [dict(zip(cells[0], row)) for row in cells[1:]]
+
+
 def test_report_markdown_render(seven_pairs_report):
     md = seven_pairs_report.to_markdown()
     assert "verdict: **pass**" in md
-    assert "| n | m |" in md or "| check |" in md
+    rows = _markdown_rows(md)
+    for col in ("check", "n", "m", "tag", "m1", "h", "margin", "h_by_tag", "winner_classes", "ok"):
+        assert col in rows[0], col
+    assert rows[0]["check"] == "tie pair list"
+    assert {"n": "5", "m": "5", "tag": "s1"}.items() <= rows[1].items()
+    assert len(rows) == 8
+
+
+def test_report_markdown_shows_every_record_field():
+    records = [{"n": 8, "ok": False}, {"n": 9, "gap": 3, "ok": True}, {"check": "x", "ok": True}]
+    md = ScanReport(scope="two shapes", records=records, pairs_scanned=2).to_markdown()
+    assert md.splitlines()[4:] == [
+        "| n | ok | gap | check |",
+        "|---|---|---|---|",
+        "| 8 | False |  |  |",
+        "| 9 | True | 3 |  |",
+        "|  | True |  | x |",
+    ]
 
 
 def test_report_verdict_follows_its_records():

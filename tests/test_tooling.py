@@ -2,11 +2,14 @@
 
 import ast
 import re
+import shlex
 import sys
 from importlib import import_module
 from pathlib import Path
 
 import pytest
+
+from lmrttg.cli import build_parser
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "lmrttg"
@@ -100,3 +103,16 @@ def test_test_extra_names_every_third_party_test_import():
     project = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))["project"]
     extra = project["optional-dependencies"]["test"]
     assert third_party == {re.match(r"[A-Za-z0-9_.-]+", req).group(0).lower() for req in extra}
+
+
+def test_readme_command_lines_parse():
+    # every example in the README's shell blocks must still parse after an option is renamed or removed
+    blocks = re.findall(r"```sh\n(.*?)```", (ROOT / "README.md").read_text(encoding="utf-8"), flags=re.S)
+    lines = [line for block in blocks for line in block.splitlines() if line.startswith("lmrttg ")]
+    assert len(lines) >= 14
+    parser = build_parser()
+    for line in lines:
+        try:
+            parser.parse_args(shlex.split(line, comments=True)[1:])
+        except SystemExit:
+            pytest.fail(f"README example does not parse: {line}")
