@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from math import comb
@@ -36,7 +35,6 @@ from .scans import (
     identity_suite,
     scan_tie_band,
     scan_uniqueness,
-    sturm_passes,
     sturm_report,
     uniqueness_pairs,
     verify_seven_pairs,
@@ -124,10 +122,6 @@ def _cmd_reliability(args) -> int:
     return 0
 
 
-def _default_jobs() -> int:
-    return max(1, os.cpu_count() or 1)
-
-
 def _jobs(text: str) -> int:
     """The ``--jobs`` worker count, an integer of at least 1."""
     try:
@@ -141,26 +135,17 @@ def _jobs(text: str) -> int:
 
 def _outcome(args) -> tuple:
     """Run the check bound to a verify subcommand: (JSON document, md text, passed).  A check
-    returns a ScanReport, or a (document, passed) pair that both formats print as JSON.  The
-    check is timed here, and the document gets its ``elapsed`` seconds unless ``--no-meta``."""
+    returns a ScanReport, judged by its ``verdict``, or one record, judged by its boolean ``ok``
+    and printed as JSON in both formats.  The check is timed here, and the document gets its
+    ``elapsed`` seconds unless ``--no-meta``."""
     t0 = time.perf_counter()
     result = args.check(args)
     elapsed = round(time.perf_counter() - t0, 3)
     is_report = isinstance(result, ScanReport)
-    doc, ok = (result.to_json_obj(), result.verdict) if is_report else result
+    doc, ok = (result.to_json_obj(), result.verdict) if is_report else (result, result["ok"])
     if not args.no_meta:
         doc["elapsed"] = elapsed
     return doc, result.to_markdown() if is_report else _dumps(doc), ok
-
-
-def _check_brute(args) -> tuple:
-    rec = brute_record(args.n, args.m, deep=args.deep)
-    return rec, rec["ok"]
-
-
-def _check_sturm(args) -> tuple:
-    rep = sturm_report()
-    return rep, sturm_passes(rep)
 
 
 def _cmd_verify(args) -> int:
@@ -248,14 +233,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-n", type=int, default=6)
     p.add_argument("--min-n", type=int, default=4)
     p.add_argument("--m-cap", type=int, default=None)
-    p.add_argument("--jobs", type=_jobs, default=_default_jobs())
+    p.add_argument("--jobs", type=_jobs, default=1)
 
-    p = verify("brute", "brute-force one (n, m) pair", _check_brute)
+    p = verify("brute", "brute-force one (n, m) pair", lambda a: brute_record(a.n, a.m, deep=a.deep))
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--deep", action="store_true", help="lift the search's vertex cap up to the canonical-key cap")
 
-    verify("sturm", "root isolation for the dominance margin", _check_sturm)
+    verify("sturm", "root isolation for the dominance margin", lambda a: sturm_report())
 
     p = verify("identities", "randomized exact identity suite", lambda a: identity_suite(a.seed, a.samples))
     p.add_argument("--seed", type=int, default=0)
@@ -269,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_verify_all)
     p.add_argument("--max-n", type=int, default=6)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--jobs", type=_jobs, default=_default_jobs())
+    p.add_argument("--jobs", type=_jobs, default=1)
 
     return parser
 

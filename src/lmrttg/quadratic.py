@@ -208,22 +208,10 @@ def _bounds_at(n: int) -> tuple:
     return GAP_LOWER(n), SPREAD_UPPER(n)
 
 
-@dataclass(frozen=True)
-class BandBoundsReport:
-    """Outcome of the two band inequalities at one (n, m) pair: ``gap_ok`` is
-    ``h(C1) - h(S1) >= GAP_LOWER(n)``, ``spread_ok`` is
-    ``max |h(Si) - h(Sj)| <= SPREAD_UPPER(n)``."""
-
-    gap_ok: bool
-    spread_ok: bool
-
-    @property
-    def ok(self) -> bool:
-        return self.gap_ok and self.spread_ok
-
-
-def band_bounds_check(n: int, m: int) -> BandBoundsReport:
-    """Verify both polynomial bounds at a central-band pair, exactly."""
+def band_bounds_check(n: int, m: int) -> tuple:
+    """Verify both polynomial bounds at a central-band pair, exactly:
+    ``(gap_ok, spread_ok)``, where ``gap_ok`` is ``h(C1) - h(S1) >=
+    GAP_LOWER(n)`` and ``spread_ok`` is ``max |h(Si) - h(Sj)| <= SPREAD_UPPER(n)``."""
     if m not in central_band(n):
         raise DomainError(f"({n},{m}) lies outside the central band")
     gap_lower, spread_upper = _bounds_at(n)
@@ -234,4 +222,4 @@ def band_bounds_check(n: int, m: int) -> BandBoundsReport:
     h_vals = [family_h(n, m, t) for t in s_tags]
     spread = max(abs(x - y) for x in h_vals for y in h_vals)
     spread_margin = spread_upper - QuadNumber.of(spread)
-    return BandBoundsReport(gap_ok=gap_margin.sign() >= 0, spread_ok=spread_margin.sign() >= 0)
+    return gap_margin.sign() >= 0, spread_margin.sign() >= 0

@@ -1,9 +1,11 @@
 """Verification scans: the exceptional pairs, the central band, and the
 end-to-end brute-force check of the optimal construction.
 
-Each scan returns a ScanReport whose records each carry an ``ok`` flag;
-the verdict is derived from them.  Reports serialize to JSON (machine) and
-Markdown (human) and carry no timing, so they are deterministic.
+Each check returns either a ScanReport, whose records each carry an ``ok``
+flag and whose verdict is derived from them, or one record (``brute_record``,
+``sturm_report``) whose boolean ``ok`` is its verdict.  Reports serialize to
+JSON (machine) and Markdown (human); neither carries timing, so both are
+deterministic.
 """
 
 from __future__ import annotations
@@ -152,8 +154,6 @@ def verify_seven_pairs() -> ScanReport:
 #: dominance margin's greatest root in (TIE_SCAN_MAX_N, TIE_SCAN_MAX_N + 1],
 #: so from the next n on the margin decides every tie and the scan can stop.
 TIE_SCAN_MAX_N = 436
-#: Last n of the decomposition-parameter check; ``band_bounds_report`` clips there.
-DECOMPOSITION_MAX_N = 200
 
 
 def _tie_band_records(n: int) -> list:
@@ -208,19 +208,18 @@ def band_decomposition_violations(n_lo: int, n_hi: int) -> list:
 
 def band_bounds_report(n_lo: int, n_hi: int) -> ScanReport:
     """Exact polynomial-bound checks on every central-band pair, then the
-    decomposition-parameter check on the part of the range up to
-    ``DECOMPOSITION_MAX_N``, as one record listing its violations."""
+    decomposition-parameter check on the same range, as one record listing
+    its violations."""
     report = ScanReport(scope=f"band polynomial bounds, n in {n_lo}..{n_hi}")
     for n in band_n_range(n_lo, n_hi):
         for m in central_band(n):
-            chk = band_bounds_check(n, m)
+            gap_ok, spread_ok = band_bounds_check(n, m)
             report.pairs_scanned += 1
-            if not chk.ok:
-                report.records.append({"n": n, "m": m, "gap_ok": chk.gap_ok, "spread_ok": chk.spread_ok, "ok": False})
-    if n_lo <= DECOMPOSITION_MAX_N:
-        violations = band_decomposition_violations(n_lo, min(n_hi, DECOMPOSITION_MAX_N))
-        if violations:
-            report.records.append({"check": "decomposition bounds", "violations": violations, "ok": False})
+            if not (gap_ok and spread_ok):
+                report.records.append({"n": n, "m": m, "gap_ok": gap_ok, "spread_ok": spread_ok, "ok": False})
+    violations = band_decomposition_violations(n_lo, n_hi)
+    if violations:
+        report.records.append({"check": "decomposition bounds", "violations": violations, "ok": False})
     return report
 
 
@@ -389,29 +388,19 @@ def identity_suite(seed: int = 0, samples: int = 1000) -> ScanReport:
 # ---------------------------------------------------------------------------
 
 
-#: Keys of the three facts that ``sturm_passes`` reads.
-_ROOTS_AT_END, _ROOTS_BEYOND, _SIGN_BEYOND = (
-    f"roots_in_{TIE_SCAN_MAX_N}_{TIE_SCAN_MAX_N + 1}",
-    f"roots_in_{TIE_SCAN_MAX_N + 1}_1e6",
-    f"sign_at_{TIE_SCAN_MAX_N + 1}",
-)
-
-
 def sturm_report() -> dict:
     """Root isolation facts for the dominance margin polynomial, on the unit
-    interval that starts where the tie scan ends."""
+    interval ``(a, a+1]`` that starts where the tie scan ends, ``a =
+    TIE_SCAN_MAX_N``.  ``ok`` holds iff there is one root in (a, a+1], none in
+    (a+1, 10^6], and the margin is positive at a+1."""
     a, b = TIE_SCAN_MAX_N, TIE_SCAN_MAX_N + 1
     lo, hi = refine_root(MARGIN, a, b, Fraction(1, 10**6))
+    at_end, beyond, sign = count_roots(MARGIN, a, b), count_roots(MARGIN, b, 10**6), MARGIN(b).sign()
     return {
-        _ROOTS_AT_END: count_roots(MARGIN, a, b),
-        _ROOTS_BEYOND: count_roots(MARGIN, b, 10**6),
-        _SIGN_BEYOND: MARGIN(b).sign(),
+        f"roots_in_{a}_{b}": at_end,
+        f"roots_in_{b}_1e6": beyond,
+        f"sign_at_{b}": sign,
         "greatest_root_bracket": [str(lo), str(hi)],
         "bracket_width": str(hi - lo),
+        "ok": at_end == 1 and beyond == 0 and sign > 0,
     }
-
-
-def sturm_passes(rep: dict) -> bool:
-    """Pass rule for ``sturm_report``: one root in (a, a+1], none in (a+1, 10^6]
-    and positive at a+1, for ``a = TIE_SCAN_MAX_N``."""
-    return rep[_ROOTS_AT_END] == 1 and rep[_ROOTS_BEYOND] == 0 and rep[_SIGN_BEYOND] > 0

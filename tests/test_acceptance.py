@@ -33,7 +33,6 @@ from lmrttg import (
     zagreb1,
 )
 from lmrttg.classify import central_band
-from lmrttg.scans import _tie_band_records
 from oracles import m1_race_oracle, threshold_sign_oracle
 
 
@@ -178,11 +177,11 @@ def test_criterion_9_band_polynomial_bounds():
         for m in range((c - n + 1) // 2, (c + n) // 2 + 1):
             if m not in central_band(n):
                 continue
-            chk = band_bounds_check(n, m)
+            gap_ok, spread_ok = band_bounds_check(n, m)
             checked += 1
-            ok = ok and chk.ok
+            ok = ok and gap_ok and spread_ok
     # desk-scale stand-in for the unbounded-n dominance claim
-    spots = [rec for n in (437, 500, 1000) for rec in _tie_band_records(n)]
+    spots = [rec for n in (437, 500, 1000) for rec in scan_tie_band(n, n).records]
     ok = ok and len(spots) >= 3 and all(rec["ok"] for rec in spots)
     ok = ok and all(MARGIN(n).sign() > 0 for n in (437, 500, 1000))
     elapsed = time.perf_counter() - t0

@@ -261,6 +261,43 @@ def test_verify_sturm(capsys):
     assert json.loads(out)["roots_in_436_437"] == 1
 
 
+def test_verify_sturm_failing_root_count_fails(capsys, monkeypatch):
+    # a second root in (436, 437] breaks the isolation, and the record's ok says so
+    count_roots = scans.count_roots
+    monkeypatch.setattr(scans, "count_roots", lambda p, a, b: 2 if (a, b) == (436, 437) else count_roots(p, a, b))
+    code, out, _ = run_cli(capsys, "verify", "sturm", "--no-meta")
+    assert code == 1
+    assert '"ok": false' in out and json.loads(out)["roots_in_436_437"] == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("seven-pairs",),
+        ("istar-scan", "--from", "8", "--to", "9"),
+        ("theorem-main", "--min-n", "4", "--max-n", "4"),
+        ("brute", "--n", "4", "--m", "5"),
+        ("brute", "--n", "4", "--m", "3"),  # no construction below m = 5: a failing record
+        ("sturm",),
+        ("identities", "--samples", "5"),
+        ("bounds", "--from", "8", "--to", "9"),
+        ("all", "--max-n", "4"),
+    ],
+    ids=" ".join,
+)
+def test_every_verify_document_carries_its_verdict(capsys, argv):
+    # one verdict rule: a report's verdict or a record's boolean ok, and the exit code agrees
+    code, out, _ = run_cli(capsys, "verify", *argv, "--format", "json", "--no-meta")
+    doc = json.loads(out)
+    if "verdict" in doc:
+        assert doc["verdict"] in ("pass", "fail")
+        passed = doc["verdict"] == "pass"
+    else:
+        assert isinstance(doc["ok"], bool)
+        passed = doc["ok"]
+    assert code == (0 if passed else 1)
+
+
 def test_verify_meta_mode_times_each_check(capsys):
     # without --no-meta every verify document carries its check's time in seconds, rounded to ms
     for argv in (["sturm"], ["brute", "--n", "4", "--m", "5"], ["istar-scan", "--from", "8", "--to", "12", "--format", "json"]):

@@ -171,7 +171,7 @@ def test_band_bounds_small_band():
         c = comb(n, 2)
         for m in range((c - n + 1) // 2, (c + n) // 2 + 1):
             if m in central_band(n):
-                assert band_bounds_check(n, m).ok, (n, m)
+                assert band_bounds_check(n, m) == (True, True), (n, m)
     with pytest.raises(DomainError):
         band_bounds_check(8, 5)
 

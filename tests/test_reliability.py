@@ -4,6 +4,8 @@ from itertools import combinations, permutations
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lmrttg import (
     DomainError,
@@ -59,12 +61,20 @@ def test_n_vector_disconnected_terminals():
     assert n_vector(tg) == (0, 0)
 
 
-def test_n_vector_matches_oracle_randomized():
+@st.composite
+def _two_terminal_graphs(draw):
+    """A graph on 2..7 vertices with at most 12 edges and any terminal pair."""
+    n = draw(st.integers(2, 7))
+    edges = draw(st.lists(st.sampled_from(vertex_pairs(n)), unique=True, max_size=12))
+    s, t = draw(st.permutations(range(n)))[:2]
+    return TwoTerminalGraph(Graph.from_edges(n, edges), s, t)
+
+
+@settings(max_examples=200)
+@given(_two_terminal_graphs())
+def test_n_vector_matches_oracle_randomized(tg):
     # any terminal pair; m = 0 and disconnected terminals stay in the draw
-    rnd = random.Random(20)
-    for _ in range(200):
-        tg = _random_two_terminal(rnd, 2, 7, 12)
-        assert n_vector(tg) == nvec_oracle(tg)
+    assert n_vector(tg) == nvec_oracle(tg)
 
 
 def test_n_vector_size_bound():

@@ -179,6 +179,16 @@ def test_band_bounds_report_small():
     assert rep.verdict and rep.pairs_scanned > 0
 
 
+def test_band_bounds_report_checks_decomposition_on_its_whole_range(monkeypatch):
+    # a violation planted above n = 200 must reach the report of a range that reaches it
+    quasi_star = scans.quasi_star_params
+    monkeypatch.setattr(scans, "quasi_star_params", lambda n, m: (n, 0) if n > 200 else quasi_star(n, m))
+    rep = band_bounds_report(8, 210)
+    assert not rep.verdict
+    (rec,) = rep.records
+    assert rec["check"] == "decomposition bounds" and {n for n, _, _ in rec["violations"]} == set(range(201, 211))
+
+
 def test_sturm_report_contents():
     from fractions import Fraction
 
