@@ -4,9 +4,11 @@ and the central band.
 For ``n >= 5`` and ``0 <= m <= C(n,2)``, ``classify`` returns the sign of
 ``M1(S1) - M1(C1)``: PLUS when the quasi-star wins, MINUS when the
 quasi-complete wins, TIE on equality, decided by that direct exact
-comparison of the two closed forms, nothing else.  The central band J, the
-hard case of the analysis, is ``m in central_band(n)``; it starts at
-``n = BAND_MIN_N``, and every band scan takes its n range from
+comparison of the two closed forms, nothing else.  ``ties`` finds the tie
+edge counts of a range by solving that comparison on each cell where both
+decomposition orders are fixed, since it is affine in m there.  The central
+band J, the hard case of the analysis, is ``m in central_band(n)``; it
+starts at ``n = BAND_MIN_N``, and every band scan takes its n range from
 ``band_n_range``.  ``spectrum(n)`` reports the threshold data of the
 published case analysis (the clique order ``k``, the regime selector ``q``
 and the crossover offset ``r``) as exact rationals, for the classification
@@ -33,6 +35,11 @@ class Sign(Enum):
 
     def __str__(self) -> str:
         return self.value
+
+    @classmethod
+    def of(cls, x: int) -> "Sign":
+        """The sign of an exact number: PLUS, MINUS, or TIE at zero."""
+        return cls.TIE if x == 0 else cls.PLUS if x > 0 else cls.MINUS
 
 
 @dataclass(frozen=True)
@@ -89,16 +96,61 @@ def band_n_range(n_lo: int, n_hi: int) -> range:
     return range(n_lo, n_hi + 1)
 
 
+def _m1_gap(n: int, k: int, j: int, kp: int, jp: int) -> int:
+    """``M1(S1) - M1(C1)`` at (n, m), from the decomposition parameters of m:
+    ``(k, j) = quasi_complete_params(m)`` and ``(kp, jp) = quasi_star_params(n, m)``."""
+    return quasi_star_m1(n, kp, jp) - quasi_complete_m1(k, j)
+
+
 def classify(n: int, m: int) -> Sign | None:
     """The sign of ``M1(S1) - M1(C1)`` at (n, m), exactly: a Sign, or None
     for ``n < 5`` or m outside ``0..C(n,2)``."""
     if n < 5 or not 0 <= m <= comb(n, 2):
         return None
-    m1c = quasi_complete_m1(*quasi_complete_params(m))
-    m1s = quasi_star_m1(n, *quasi_star_params(n, m))
-    if m1s == m1c:
-        return Sign.TIE
-    return Sign.PLUS if m1s > m1c else Sign.MINUS
+    return Sign.of(_m1_gap(n, *quasi_complete_params(m), *quasi_star_params(n, m)))
+
+
+def ties(n: int, ms: range) -> list:
+    """The m in ``ms`` with ``M1(S1) = M1(C1)`` at this n, in increasing
+    order, solved one cell at a time instead of classified pair by pair.
+
+    A cell is a maximal run of m on which both ``k`` and ``k'`` are fixed,
+    where ``m = C(k+1,2) - j`` and ``C(n,2) - m = C(k'+1,2) - j'``; on it
+    each step m -> m+1 takes j to j-1 and j' to j'+1.  The gap is affine in
+    m on a cell.  Expanding ``quasi_complete_m1`` gives
+    ``M1(C1) = k^3 + k^2 - (4k-1) j + j^2``, and ``quasi_star_m1`` gives
+    ``M1(S1) = n(n-1)^2 - 4(n-1)(C(n,2) - m) + k'^3 + k'^2 - (4k'-1) j' + j'^2``.
+    j and j' are affine in m with slopes -1 and +1, so the only term of the
+    gap that is not plainly affine is ``j'^2 - j^2 = (j' + j)(j' - j)``.
+    There ``j' + j = C(k+1,2) + C(k'+1,2) - C(n,2)`` is constant on the cell
+    and ``j' - j`` is affine in m.  So with ``d = gap(m0+1) - gap(m0)`` at
+    the cell's first m0, ``gap(m) = gap(m0) + d (m - m0)``: the cell ties
+    only at ``m0 - gap(m0) / d`` when d divides ``gap(m0)`` and that m lies
+    in the cell, or everywhere when ``d = gap(m0) = 0``.  ``classify``
+    confirms each solved tie, and one it does not confirm raises
+    InvariantError.
+    """
+    if n < 5 or ms.step != 1 or not 0 <= ms.start <= ms.stop <= comb(n, 2) + 1:
+        raise DomainError(f"ties need n >= 5 and a unit-step range within 0..C(n,2); got n={n}, {ms}")
+    out = []
+    m0 = ms.start
+    while m0 < ms.stop:
+        k, j = quasi_complete_params(m0)
+        kp, jp = quasi_star_params(n, m0)
+        last = min(m0 + j - 1, m0 + kp - jp, ms.stop - 1)
+        gap = _m1_gap(n, k, j, kp, jp)
+        d = _m1_gap(n, k, j - 1, kp, jp + 1) - gap if last > m0 else 0
+        if d:
+            steps, rest = divmod(-gap, d)
+            found = [m0 + steps] if rest == 0 and 0 <= steps <= last - m0 else []
+        else:
+            found = list(range(m0, last + 1)) if gap == 0 else []
+        for m in found:
+            if classify(n, m) is not Sign.TIE:
+                raise InvariantError(f"solved tie ({n},{m}) does not classify as a tie")
+        out.extend(found)
+        m0 = last + 1
+    return out
 
 
 def tie_pairs(n: int) -> list:
@@ -107,4 +159,4 @@ def tie_pairs(n: int) -> list:
     if n < 5:
         raise DomainError(f"tie classification needs n >= 5; got {n}")
     skip = trivial_tie_ms(n)
-    return [m for m in range(comb(n, 2) + 1) if m not in skip and classify(n, m) is Sign.TIE]
+    return [m for m in ties(n, range(comb(n, 2) + 1)) if m not in skip]

@@ -13,7 +13,7 @@ import sys
 import time
 from math import comb
 
-from .classify import BAND_MIN_N, Sign, central_band, classify, spectrum
+from .classify import BAND_MIN_N, Sign, _m1_gap, central_band, spectrum, ties
 from .errors import DomainError, FamilyDoesNotExist, InvariantError, SizeLimitError
 from .families import (
     FamilyTag,
@@ -22,7 +22,6 @@ from .families import (
     build_lmrttg,
     build_lmrttg_sparse,
     quasi_complete_params,
-    quasi_star_params,
 )
 from .graphs import GRAPH_JSON_MAX_N, TwoTerminalGraph, from_json, to_dot, to_json_obj
 from .invariants import invariant_bundle
@@ -90,25 +89,42 @@ def _cmd_invariants(args) -> int:
 _CLASSIFY_COLUMNS = ("n", "m", "sign", "in_J", "k", "j", "kp", "jp", "k_n", "q_n", "R_n")
 
 
+def _classify_rows(n: int, istar_only: bool):
+    """``(m, sign, in_J, k, j, kp, jp)`` for each classify row at n;
+    ``istar_only`` keeps the tie rows, which ``ties`` solves for."""
+    c = comb(n, 2)
+    band = central_band(n)
+    ms = range(c + 1) if not istar_only else ties(n, range(c + 1)) if n >= 5 else ()
+    for m in ms:
+        k, j = quasi_complete_params(m)
+        kp, jp = quasi_complete_params(c - m)  # quasi_star_params(n, m), for m known to be in range
+        sign = Sign.of(_m1_gap(n, k, j, kp, jp)).value if n >= 5 else ""
+        yield m, sign, int(m in band), k, j, kp, jp
+
+
+def _spectrum_columns(n: int) -> tuple:
+    """The ``k_n``, ``q_n`` and ``R_n`` columns, the same on every row at n
+    and empty below n = 5."""
+    if n < 5:
+        return ("", "", "")
+    sp = spectrum(n)
+    return sp.k, str(sp.q), str(sp.r)
+
+
 def _cmd_classify(args) -> int:
     n_lo, n_hi = _parse_range(args.n)
-    rows = []
-    for n in range(n_lo, n_hi + 1):
-        sp = spectrum(n) if n >= 5 else None
-        for m in range(comb(n, 2) + 1):
-            sign = classify(n, m)
-            if args.istar_only and sign is not Sign.TIE:
-                continue
-            values = (n, m, str(sign) if sign else "", int(m in central_band(n)))
-            values += quasi_complete_params(m) + quasi_star_params(n, m)
-            values += (sp.k, str(sp.q), str(sp.r)) if sp else ("", "", "")
-            rows.append(dict(zip(_CLASSIFY_COLUMNS, values)))
+    blocks = ((n, _spectrum_columns(n), _classify_rows(n, args.istar_only)) for n in range(n_lo, n_hi + 1))
     if args.format == "json":
-        _print_json(rows)
-    else:
-        print(",".join(_CLASSIFY_COLUMNS))
-        for r in rows:
-            print(",".join(str(v) for v in r.values()))
+        _print_json([dict(zip(_CLASSIFY_COLUMNS, (n, *row, *tail))) for n, tail, rows in blocks for row in rows])
+        return 0
+    # one write per n, the header with the first, so that an n whose rows do
+    # not fit in memory prints nothing when it comes first
+    head = ",".join(_CLASSIFY_COLUMNS) + "\n"
+    for n, tail, rows in blocks:
+        t = ",".join(map(str, tail))
+        sys.stdout.write(head + "".join(f"{n},{m},{s},{b},{k},{j},{kp},{jp},{t}\n" for m, s, b, k, j, kp, jp in rows))
+        head = ""
+    sys.stdout.write(head)
     return 0
 
 

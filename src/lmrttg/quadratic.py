@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import zip_longest
+from math import isqrt
 
 from .classify import central_band
 from .errors import DomainError
@@ -202,24 +203,35 @@ SPREAD_UPPER = QuadPolynomial([_eighth(4), _eighth(0, -16), _eighth(-2), _eighth
 MARGIN = GAP_LOWER - SPREAD_UPPER
 
 
+def _floor(x: QuadNumber) -> int:
+    """``floor(x)``, exactly: an isqrt estimate of ``a + b*sqrt(2)``, within
+    2 of x, corrected by exact sign steps."""
+    u, v = x.b.numerator, x.b.denominator
+    root = isqrt(2 * u * u) // v  # floor(|b| sqrt(2))
+    f = x.a.numerator // x.a.denominator + (root if u >= 0 else -root)
+    while (x - f).sign() < 0:
+        f -= 1
+    while (x - (f + 1)).sign() >= 0:
+        f += 1
+    return f
+
+
 @lru_cache(maxsize=None)
 def _bounds_at(n: int) -> tuple:
-    """``(GAP_LOWER(n), SPREAD_UPPER(n))``: both depend on n alone."""
-    return GAP_LOWER(n), SPREAD_UPPER(n)
+    """``(ceil(GAP_LOWER(n)), floor(SPREAD_UPPER(n)))``: both bounds depend on
+    n alone, and an integer x satisfies ``x >= a`` exactly when ``x >=
+    ceil(a)``, and ``x <= b`` exactly when ``x <= floor(b)``."""
+    return -_floor(-GAP_LOWER(n)), _floor(SPREAD_UPPER(n))
 
 
 def band_bounds_check(n: int, m: int) -> tuple:
     """Verify both polynomial bounds at a central-band pair, exactly:
     ``(gap_ok, spread_ok)``, where ``gap_ok`` is ``h(C1) - h(S1) >=
-    GAP_LOWER(n)`` and ``spread_ok`` is ``max |h(Si) - h(Sj)| <= SPREAD_UPPER(n)``."""
+    GAP_LOWER(n)`` and ``spread_ok`` is ``max |h(Si) - h(Sj)| <= SPREAD_UPPER(n)``.
+    The h values are integers, so each compares with an integer threshold."""
     if m not in central_band(n):
         raise DomainError(f"({n},{m}) lies outside the central band")
     gap_lower, spread_upper = _bounds_at(n)
-    h_c1 = family_h(n, m, FamilyTag.C1)
-    h_s1 = family_h(n, m, FamilyTag.S1)
-    gap_margin = QuadNumber.of(h_c1 - h_s1) - gap_lower
-    s_tags = [t for t in (FamilyTag.S1, FamilyTag.S2, FamilyTag.S3) if family_exists(n, m, t)]
-    h_vals = [family_h(n, m, t) for t in s_tags]
-    spread = max(abs(x - y) for x in h_vals for y in h_vals)
-    spread_margin = spread_upper - QuadNumber.of(spread)
-    return gap_margin.sign() >= 0, spread_margin.sign() >= 0
+    h_s = [family_h(n, m, t) for t in (FamilyTag.S1, FamilyTag.S2, FamilyTag.S3) if family_exists(n, m, t)]
+    gap = family_h(n, m, FamilyTag.C1) - h_s[0]  # S1 exists at every (n, m)
+    return gap >= gap_lower, max(h_s) - min(h_s) <= spread_upper

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
 
-from .classify import Sign, band_n_range, central_band, classify, tie_pairs
+from .classify import band_n_range, central_band, tie_pairs, ties
 from .errors import DomainError, SizeLimitError
 from .families import (
     SEVEN_PAIR_TAGS,
@@ -159,9 +159,7 @@ TIE_SCAN_MAX_N = 436
 def _tie_band_records(n: int) -> list:
     """One record per tie pair in the central band at this n."""
     out = []
-    for m in central_band(n):
-        if classify(n, m) is not Sign.TIE:
-            continue
+    for m in ties(n, central_band(n)):
         h_by_tag = {t: family_h(n, m, t) for t in FamilyTag if family_exists(n, m, t)}
         expected = h_optimal_tag(n, m)
         others = [v for t, v in h_by_tag.items() if t is not expected]

@@ -164,8 +164,8 @@ def test_criterion_8_band_scan():
     ok = rep.verdict and rep.pairs_scanned > 0
     scan_elapsed = time.perf_counter() - t0
     ok = ok and scan_elapsed < 60.0
-    ok = ok and band_decomposition_violations(8, 200) == []
-    _report(8, ok, f"central-band dominance on {rep.pairs_scanned} tie pairs (n <= 436) plus decomposition bounds (n <= 200), budget 1min", time.perf_counter() - t0)
+    ok = ok and band_decomposition_violations(8, 436) == []
+    _report(8, ok, f"central-band dominance on {rep.pairs_scanned} tie pairs (n <= 436) plus decomposition bounds (n <= 436), budget 1min", time.perf_counter() - t0)
 
 
 def test_criterion_9_band_polynomial_bounds():

@@ -1,7 +1,10 @@
 from fractions import Fraction
+from importlib import import_module
 from math import comb
 
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from lmrttg import (
     DomainError,
@@ -13,8 +16,10 @@ from lmrttg import (
     spectrum,
     tie_pairs,
 )
-from lmrttg.classify import BAND_MIN_N, Sign, central_band
+from lmrttg.classify import BAND_MIN_N, Sign, central_band, ties
+from lmrttg.errors import InvariantError
 from lmrttg.families import trivial_tie_ms
+from lmrttg.scans import TIE_SCAN_MAX_N
 from oracles import m1_race_oracle, threshold_sign_oracle
 
 
@@ -136,3 +141,51 @@ def test_band_decomposition_bounds_exact():
             for val in (quasi_complete_params(m)[0], quasi_star_params(n, m)[0]):
                 assert n * n < 2 * (val + 2) ** 2, (n, m, val)
                 assert val <= 1 or 2 * (val - 1) ** 2 < n * n, (n, m, val)
+
+
+def test_ties_equal_the_pair_by_pair_scan():
+    # the solved cells against classify on every pair: each central band the
+    # tie scan covers, and every edge count for n <= 60
+    for n in range(BAND_MIN_N, TIE_SCAN_MAX_N + 1):
+        band = central_band(n)
+        assert ties(n, band) == [m for m in band if classify(n, m) is Sign.TIE], n
+    for n in range(5, 61):
+        ms = range(comb(n, 2) + 1)
+        assert ties(n, ms) == [m for m in ms if classify(n, m) is Sign.TIE], n
+    assert ties(6, range(6, 10)) == [6, 7, 8, 9]  # a whole cell of ties: slope and gap both 0
+    assert ties(8, range(11, 11)) == []
+
+
+def gap(n, m):
+    s1, c1 = m1_pair(n, m)
+    return s1 - c1
+
+
+@given(st.data())
+def test_gap_has_zero_second_difference_on_each_cell(data):
+    # a cell is where both decomposition orders stay fixed: k on
+    # C(k,2) <= m < C(k+1,2), and k' on C(k',2) <= C(n,2) - m < C(k'+1,2)
+    n = data.draw(st.integers(5, 10**4), label="n")
+    c = comb(n, 2)
+    m = data.draw(st.integers(0, c), label="m")
+    k, kp = quasi_complete_params(m)[0], quasi_star_params(n, m)[0]
+    lo = max(comb(k, 2), c - comb(kp + 1, 2) + 1)
+    hi = min(comb(k + 1, 2) - 1, c - comb(kp, 2))
+    assert lo <= m <= hi
+    assume(hi - lo >= 2)
+    t = data.draw(st.integers(lo, hi - 2), label="t")
+    assert gap(n, t + 2) - 2 * gap(n, t + 1) + gap(n, t) == 0
+
+
+def test_ties_confirms_each_solved_tie(monkeypatch):
+    # a solved tie that classify rejects is a broken invariant, raised and not asserted
+    monkeypatch.setattr(import_module("lmrttg.classify"), "classify", lambda n, m: Sign.MINUS)
+    with pytest.raises(InvariantError):
+        ties(8, central_band(8))
+
+
+def test_ties_domain():
+    for n, ms in ((4, range(3)), (8, range(0, 30)), (8, range(-1, 3)), (8, range(0, 10, 2))):
+        with pytest.raises(DomainError):
+            ties(n, ms)
+    assert ties(8, range(0, 29)) == [m for m in range(29) if classify(8, m) is Sign.TIE]

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import multiprocessing
@@ -220,6 +221,28 @@ def test_verify_all_without_a_uniqueness_pair_is_usage_error(capsys, monkeypatch
     code, out, err = run_cli(capsys, "verify", "all", "--max-n", "3", "--jobs", "1")
     assert code == 2 and out == ""
     assert err.startswith("error:") and "4..3" in err
+
+
+def test_classify_empty_range_prints_the_header_alone(capsys):
+    assert run_cli(capsys, "classify", "--n", "4..2") == (0, "n,m,sign,in_J,k,j,kp,jp,k_n,q_n,R_n\n", "")
+    assert run_cli(capsys, "classify", "--n", "4..2", "--format", "json") == (0, "[]\n", "")
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        # the classify digest is the one the benchmark pins
+        (("classify", "--n", "5..60", "--format", "csv"), "ed77332ac56985c7c106d1bc3d8ad05d6b53b281d3a2cfc6cc60e1efe23f87b8"),
+        (
+            ("verify", "istar-scan", "--from", "8", "--to", "436", "--format", "json", "--no-meta"),
+            "d356f29bb363185b3f15380ec217c3f84daae8f48373e3a38860a2b9deac8aed",
+        ),
+    ],
+)
+def test_pinned_output_bytes(capsys, argv, digest):
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_classify_istar_only_keeps_only_ties(capsys):

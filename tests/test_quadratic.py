@@ -12,14 +12,18 @@ from lmrttg import (
     MARGIN,
     SPREAD_UPPER,
     DomainError,
+    FamilyTag,
     QuadNumber,
     QuadPolynomial,
     band_bounds_check,
     count_roots,
+    family_exists,
+    family_h,
     refine_root,
     sturm_sequence,
 )
 from lmrttg.classify import central_band
+from lmrttg.quadratic import _bounds_at, _floor
 from lmrttg.scans import _tie_band_records
 from oracles import poly_mod_oracle, poly_mul_oracle, poly_sub_oracle, sturm_degrees_oracle
 
@@ -174,6 +178,37 @@ def test_band_bounds_small_band():
                 assert band_bounds_check(n, m) == (True, True), (n, m)
     with pytest.raises(DomainError):
         band_bounds_check(8, 5)
+
+
+fractions = st.fractions(max_denominator=10**6).filter(lambda x: abs(x) < 10**12)
+
+
+@given(fractions, fractions)
+def test_floor_is_the_greatest_integer_below(a, b):
+    x = q(a, b)
+    f = _floor(x)
+    assert (x - f).sign() >= 0 > (x - (f + 1)).sign()
+
+
+def test_band_thresholds_are_the_ceiling_and_floor_of_the_bounds():
+    # an integer gap is at least GAP_LOWER(n) iff it is at least the ceiling,
+    # and an integer spread is at most SPREAD_UPPER(n) iff at most the floor
+    for n in range(8, 1001):
+        gap_lower, spread_upper = _bounds_at(n)
+        assert type(gap_lower) is int and type(spread_upper) is int
+        assert (q(gap_lower) - GAP_LOWER(n)).sign() >= 0 > (q(gap_lower - 1) - GAP_LOWER(n)).sign(), n
+        assert (SPREAD_UPPER(n) - spread_upper).sign() >= 0 > (SPREAD_UPPER(n) - (spread_upper + 1)).sign(), n
+
+
+def test_band_bounds_check_equals_the_direct_comparison():
+    s_tags = (FamilyTag.S1, FamilyTag.S2, FamilyTag.S3)
+    for n in range(8, 101):
+        for m in central_band(n):
+            gap = family_h(n, m, FamilyTag.C1) - family_h(n, m, FamilyTag.S1)
+            h_s = [family_h(n, m, t) for t in s_tags if family_exists(n, m, t)]
+            spread = max(abs(x - y) for x in h_s for y in h_s)
+            direct = ((q(gap) - GAP_LOWER(n)).sign() >= 0, (SPREAD_UPPER(n) - q(spread)).sign() >= 0)
+            assert band_bounds_check(n, m) == direct, (n, m)
 
 
 def test_large_n_spot_checks():

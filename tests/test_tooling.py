@@ -15,13 +15,44 @@ ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "lmrttg"
 
 
+#: The ``math`` functions that return floats.
+_FLOAT_MATH = {"sqrt", "pow", "exp", "log", "isclose"}
+
+
 def _float_uses(path):
-    """(line, what) for each float literal and each call of ``float`` in a source file."""
-    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+    """(line, what) for each float literal and each call of ``float`` or of a
+    float-returning ``math`` function in a source file."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    math_names = {
+        alias.asname or alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Import)
+        for alias in node.names
+        if alias.name == "math"
+    }
+    from_math = {
+        alias.asname or alias.name: alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "math"
+        for alias in node.names
+        if alias.name in _FLOAT_MATH
+    }
+    for node in ast.walk(tree):
         if isinstance(node, ast.Constant) and isinstance(node.value, float):
             yield node.lineno, repr(node.value)
-        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "float":
-            yield node.lineno, "float(...)"
+        elif isinstance(node, ast.Call):
+            fn = node.func
+            if isinstance(fn, ast.Name) and fn.id == "float":
+                yield node.lineno, "float(...)"
+            elif isinstance(fn, ast.Name) and fn.id in from_math:
+                yield node.lineno, f"math.{from_math[fn.id]}(...)"
+            elif (
+                isinstance(fn, ast.Attribute)
+                and isinstance(fn.value, ast.Name)
+                and fn.value.id in math_names
+                and fn.attr in _FLOAT_MATH
+            ):
+                yield node.lineno, f"math.{fn.attr}(...)"
 
 
 def test_library_has_no_floats():
@@ -30,6 +61,12 @@ def test_library_has_no_floats():
     assert len(paths) > 5
     found = [f"{path.name}:{line}: {what}" for path in paths for line, what in _float_uses(path)]
     assert found == []
+
+
+def test_float_check_flags_float_math(tmp_path):
+    path = tmp_path / "sample.py"
+    path.write_text("import math as m\nfrom math import isqrt, sqrt as root\nx = m.log(2) + root(2) + isqrt(2) + m.comb(3, 2)\n")
+    assert sorted(what for _, what in _float_uses(path)) == ["math.log(...)", "math.sqrt(...)"]
 
 
 def _function_imports(path):
