@@ -30,6 +30,7 @@ from .invariants import (
     count_p3,
     count_triangles,
     family_h,
+    family_h_values,
     h_invariant,
     h_sum_offset,
     invariant_bundle,

@@ -4,11 +4,12 @@ and the central band.
 For ``n >= 5`` and ``0 <= m <= C(n,2)``, ``classify`` returns the sign of
 ``M1(S1) - M1(C1)``: PLUS when the quasi-star wins, MINUS when the
 quasi-complete wins, TIE on equality, decided by that direct exact
-comparison of the two closed forms, nothing else.  ``ties`` finds the tie
-edge counts of a range by solving that comparison on each cell where both
-decomposition orders are fixed, since it is affine in m there.  The central
-band J, the hard case of the analysis, is ``m in central_band(n)``; it
-starts at ``n = BAND_MIN_N``, and every band scan takes its n range from
+comparison of the two closed forms, nothing else.  ``cells`` walks the
+runs of m where both decomposition orders are fixed, on which that
+comparison is affine in m, and ``ties`` finds the tie edge counts of a
+range by solving it on each cell.  The central band J, the hard case of
+the analysis, is ``m in central_band(n)``; it starts at ``n =
+BAND_MIN_N``, and every band scan takes its n range from
 ``band_n_range``.  ``spectrum(n)`` reports the threshold data of the
 published case analysis (the clique order ``k``, the regime selector ``q``
 and the crossover offset ``r``) as exact rationals, for the classification
@@ -17,11 +18,11 @@ table; it decides no sign.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, isqrt
+from typing import NamedTuple
 
 from .errors import DomainError, InvariantError
 from .families import quasi_complete_params, quasi_star_params, trivial_tie_ms
@@ -42,8 +43,7 @@ class Sign(Enum):
         return cls.TIE if x == 0 else cls.PLUS if x > 0 else cls.MINUS
 
 
-@dataclass(frozen=True)
-class SpectrumParams:
+class SpectrumParams(NamedTuple):
     """Threshold data governing where the Zagreb comparison changes sign.
 
     ``k`` is the largest clique order whose edge count stays within half of
@@ -110,36 +110,51 @@ def classify(n: int, m: int) -> Sign | None:
     return Sign.of(_m1_gap(n, *quasi_complete_params(m), *quasi_star_params(n, m)))
 
 
-def ties(n: int, ms: range) -> list:
-    """The m in ``ms`` with ``M1(S1) = M1(C1)`` at this n, in increasing
-    order, solved one cell at a time instead of classified pair by pair.
+def cells(n: int, ms: range):
+    """The cells of the edge counts ``ms`` at n, in increasing order, as
+    ``(m0, last, k, j, kp, jp, gap, d)``.
 
-    A cell is a maximal run of m on which both ``k`` and ``k'`` are fixed,
-    where ``m = C(k+1,2) - j`` and ``C(n,2) - m = C(k'+1,2) - j'``; on it
-    each step m -> m+1 takes j to j-1 and j' to j'+1.  The gap is affine in
-    m on a cell.  Expanding ``quasi_complete_m1`` gives
-    ``M1(C1) = k^3 + k^2 - (4k-1) j + j^2``, and ``quasi_star_m1`` gives
-    ``M1(S1) = n(n-1)^2 - 4(n-1)(C(n,2) - m) + k'^3 + k'^2 - (4k'-1) j' + j'^2``.
-    j and j' are affine in m with slopes -1 and +1, so the only term of the
-    gap that is not plainly affine is ``j'^2 - j^2 = (j' + j)(j' - j)``.
-    There ``j' + j = C(k+1,2) + C(k'+1,2) - C(n,2)`` is constant on the cell
-    and ``j' - j`` is affine in m.  So with ``d = gap(m0+1) - gap(m0)`` at
-    the cell's first m0, ``gap(m) = gap(m0) + d (m - m0)``: the cell ties
-    only at ``m0 - gap(m0) / d`` when d divides ``gap(m0)`` and that m lies
-    in the cell, or everywhere when ``d = gap(m0) = 0``.  ``classify``
-    confirms each solved tie, and one it does not confirm raises
-    InvariantError.
+    A cell is a maximal run ``m0..last`` of m on which both ``k`` and
+    ``k'`` are fixed, where ``m = C(k+1,2) - j`` and ``C(n,2) - m =
+    C(k'+1,2) - j'``; ``(k, j, kp, jp)`` are the parameters of m0, and each
+    step m -> m+1 takes j to j-1 and j' to j'+1.  ``gap`` is ``M1(S1) -
+    M1(C1)`` at m0 and ``d`` its step, so that ``gap + d i`` is the gap at
+    ``m0 + i`` (``ties`` proves it affine); d is 0 on a one-pair cell.
     """
     if n < 5 or ms.step != 1 or not 0 <= ms.start <= ms.stop <= comb(n, 2) + 1:
-        raise DomainError(f"ties need n >= 5 and a unit-step range within 0..C(n,2); got n={n}, {ms}")
-    out = []
+        raise DomainError(f"cells need n >= 5 and a unit-step range within 0..C(n,2); got n={n}, {ms}")
+    c = comb(n, 2)
     m0 = ms.start
     while m0 < ms.stop:
         k, j = quasi_complete_params(m0)
-        kp, jp = quasi_star_params(n, m0)
+        kp, jp = quasi_complete_params(c - m0)  # quasi_star_params(n, m0), for m0 known to be in range
         last = min(m0 + j - 1, m0 + kp - jp, ms.stop - 1)
         gap = _m1_gap(n, k, j, kp, jp)
         d = _m1_gap(n, k, j - 1, kp, jp + 1) - gap if last > m0 else 0
+        yield m0, last, k, j, kp, jp, gap, d
+        m0 = last + 1
+
+
+def ties(n: int, ms: range) -> list:
+    """The m in ``ms`` with ``M1(S1) = M1(C1)`` at this n, in increasing
+    order, solved one cell at a time (``cells``) instead of classified pair
+    by pair.
+
+    The gap is affine in m on a cell.  Expanding ``quasi_complete_m1``
+    gives ``M1(C1) = k^3 + k^2 - (4k-1) j + j^2``, and ``quasi_star_m1``
+    gives ``M1(S1) = n(n-1)^2 - 4(n-1)(C(n,2) - m) + k'^3 + k'^2 - (4k'-1)
+    j' + j'^2``.  j and j' are affine in m with slopes -1 and +1, so the
+    only term of the gap that is not plainly affine is ``j'^2 - j^2 = (j' +
+    j)(j' - j)``.  There ``j' + j = C(k+1,2) + C(k'+1,2) - C(n,2)`` is
+    constant on the cell and ``j' - j`` is affine in m.  So with ``d =
+    gap(m0+1) - gap(m0)`` at the cell's first m0, ``gap(m) = gap(m0) + d (m
+    - m0)``: the cell ties only at ``m0 - gap(m0) / d`` when d divides
+    ``gap(m0)`` and that m lies in the cell, or everywhere when ``d =
+    gap(m0) = 0``.  ``classify`` confirms each solved tie, and one it does
+    not confirm raises InvariantError.
+    """
+    out = []
+    for m0, last, _, _, _, _, gap, d in cells(n, ms):
         if d:
             steps, rest = divmod(-gap, d)
             found = [m0 + steps] if rest == 0 and 0 <= steps <= last - m0 else []
@@ -149,7 +164,6 @@ def ties(n: int, ms: range) -> list:
             if classify(n, m) is not Sign.TIE:
                 raise InvariantError(f"solved tie ({n},{m}) does not classify as a tie")
         out.extend(found)
-        m0 = last + 1
     return out
 
 

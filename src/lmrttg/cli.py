@@ -13,7 +13,7 @@ import sys
 import time
 from math import comb
 
-from .classify import BAND_MIN_N, Sign, _m1_gap, central_band, spectrum, ties
+from .classify import BAND_MIN_N, Sign, cells, central_band, spectrum, ties
 from .errors import DomainError, FamilyDoesNotExist, InvariantError, SizeLimitError
 from .families import (
     FamilyTag,
@@ -82,24 +82,37 @@ def _load_graph(path: str):
 def _cmd_invariants(args) -> int:
     obj = _load_graph(args.graph)
     g = obj.graph if isinstance(obj, TwoTerminalGraph) else obj
-    _print_json(invariant_bundle(g).__dict__)
+    _print_json(invariant_bundle(g)._asdict())
     return 0
 
 
 _CLASSIFY_COLUMNS = ("n", "m", "sign", "in_J", "k", "j", "kp", "jp", "k_n", "q_n", "R_n")
 
 
+#: A row's sign text, indexed by the sign of its gap as -1, 0 or 1.
+_SIGN_TEXT = tuple(str(Sign.of(x)) for x in (0, 1, -1))
+
+
 def _classify_rows(n: int, istar_only: bool):
-    """``(m, sign, in_J, k, j, kp, jp)`` for each classify row at n;
-    ``istar_only`` keeps the tie rows, which ``ties`` solves for."""
+    """``(m, sign, in_J, k, j, kp, jp)`` for each classify row at n.  The
+    rows are read off the cells of ``cells``, where the m = m0 + i row has
+    gap ``gap + d i`` and parameters ``(k, j - i, kp, jp + i)``;
+    ``istar_only`` keeps the tie rows, which ``ties`` solves for.  Below n =
+    5 the sign is empty."""
     c = comb(n, 2)
     band = central_band(n)
+    if n >= 5 and not istar_only:
+        for m0, last, k, j, kp, jp, gap, d in cells(n, range(c + 1)):
+            for i in range(last - m0 + 1):
+                g = gap + d * i
+                yield m0 + i, _SIGN_TEXT[(g > 0) - (g < 0)], int(m0 + i in band), k, j - i, kp, jp + i
+        return
+    # the tie rows, or every row below n = 5; quasi_star_params(n, m) is
+    # quasi_complete_params(c - m) for m known to be in range
     ms = range(c + 1) if not istar_only else ties(n, range(c + 1)) if n >= 5 else ()
+    sign = _SIGN_TEXT[0] if n >= 5 else ""
     for m in ms:
-        k, j = quasi_complete_params(m)
-        kp, jp = quasi_complete_params(c - m)  # quasi_star_params(n, m), for m known to be in range
-        sign = Sign.of(_m1_gap(n, k, j, kp, jp)).value if n >= 5 else ""
-        yield m, sign, int(m in band), k, j, kp, jp
+        yield m, sign, int(m in band), *quasi_complete_params(m), *quasi_complete_params(c - m)
 
 
 def _spectrum_columns(n: int) -> tuple:

@@ -49,15 +49,14 @@ class FamilyTag(str, Enum):
 
 
 #: Each quasi-star family and the quasi-complete family it complements.
-_MIRROR_TAGS = {FamilyTag.S1: FamilyTag.C1, FamilyTag.S2: FamilyTag.C2, FamilyTag.S3: FamilyTag.C3}
+MIRROR_TAGS = {FamilyTag.S1: FamilyTag.C1, FamilyTag.S2: FamilyTag.C2, FamilyTag.S3: FamilyTag.C3}
 
 
 def mirror(n: int, m: int, tag: FamilyTag):
     """``(Ci, C(n,2) - m)`` for ``tag = Si``: the C-side family and edge count
     whose member on n vertices is the complement of this one.  None for a
     C-side tag."""
-    tag = FamilyTag(tag)
-    return (_MIRROR_TAGS[tag], comb(n, 2) - m) if tag in _MIRROR_TAGS else None
+    return (MIRROR_TAGS[tag], comb(n, 2) - m) if tag in MIRROR_TAGS else None
 
 
 def _check_range(n: int, m: int) -> None:
@@ -81,17 +80,21 @@ def quasi_star_params(n: int, m: int) -> tuple:
     return quasi_complete_params(comb(n, 2) - m)
 
 
-def family_exists(n: int, m: int, tag: FamilyTag) -> bool:
-    """Whether the family has a member on ``n`` vertices and ``m`` edges."""
-    _check_range(n, m)
-    tag = FamilyTag(tag)
-    tag, m = mirror(n, m, tag) or (tag, m)
+def c_side_exists(n: int, tag: FamilyTag, k: int, j: int) -> bool:
+    """Whether the C-side family ``tag`` has a member on n vertices and
+    ``C(k+1,2) - j`` edges, from that edge count's parameters ``(k, j)``."""
     if tag is FamilyTag.C1:
         return True
-    k, j = quasi_complete_params(m)
     if tag is FamilyTag.C2:
         return j <= k - 2 and 2 * k - j <= n
     return j == 3 and k <= n - 1
+
+
+def family_exists(n: int, m: int, tag: FamilyTag) -> bool:
+    """Whether the family has a member on ``n`` vertices and ``m`` edges."""
+    _check_range(n, m)
+    tag, m = mirror(n, m, tag) or (tag, m)
+    return c_side_exists(n, tag, *quasi_complete_params(m))
 
 
 def _build_c1(n: int, m: int) -> Graph:
@@ -131,7 +134,6 @@ def build_family(n: int, m: int, tag: FamilyTag) -> Graph:
     vertex v renamed n-1-v, which puts its universal vertices first.
     Raises FamilyDoesNotExist when the family's side condition fails.
     """
-    tag = FamilyTag(tag)
     if not family_exists(n, m, tag):
         raise FamilyDoesNotExist(f"{tag} has no member at n={n}, m={m}")
     c_tag, mc = mirror(n, m, tag) or (tag, m)

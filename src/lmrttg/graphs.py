@@ -10,7 +10,6 @@ they can be shared freely between parallel workers.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, permutations, product
 
@@ -77,16 +76,15 @@ class Graph:
         return tuple(row.bit_count() for row in self.rows)
 
     def edges(self) -> list:
-        """All edges as sorted ``(u, v)`` pairs with ``u < v``."""
+        """All edges as sorted ``(u, v)`` pairs with ``u < v``, found by
+        jumping from set bit to set bit of each row above its vertex."""
         out = []
-        for u in range(self.n):
-            w = self.rows[u] >> (u + 1)
-            v = u + 1
+        for u, row in enumerate(self.rows):
+            w = row >> (u + 1) << (u + 1)
             while w:
-                if w & 1:
-                    out.append((u, v))
-                w >>= 1
-                v += 1
+                low = w & -w
+                out.append((u, low.bit_length() - 1))
+                w ^= low
         return out
 
     def __eq__(self, other) -> bool:
@@ -99,20 +97,26 @@ class Graph:
         return f"Graph(n={self.n}, m={self.m})"
 
 
-@dataclass(frozen=True)
 class TwoTerminalGraph:
     """A graph together with a distinguished pair of terminal vertices."""
 
-    graph: Graph
-    s: int
-    t: int
+    __slots__ = ("graph", "s", "t")
 
-    def __post_init__(self) -> None:
-        n = self.graph.n
-        if not (0 <= self.s < n and 0 <= self.t < n):
+    def __init__(self, graph: Graph, s: int, t: int) -> None:
+        n = graph.n
+        if not (0 <= s < n and 0 <= t < n):
             raise DomainError("terminals must be vertices of the graph")
-        if self.s == self.t:
+        if s == t:
             raise DomainError("terminals must be distinct")
+        self.graph = graph
+        self.s = s
+        self.t = t
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, TwoTerminalGraph) and (self.graph, self.s, self.t) == (other.graph, other.s, other.t)
+
+    def __hash__(self) -> int:
+        return hash((self.graph, self.s, self.t))
 
     def __repr__(self) -> str:
         return f"TwoTerminalGraph(n={self.graph.n}, m={self.graph.m}, s={self.s}, t={self.t})"

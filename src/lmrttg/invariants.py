@@ -3,6 +3,7 @@
 Everything here is integer arithmetic.  The one half-integer intermediate
 (the ``n - 9/2`` factor in the complement-sum identity) is carried as an
 even product and divided at the end, with the divisibility checked.
+The invariants of a graph all come from one pass, ``invariant_bundle``.
 The closed forms are written for the quasi-complete side; each quasi-star
 value follows from its quasi-complete mirror (``families.mirror``) by a
 complementation identity.  ``max_m1_graphs`` is the first-Zagreb argmax
@@ -12,17 +13,17 @@ threshold graph, so it enumerates the threshold graphs' dominating sets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
+from typing import NamedTuple
 
 from .errors import DomainError, FamilyDoesNotExist, InvariantError
-from .families import FamilyTag, family_exists, mirror, quasi_complete_params
+from .families import MIRROR_TAGS, FamilyTag, c_side_exists, quasi_complete_params, quasi_star_params
 from .graphs import Graph
 
 
 def zagreb1(g: Graph) -> int:
     """Sum of squared degrees."""
-    return sum(d * d for d in g.degrees())
+    return invariant_bundle(g).m1
 
 
 def max_m1_graphs(n: int, m: int) -> tuple:
@@ -76,30 +77,24 @@ def max_m1_graphs(n: int, m: int) -> tuple:
 
 def zagreb2(g: Graph) -> int:
     """Sum over edges of the endpoint degree products."""
-    degs = g.degrees()
-    return sum(degs[u] * degs[v] for u, v in g.edges())
+    return invariant_bundle(g).m2
 
 
 def count_triangles(g: Graph) -> int:
-    rows = g.rows
-    total = 0
-    for u, v in g.edges():
-        total += (rows[u] & rows[v]).bit_count()
-    return total // 3
+    return invariant_bundle(g).k3
 
 
 def count_p3(g: Graph) -> int:
     """Paths on three vertices, i.e. pairs of edges sharing an endpoint."""
-    return sum(comb(d, 2) for d in g.degrees())
+    return invariant_bundle(g).p3
 
 
 def h_invariant(g: Graph) -> int:
     """Second Zagreb index minus six times the triangle count."""
-    return zagreb2(g) - 6 * count_triangles(g)
+    return invariant_bundle(g).h_value
 
 
-@dataclass(frozen=True)
-class InvariantBundle:
+class InvariantBundle(NamedTuple):
     m1: int
     m2: int
     k3: int
@@ -110,7 +105,10 @@ class InvariantBundle:
 
 
 def invariant_bundle(g: Graph) -> InvariantBundle:
-    """The exact invariants of one graph, each computed once.
+    """The exact invariants of one graph in one pass: the degrees, then one
+    loop over each row's set bits above its vertex (the edges uv with u <
+    v) that sums ``d(u) d(v)`` for M2 and the common neighbours of u and v,
+    three per triangle.
 
     ``p4`` counts paths on four vertices, each once.  A walk a-u-v-b is a
     choice of an oriented middle edge uv plus neighbours a != v of u and
@@ -119,12 +117,23 @@ def invariant_bundle(g: Graph) -> InvariantBundle:
     a = b are six per triangle, and every path is two walks, so
     ``p4 = M2 - M1 + m - 3*k3``.
     """
-    m1 = zagreb1(g)
-    m2 = zagreb2(g)
-    k3 = count_triangles(g)
-    p3 = count_p3(g)
-    p4 = m2 - m1 + g.m - 3 * k3
-    return InvariantBundle(m1=m1, m2=m2, k3=k3, p3=p3, p4=p4, h_value=m2 - 6 * k3, m=g.m)
+    rows = g.rows
+    degs = [row.bit_count() for row in rows]
+    m2 = common = 0
+    for u, row in enumerate(rows):
+        du = degs[u]
+        w = row >> (u + 1) << (u + 1)
+        while w:
+            low = w & -w
+            v = low.bit_length() - 1
+            m2 += du * degs[v]
+            common += (row & rows[v]).bit_count()
+            w ^= low
+    k3 = common // 3
+    m1 = sum(d * d for d in degs)
+    m = sum(degs) // 2
+    p3 = (m1 - 2 * m) // 2  # the sum of C(d, 2)
+    return InvariantBundle(m1=m1, m2=m2, k3=k3, p3=p3, p4=m2 - m1 + m - 3 * k3, h_value=m2 - 6 * k3, m=m)
 
 
 def complement_residuals(n: int, b: InvariantBundle, bc: InvariantBundle) -> tuple:
@@ -187,10 +196,11 @@ def quasi_star_m1(n: int, kp: int, jp: int) -> int:
     A vertex of degree d in G has degree n-1-d in the complement, so
     ``M1(complement) = n(n-1)^2 - 4(n-1)m + M1(G)`` for G with m edges.
     Accepts ``kp = n`` (the empty graph's degenerate parameters), where the
-    mirror is K_n and the value is zero.
+    mirror is K_n and the value is zero, and at n = 0 the parameters (1, 1)
+    of the empty graph's mirror, whose value is zero too.
     """
-    if not (1 <= jp <= kp <= n):
-        raise DomainError(f"need 1 <= j' <= k' <= n; got n={n}, k'={kp}, j'={jp}")
+    if not (1 <= jp <= kp <= max(n, 1)):
+        raise DomainError(f"need 1 <= j' <= k' <= max(n, 1); got n={n}, k'={kp}, j'={jp}")
     mc = comb(kp + 1, 2) - jp
     return n * (n - 1) ** 2 - 4 * (n - 1) * mc + quasi_complete_m1(kp, jp)
 
@@ -204,10 +214,9 @@ def h_sum_offset(n: int, m: int) -> int:
     return 2 * m * m - 6 * comb(n, 3) + (n - 1) ** 2 * comb(n, 2) - 3 * (n - 1) * (n - 3) * m
 
 
-def _quasi_complete_family_h(m: int, tag: FamilyTag) -> int:
-    """h of the C-side family member on m edges: the quasi-complete closed
-    form plus the fixed offset of the variant."""
-    k, j = quasi_complete_params(m)
+def _quasi_complete_family_h(k: int, j: int, tag: FamilyTag) -> int:
+    """h of the C-side family member on ``C(k+1,2) - j`` edges: the
+    quasi-complete closed form plus the fixed offset of the variant."""
     if tag is FamilyTag.C1:
         return quasi_complete_h(k, j)
     if tag is FamilyTag.C3:
@@ -215,25 +224,34 @@ def _quasi_complete_family_h(m: int, tag: FamilyTag) -> int:
     return quasi_complete_h(k, j) - _half((2 * k - 7) * (k - j) * (k - j - 1))
 
 
-def family_h(n: int, m: int, tag: FamilyTag) -> int:
-    """h-invariant of a family member, by closed form.
+def family_h_values(n: int, m: int) -> dict:
+    """h of every existing family member at (n, m), by closed form, as
+    ``{tag: h}`` in FamilyTag order.
 
-    An S-side member is the complement of its
-    C-side mirror ``Ci`` on ``mc = C(n,2) - m`` edges, so the complement-sum
-    identity gives ``h(Si) = (n - 9/2) M1(Si) + offset(n, m) - h(Ci)``.
-    ``M1(Si) = M1(S1)`` because C1, C2 and C3 have equal M1: with
-    ``a = k - j`` their degrees are k (a times), k-1 (j times) and a; 2k-j-1,
-    k-1 (k-1 times) and 1 (a times); k (k-2 times) and k-2 (3 times, j = 3);
-    each sum of squares is ``k(k-1)^2 + a(2k-1) + a^2``.  Raises
-    FamilyDoesNotExist for absent tags.
+    A C-side member ``Ci`` on m edges reads ``(k, j)`` of m.  An S-side
+    member is the complement of its C-side mirror ``Ci`` on ``mc = C(n,2) -
+    m`` edges, whose parameters are ``(k', j')`` of (n, m), so the
+    complement-sum identity gives ``h(Si) = (n - 9/2) M1(Si) + offset(n, m)
+    - h(Ci)``.  ``M1(Si) = M1(S1)`` because C1, C2 and C3 have equal M1:
+    with ``a = k - j`` their degrees are k (a times), k-1 (j times) and a;
+    2k-j-1, k-1 (k-1 times) and 1 (a times); k (k-2 times) and k-2 (3
+    times, j = 3); each sum of squares is ``k(k-1)^2 + a(2k-1) + a^2``.
+    Both parameter pairs are computed once.
     """
-    tag = FamilyTag(tag)
-    if not family_exists(n, m, tag):
-        raise FamilyDoesNotExist(f"{tag} has no member at n={n}, m={m}")
-    c_side = mirror(n, m, tag)
-    if c_side:
-        c_tag, mc = c_side
-        half_m1 = _half((2 * n - 9) * quasi_star_m1(n, *quasi_complete_params(mc)))  # M1 is always even
-        return half_m1 + h_sum_offset(n, m) - _quasi_complete_family_h(mc, c_tag)
-    return _quasi_complete_family_h(m, tag)
+    kp, jp = quasi_star_params(n, m)
+    k, j = quasi_complete_params(m)
+    out = {tag: _quasi_complete_family_h(k, j, tag) for tag in MIRROR_TAGS.values() if c_side_exists(n, tag, k, j)}
+    s_side = _half((2 * n - 9) * quasi_star_m1(n, kp, jp)) + h_sum_offset(n, m)  # M1 is always even
+    for s_tag, c_tag in MIRROR_TAGS.items():
+        if c_side_exists(n, c_tag, kp, jp):
+            out[s_tag] = s_side - _quasi_complete_family_h(kp, jp, c_tag)
+    return out
 
+
+def family_h(n: int, m: int, tag: FamilyTag) -> int:
+    """h-invariant of one family member, read from ``family_h_values``.
+    Raises FamilyDoesNotExist for absent tags."""
+    h = family_h_values(n, m).get(tag)
+    if h is None:
+        raise FamilyDoesNotExist(f"{tag} has no member at n={n}, m={m}")
+    return h

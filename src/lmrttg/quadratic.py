@@ -9,7 +9,6 @@ never to floating point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import zip_longest
@@ -17,16 +16,27 @@ from math import isqrt
 
 from .classify import central_band
 from .errors import DomainError
-from .families import FamilyTag, family_exists
-from .invariants import family_h
+from .families import FamilyTag
+from .invariants import family_h_values
 
 
-@dataclass(frozen=True)
 class QuadNumber:
     """The real number ``a + b*sqrt(2)`` with rational a, b."""
 
-    a: Fraction
-    b: Fraction
+    __slots__ = ("a", "b")
+
+    def __init__(self, a: Fraction, b: Fraction) -> None:
+        self.a = a
+        self.b = b
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, QuadNumber) and (self.a, self.b) == (other.a, other.b)
+
+    def __hash__(self) -> int:
+        return hash((self.a, self.b))
+
+    def __repr__(self) -> str:
+        return f"QuadNumber(a={self.a!r}, b={self.b!r})"
 
     @classmethod
     def of(cls, a, b=0) -> "QuadNumber":
@@ -232,6 +242,7 @@ def band_bounds_check(n: int, m: int) -> tuple:
     if m not in central_band(n):
         raise DomainError(f"({n},{m}) lies outside the central band")
     gap_lower, spread_upper = _bounds_at(n)
-    h_s = [family_h(n, m, t) for t in (FamilyTag.S1, FamilyTag.S2, FamilyTag.S3) if family_exists(n, m, t)]
-    gap = family_h(n, m, FamilyTag.C1) - h_s[0]  # S1 exists at every (n, m)
+    h_by_tag = family_h_values(n, m)
+    h_s = [h_by_tag[t] for t in (FamilyTag.S1, FamilyTag.S2, FamilyTag.S3) if t in h_by_tag]
+    gap = h_by_tag[FamilyTag.C1] - h_s[0]  # S1 exists at every (n, m)
     return gap >= gap_lower, max(h_s) - min(h_s) <= spread_upper

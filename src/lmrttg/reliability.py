@@ -86,8 +86,30 @@ def n_vector(tg: TwoTerminalGraph) -> tuple:
     return _nvec(tg.graph.n, tg.s, tg.t, tg.graph.edges())
 
 
+#: Most digits, and largest decimal exponent, of a probability text.  A
+#: text is checked against it before it is parsed, because ``Fraction``
+#: builds ``10**e`` for an exponent e: "1e100000000" would never return.
+PROBABILITY_TEXT_MAX_DIGITS = 100
+
+
+def _exponent(text: str) -> int:
+    """The magnitude of the decimal exponent written in a number text; 0
+    when it has none or the text is not a number, which Fraction rejects."""
+    _, e, exp = text.lower().partition("e")
+    try:
+        return abs(int(exp)) if e else 0
+    except ValueError:
+        return 0
+
+
 def probability(p) -> Fraction:
-    """``p`` as an exact edge survival probability; DomainError unless it lies in [0, 1]."""
+    """``p`` as an exact edge survival probability; DomainError unless it lies
+    in [0, 1], or when ``p`` is a text with more than
+    PROBABILITY_TEXT_MAX_DIGITS digits or a larger decimal exponent."""
+    bound = PROBABILITY_TEXT_MAX_DIGITS
+    if isinstance(p, str) and (sum(ch.isdigit() for ch in p) > bound or _exponent(p) > bound):
+        shown = p if len(p) <= 40 else p[:37] + "..."
+        raise DomainError(f"survival probability {shown!r} has more than {bound} digits or an exponent beyond {bound}")
     try:
         p = Fraction(p)
     except ZeroDivisionError:

@@ -11,7 +11,6 @@ deterministic.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
 
@@ -23,7 +22,6 @@ from .families import (
     build_h_optimal,
     build_lmrttg,
     candidate_set,
-    family_exists,
     h_optimal_tag,
     mirror,
     quasi_complete_params,
@@ -33,6 +31,7 @@ from .graphs import Graph, canonical_key, complement, form_of_key, graph_key, to
 from .invariants import (
     complement_residuals,
     family_h,
+    family_h_values,
     h_invariant,
     h_sum_offset,
     invariant_bundle,
@@ -45,11 +44,13 @@ from .quadratic import MARGIN, band_bounds_check, count_roots, refine_root
 from .reliability import DEFAULT_MAX_VERTICES, _search
 
 
-@dataclass
 class ScanReport:
-    scope: str
-    records: list = field(default_factory=list)
-    pairs_scanned: int = 0
+    """A check's scope, its records and the number of pairs it scanned."""
+
+    def __init__(self, scope: str, records: list = None, pairs_scanned: int = 0) -> None:
+        self.scope = scope
+        self.records = [] if records is None else records
+        self.pairs_scanned = pairs_scanned
 
     @property
     def verdict(self) -> bool:
@@ -124,7 +125,7 @@ def verify_seven_pairs() -> ScanReport:
         pkey = graph_key(predicted)
         single_class = all(graph_key(Graph.from_edges(n, edges)) == pkey for edges in winners)
         candidates = candidate_set(n, m)
-        h_by_tag = {str(t): family_h(n, m, t) for t, _ in candidates}
+        h_by_tag = {str(t): h for t, h in family_h_values(n, m).items()}
         family_m1 = max(zagreb1(g) for _, g in candidates)
         family_agrees = best_m1 == family_m1 and max_h == h_by_tag[str(tag)] == max(h_by_tag.values())
         ok = single_class and family_agrees
@@ -160,7 +161,7 @@ def _tie_band_records(n: int) -> list:
     """One record per tie pair in the central band at this n."""
     out = []
     for m in ties(n, central_band(n)):
-        h_by_tag = {t: family_h(n, m, t) for t in FamilyTag if family_exists(n, m, t)}
+        h_by_tag = family_h_values(n, m)
         expected = h_optimal_tag(n, m)
         others = [v for t, v in h_by_tag.items() if t is not expected]
         margin = h_by_tag[expected] - max(others)
@@ -290,10 +291,7 @@ def scan_uniqueness(n_max: int, m_cap: int = None, n_min: int = 4, jobs: int = 1
             records = pool.map(_uniqueness_record, pairs)
     else:
         records = [_uniqueness_record(nm) for nm in pairs]
-    report = ScanReport(scope=f"brute-force uniqueness, n in {n_min}..{n_max}")
-    report.records = records
-    report.pairs_scanned = len(records)
-    return report
+    return ScanReport(scope=f"brute-force uniqueness, n in {n_min}..{n_max}", records=records, pairs_scanned=len(records))
 
 
 # ---------------------------------------------------------------------------

@@ -249,6 +249,13 @@ def _adjacency(g):
     return adj
 
 
+def zagreb_oracle(g):
+    """``(M1, M2)``: squared degrees summed over the vertices, and degree
+    products summed over the edges, from neighbour sets."""
+    adj = _adjacency(g)
+    return sum(len(adj[v]) ** 2 for v in adj), sum(len(adj[u]) * len(adj[v]) for u in adj for v in adj[u] if u < v)
+
+
 def triangle_oracle(g):
     adj = _adjacency(g)
     return sum(1 for a, b, c in combinations(range(g.n), 3) if b in adj[a] and c in adj[a] and c in adj[b])

@@ -28,11 +28,13 @@ from lmrttg import (
     scan_tie_band,
     scan_uniqueness,
     spectrum,
+    sturm_sequence,
     tie_pairs,
     verify_seven_pairs,
     zagreb1,
 )
 from lmrttg.classify import central_band
+from lmrttg.quadratic import sign_variations
 from oracles import m1_race_oracle, threshold_sign_oracle
 
 
@@ -151,11 +153,15 @@ def test_criterion_6_classification_agreement():
 def test_criterion_7_sturm_claims():
     t0 = time.perf_counter()
     ok = count_roots(MARGIN, 436, 437) == 1
-    ok = ok and count_roots(MARGIN, 437, 10**6) == 0
+    # none beyond 437, up to +inf: there each polynomial of the chain has the sign of its leading coefficient
+    chain = sturm_sequence(MARGIN)
+    signs_at_inf = [p.leading().sign() for p in chain]
+    variations_at_inf = sum(1 for a, b in zip(signs_at_inf, signs_at_inf[1:]) if a != b)
+    ok = ok and 0 not in signs_at_inf and sign_variations(chain, 437) == variations_at_inf
     ok = ok and MARGIN(437).sign() > 0
     elapsed = time.perf_counter() - t0
     ok = ok and elapsed < 1.0
-    _report(7, ok, "margin polynomial: one root in (436,437], none beyond, positive at 437, budget 1s", elapsed)
+    _report(7, ok, "margin polynomial: one root in (436,437], none in (437,+inf), positive at 437, budget 1s", elapsed)
 
 
 def test_criterion_8_band_scan():

@@ -6,6 +6,7 @@ import multiprocessing
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from math import comb
 from pathlib import Path
 
@@ -13,8 +14,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lmrttg import Graph, TwoTerminalGraph, cli, families, reliability, scans
-from lmrttg.classify import BAND_MIN_N
+from lmrttg import Graph, TwoTerminalGraph, classify, cli, families, quasi_complete_params, quasi_star_params, reliability, scans
+from lmrttg.classify import BAND_MIN_N, central_band
 from lmrttg.cli import main
 from lmrttg.graphs import to_json_obj, vertex_pairs
 from lmrttg.scans import TIE_SCAN_MAX_N
@@ -124,6 +125,22 @@ def test_reliability_zero_denominator_is_usage_error(tmp_path):
     assert proc.returncode == 2
     assert proc.stderr.startswith("error:")
     assert "Traceback" not in proc.stderr
+
+
+def test_reliability_rejects_an_oversized_probability_text(tmp_path, capsys):
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(to_json_obj(TwoTerminalGraph(Graph.from_edges(3, [(0, 1), (1, 2)]), 0, 1))))
+    # Fraction would build 10**(10**8) for the first text; each must fail at once with one short error line
+    proc = run_module("reliability", "--graph", str(path), "--at", "1e100000000", timeout=20)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1 and "'1e100000000'" in proc.stderr
+    for text in ("1e400", "1e-5000", "1" * 5000, "1/" + "3" * 101):
+        code, out, err = run_cli(capsys, "reliability", "--graph", str(path), "--at", text)
+        assert (code, out) == (2, "") and err.startswith("error:") and len(err) < 200, text
+    bound = reliability.PROBABILITY_TEXT_MAX_DIGITS
+    for text in (f"1e-{bound}", "0." + "9" * (bound - 1)):
+        code, out, _ = run_cli(capsys, "reliability", "--graph", str(path), "--at", text)
+        assert code == 0 and json.loads(out)["at"] == str(Fraction(text)), text
 
 
 def test_theorem_main_above_search_bound_is_usage_error(capsys):
@@ -251,6 +268,36 @@ def test_classify_istar_only_keeps_only_ties(capsys):
     rows = [line.split(",") for line in out.strip().splitlines()[1:]]
     assert [int(r[1]) for r in rows] == [0, 1, 2, 3, 5, 7, 8, 9, 10]
     assert all(r[0] == "5" and r[2] == "=" for r in rows)
+
+
+def _classify_expected(n):
+    """Each classify row at n from the pair-by-pair decision: ``classify``,
+    the central band and the two parameter pairs of m."""
+    band = central_band(n)
+    for m in range(comb(n, 2) + 1):
+        sign = classify(n, m)
+        yield (n, m, "" if sign is None else str(sign), int(m in band), *quasi_complete_params(m), *quasi_star_params(n, m))
+
+
+def test_classify_rows_match_pair_by_pair_classification(capsys):
+    # every row of every n up to 120, in CSV with and without --istar-only, and
+    # the same rows in JSON: the tie rows for every n, all rows for n <= 40 and
+    # n = 120 (indented JSON of all 288,101 rows takes seconds, and both
+    # formats print the same row tuples)
+    json_all = {*range(41), 120}
+    for n in range(121):
+        expected = list(_classify_expected(n))
+        ties_only = [row for row in expected if row[2] == "="]
+        for flag, want in (((), expected), (("--istar-only",), ties_only)):
+            code, out, _ = run_cli(capsys, "classify", "--n", str(n), *flag)
+            assert code == 0
+            got = [tuple(line.split(",")[:8]) for line in out.splitlines()[1:]]
+            assert got == [tuple(map(str, row)) for row in want], (n, flag)
+            if flag or n in json_all:
+                code, out, _ = run_cli(capsys, "classify", "--n", str(n), *flag, "--format", "json")
+                assert code == 0
+                got = [tuple(rec[col] for col in cli._CLASSIFY_COLUMNS[:8]) for rec in json.loads(out)]
+                assert got == want, (n, flag)
 
 
 def test_theorem_main_records_do_not_depend_on_jobs(capsys):

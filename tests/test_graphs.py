@@ -77,6 +77,15 @@ def test_degree_sum_is_twice_edges_randomized():
         assert all((g.rows[u] >> v) & 1 == (g.rows[v] >> u) & 1 for u in range(g.n) for v in range(g.n))
 
 
+@given(st.integers(0, 20).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, (1 << (n * (n - 1) // 2)) - 1))))
+def test_edges_equal_the_pairwise_enumeration(case):
+    n, mask = case
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    g = Graph.from_edges(n, [pair for i, pair in enumerate(pairs) if mask >> i & 1])
+    assert g.edges() == [(u, v) for u, v in pairs if g.rows[u] >> v & 1]
+    assert Graph.complete(n).edges() == pairs and Graph.empty(n).edges() == []
+
+
 def test_construction_validation():
     with pytest.raises(DomainError):
         Graph.from_edges(3, [(0, 0)])

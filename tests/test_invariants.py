@@ -3,6 +3,8 @@ from itertools import combinations
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lmrttg import (
     DomainError,
@@ -15,6 +17,7 @@ from lmrttg import (
     count_triangles,
     family_exists,
     family_h,
+    family_h_values,
     graph_key,
     h_invariant,
     h_sum_offset,
@@ -30,7 +33,7 @@ from lmrttg.errors import FamilyDoesNotExist
 from lmrttg.graphs import disjoint_union
 from lmrttg.invariants import max_m1_graphs
 from lmrttg.scans import _p4_by_walk
-from oracles import max_m1_oracle, p3_oracle, p4_oracle, random_graph, triangle_oracle
+from oracles import max_m1_oracle, p3_oracle, p4_oracle, random_graph, triangle_oracle, zagreb_oracle
 
 
 def test_zagreb1_examples():
@@ -130,11 +133,42 @@ def test_complement_sum_identity_randomized():
 
 
 def test_family_h_matches_direct_everywhere():
-    for n in range(1, 21):
+    # one family_h_values call per pair gives every existing family, in
+    # FamilyTag order, with its built graph's h, and family_h reads one tag
+    for n in range(21):
         for m in range(comb(n, 2) + 1):
-            for tag in FamilyTag:
-                if family_exists(n, m, tag):
-                    assert family_h(n, m, tag) == h_invariant(build_family(n, m, tag)), (n, m, tag)
+            direct = {tag: h_invariant(build_family(n, m, tag)) for tag in FamilyTag if family_exists(n, m, tag)}
+            got = family_h_values(n, m)
+            assert list(got) == list(direct) and got == direct, (n, m)
+            assert all(family_h(n, m, tag) == h for tag, h in direct.items()), (n, m)
+
+
+def test_family_h_values_domain():
+    with pytest.raises(DomainError):
+        family_h_values(6, 16)
+    with pytest.raises(DomainError):
+        family_h_values(6, -1)
+
+
+@st.composite
+def _graphs_up_to_14(draw):
+    """A graph on at most 14 vertices: empty, complete or with a random edge set."""
+    n = draw(st.integers(0, 14), label="n")
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    size = len(pairs)
+    keep = draw(st.one_of(st.just([False] * size), st.just([True] * size), st.lists(st.booleans(), min_size=size, max_size=size)))
+    return Graph.from_edges(n, [pair for pair, kept in zip(pairs, keep) if kept])
+
+
+@settings(max_examples=100)
+@given(_graphs_up_to_14())
+def test_invariant_bundle_matches_oracles(g):
+    b = invariant_bundle(g)
+    assert (b.m1, b.m2) == zagreb_oracle(g)
+    assert (b.k3, b.p3, b.p4, b.m) == (triangle_oracle(g), p3_oracle(g), p4_oracle(g), len(g.edges()))
+    assert b.h_value == b.m2 - 6 * b.k3
+    # the single-invariant readers agree with the bundle
+    assert (zagreb1(g), zagreb2(g), count_triangles(g), count_p3(g), h_invariant(g)) == (b.m1, b.m2, b.k3, b.p3, b.h_value)
 
 
 def test_family_h_offsets():

@@ -1,8 +1,10 @@
 """Static checks on the library source."""
 
 import ast
+import os
 import re
 import shlex
+import subprocess
 import sys
 from importlib import import_module
 from pathlib import Path
@@ -86,6 +88,16 @@ def test_library_imports_at_module_level():
     allowed = {"scans.py:scan_uniqueness:multiprocessing", "families.py:h_optimal_tag:classify"}
     found = {f"{path.name}:{fn}:{module}" for path in sorted(SRC.glob("*.py")) for fn, module in _function_imports(path)}
     assert sorted(found - allowed) == []
+
+
+def test_cli_import_leaves_heavy_modules_unloaded():
+    # dataclasses pulls in inspect, dis, ast and tokenize at every start-up, and
+    # multiprocessing belongs to the theorem-main worker pool alone; -S keeps
+    # site hooks out of the child, so only the package's own imports count
+    code = "import sys, lmrttg.cli; print(sorted({'dataclasses', 'inspect', 'multiprocessing'} & set(sys.modules)))"
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, env=env, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
 
 
 def test_oracles_import_nothing_from_the_library():
