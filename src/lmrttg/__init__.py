@@ -1,6 +1,16 @@
 """Exact construction and verification of locally most reliable two-terminal graphs."""
 
-from .classify import Sign, SpectrumParams, classify, spectrum, tie_pairs
+from .classify import (
+    Sign,
+    SpectrumParams,
+    classify,
+    quasi_complete_m1,
+    quasi_complete_params,
+    quasi_star_m1,
+    quasi_star_params,
+    spectrum,
+    tie_pairs,
+)
 from .errors import DomainError, FamilyDoesNotExist, SizeLimitError
 from .families import (
     FamilyTag,
@@ -10,8 +20,6 @@ from .families import (
     build_lmrttg_sparse,
     candidate_set,
     family_exists,
-    quasi_complete_params,
-    quasi_star_params,
 )
 from .graphs import (
     Graph,
@@ -27,18 +35,11 @@ from .graphs import (
 from .invariants import (
     InvariantBundle,
     complement_residuals,
-    count_p3,
-    count_triangles,
     family_h,
     family_h_values,
-    h_invariant,
     h_sum_offset,
     invariant_bundle,
     quasi_complete_h,
-    quasi_complete_m1,
-    quasi_star_m1,
-    zagreb1,
-    zagreb2,
 )
 from .quadratic import (
     GAP_LOWER,

@@ -1,15 +1,20 @@
-"""Sign classification of (n, m) pairs by the quasi-star/quasi-complete race,
-and the central band.
+"""The two decompositions of an edge count, the quasi-star/quasi-complete
+race they decide, and the central band.
 
+Every edge count decomposes uniquely as ``m = C(k+1,2) - j`` with ``1 <= j
+<= k`` (``quasi_complete_params``) and, relative to n vertices, as ``m =
+C(n,2) - C(k'+1,2) + j'`` with ``1 <= j' <= k'`` (``quasi_star_params``).
+``quasi_complete_m1`` and ``quasi_star_m1`` are the first Zagreb indices of
+the quasi-complete graph C1 and the quasi-star S1 from those parameters.
 For ``n >= 5`` and ``0 <= m <= C(n,2)``, ``classify`` returns the sign of
 ``M1(S1) - M1(C1)``: PLUS when the quasi-star wins, MINUS when the
 quasi-complete wins, TIE on equality, decided by that direct exact
 comparison of the two closed forms, nothing else.  ``cells`` walks the
 runs of m where both decomposition orders are fixed, on which that
-comparison is affine in m, and ``ties`` finds the tie edge counts of a
-range by solving it on each cell.  The central band J, the hard case of
-the analysis, is ``m in central_band(n)``; it starts at ``n =
-BAND_MIN_N``, and every band scan takes its n range from
+comparison is affine in m, ``cell_ties`` solves it on one cell, and
+``ties`` finds the tie edge counts of a range cell by cell.  The central
+band J, the hard case of the analysis, is ``m in central_band(n)``; it
+starts at ``n = BAND_MIN_N``, and every band scan takes its n range from
 ``band_n_range``.  ``spectrum(n)`` reports the threshold data of the
 published case analysis (the clique order ``k``, the regime selector ``q``
 and the crossover offset ``r``) as exact rationals, for the classification
@@ -25,8 +30,57 @@ from math import comb, isqrt
 from typing import NamedTuple
 
 from .errors import DomainError, InvariantError
-from .families import quasi_complete_params, quasi_star_params, trivial_tie_ms
-from .invariants import quasi_complete_m1, quasi_star_m1
+
+
+def check_range(n: int, m: int) -> None:
+    """Raise DomainError unless ``n >= 0`` and ``0 <= m <= C(n,2)``."""
+    if n < 0 or not 0 <= m <= comb(n, 2):
+        raise DomainError(f"need 0 <= m <= C(n,2); got n={n}, m={m}")
+
+
+def quasi_complete_params(m: int) -> tuple:
+    """The unique ``(k, j)`` with ``1 <= j <= k`` and ``m = C(k+1,2) - j``."""
+    if m < 0:
+        raise DomainError("edge count must be nonnegative")
+    # k is the unique integer with C(k,2) <= m < C(k+1,2), that is with
+    # (2k-1)^2 <= 8m+1 < (2k+1)^2, so isqrt(8m+1) is 2k-1 or 2k
+    k = (1 + isqrt(8 * m + 1)) // 2
+    return k, comb(k + 1, 2) - m
+
+
+def quasi_star_params(n: int, m: int) -> tuple:
+    """The unique ``(k', j')`` with ``m = C(n,2) - C(k'+1,2) + j'``."""
+    check_range(n, m)
+    return quasi_complete_params(comb(n, 2) - m)
+
+
+def quasi_complete_m1(k: int, j: int) -> int:
+    """First Zagreb index of the quasi-complete graph, from its degree data."""
+    if not 1 <= j <= k:
+        raise DomainError(f"need 1 <= j <= k; got k={k}, j={j}")
+    return (k - j) * k * k + j * (k - 1) ** 2 + (k - j) ** 2
+
+
+def quasi_star_m1(n: int, kp: int, jp: int) -> int:
+    """First Zagreb index of the quasi-star graph, from its quasi-complete
+    mirror on ``mc = C(k'+1,2) - j'`` edges.
+
+    A vertex of degree d in G has degree n-1-d in the complement, so
+    ``M1(complement) = n(n-1)^2 - 4(n-1)m + M1(G)`` for G with m edges.
+    Accepts ``kp = n`` (the empty graph's degenerate parameters), where the
+    mirror is K_n and the value is zero, and at n = 0 the parameters (1, 1)
+    of the empty graph's mirror, whose value is zero too.
+    """
+    if not (1 <= jp <= kp <= max(n, 1)):
+        raise DomainError(f"need 1 <= j' <= k' <= max(n, 1); got n={n}, k'={kp}, j'={jp}")
+    mc = comb(kp + 1, 2) - jp
+    return n * (n - 1) ** 2 - 4 * (n - 1) * mc + quasi_complete_m1(kp, jp)
+
+
+def trivial_tie_ms(n: int) -> frozenset:
+    """Edge counts within 3 of empty or complete (always ties for n >= 5)."""
+    c = comb(n, 2)
+    return frozenset({0, 1, 2, 3, c, c - 1, c - 2, c - 3})
 
 
 class Sign(Enum):
@@ -60,10 +114,7 @@ class SpectrumParams(NamedTuple):
 def spectrum(n: int) -> SpectrumParams:
     if n < 5:
         raise DomainError(f"spectrum defined for n >= 5; got {n}")
-    nn = n * (n - 1)
-    # k is the unique integer with C(k,2) <= C(n,2)/2 < C(k+1,2), that is with
-    # (2k-1)^2 <= 2nn+1 < (2k+1)^2, so isqrt(2nn+1) is 2k-1 or 2k
-    k = (1 + isqrt(2 * nn + 1)) // 2
+    k = quasi_complete_params(comb(n, 2) // 2)[0]  # C(k,2) <= C(n,2)/2 < C(k+1,2)
     q = Fraction(1 - 2 * (2 * k - 3) ** 2 + (2 * n - 5) ** 2, 4)
     den = -1 - 2 * (2 * k - 4) ** 2 + (2 * n - 5) ** 2
     if den == 0:
@@ -118,11 +169,19 @@ def cells(n: int, ms: range):
     ``k'`` are fixed, where ``m = C(k+1,2) - j`` and ``C(n,2) - m =
     C(k'+1,2) - j'``; ``(k, j, kp, jp)`` are the parameters of m0, and each
     step m -> m+1 takes j to j-1 and j' to j'+1.  ``gap`` is ``M1(S1) -
-    M1(C1)`` at m0 and ``d`` its step, so that ``gap + d i`` is the gap at
-    ``m0 + i`` (``ties`` proves it affine); d is 0 on a one-pair cell.
+    M1(C1)`` at m0 and ``d`` its step (0 on a one-pair cell), and the gap
+    at ``m0 + i`` is ``gap + d i``.
+
+    The gap is affine in m on a cell.  Expanding ``quasi_complete_m1``
+    gives ``M1(C1) = k^3 + k^2 - (4k-1) j + j^2``, and ``quasi_star_m1``
+    gives ``M1(S1) = n(n-1)^2 - 4(n-1)(C(n,2) - m) + k'^3 + k'^2 - (4k'-1)
+    j' + j'^2``.  j and j' are affine in m with slopes -1 and +1, so the
+    only term of the gap that is not plainly affine is ``j'^2 - j^2 = (j' +
+    j)(j' - j)``.  There ``j' + j = C(k+1,2) + C(k'+1,2) - C(n,2)`` is
+    constant on the cell and ``j' - j`` is affine in m.
     """
-    if n < 5 or ms.step != 1 or not 0 <= ms.start <= ms.stop <= comb(n, 2) + 1:
-        raise DomainError(f"cells need n >= 5 and a unit-step range within 0..C(n,2); got n={n}, {ms}")
+    if n < 0 or ms.step != 1 or not 0 <= ms.start <= ms.stop <= comb(n, 2) + 1:
+        raise DomainError(f"cells need n >= 0 and a unit-step range within 0..C(n,2); got n={n}, {ms}")
     c = comb(n, 2)
     m0 = ms.start
     while m0 < ms.stop:
@@ -135,35 +194,29 @@ def cells(n: int, ms: range):
         m0 = last + 1
 
 
+def cell_ties(gap: int, d: int, size: int):
+    """The offsets i in ``range(size)`` where a cell's gap ``gap + d i``
+    (``cells``) vanishes: ``-gap / d`` when d divides gap and it lies in
+    the cell, or every offset when ``d = gap = 0``."""
+    if d:
+        steps, rest = divmod(-gap, d)
+        return (steps,) if rest == 0 and 0 <= steps < size else ()
+    return range(size) if gap == 0 else ()
+
+
 def ties(n: int, ms: range) -> list:
     """The m in ``ms`` with ``M1(S1) = M1(C1)`` at this n, in increasing
-    order, solved one cell at a time (``cells``) instead of classified pair
-    by pair.
-
-    The gap is affine in m on a cell.  Expanding ``quasi_complete_m1``
-    gives ``M1(C1) = k^3 + k^2 - (4k-1) j + j^2``, and ``quasi_star_m1``
-    gives ``M1(S1) = n(n-1)^2 - 4(n-1)(C(n,2) - m) + k'^3 + k'^2 - (4k'-1)
-    j' + j'^2``.  j and j' are affine in m with slopes -1 and +1, so the
-    only term of the gap that is not plainly affine is ``j'^2 - j^2 = (j' +
-    j)(j' - j)``.  There ``j' + j = C(k+1,2) + C(k'+1,2) - C(n,2)`` is
-    constant on the cell and ``j' - j`` is affine in m.  So with ``d =
-    gap(m0+1) - gap(m0)`` at the cell's first m0, ``gap(m) = gap(m0) + d (m
-    - m0)``: the cell ties only at ``m0 - gap(m0) / d`` when d divides
-    ``gap(m0)`` and that m lies in the cell, or everywhere when ``d =
-    gap(m0) = 0``.  ``classify`` confirms each solved tie, and one it does
-    not confirm raises InvariantError.
-    """
+    order, solved one cell at a time (``cell_ties``) instead of classified
+    pair by pair.  ``classify`` confirms each solved tie, and one it does
+    not confirm raises InvariantError."""
+    if n < 5:
+        raise DomainError(f"tie classification needs n >= 5; got {n}")
     out = []
     for m0, last, _, _, _, _, gap, d in cells(n, ms):
-        if d:
-            steps, rest = divmod(-gap, d)
-            found = [m0 + steps] if rest == 0 and 0 <= steps <= last - m0 else []
-        else:
-            found = list(range(m0, last + 1)) if gap == 0 else []
-        for m in found:
-            if classify(n, m) is not Sign.TIE:
-                raise InvariantError(f"solved tie ({n},{m}) does not classify as a tie")
-        out.extend(found)
+        for i in cell_ties(gap, d, last - m0 + 1):
+            if classify(n, m0 + i) is not Sign.TIE:
+                raise InvariantError(f"solved tie ({n},{m0 + i}) does not classify as a tie")
+            out.append(m0 + i)
     return out
 
 

@@ -13,19 +13,12 @@ import sys
 import time
 from math import comb
 
-from .classify import BAND_MIN_N, Sign, cells, central_band, spectrum, ties
-from .errors import DomainError, FamilyDoesNotExist, InvariantError, SizeLimitError
-from .families import (
-    FamilyTag,
-    build_family,
-    build_h_optimal,
-    build_lmrttg,
-    build_lmrttg_sparse,
-    quasi_complete_params,
-)
+from .classify import BAND_MIN_N, Sign, cell_ties, cells, central_band, spectrum
+from .errors import DomainError, InvariantError
+from .families import FamilyTag, build_family, build_h_optimal, build_lmrttg, build_lmrttg_sparse
 from .graphs import GRAPH_JSON_MAX_N, TwoTerminalGraph, from_json, to_dot, to_json_obj
 from .invariants import invariant_bundle
-from .reliability import n_vector, probability, reliability_from_counts
+from .reliability import RELIABILITY_MAX_DIGITS, n_vector, probability, reliability_from_counts
 from .scans import (
     TIE_SCAN_MAX_N,
     ScanReport,
@@ -89,30 +82,26 @@ def _cmd_invariants(args) -> int:
 _CLASSIFY_COLUMNS = ("n", "m", "sign", "in_J", "k", "j", "kp", "jp", "k_n", "q_n", "R_n")
 
 
-#: A row's sign text, indexed by the sign of its gap as -1, 0 or 1.
+#: A row's sign text at n >= 5, indexed by the sign of its gap as -1, 0 or 1;
+#: below n = 5 a row has no sign.
 _SIGN_TEXT = tuple(str(Sign.of(x)) for x in (0, 1, -1))
+_NO_SIGN_TEXT = ("",) * 3
 
 
 def _classify_rows(n: int, istar_only: bool):
-    """``(m, sign, in_J, k, j, kp, jp)`` for each classify row at n.  The
-    rows are read off the cells of ``cells``, where the m = m0 + i row has
-    gap ``gap + d i`` and parameters ``(k, j - i, kp, jp + i)``;
-    ``istar_only`` keeps the tie rows, which ``ties`` solves for.  Below n =
-    5 the sign is empty."""
-    c = comb(n, 2)
-    band = central_band(n)
-    if n >= 5 and not istar_only:
-        for m0, last, k, j, kp, jp, gap, d in cells(n, range(c + 1)):
-            for i in range(last - m0 + 1):
-                g = gap + d * i
-                yield m0 + i, _SIGN_TEXT[(g > 0) - (g < 0)], int(m0 + i in band), k, j - i, kp, jp + i
+    """``(m, sign, in_J, k, j, kp, jp)`` for each classify row at n, read
+    off the cells of ``cells``: the m = m0 + i row has gap ``gap + d i``
+    and parameters ``(k, j - i, kp, jp + i)``.  ``istar_only`` keeps each
+    cell's ties (``cell_ties``), and no row below n = 5."""
+    if istar_only and n < 5:
         return
-    # the tie rows, or every row below n = 5; quasi_star_params(n, m) is
-    # quasi_complete_params(c - m) for m known to be in range
-    ms = range(c + 1) if not istar_only else ties(n, range(c + 1)) if n >= 5 else ()
-    sign = _SIGN_TEXT[0] if n >= 5 else ""
-    for m in ms:
-        yield m, sign, int(m in band), *quasi_complete_params(m), *quasi_complete_params(c - m)
+    band = central_band(n)
+    signs = _SIGN_TEXT if n >= 5 else _NO_SIGN_TEXT
+    for m0, last, k, j, kp, jp, gap, d in cells(n, range(comb(n, 2) + 1)):
+        size = last - m0 + 1
+        for i in cell_ties(gap, d, size) if istar_only else range(size):
+            g = gap + d * i
+            yield m0 + i, signs[(g > 0) - (g < 0)], int(m0 + i in band), k, j - i, kp, jp + i
 
 
 def _spectrum_columns(n: int) -> tuple:
@@ -125,14 +114,22 @@ def _spectrum_columns(n: int) -> tuple:
 
 
 def _cmd_classify(args) -> int:
+    """One write per n, so that an n whose rows do not fit in memory prints
+    nothing when it comes first.  A JSON block is the indented JSON of the
+    n's rows without the list's brackets; joined by commas and bracketed,
+    the blocks are the indented JSON of every row."""
     n_lo, n_hi = _parse_range(args.n)
     blocks = ((n, _spectrum_columns(n), _classify_rows(n, args.istar_only)) for n in range(n_lo, n_hi + 1))
     if args.format == "json":
-        _print_json([dict(zip(_CLASSIFY_COLUMNS, (n, *row, *tail))) for n, tail, rows in blocks for row in rows])
+        sep = "["
+        for n, tail, rows in blocks:
+            text = _dumps([dict(zip(_CLASSIFY_COLUMNS, (n, *row, *tail))) for row in rows])[1:-3]
+            if text:
+                sys.stdout.write(sep + text)
+                sep = ","
+        sys.stdout.write("[]\n" if sep == "[" else "\n]\n")
         return 0
-    # one write per n, the header with the first, so that an n whose rows do
-    # not fit in memory prints nothing when it comes first
-    head = ",".join(_CLASSIFY_COLUMNS) + "\n"
+    head = ",".join(_CLASSIFY_COLUMNS) + "\n"  # written with the first n
     for n, tail, rows in blocks:
         t = ",".join(map(str, tail))
         sys.stdout.write(head + "".join(f"{n},{m},{s},{b},{k},{j},{kp},{jp},{t}\n" for m, s, b, k, j, kp, jp in rows))
@@ -147,7 +144,16 @@ def _cmd_reliability(args) -> int:
         raise DomainError("graph file must carry terminals for reliability evaluation")
     p = probability(args.at)
     counts = n_vector(obj)
-    _print_json({"at": str(p), "reliability": str(reliability_from_counts(counts, p)), "n_vector": list(counts)})
+    # the exact value may exceed the interpreter's int-to-text limit (0 is none)
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    raised = 0 < limit < RELIABILITY_MAX_DIGITS
+    if raised:
+        sys.set_int_max_str_digits(RELIABILITY_MAX_DIGITS)
+    try:
+        _print_json({"at": str(p), "reliability": str(reliability_from_counts(counts, p)), "n_vector": list(counts)})
+    finally:
+        if raised:
+            sys.set_int_max_str_digits(limit)
     return 0
 
 
@@ -293,7 +299,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (DomainError, FamilyDoesNotExist, SizeLimitError, OSError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except InvariantError as exc:

@@ -1,9 +1,9 @@
 """Constructions of the extremal graph families.
 
-Every edge count decomposes uniquely as ``m = C(k+1,2) - j`` with
-``1 <= j <= k`` and, relative to an ambient vertex count ``n``, as
-``m = C(n,2) - C(k'+1,2) + j'`` with ``1 <= j' <= k'``.  These two
-parameter pairs drive six named families:
+The two decompositions of an edge count, ``m = C(k+1,2) - j`` and ``m =
+C(n,2) - C(k'+1,2) + j'`` with ``1 <= j <= k`` and ``1 <= j' <= k'``, are
+defined in ``classify`` (``quasi_complete_params``, ``quasi_star_params``).
+These two parameter pairs drive six named families:
 
 * ``C1`` (quasi-complete): a k-clique, one vertex attached to ``k - j`` of
   its vertices, isolated vertices for padding.
@@ -30,8 +30,9 @@ derived from it.
 from __future__ import annotations
 
 from enum import Enum
-from math import comb, isqrt
+from math import comb
 
+from .classify import Sign, central_band, check_range, classify, quasi_complete_params, quasi_star_params, trivial_tie_ms
 from .errors import DomainError, FamilyDoesNotExist, InvariantError
 from .graphs import Graph, TwoTerminalGraph, complement, disjoint_union, join
 
@@ -59,27 +60,6 @@ def mirror(n: int, m: int, tag: FamilyTag):
     return (MIRROR_TAGS[tag], comb(n, 2) - m) if tag in MIRROR_TAGS else None
 
 
-def _check_range(n: int, m: int) -> None:
-    if n < 0 or not 0 <= m <= comb(n, 2):
-        raise DomainError(f"need 0 <= m <= C(n,2); got n={n}, m={m}")
-
-
-def quasi_complete_params(m: int) -> tuple:
-    """The unique ``(k, j)`` with ``1 <= j <= k`` and ``m = C(k+1,2) - j``."""
-    if m < 0:
-        raise DomainError("edge count must be nonnegative")
-    # k is the unique integer with C(k,2) <= m < C(k+1,2), that is with
-    # (2k-1)^2 <= 8m+1 < (2k+1)^2, so isqrt(8m+1) is 2k-1 or 2k
-    k = (1 + isqrt(8 * m + 1)) // 2
-    return k, comb(k + 1, 2) - m
-
-
-def quasi_star_params(n: int, m: int) -> tuple:
-    """The unique ``(k', j')`` with ``m = C(n,2) - C(k'+1,2) + j'``."""
-    _check_range(n, m)
-    return quasi_complete_params(comb(n, 2) - m)
-
-
 def c_side_exists(n: int, tag: FamilyTag, k: int, j: int) -> bool:
     """Whether the C-side family ``tag`` has a member on n vertices and
     ``C(k+1,2) - j`` edges, from that edge count's parameters ``(k, j)``."""
@@ -92,7 +72,7 @@ def c_side_exists(n: int, tag: FamilyTag, k: int, j: int) -> bool:
 
 def family_exists(n: int, m: int, tag: FamilyTag) -> bool:
     """Whether the family has a member on ``n`` vertices and ``m`` edges."""
-    _check_range(n, m)
+    check_range(n, m)
     tag, m = mirror(n, m, tag) or (tag, m)
     return c_side_exists(n, tag, *quasi_complete_params(m))
 
@@ -167,12 +147,6 @@ SEVEN_PAIR_TAGS = {
 }
 
 
-def trivial_tie_ms(n: int) -> frozenset:
-    """Edge counts within 3 of empty or complete (always ties for n >= 5)."""
-    c = comb(n, 2)
-    return frozenset({0, 1, 2, 3, c, c - 1, c - 2, c - 3})
-
-
 def h_optimal_tag(n: int, m: int) -> FamilyTag:
     """The family of the unique maximizer of ``M2 - 6*k3`` among
     first-Zagreb maximizers; builds no graph.
@@ -184,9 +158,7 @@ def h_optimal_tag(n: int, m: int) -> FamilyTag:
     seven exceptional pairs, and to the C-side inside the central band.
     On the C-side, ``C3`` wins when it exists, else ``C1``.
     """
-    from .classify import Sign, central_band, classify  # deferred: classify builds on this module's params
-
-    _check_range(n, m)
+    check_range(n, m)
     if n < 1:
         raise DomainError("need at least one vertex")
     if n <= 4:

@@ -230,12 +230,10 @@ def form_of_key(key) -> TwoTerminalGraph:
 
 
 def to_json_obj(obj) -> dict:
+    """The graph JSON object; ``Graph.edges()`` lists the edges sorted, with u < v."""
     if isinstance(obj, TwoTerminalGraph):
-        d = {"n": obj.graph.n, "terminals": [obj.s, obj.t], "edges": obj.graph.edges()}
-    else:
-        d = {"n": obj.n, "edges": obj.edges()}
-    d["edges"] = sorted([min(u, v), max(u, v)] for u, v in d["edges"])
-    return d
+        return {"n": obj.graph.n, "terminals": [obj.s, obj.t], "edges": [[u, v] for u, v in obj.graph.edges()]}
+    return {"n": obj.n, "edges": [[u, v] for u, v in obj.edges()]}
 
 
 def _int_pair(value, what: str) -> tuple:

@@ -2,13 +2,15 @@
 
 Everything here is integer arithmetic.  The one half-integer intermediate
 (the ``n - 9/2`` factor in the complement-sum identity) is carried as an
-even product and divided at the end, with the divisibility checked.
-The invariants of a graph all come from one pass, ``invariant_bundle``.
-The closed forms are written for the quasi-complete side; each quasi-star
-value follows from its quasi-complete mirror (``families.mirror``) by a
-complementation identity.  ``max_m1_graphs`` is the first-Zagreb argmax
-engine: every maximizer over the graphs with n vertices and m edges is a
-threshold graph, so it enumerates the threshold graphs' dominating sets.
+even product and divided at the end, with the divisibility checked.  The
+invariants of a graph all come from one pass, ``invariant_bundle``, and a
+caller reads the fields it needs.  The ``h`` closed forms are written for
+the quasi-complete side; each quasi-star value follows from its
+quasi-complete mirror (``families.mirror``) by the complement-sum
+identity, with the quasi-star ``M1`` from ``classify.quasi_star_m1``.
+``max_m1_graphs`` is the first-Zagreb argmax engine: every maximizer over
+the graphs with n vertices and m edges is a threshold graph, so it
+enumerates the threshold graphs' dominating sets.
 """
 
 from __future__ import annotations
@@ -16,14 +18,10 @@ from __future__ import annotations
 from math import comb
 from typing import NamedTuple
 
+from .classify import quasi_complete_params, quasi_star_m1, quasi_star_params
 from .errors import DomainError, FamilyDoesNotExist, InvariantError
-from .families import MIRROR_TAGS, FamilyTag, c_side_exists, quasi_complete_params, quasi_star_params
+from .families import MIRROR_TAGS, FamilyTag, c_side_exists
 from .graphs import Graph
-
-
-def zagreb1(g: Graph) -> int:
-    """Sum of squared degrees."""
-    return invariant_bundle(g).m1
 
 
 def max_m1_graphs(n: int, m: int) -> tuple:
@@ -73,25 +71,6 @@ def max_m1_graphs(n: int, m: int) -> tuple:
             best, argmax = m1, []
         argmax.append(Graph.from_edges(n, [(u, v) for v in dom for u in range(v)]))
     return best, argmax
-
-
-def zagreb2(g: Graph) -> int:
-    """Sum over edges of the endpoint degree products."""
-    return invariant_bundle(g).m2
-
-
-def count_triangles(g: Graph) -> int:
-    return invariant_bundle(g).k3
-
-
-def count_p3(g: Graph) -> int:
-    """Paths on three vertices, i.e. pairs of edges sharing an endpoint."""
-    return invariant_bundle(g).p3
-
-
-def h_invariant(g: Graph) -> int:
-    """Second Zagreb index minus six times the triangle count."""
-    return invariant_bundle(g).h_value
 
 
 class InvariantBundle(NamedTuple):
@@ -180,29 +159,6 @@ def quasi_complete_h(k: int, j: int) -> int:
         raise DomainError(f"need 1 <= j <= k; got k={k}, j={j}")
     num = k**4 - k**3 - 6 * j * k * k + 2 * (j * j + 7 * j + 1) * k - (5 * j * j + 7 * j)
     return _half(num)
-
-
-def quasi_complete_m1(k: int, j: int) -> int:
-    """First Zagreb index of the quasi-complete graph, from its degree data."""
-    if not 1 <= j <= k:
-        raise DomainError(f"need 1 <= j <= k; got k={k}, j={j}")
-    return (k - j) * k * k + j * (k - 1) ** 2 + (k - j) ** 2
-
-
-def quasi_star_m1(n: int, kp: int, jp: int) -> int:
-    """First Zagreb index of the quasi-star graph, from its quasi-complete
-    mirror on ``mc = C(k'+1,2) - j'`` edges.
-
-    A vertex of degree d in G has degree n-1-d in the complement, so
-    ``M1(complement) = n(n-1)^2 - 4(n-1)m + M1(G)`` for G with m edges.
-    Accepts ``kp = n`` (the empty graph's degenerate parameters), where the
-    mirror is K_n and the value is zero, and at n = 0 the parameters (1, 1)
-    of the empty graph's mirror, whose value is zero too.
-    """
-    if not (1 <= jp <= kp <= max(n, 1)):
-        raise DomainError(f"need 1 <= j' <= k' <= max(n, 1); got n={n}, k'={kp}, j'={jp}")
-    mc = comb(kp + 1, 2) - jp
-    return n * (n - 1) ** 2 - 4 * (n - 1) * mc + quasi_complete_m1(kp, jp)
 
 
 def h_sum_offset(n: int, m: int) -> int:

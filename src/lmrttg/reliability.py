@@ -92,6 +92,17 @@ def n_vector(tg: TwoTerminalGraph) -> tuple:
 PROBABILITY_TEXT_MAX_DIGITS = 100
 
 
+#: Most decimal digits in the numerator or the denominator of
+#: ``reliability_from_counts`` at a probability text that ``probability``
+#: accepts, for a graph that ``n_vector`` accepts.  Such a text has at most
+#: D = PROBABILITY_TEXT_MAX_DIGITS digits and an exponent of at most D, so
+#: its denominator b divides 10^(2D) (fraction digits plus exponent) or is
+#: below 10^D (``a/b``), and has at most 2D + 1 digits.  The reliability of
+#: m edges at p = a/b is an integer over b^m and lies in [0, 1], so both
+#: parts of its lowest terms are at most b^m, and ``m <= C(NVEC_MAX_VERTICES, 2)``.
+RELIABILITY_MAX_DIGITS = comb(NVEC_MAX_VERTICES, 2) * (2 * PROBABILITY_TEXT_MAX_DIGITS + 1)
+
+
 def _exponent(text: str) -> int:
     """The magnitude of the decimal exponent written in a number text; 0
     when it has none or the text is not a number, which Fraction rejects."""

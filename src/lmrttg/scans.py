@@ -14,32 +14,20 @@ import random
 from fractions import Fraction
 from math import comb
 
-from .classify import band_n_range, central_band, tie_pairs, ties
-from .errors import DomainError, SizeLimitError
-from .families import (
-    SEVEN_PAIR_TAGS,
-    FamilyTag,
-    build_h_optimal,
-    build_lmrttg,
-    candidate_set,
-    h_optimal_tag,
-    mirror,
-    quasi_complete_params,
-    quasi_star_params,
-)
-from .graphs import Graph, canonical_key, complement, form_of_key, graph_key, to_json_obj, vertex_pairs
-from .invariants import (
-    complement_residuals,
-    family_h,
-    family_h_values,
-    h_invariant,
-    h_sum_offset,
-    invariant_bundle,
-    max_m1_graphs,
+from .classify import (
+    band_n_range,
+    central_band,
     quasi_complete_m1,
+    quasi_complete_params,
     quasi_star_m1,
-    zagreb1,
+    quasi_star_params,
+    tie_pairs,
+    ties,
 )
+from .errors import DomainError, SizeLimitError
+from .families import SEVEN_PAIR_TAGS, FamilyTag, build_h_optimal, build_lmrttg, candidate_set, h_optimal_tag, mirror
+from .graphs import Graph, canonical_key, complement, form_of_key, graph_key, to_json_obj, vertex_pairs
+from .invariants import complement_residuals, family_h, family_h_values, h_sum_offset, invariant_bundle, max_m1_graphs
 from .quadratic import MARGIN, band_bounds_check, count_roots, refine_root
 from .reliability import DEFAULT_MAX_VERTICES, _search
 
@@ -97,7 +85,7 @@ def _h_optima(n: int, m: int):
     attain max_h, one per class.
     """
     best_m1, graphs = max_m1_graphs(n, m)
-    scored = [(h_invariant(g), g) for g in graphs]
+    scored = [(invariant_bundle(g).h_value, g) for g in graphs]
     max_h = max(h for h, _ in scored)
     runner_up = max((h for h, _ in scored if h < max_h), default=None)
     winners = [g.edges() for h, g in scored if h == max_h]
@@ -126,7 +114,7 @@ def verify_seven_pairs() -> ScanReport:
         single_class = all(graph_key(Graph.from_edges(n, edges)) == pkey for edges in winners)
         candidates = candidate_set(n, m)
         h_by_tag = {str(t): h for t, h in family_h_values(n, m).items()}
-        family_m1 = max(zagreb1(g) for _, g in candidates)
+        family_m1 = max(invariant_bundle(g).m1 for _, g in candidates)
         family_agrees = best_m1 == family_m1 and max_h == h_by_tag[str(tag)] == max(h_by_tag.values())
         ok = single_class and family_agrees
         report.records.append(

@@ -19,8 +19,8 @@ from lmrttg import (
     count_roots,
     family_exists,
     family_h,
-    h_invariant,
     identity_suite,
+    invariant_bundle,
     quasi_complete_h,
     quasi_complete_params,
     quasi_star_m1,
@@ -31,7 +31,6 @@ from lmrttg import (
     sturm_sequence,
     tie_pairs,
     verify_seven_pairs,
-    zagreb1,
 )
 from lmrttg.classify import central_band
 from lmrttg.quadratic import sign_variations
@@ -83,8 +82,9 @@ def test_criterion_3_closed_forms():
     ok = True
     for n in range(1, 31):
         for m in range(comb(n, 2) + 1):
-            ok = ok and quasi_complete_h(*quasi_complete_params(m)) == h_invariant(build_family(n, m, FamilyTag.C1))
-            ok = ok and quasi_star_m1(n, *quasi_star_params(n, m)) == zagreb1(build_family(n, m, FamilyTag.S1))
+            c1, s1 = invariant_bundle(build_family(n, m, FamilyTag.C1)), invariant_bundle(build_family(n, m, FamilyTag.S1))
+            ok = ok and quasi_complete_h(*quasi_complete_params(m)) == c1.h_value
+            ok = ok and quasi_star_m1(n, *quasi_star_params(n, m)) == s1.m1
     elapsed = time.perf_counter() - t0
     ok = ok and elapsed < 60.0
     _report(3, ok, "closed forms equal direct invariants for all n <= 30, budget 1min", elapsed)
@@ -110,7 +110,7 @@ def test_criterion_5_offset_equations():
             for tag in FamilyTag:
                 if not family_exists(n, m, tag):
                     continue
-                direct = h_invariant(build_family(n, m, tag))
+                direct = invariant_bundle(build_family(n, m, tag)).h_value
                 ok = ok and family_h(n, m, tag) == direct
                 if tag is FamilyTag.C2:
                     gap = Fraction(2 * k - 7, 2) * (k - j) * (k - j - 1)

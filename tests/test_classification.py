@@ -16,9 +16,8 @@ from lmrttg import (
     spectrum,
     tie_pairs,
 )
-from lmrttg.classify import BAND_MIN_N, Sign, central_band, ties
+from lmrttg.classify import BAND_MIN_N, Sign, cells, central_band, ties, trivial_tie_ms
 from lmrttg.errors import InvariantError
-from lmrttg.families import trivial_tie_ms
 from lmrttg.scans import TIE_SCAN_MAX_N
 from oracles import m1_race_oracle, threshold_sign_oracle
 
@@ -159,6 +158,19 @@ def test_ties_equal_the_pair_by_pair_scan():
 def gap(n, m):
     s1, c1 = m1_pair(n, m)
     return s1 - c1
+
+
+def test_cells_match_the_parameter_functions_below_n_5():
+    # cells walks every n >= 0; the classify rows below n = 5 read their parameters off it
+    for n in range(5):
+        got = [
+            (m0 + i, k, j - i, kp, jp + i, g0 + d * i)
+            for m0, last, k, j, kp, jp, g0, d in cells(n, range(comb(n, 2) + 1))
+            for i in range(last - m0 + 1)
+        ]
+        assert got == [(m, *quasi_complete_params(m), *quasi_star_params(n, m), gap(n, m)) for m in range(comb(n, 2) + 1)]
+    with pytest.raises(DomainError):
+        list(cells(-1, range(0)))
 
 
 @given(st.data())

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lmrttg import Graph, TwoTerminalGraph, classify, cli, families, quasi_complete_params, quasi_star_params, reliability, scans
-from lmrttg.classify import BAND_MIN_N, central_band
+from lmrttg.classify import BAND_MIN_N, central_band, spectrum
 from lmrttg.cli import main
 from lmrttg.graphs import to_json_obj, vertex_pairs
 from lmrttg.scans import TIE_SCAN_MAX_N
@@ -141,6 +141,27 @@ def test_reliability_rejects_an_oversized_probability_text(tmp_path, capsys):
     for text in (f"1e-{bound}", "0." + "9" * (bound - 1)):
         code, out, _ = run_cli(capsys, "reliability", "--graph", str(path), "--at", text)
         assert code == 0 and json.loads(out)["at"] == str(Fraction(text)), text
+
+
+def test_reliability_prints_values_beyond_the_int_text_limit(tmp_path, capsys):
+    # K10 has 45 edges, so at 1e-100 the reliability's denominator has 4,501 digits, beyond the
+    # interpreter's default limit of 4,300; the second text, 10^-196, has the longest
+    # denominator that a text within the digit and exponent bound can have
+    k10 = TwoTerminalGraph(Graph.complete(10), 0, 1)
+    path = tmp_path / "k10.json"
+    path.write_text(json.dumps(to_json_obj(k10)))
+    bound, limit = reliability.PROBABILITY_TEXT_MAX_DIGITS, sys.get_int_max_str_digits()
+    for text in ("1e-100", "0." + "0" * (bound - 5) + f"1e-{bound}"):
+        code, out, err = run_cli(capsys, "reliability", "--graph", str(path), "--at", text)
+        assert (code, err, sys.get_int_max_str_digits()) == (0, "", limit), text
+        doc = json.loads(out)
+        value = reliability.reliability_from_counts(reliability.n_vector(k10), reliability.probability(text))
+        sys.set_int_max_str_digits(0)
+        try:
+            assert doc["reliability"] == str(value)
+            assert len(str(value.denominator)) <= reliability.RELIABILITY_MAX_DIGITS
+        finally:
+            sys.set_int_max_str_digits(limit)
 
 
 def test_theorem_main_above_search_bound_is_usage_error(capsys):
@@ -298,6 +319,44 @@ def test_classify_rows_match_pair_by_pair_classification(capsys):
                 assert code == 0
                 got = [tuple(rec[col] for col in cli._CLASSIFY_COLUMNS[:8]) for rec in json.loads(out)]
                 assert got == want, (n, flag)
+
+
+def _classify_records(ns, istar_only=False):
+    """The classify JSON objects of the n in ``ns``, from the pair-by-pair rows
+    and ``spectrum``, whose columns are empty below n = 5."""
+    for n in ns:
+        tail = (spectrum(n).k, str(spectrum(n).q), str(spectrum(n).r)) if n >= 5 else ("", "", "")
+        for row in _classify_expected(n):
+            if not istar_only or row[2] == "=":
+                yield dict(zip(cli._CLASSIFY_COLUMNS, (*row, *tail)))
+
+
+@pytest.mark.parametrize("lo, hi, flags", [(0, 4, ()), (4, 9, ("--istar-only",)), (0, 40, ())])
+def test_classify_json_is_the_indented_row_list(capsys, lo, hi, flags):
+    # the blocks written one n at a time join into the indented JSON of the whole list
+    code, out, _ = run_cli(capsys, "classify", "--n", f"{lo}..{hi}", *flags, "--format", "json")
+    want = list(_classify_records(range(lo, hi + 1), bool(flags)))
+    assert (code, out) == (0, json.dumps(want, indent=2, sort_keys=True) + "\n")
+
+
+class _CountingStdout(io.StringIO):
+    def __init__(self):
+        super().__init__()
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+        return super().write(text)
+
+
+def test_classify_json_writes_once_per_n(monkeypatch):
+    # memory holds one n's rows at a time: one write per n with rows (n = 3 and 4
+    # have no tie rows), and one that closes the list
+    out = _CountingStdout()
+    monkeypatch.setattr(sys, "stdout", out)
+    assert main(["classify", "--n", "3..12", "--istar-only", "--format", "json"]) == 0
+    assert len([text for text in out.writes if text]) == len(range(5, 13)) + 1
+    assert out.getvalue() == json.dumps(list(_classify_records(range(3, 13), True)), indent=2, sort_keys=True) + "\n"
 
 
 def test_theorem_main_records_do_not_depend_on_jobs(capsys):

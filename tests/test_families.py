@@ -17,9 +17,9 @@ from lmrttg import (
     complement,
     family_exists,
     graph_key,
+    invariant_bundle,
     quasi_complete_params,
     quasi_star_params,
-    zagreb1,
 )
 from lmrttg.classify import Sign
 from lmrttg.graphs import disjoint_union, join
@@ -118,8 +118,8 @@ def test_candidate_set_holds_every_first_zagreb_maximizer():
         for m in range(comb(n, 2) + 1):
             best, classes = max_m1_graphs(n, m)
             members = [g for _, g in candidate_set(n, m)]
-            family_best = max(zagreb1(g) for g in members)
-            top = [g for g in members if zagreb1(g) == family_best]
+            family_best = max(invariant_bundle(g).m1 for g in members)
+            top = [g for g in members if invariant_bundle(g).m1 == family_best]
             assert family_best == best, (n, m)
             assert all(any(iso(g, h) for h in top) for g in classes), (n, m)
             assert all(any(iso(g, h) for g in classes) for h in top), (n, m)
@@ -193,8 +193,8 @@ def test_h_optimal_is_always_m_optimal():
     for n in range(1, 31):
         for m in range(comb(n, 2) + 1):
             _, g = build_h_optimal(n, m)
-            best = max(zagreb1(h) for _, h in candidate_set(n, m))
-            assert zagreb1(g) == best, (n, m)
+            best = max(invariant_bundle(h).m1 for _, h in candidate_set(n, m))
+            assert invariant_bundle(g).m1 == best, (n, m)
 
 
 def test_edge_count_five_never_reaches_c_side():

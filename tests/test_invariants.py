@@ -13,21 +13,16 @@ from lmrttg import (
     build_family,
     complement,
     complement_residuals,
-    count_p3,
-    count_triangles,
     family_exists,
     family_h,
     family_h_values,
     graph_key,
-    h_invariant,
     h_sum_offset,
     invariant_bundle,
     quasi_complete_h,
     quasi_complete_params,
     quasi_star_m1,
     quasi_star_params,
-    zagreb1,
-    zagreb2,
 )
 from lmrttg.errors import FamilyDoesNotExist
 from lmrttg.graphs import disjoint_union
@@ -37,49 +32,53 @@ from oracles import max_m1_oracle, p3_oracle, p4_oracle, random_graph, triangle_
 
 
 def test_zagreb1_examples():
-    assert zagreb1(disjoint_union(Graph.complete(4), Graph.empty(2))) == 36
+    assert invariant_bundle(disjoint_union(Graph.complete(4), Graph.empty(2))).m1 == 36
     star5 = build_family(6, 5, FamilyTag.S1)  # the 5-leaf star
-    assert zagreb1(star5) == 30
-    assert zagreb1(Graph.empty(7)) == 0
+    assert invariant_bundle(star5).m1 == 30
+    assert invariant_bundle(Graph.empty(7)).m1 == 0
 
 
 def test_zagreb2_examples():
-    assert zagreb2(build_family(6, 6, FamilyTag.S1)) == 39
-    assert zagreb2(build_family(6, 8, FamilyTag.C1)) == 89
-    assert zagreb2(build_family(9, 3, FamilyTag.S1)) == 9
+    assert invariant_bundle(build_family(6, 6, FamilyTag.S1)).m2 == 39
+    assert invariant_bundle(build_family(6, 8, FamilyTag.C1)).m2 == 89
+    assert invariant_bundle(build_family(9, 3, FamilyTag.S1)).m2 == 9
 
 
 def test_subgraph_count_examples():
     k4 = Graph.complete(4)
-    assert (count_triangles(k4), count_p3(k4), invariant_bundle(k4).p4) == (4, 12, 12)
-    assert count_triangles(build_family(6, 8, FamilyTag.C1)) == 5
-    assert count_triangles(build_family(6, 8, FamilyTag.S1)) == 3
+    b = invariant_bundle(k4)
+    assert (b.k3, b.p3, b.p4) == (4, 12, 12)
+    assert invariant_bundle(build_family(6, 8, FamilyTag.C1)).k3 == 5
+    assert invariant_bundle(build_family(6, 8, FamilyTag.S1)).k3 == 3
     p4 = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
-    assert (count_triangles(p4), count_p3(p4), invariant_bundle(p4).p4) == (0, 2, 1)
+    b = invariant_bundle(p4)
+    assert (b.k3, b.p3, b.p4) == (0, 2, 1)
 
 
 def test_counts_against_enumeration_oracle():
     rnd = random.Random(10)
     for _ in range(150):
         g = random_graph(rnd, 1, 7)
-        assert count_triangles(g) == triangle_oracle(g)
-        assert count_p3(g) == p3_oracle(g)
-        assert invariant_bundle(g).p4 == _p4_by_walk(g) == p4_oracle(g)
+        b = invariant_bundle(g)
+        assert b.k3 == triangle_oracle(g)
+        assert b.p3 == p3_oracle(g)
+        assert b.p4 == _p4_by_walk(g) == p4_oracle(g)
 
 
 def test_h_invariant_examples():
-    assert h_invariant(build_family(6, 6, FamilyTag.S1)) == 33
-    assert h_invariant(build_family(6, 6, FamilyTag.C1)) == 30
-    assert h_invariant(build_family(7, 9, FamilyTag.S2)) == 81
-    assert h_invariant(build_family(7, 9, FamilyTag.C1)) == 78
-    assert h_invariant(build_family(10, 3, FamilyTag.C1)) == 6
+    assert invariant_bundle(build_family(6, 6, FamilyTag.S1)).h_value == 33
+    assert invariant_bundle(build_family(6, 6, FamilyTag.C1)).h_value == 30
+    assert invariant_bundle(build_family(7, 9, FamilyTag.S2)).h_value == 81
+    assert invariant_bundle(build_family(7, 9, FamilyTag.C1)).h_value == 78
+    assert invariant_bundle(build_family(10, 3, FamilyTag.C1)).h_value == 6
 
 
 def test_quasi_complete_h_closed_form():
     assert quasi_complete_h(4, 4) == 30
     # K4 minus an edge: direct M2 - 6 k3 = 33 - 12 = 21
     k4_minus = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)])
-    assert zagreb2(k4_minus) - 6 * count_triangles(k4_minus) == 21
+    b = invariant_bundle(k4_minus)
+    assert b.m2 - 6 * b.k3 == 21
     assert quasi_complete_h(3, 1) == 21
     assert quasi_complete_h(1, 1) == 0
     with pytest.raises(DomainError):
@@ -96,16 +95,18 @@ def test_quasi_star_m1_closed_form():
 def test_closed_forms_match_direct_computation():
     for n in range(1, 31):
         for m in range(comb(n, 2) + 1):
-            assert quasi_complete_h(*quasi_complete_params(m)) == h_invariant(build_family(n, m, FamilyTag.C1))
-            assert quasi_star_m1(n, *quasi_star_params(n, m)) == zagreb1(build_family(n, m, FamilyTag.S1))
+            c1, s1 = invariant_bundle(build_family(n, m, FamilyTag.C1)), invariant_bundle(build_family(n, m, FamilyTag.S1))
+            assert quasi_complete_h(*quasi_complete_params(m)) == c1.h_value
+            assert quasi_star_m1(n, *quasi_star_params(n, m)) == s1.m1
 
 
 def test_h_sum_offset_example():
     assert h_sum_offset(6, 6) == 57
     # h(S1 at (6,6)) + h(C1 at (6,9)) = 1.5 * 36 + 57 = 111
-    lhs = h_invariant(build_family(6, 6, FamilyTag.S1)) + h_invariant(build_family(6, 9, FamilyTag.C1))
+    s1, c1 = build_family(6, 6, FamilyTag.S1), build_family(6, 9, FamilyTag.C1)
+    lhs = invariant_bundle(s1).h_value + invariant_bundle(c1).h_value
     assert lhs == 111
-    assert h_invariant(Graph.empty(6)) == 0
+    assert invariant_bundle(Graph.empty(6)).h_value == 0
 
 
 def test_triangle_path_expansion_of_h():
@@ -113,22 +114,24 @@ def test_triangle_path_expansion_of_h():
     rnd = random.Random(11)
     for _ in range(150):
         g = random_graph(rnd, 1, 7)
-        assert h_invariant(g) == -3 * triangle_oracle(g) + p4_oracle(g) + 2 * p3_oracle(g) + g.m
+        assert invariant_bundle(g).h_value == -3 * triangle_oracle(g) + p4_oracle(g) + 2 * p3_oracle(g) + g.m
 
 
 def test_zagreb1_equals_2p3_plus_2m():
     rnd = random.Random(12)
     for _ in range(200):
         g = random_graph(rnd, 0, 8)
-        assert zagreb1(g) == 2 * count_p3(g) + 2 * g.m
+        b = invariant_bundle(g)
+        assert b.m1 == 2 * b.p3 + 2 * g.m
 
 
 def test_complement_sum_identity_randomized():
     rnd = random.Random(13)
     for _ in range(300):
         g = random_graph(rnd, 5, 9)
-        lhs = 2 * (h_invariant(g) + h_invariant(complement(g)))
-        rhs = (2 * g.n - 9) * zagreb1(g) + 2 * h_sum_offset(g.n, g.m)
+        b = invariant_bundle(g)
+        lhs = 2 * (b.h_value + invariant_bundle(complement(g)).h_value)
+        rhs = (2 * g.n - 9) * b.m1 + 2 * h_sum_offset(g.n, g.m)
         assert lhs % 2 == 0 and lhs == rhs
 
 
@@ -137,7 +140,8 @@ def test_family_h_matches_direct_everywhere():
     # FamilyTag order, with its built graph's h, and family_h reads one tag
     for n in range(21):
         for m in range(comb(n, 2) + 1):
-            direct = {tag: h_invariant(build_family(n, m, tag)) for tag in FamilyTag if family_exists(n, m, tag)}
+            tags = [tag for tag in FamilyTag if family_exists(n, m, tag)]
+            direct = {tag: invariant_bundle(build_family(n, m, tag)).h_value for tag in tags}
             got = family_h_values(n, m)
             assert list(got) == list(direct) and got == direct, (n, m)
             assert all(family_h(n, m, tag) == h for tag, h in direct.items()), (n, m)
@@ -167,8 +171,6 @@ def test_invariant_bundle_matches_oracles(g):
     assert (b.m1, b.m2) == zagreb_oracle(g)
     assert (b.k3, b.p3, b.p4, b.m) == (triangle_oracle(g), p3_oracle(g), p4_oracle(g), len(g.edges()))
     assert b.h_value == b.m2 - 6 * b.k3
-    # the single-invariant readers agree with the bundle
-    assert (zagreb1(g), zagreb2(g), count_triangles(g), count_p3(g), h_invariant(g)) == (b.m1, b.m2, b.k3, b.p3, b.h_value)
 
 
 def test_family_h_offsets():
@@ -201,8 +203,8 @@ def test_ramsey_residuals_petersen():
     inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
     pet = Graph.from_edges(10, outer + spokes + inner)
     # oracle counts on the graph itself (complement counts are implied by the identities)
-    assert triangle_oracle(pet) == count_triangles(pet) == 0
-    assert p3_oracle(pet) == count_p3(pet) == 30
+    assert triangle_oracle(pet) == invariant_bundle(pet).k3 == 0
+    assert p3_oracle(pet) == invariant_bundle(pet).p3 == 30
     assert p4_oracle(pet) == invariant_bundle(pet).p4 == _p4_by_walk(pet) == 60
     assert _residuals(pet) == (0, 0, 0)
 
@@ -219,8 +221,8 @@ def test_max_m1_graphs_match_labeled_graphs():
         pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
         for m in range(comb(n, 2) + 1):
             labeled = [Graph.from_edges(n, edges) for edges in combinations(pairs, m)]
-            best = max(zagreb1(g) for g in labeled)
-            argmax = {frozenset(g.edges()) for g in labeled if zagreb1(g) == best}
+            best = max(invariant_bundle(g).m1 for g in labeled)
+            argmax = {frozenset(g.edges()) for g in labeled if invariant_bundle(g).m1 == best}
             got_best, got = max_m1_graphs(n, m)
             assert got_best == best, (n, m)
             # labeled maximizers, one per class, covering every class

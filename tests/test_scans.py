@@ -18,10 +18,10 @@ from lmrttg import (
     family_h,
     graph_key,
     identity_suite,
+    invariant_bundle,
     scan_tie_band,
     scan_uniqueness,
     sturm_report,
-    zagreb1,
 )
 from lmrttg import scans
 from lmrttg.scans import _h_optima, _tie_band_records
@@ -69,7 +69,7 @@ def test_central_band_ties_are_exhaustive_h_optima_at_n_8_to_20():
     for rec in records:
         n, m, tag = rec["n"], rec["m"], FamilyTag(rec["tag"])
         best_m1, max_h, _, winners = _h_optima(n, m)
-        assert best_m1 == max(zagreb1(g) for _, g in candidate_set(n, m)), (n, m)
+        assert best_m1 == max(invariant_bundle(g).m1 for _, g in candidate_set(n, m)), (n, m)
         assert len(winners) == 1, (n, m)
         assert max_h == family_h(n, m, tag), (n, m)
         assert iso_oracle(Graph.from_edges(n, winners[0]), build_family(n, m, tag)), (n, m)
