@@ -1,12 +1,12 @@
 """The two decompositions of an edge count, the quasi-star/quasi-complete
-race they decide, and the central band.
+race they decide, the central band, and the classification table.
 
 Every edge count decomposes uniquely as ``m = C(k+1,2) - j`` with ``1 <= j
 <= k`` (``quasi_complete_params``) and, relative to n vertices, as ``m =
 C(n,2) - C(k'+1,2) + j'`` with ``1 <= j' <= k'`` (``quasi_star_params``).
 ``quasi_complete_m1`` and ``quasi_star_m1`` are the first Zagreb indices of
 the quasi-complete graph C1 and the quasi-star S1 from those parameters.
-For ``n >= 5`` and ``0 <= m <= C(n,2)``, ``classify`` returns the sign of
+For ``n >= CLASSIFY_MIN_N`` and ``0 <= m <= C(n,2)``, ``classify`` returns the sign of
 ``M1(S1) - M1(C1)``: PLUS when the quasi-star wins, MINUS when the
 quasi-complete wins, TIE on equality, decided by that direct exact
 comparison of the two closed forms, nothing else.  ``cells`` walks the
@@ -17,8 +17,9 @@ band J, the hard case of the analysis, is ``m in central_band(n)``; it
 starts at ``n = BAND_MIN_N``, and every band scan takes its n range from
 ``band_n_range``.  ``spectrum(n)`` reports the threshold data of the
 published case analysis (the clique order ``k``, the regime selector ``q``
-and the crossover offset ``r``) as exact rationals, for the classification
-table; it decides no sign.
+and the crossover offset ``r``) as exact rationals; it decides no sign.
+``table(n, istar_only)`` is the classification table at n, read off
+``cells``.
 """
 
 from __future__ import annotations
@@ -97,6 +98,10 @@ class Sign(Enum):
         return cls.TIE if x == 0 else cls.PLUS if x > 0 else cls.MINUS
 
 
+#: Smallest n that ``classify`` decides; below it the table's rows carry no sign.
+CLASSIFY_MIN_N = 5
+
+
 class SpectrumParams(NamedTuple):
     """Threshold data governing where the Zagreb comparison changes sign.
 
@@ -112,8 +117,8 @@ class SpectrumParams(NamedTuple):
 
 @lru_cache(maxsize=None)
 def spectrum(n: int) -> SpectrumParams:
-    if n < 5:
-        raise DomainError(f"spectrum defined for n >= 5; got {n}")
+    if n < CLASSIFY_MIN_N:
+        raise DomainError(f"spectrum defined for n >= {CLASSIFY_MIN_N}; got {n}")
     k = quasi_complete_params(comb(n, 2) // 2)[0]  # C(k,2) <= C(n,2)/2 < C(k+1,2)
     q = Fraction(1 - 2 * (2 * k - 3) ** 2 + (2 * n - 5) ** 2, 4)
     den = -1 - 2 * (2 * k - 4) ** 2 + (2 * n - 5) ** 2
@@ -124,7 +129,7 @@ def spectrum(n: int) -> SpectrumParams:
 
 
 #: Smallest n of the central band J.  Below it every tie is a near-trivial
-#: edge count or one of the seven exceptional pairs at n in 5..7.
+#: edge count or one of the seven exceptional pairs, at n from CLASSIFY_MIN_N on.
 BAND_MIN_N = 8
 
 
@@ -155,8 +160,8 @@ def _m1_gap(n: int, k: int, j: int, kp: int, jp: int) -> int:
 
 def classify(n: int, m: int) -> Sign | None:
     """The sign of ``M1(S1) - M1(C1)`` at (n, m), exactly: a Sign, or None
-    for ``n < 5`` or m outside ``0..C(n,2)``."""
-    if n < 5 or not 0 <= m <= comb(n, 2):
+    for ``n < CLASSIFY_MIN_N`` or m outside ``0..C(n,2)``."""
+    if n < CLASSIFY_MIN_N or not 0 <= m <= comb(n, 2):
         return None
     return Sign.of(_m1_gap(n, *quasi_complete_params(m), *quasi_star_params(n, m)))
 
@@ -209,8 +214,8 @@ def ties(n: int, ms: range) -> list:
     order, solved one cell at a time (``cell_ties``) instead of classified
     pair by pair.  ``classify`` confirms each solved tie, and one it does
     not confirm raises InvariantError."""
-    if n < 5:
-        raise DomainError(f"tie classification needs n >= 5; got {n}")
+    if n < CLASSIFY_MIN_N:
+        raise DomainError(f"tie classification needs n >= {CLASSIFY_MIN_N}; got {n}")
     out = []
     for m0, last, _, _, _, _, gap, d in cells(n, ms):
         for i in cell_ties(gap, d, last - m0 + 1):
@@ -223,7 +228,36 @@ def ties(n: int, ms: range) -> list:
 def tie_pairs(n: int) -> list:
     """All m with a first-Zagreb tie at this n, except the near-empty and
     near-complete ones (``trivial_tie_ms``)."""
-    if n < 5:
-        raise DomainError(f"tie classification needs n >= 5; got {n}")
+    if n < CLASSIFY_MIN_N:
+        raise DomainError(f"tie classification needs n >= {CLASSIFY_MIN_N}; got {n}")
     skip = trivial_tie_ms(n)
     return [m for m in ties(n, range(comb(n, 2) + 1)) if m not in skip]
+
+
+#: The classification table's columns: n, m, the sign, band membership, (k, j), (k', j') and the spectrum.
+TABLE_COLUMNS = ("n", "m", "sign", "in_J", "k", "j", "kp", "jp", "k_n", "q_n", "R_n")
+
+#: A row's sign text, indexed by the sign of its gap as -1, 0 or 1.
+_SIGN_TEXT = tuple(str(Sign.of(x)) for x in (0, 1, -1))
+
+
+def table(n: int, istar_only: bool) -> tuple:
+    """``((k_n, q_n, R_n), rows)`` at n: the spectrum columns, rationals as
+    text and empty below CLASSIFY_MIN_N, and a generator of ``(m, sign,
+    in_J, k, j, kp, jp)`` for m in ``0..C(n,2)``.  A cell of ``cells`` gives
+    its row at ``m0 + i`` the sign text of ``gap + d i`` (empty below
+    CLASSIFY_MIN_N) and the parameters ``(k, j - i, kp, jp + i)``.
+    ``istar_only`` keeps the rows of ``cell_ties``, none below CLASSIFY_MIN_N."""
+    if n < CLASSIFY_MIN_N:
+        return ("", "", ""), iter(()) if istar_only else _table_rows(n, False, ("",) * 3)
+    sp = spectrum(n)
+    return (sp.k, str(sp.q), str(sp.r)), _table_rows(n, istar_only, _SIGN_TEXT)
+
+
+def _table_rows(n: int, istar_only: bool, signs: tuple):
+    band = central_band(n)
+    for m0, last, k, j, kp, jp, gap, d in cells(n, range(comb(n, 2) + 1)):
+        size = last - m0 + 1
+        for i in cell_ties(gap, d, size) if istar_only else range(size):
+            g = gap + d * i
+            yield m0 + i, signs[(g > 0) - (g < 0)], int(m0 + i in band), k, j - i, kp, jp + i

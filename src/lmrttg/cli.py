@@ -11,11 +11,10 @@ import argparse
 import json
 import sys
 import time
-from math import comb
 
-from .classify import BAND_MIN_N, Sign, cell_ties, cells, central_band, spectrum
+from .classify import BAND_MIN_N, TABLE_COLUMNS, table
 from .errors import DomainError, InvariantError
-from .families import FamilyTag, build_family, build_h_optimal, build_lmrttg, build_lmrttg_sparse
+from .families import LMRTTG_MIN_N, FamilyTag, build_family, build_h_optimal, build_lmrttg, build_lmrttg_sparse
 from .graphs import GRAPH_JSON_MAX_N, TwoTerminalGraph, from_json, to_dot, to_json_obj
 from .invariants import invariant_bundle
 from .reliability import RELIABILITY_MAX_DIGITS, n_vector, probability, reliability_from_counts
@@ -42,11 +41,8 @@ def _print_json(obj) -> None:
 
 
 def _parse_range(text: str) -> tuple:
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-    else:
-        lo = hi = text
-    return int(lo), int(hi)
+    lo, sep, hi = text.partition("..")
+    return int(lo), int(hi if sep else lo)
 
 
 #: What ``construct --family`` builds: a family member by its tag, or an optimal graph.
@@ -79,59 +75,31 @@ def _cmd_invariants(args) -> int:
     return 0
 
 
-_CLASSIFY_COLUMNS = ("n", "m", "sign", "in_J", "k", "j", "kp", "jp", "k_n", "q_n", "R_n")
-
-
-#: A row's sign text at n >= 5, indexed by the sign of its gap as -1, 0 or 1;
-#: below n = 5 a row has no sign.
-_SIGN_TEXT = tuple(str(Sign.of(x)) for x in (0, 1, -1))
-_NO_SIGN_TEXT = ("",) * 3
-
-
-def _classify_rows(n: int, istar_only: bool):
-    """``(m, sign, in_J, k, j, kp, jp)`` for each classify row at n, read
-    off the cells of ``cells``: the m = m0 + i row has gap ``gap + d i``
-    and parameters ``(k, j - i, kp, jp + i)``.  ``istar_only`` keeps each
-    cell's ties (``cell_ties``), and no row below n = 5."""
-    if istar_only and n < 5:
-        return
-    band = central_band(n)
-    signs = _SIGN_TEXT if n >= 5 else _NO_SIGN_TEXT
-    for m0, last, k, j, kp, jp, gap, d in cells(n, range(comb(n, 2) + 1)):
-        size = last - m0 + 1
-        for i in cell_ties(gap, d, size) if istar_only else range(size):
-            g = gap + d * i
-            yield m0 + i, signs[(g > 0) - (g < 0)], int(m0 + i in band), k, j - i, kp, jp + i
-
-
-def _spectrum_columns(n: int) -> tuple:
-    """The ``k_n``, ``q_n`` and ``R_n`` columns, the same on every row at n
-    and empty below n = 5."""
-    if n < 5:
-        return ("", "", "")
-    sp = spectrum(n)
-    return sp.k, str(sp.q), str(sp.r)
-
-
 def _cmd_classify(args) -> int:
     """One write per n, so that an n whose rows do not fit in memory prints
     nothing when it comes first.  A JSON block is the indented JSON of the
-    n's rows without the list's brackets; joined by commas and bracketed,
-    the blocks are the indented JSON of every row."""
+    n's row objects, keys sorted, without the list's brackets; joined by
+    commas and bracketed, the blocks are the indented JSON of every row."""
     n_lo, n_hi = _parse_range(args.n)
-    blocks = ((n, _spectrum_columns(n), _classify_rows(n, args.istar_only)) for n in range(n_lo, n_hi + 1))
+    blocks = ((n, *table(n, args.istar_only)) for n in range(n_lo, n_hi + 1))
     if args.format == "json":
         sep = "["
-        for n, tail, rows in blocks:
-            text = _dumps([dict(zip(_CLASSIFY_COLUMNS, (n, *row, *tail))) for row in rows])[1:-3]
+        for n, shared, rows in blocks:
+            k_n, q_n, r_n = map(json.dumps, shared)
+            text = ",".join(
+                f'\n  {{\n    "R_n": {r_n},\n    "in_J": {b},\n    "j": {j},\n    "jp": {jp},'
+                f'\n    "k": {k},\n    "k_n": {k_n},\n    "kp": {kp},\n    "m": {m},'
+                f'\n    "n": {n},\n    "q_n": {q_n},\n    "sign": "{s}"\n  }}'
+                for m, s, b, k, j, kp, jp in rows
+            )
             if text:
                 sys.stdout.write(sep + text)
                 sep = ","
         sys.stdout.write("[]\n" if sep == "[" else "\n]\n")
         return 0
-    head = ",".join(_CLASSIFY_COLUMNS) + "\n"  # written with the first n
-    for n, tail, rows in blocks:
-        t = ",".join(map(str, tail))
+    head = ",".join(TABLE_COLUMNS) + "\n"  # written with the first n
+    for n, shared, rows in blocks:
+        t = ",".join(map(str, shared))
         sys.stdout.write(head + "".join(f"{n},{m},{s},{b},{k},{j},{kp},{jp},{t}\n" for m, s, b, k, j, kp, jp in rows))
         head = ""
     sys.stdout.write(head)
@@ -185,10 +153,7 @@ def _outcome(args) -> tuple:
 
 def _cmd_verify(args) -> int:
     doc, text, ok = _outcome(args)
-    if args.format == "json":
-        _print_json(doc)
-    else:
-        print(text, end="")
+    print(_dumps(doc) if args.format == "json" else text, end="")
     return 0 if ok else 1
 
 
@@ -196,8 +161,8 @@ def _cmd_verify_all(args) -> int:
     """Run these single verify commands through the parser and their bound checks:
     md output is theirs in turn, json output is one document."""
     steps = [["seven-pairs"], ["istar-scan"], ["identities", "--seed", str(args.seed)], ["bounds"]]
-    uniqueness_pairs(4, args.max_n)  # a range the theorem-main steps reject fails before any step runs
-    for n in range(4, args.max_n + 1):
+    uniqueness_pairs(LMRTTG_MIN_N, args.max_n)  # a range the theorem-main steps reject fails before any step runs
+    for n in range(LMRTTG_MIN_N, args.max_n + 1):
         steps.append(["theorem-main", "--min-n", str(n), "--max-n", str(n), "--jobs", str(args.jobs)])
     steps.append(["sturm"])
     shared = ["--format", args.format] + (["--no-meta"] if args.no_meta else [])
@@ -266,7 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
         lambda a: scan_uniqueness(a.max_n, m_cap=a.m_cap, n_min=a.min_n, jobs=a.jobs),
     )
     p.add_argument("--max-n", type=int, default=6)
-    p.add_argument("--min-n", type=int, default=4)
+    p.add_argument("--min-n", type=int, default=LMRTTG_MIN_N)
     p.add_argument("--m-cap", type=int, default=None)
     p.add_argument("--jobs", type=_jobs, default=1)
 

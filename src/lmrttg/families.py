@@ -30,6 +30,7 @@ derived from it.
 from __future__ import annotations
 
 from enum import Enum
+from itertools import count
 from math import comb
 
 from .classify import Sign, central_band, check_range, classify, quasi_complete_params, quasi_star_params, trivial_tie_ms
@@ -151,19 +152,20 @@ def h_optimal_tag(n: int, m: int) -> FamilyTag:
     """The family of the unique maximizer of ``M2 - 6*k3`` among
     first-Zagreb maximizers; builds no graph.
 
-    Branches, in priority order: outside the n >= 5 range the quasi-star
-    wins outright; otherwise the sign of ``M1(S1) - M1(C1)`` selects the
-    S-side or C-side chain, ties go to the quasi-star at
-    near-empty/near-complete edge counts, to a tabulated family on the
-    seven exceptional pairs, and to the C-side inside the central band.
+    Branches, in priority order: where ``classify`` gives no sign (n below
+    ``CLASSIFY_MIN_N``) the quasi-star wins outright; otherwise the sign of
+    ``M1(S1) - M1(C1)`` selects the S-side or C-side chain, ties go to the
+    quasi-star at near-empty/near-complete edge counts, to a tabulated
+    family on the seven exceptional pairs, and to the C-side inside the
+    central band.
     On the C-side, ``C3`` wins when it exists, else ``C1``.
     """
     check_range(n, m)
     if n < 1:
         raise DomainError("need at least one vertex")
-    if n <= 4:
-        return FamilyTag.S1
     sign = classify(n, m)
+    if sign is None:
+        return FamilyTag.S1
     if sign is Sign.PLUS:
         if not family_exists(n, m, FamilyTag.S2):
             return FamilyTag.S1
@@ -203,7 +205,7 @@ def build_lmrttg_sparse(n: int, m: int) -> TwoTerminalGraph:
     first two inner vertices.  Even counts fit through m = 2n-2, where the
     graph coincides with the universal-terminal construction.
     """
-    if not (n >= 4 and 5 <= m <= 2 * n - 2):
+    if not 5 <= m <= 2 * n - 2:  # which forces n >= 4
         raise DomainError(f"need n >= 4 and 5 <= m <= 2n-3 (or even m = 2n-2); got n={n}, m={m}")
     edges = [(0, 1)]
     for i in range((m - 1) // 2):
@@ -213,13 +215,22 @@ def build_lmrttg_sparse(n: int, m: int) -> TwoTerminalGraph:
     return TwoTerminalGraph(Graph.from_edges(n, edges), 0, 1)
 
 
+def lmrttg_ms(n: int) -> range:
+    """The main theorem's edge counts at n, ``5 <= m <= C(n,2)``; ValueError for a negative n."""
+    return range(5, comb(n, 2) + 1)
+
+
+#: Smallest n of the main theorem: the first with an edge count in ``lmrttg_ms``.
+LMRTTG_MIN_N = next(n for n in count() if lmrttg_ms(n))
+
+
 def build_lmrttg(n: int, m: int) -> TwoTerminalGraph:
     """The unique locally most reliable two-terminal graph on (n, m).
 
     Sparse edge counts use the two-path construction; past ``2n-3`` the
     terminals become universal over the optimal core on ``n-2`` vertices.
     """
-    if not (n >= 4 and 5 <= m <= comb(n, 2)):
+    if n < 0 or m not in lmrttg_ms(n):
         raise DomainError(f"need n >= 4 and 5 <= m <= C(n,2); got n={n}, m={m}")
     if m <= 2 * n - 3:
         return build_lmrttg_sparse(n, m)

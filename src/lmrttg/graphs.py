@@ -15,10 +15,9 @@ from itertools import chain, permutations, product
 
 from .errors import DomainError, SizeLimitError
 
-#: Vertex bound for the brute-force canonical forms of two-terminal graphs.
-CANONICAL_MAX_N = 10
-#: Vertex bound for graph_key, the canonical form of plain graphs.
-GRAPH_KEY_MAX_N = 8
+#: Most vertices that a canonical form does not pin: a key walks the slot
+#: orders of these, so two-terminal keys reach n = 10 and graph_key n = 8.
+KEY_MAX_UNPINNED = 8
 #: Vertex bound of the graph JSON format, checked before any row is allocated.
 GRAPH_JSON_MAX_N = 1 << 16
 
@@ -182,11 +181,11 @@ def _min_mask(g: Graph, groups) -> int:
     return best
 
 
-def _canonical(g: Graph, lead: tuple, max_n: int) -> tuple:
+def _canonical(g: Graph, lead: tuple) -> tuple:
     """``(n, mask)`` over the relabelings that pin each lead vertex, in
     order, to the first slots and the other vertices by degree class."""
-    if g.n > max_n:
-        raise SizeLimitError(f"canonical form limited to n <= {max_n} (got {g.n})")
+    if g.n - len(lead) > KEY_MAX_UNPINNED:
+        raise SizeLimitError(f"canonical form limited to n <= {KEY_MAX_UNPINNED + len(lead)} (got {g.n})")
     degs = g.degrees()
     by_deg = {}
     for v in range(g.n):
@@ -202,17 +201,17 @@ def canonical_key(tg: TwoTerminalGraph) -> tuple:
     Two two-terminal graphs get equal keys iff some graph isomorphism maps
     the one terminal pair onto the other (as an unordered pair).
     """
-    return min(_canonical(tg.graph, lead, CANONICAL_MAX_N) for lead in ((tg.s, tg.t), (tg.t, tg.s)))
+    return min(_canonical(tg.graph, lead) for lead in ((tg.s, tg.t), (tg.t, tg.s)))
 
 
 def canonical_key_ordered(tg: TwoTerminalGraph) -> tuple:
     """Like canonical_key but with the terminals taken as an ordered pair."""
-    return _canonical(tg.graph, (tg.s, tg.t), CANONICAL_MAX_N)
+    return _canonical(tg.graph, (tg.s, tg.t))
 
 
 def graph_key(g: Graph) -> tuple:
-    """Complete isomorphism invariant for plain graphs (up to GRAPH_KEY_MAX_N vertices)."""
-    return _canonical(g, (), GRAPH_KEY_MAX_N)
+    """Complete isomorphism invariant for plain graphs (up to KEY_MAX_UNPINNED vertices)."""
+    return _canonical(g, ())
 
 
 def form_of_key(key) -> TwoTerminalGraph:
@@ -263,16 +262,7 @@ def from_json(text: str):
 
 
 def to_dot(obj) -> str:
-    terminals = ()
-    g = obj
-    if isinstance(obj, TwoTerminalGraph):
-        terminals = (obj.s, obj.t)
-        g = obj.graph
-    lines = ["graph G {"]
-    for v in range(g.n):
-        shape = "doublecircle" if v in terminals else "circle"
-        lines.append(f'  {v} [shape={shape}];')
-    for u, v in g.edges():
-        lines.append(f"  {u} -- {v};")
-    lines.append("}")
+    g, terminals = (obj.graph, (obj.s, obj.t)) if isinstance(obj, TwoTerminalGraph) else (obj, ())
+    lines = ["graph G {"] + [f"  {v} [shape={'doublecircle' if v in terminals else 'circle'}];" for v in range(g.n)]
+    lines += [f"  {u} -- {v};" for u, v in g.edges()] + ["}"]
     return "\n".join(lines) + "\n"

@@ -21,7 +21,7 @@ from itertools import combinations
 from math import comb
 
 from .errors import DomainError, SizeLimitError
-from .graphs import CANONICAL_MAX_N, Graph, TwoTerminalGraph, canonical_key, canonical_key_ordered, form_of_key, join
+from .graphs import KEY_MAX_UNPINNED, Graph, TwoTerminalGraph, canonical_key_ordered, form_of_key, join
 from .invariants import max_m1_graphs
 
 DEFAULT_MAX_VERTICES = 8
@@ -239,19 +239,21 @@ def _search(n: int, m: int, max_n: int = None) -> dict:
     if n > max_n:
         raise SizeLimitError(f"search limited to n <= {max_n} (got {n}); raise with `verify brute --deep` or max_n")
     _check_nvec_size(n)
-    if n > CANONICAL_MAX_N:
-        raise SizeLimitError(f"search winners are keyed canonically, limited to n <= {CANONICAL_MAX_N} (got {n})")
+    if n - 2 > KEY_MAX_UNPINNED:  # a winner's key pins its two terminals
+        raise SizeLimitError(f"search winners are keyed canonically, limited to n <= {KEY_MAX_UNPINNED + 2} (got {n})")
     if n < 2 or not 1 <= m <= comb(n, 2):
         raise DomainError(f"need n >= 2 and 1 <= m <= C(n,2); got n={n}, m={m}")
     examined, survivors, scored = _prefix_scan(n, m)
     vecs = [_nvec(n, 0, 1, edges) for edges in scored]
     best_vec = max(vecs)
-    tied = [TwoTerminalGraph(Graph.from_edges(n, edges), 0, 1) for edges, vec in zip(scored, vecs) if vec == best_vec]
+    tied = [Graph.from_edges(n, edges) for edges, vec in zip(scored, vecs) if vec == best_vec]
+    # each winner keyed once per terminal order; its class key is the smaller
+    ordered = [tuple(canonical_key_ordered(TwoTerminalGraph(g, s, t)) for s, t in ((0, 1), (1, 0))) for g in tied]
     return {
-        "keys": sorted({canonical_key(tg) for tg in tied}),
+        "keys": sorted({min(keys) for keys in ordered}),
         "examined": examined,
         "survivors": survivors,
-        "unique_ordered": len({canonical_key_ordered(tg) for tg in tied}) == 1,
+        "unique_ordered": len({keys[0] for keys in ordered}) == 1,
     }
 
 

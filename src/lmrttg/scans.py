@@ -15,17 +15,14 @@ from fractions import Fraction
 from math import comb
 
 from .classify import (
-    band_n_range,
-    central_band,
-    quasi_complete_m1,
-    quasi_complete_params,
-    quasi_star_m1,
-    quasi_star_params,
-    tie_pairs,
-    ties,
+    BAND_MIN_N, CLASSIFY_MIN_N, band_n_range, central_band, quasi_complete_m1, quasi_complete_params, quasi_star_m1,
+    quasi_star_params, tie_pairs, ties,
 )
 from .errors import DomainError, SizeLimitError
-from .families import SEVEN_PAIR_TAGS, FamilyTag, build_h_optimal, build_lmrttg, candidate_set, h_optimal_tag, mirror
+from .families import (
+    LMRTTG_MIN_N, SEVEN_PAIR_TAGS, FamilyTag, build_h_optimal, build_lmrttg, candidate_set, h_optimal_tag, lmrttg_ms,
+    mirror,
+)
 from .graphs import Graph, canonical_key, complement, form_of_key, graph_key, to_json_obj, vertex_pairs
 from .invariants import complement_residuals, family_h, family_h_values, h_sum_offset, invariant_bundle, max_m1_graphs
 from .quadratic import MARGIN, band_bounds_check, count_roots, refine_root
@@ -95,14 +92,15 @@ def _h_optima(n: int, m: int):
 def verify_seven_pairs() -> ScanReport:
     """Reproduce the seven exceptional tie pairs and their unique optima.
 
-    The tie lists for n in {5,6,7} are recomputed from scratch, and for
-    each pair the unique optimum is found by exhaustive maximization over
-    every labeled graph, not just the candidate families (``_h_optima``),
-    and compared with the construction's choice (``build_h_optimal``).
+    The tie lists for n in ``range(CLASSIFY_MIN_N, BAND_MIN_N)``, 5 to 7,
+    are recomputed from scratch, and for each pair the unique optimum is
+    found by exhaustive maximization over every labeled graph, not just the
+    candidate families (``_h_optima``), and compared with the
+    construction's choice (``build_h_optimal``).
     """
     report = ScanReport(scope="seven exceptional pairs")
     expected_pairs = sorted(SEVEN_PAIR_TAGS)
-    found_pairs = [(n, m) for n in (5, 6, 7) for m in tie_pairs(n)]
+    found_pairs = [(n, m) for n in range(CLASSIFY_MIN_N, BAND_MIN_N) for m in tie_pairs(n)]
     pairs_ok = found_pairs == expected_pairs
     report.records.append(
         {"check": "tie pair list", "expected": str(expected_pairs), "found": str(found_pairs), "ok": pairs_ok}
@@ -227,7 +225,7 @@ def brute_record(n: int, m: int, deep: bool = False) -> dict:
         "survivors": res["survivors"],
         "winner_canonical": to_json_obj(form_of_key(res["keys"][0])),
     }
-    if n >= 4 and 5 <= m <= comb(n, 2):
+    if m in lmrttg_ms(n):
         expected = build_lmrttg(n, m)
         rec["matches_construction"] = rec["unique"] and res["keys"][0] == canonical_key(expected)
     else:
@@ -246,7 +244,7 @@ def _uniqueness_record(nm) -> dict:
 
 def uniqueness_pairs(n_min: int, n_max: int, m_cap: int = None) -> list:
     """The (n, m) pairs that ``scan_uniqueness`` searches: each n in
-    [n_min, n_max] with m from 5 up to C(n,2), or up to m_cap.  Raises before
+    [n_min, n_max] with m in ``lmrttg_ms(n)``, up to m_cap if given.  Raises before
     any search when n_max is above the search's vertex bound or the range
     holds no pair."""
     if n_max > DEFAULT_MAX_VERTICES:
@@ -256,15 +254,14 @@ def uniqueness_pairs(n_min: int, n_max: int, m_cap: int = None) -> list:
         )
     pairs = []
     for n in range(n_min, n_max + 1):
-        top = comb(n, 2) if m_cap is None else min(comb(n, 2), m_cap)
-        pairs.extend((n, m) for m in range(5, top + 1))
+        pairs.extend((n, m) for m in lmrttg_ms(n) if m_cap is None or m <= m_cap)
     if not pairs:
         cap = "" if m_cap is None else f" and --m-cap {m_cap}"
         raise DomainError(f"theorem-main has no (n, m) pair with m >= 5 for n in {n_min}..{n_max}{cap}")
     return pairs
 
 
-def scan_uniqueness(n_max: int, m_cap: int = None, n_min: int = 4, jobs: int = 1) -> ScanReport:
+def scan_uniqueness(n_max: int, m_cap: int = None, n_min: int = LMRTTG_MIN_N, jobs: int = 1) -> ScanReport:
     """Brute-force the unique optimum for every pair in ``uniqueness_pairs``.
 
     For each pair the lexicographic maximizer set must be a single class

@@ -1,5 +1,6 @@
 import contextlib
 import hashlib
+import inspect
 import io
 import json
 import multiprocessing
@@ -15,8 +16,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lmrttg import Graph, TwoTerminalGraph, classify, cli, families, quasi_complete_params, quasi_star_params, reliability, scans
-from lmrttg.classify import BAND_MIN_N, central_band, spectrum
+from lmrttg.classify import BAND_MIN_N, TABLE_COLUMNS, central_band, spectrum
 from lmrttg.cli import main
+from lmrttg.families import LMRTTG_MIN_N, lmrttg_ms
 from lmrttg.graphs import to_json_obj, vertex_pairs
 from lmrttg.scans import TIE_SCAN_MAX_N
 
@@ -266,14 +268,47 @@ def test_classify_empty_range_prints_the_header_alone(capsys):
     assert run_cli(capsys, "classify", "--n", "4..2", "--format", "json") == (0, "[]\n", "")
 
 
+_JSON = ("--format", "json", "--no-meta")
+
+
 @pytest.mark.parametrize(
     "argv, digest",
     [
-        # the classify digest is the one the benchmark pins
+        # the classify CSV digest is the one the benchmark pins; the other
+        # benchmark commands follow, each in JSON without timing
         (("classify", "--n", "5..60", "--format", "csv"), "ed77332ac56985c7c106d1bc3d8ad05d6b53b281d3a2cfc6cc60e1efe23f87b8"),
         (
-            ("verify", "istar-scan", "--from", "8", "--to", "436", "--format", "json", "--no-meta"),
+            ("verify", "istar-scan", "--from", "8", "--to", "436", *_JSON),
             "d356f29bb363185b3f15380ec217c3f84daae8f48373e3a38860a2b9deac8aed",
+        ),
+        (("classify", "--n", "5..60", "--format", "json"), "03836c87a8730071748dab49a095245e5f461c631504341678ebd1cb678865c8"),
+        (("verify", "seven-pairs", *_JSON), "19c9978cdd0c354e43ab73d5abdec1dca50a883319f3b377644b970b4af9f151"),
+        (
+            ("verify", "bounds", "--from", "8", "--to", "100", *_JSON),
+            "3fad1cc78e0a9d10e06a406f230b392d79bc09ae9fbff1a6f8d112d32f6433e1",
+        ),
+        (("verify", "sturm", *_JSON), "4d784dd8115200d9bfebb90e99aa7ec0f4a7c5806f6f7566960d510932142f92"),
+        (
+            ("verify", "identities", "--seed", "1", "--samples", "2000", *_JSON),
+            "3282ddb52d1bd9eba228e0ed5709a5266f0d282dfeca3318e9114cd58ab8102d",
+        ),
+        (
+            ("verify", "theorem-main", "--min-n", "6", "--max-n", "6", "--jobs", "1", *_JSON),
+            "84ade46246656988ffef843a64baa5eee679916e761bd97b224836de16dec1e0",
+        ),
+        (
+            ("verify", "theorem-main", "--min-n", "7", "--max-n", "7", "--m-cap", "12", "--jobs", "1", *_JSON),
+            "1d8e995b05baaeab61b656d1e2537771204ff098d21bd2893b0f3ff4e6802a8e",
+        ),
+        (("verify", "brute", "--n", "7", "--m", "14", *_JSON), "51d7e7a3fa059c4c00ee068e4e80b9d189b8a6363b90170fe680b4ec436deacd"),
+        (("verify", "brute", "--n", "7", "--m", "21", *_JSON), "e1de630c7e6b258715b7189d7f9a4784afceb02d0a57a53d5fa5cc0336678c77"),
+        (
+            ("verify", "brute", "--deep", "--n", "8", "--m", "8", *_JSON),
+            "1cd7ba1a7511bb5e7c6ef890c2eec47f7d402c4246c24fed9146086191246e43",
+        ),
+        (
+            ("verify", "brute", "--deep", "--n", "8", "--m", "9", *_JSON),
+            "a4a285978dc7e9aac5e90820ea405bef014c9bf538990dc28d7c3635306879f8",
         ),
     ],
 )
@@ -317,7 +352,7 @@ def test_classify_rows_match_pair_by_pair_classification(capsys):
             if flag or n in json_all:
                 code, out, _ = run_cli(capsys, "classify", "--n", str(n), *flag, "--format", "json")
                 assert code == 0
-                got = [tuple(rec[col] for col in cli._CLASSIFY_COLUMNS[:8]) for rec in json.loads(out)]
+                got = [tuple(rec[col] for col in TABLE_COLUMNS[:8]) for rec in json.loads(out)]
                 assert got == want, (n, flag)
 
 
@@ -328,7 +363,7 @@ def _classify_records(ns, istar_only=False):
         tail = (spectrum(n).k, str(spectrum(n).q), str(spectrum(n).r)) if n >= 5 else ("", "", "")
         for row in _classify_expected(n):
             if not istar_only or row[2] == "=":
-                yield dict(zip(cli._CLASSIFY_COLUMNS, (*row, *tail)))
+                yield dict(zip(TABLE_COLUMNS, (*row, *tail)))
 
 
 @pytest.mark.parametrize("lo, hi, flags", [(0, 4, ()), (4, 9, ("--istar-only",)), (0, 40, ())])
@@ -471,6 +506,20 @@ def test_band_scan_defaults_come_from_their_constants():
     istar = parser.parse_args(["verify", "istar-scan"])
     assert (istar.from_n, istar.to_n) == (BAND_MIN_N, TIE_SCAN_MAX_N)
     assert parser.parse_args(["verify", "bounds"]).from_n == BAND_MIN_N
+
+
+def test_theorem_range_defaults_come_from_lmrttg_ms(capsys, monkeypatch):
+    assert not lmrttg_ms(LMRTTG_MIN_N - 1) and lmrttg_ms(LMRTTG_MIN_N) == range(5, 7)
+    assert inspect.signature(scans.scan_uniqueness).parameters["n_min"].default == LMRTTG_MIN_N
+    assert cli.build_parser().parse_args(["verify", "theorem-main"]).min_n == LMRTTG_MIN_N
+    # verify all's theorem-main steps start at the constant, whatever it is
+    monkeypatch.setattr(cli, "LMRTTG_MIN_N", LMRTTG_MIN_N + 1)
+    assert cli.build_parser().parse_args(["verify", "theorem-main"]).min_n == LMRTTG_MIN_N + 1
+    steps = []
+    monkeypatch.setattr(cli, "_outcome", lambda args: steps.append(args) or ({}, "", True))
+    assert run_cli(capsys, "verify", "all", "--max-n", "7")[0] == 0
+    found = [(a.min_n, a.max_n) for a in steps if a.verify_cmd == "theorem-main"]
+    assert found == [(n, n) for n in range(LMRTTG_MIN_N + 1, 8)]
 
 
 def test_verify_all_md_is_the_single_checks_in_turn(capsys):

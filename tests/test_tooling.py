@@ -72,6 +72,31 @@ def test_float_check_flags_float_math(tmp_path):
     assert sorted(what for _, what in _float_uses(path)) == ["math.log(...)", "math.sqrt(...)"]
 
 
+def _hand_copied_bounds(path):
+    """(line, source) for each comparison of the name ``n`` with the literal 4 or 5 in a source file."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Compare):
+            operands = [node.left, *node.comparators]
+            if any(isinstance(x, ast.Name) and x.id == "n" for x in operands) and any(
+                isinstance(x, ast.Constant) and type(x.value) is int and x.value in (4, 5) for x in operands
+            ):
+                yield node.lineno, ast.unparse(node)
+
+
+def test_library_derives_its_first_n():
+    # the classification starts at classify.CLASSIFY_MIN_N and the main theorem
+    # at families.LMRTTG_MIN_N; a bound copied by hand drifts from its source
+    found = [f"{path.name}:{line}: {text}" for path in sorted(SRC.glob("*.py")) for line, text in _hand_copied_bounds(path)]
+    assert found == []
+
+
+def test_first_n_check_flags_literal_bounds(tmp_path):
+    path = tmp_path / "sample.py"
+    path.write_text("a = n < 5\nb = 4 <= n <= 9\nc = 5 <= m <= 2 * n\nd = n < 6\ne = k >= 4\n")
+    assert [text for _, text in _hand_copied_bounds(path)] == ["n < 5", "4 <= n <= 9"]
+
+
 def _function_imports(path):
     """(function, module) for each import statement inside a function of a source file."""
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
