@@ -40,9 +40,29 @@ def _print_json(obj) -> None:
     print(_dumps(obj), end="")
 
 
+def _int_at_least(low: int):
+    """The argparse type of an integer option whose values start at ``low``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = low - 1
+        if value < low:
+            raise argparse.ArgumentTypeError(f"need an integer of at least {low}; got {text!r}")
+        return value
+
+    return parse
+
+
+#: A vertex count n, and the ``--jobs`` worker count.
+_n_value, _jobs = _int_at_least(0), _int_at_least(1)
+
+
 def _parse_range(text: str) -> tuple:
+    """An n range ``A..B``, or one n ``A``, as ``(A, B)``; a descending range is empty."""
     lo, sep, hi = text.partition("..")
-    return int(lo), int(hi if sep else lo)
+    return _n_value(lo), _n_value(hi if sep else lo)
 
 
 #: What ``construct --family`` builds: a family member by its tag, or an optimal graph.
@@ -80,7 +100,7 @@ def _cmd_classify(args) -> int:
     nothing when it comes first.  A JSON block is the indented JSON of the
     n's row objects, keys sorted, without the list's brackets; joined by
     commas and bracketed, the blocks are the indented JSON of every row."""
-    n_lo, n_hi = _parse_range(args.n)
+    n_lo, n_hi = args.n
     blocks = ((n, *table(n, args.istar_only)) for n in range(n_lo, n_hi + 1))
     if args.format == "json":
         sep = "["
@@ -123,17 +143,6 @@ def _cmd_reliability(args) -> int:
         if raised:
             sys.set_int_max_str_digits(limit)
     return 0
-
-
-def _jobs(text: str) -> int:
-    """The ``--jobs`` worker count, an integer of at least 1."""
-    try:
-        jobs = int(text)
-    except ValueError:
-        jobs = 0
-    if jobs < 1:
-        raise argparse.ArgumentTypeError(f"need an integer of at least 1; got {text!r}")
-    return jobs
 
 
 def _outcome(args) -> tuple:
@@ -199,7 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
     i.set_defaults(func=_cmd_invariants)
 
     k = sub.add_parser("classify", help="sign classification over a range of n")
-    k.add_argument("--n", required=True, help="single value or range A..B")
+    k.add_argument("--n", type=_parse_range, required=True, help="single value or range A..B")
     k.add_argument("--istar-only", action="store_true", help="only the tie rows")
     k.add_argument("--format", choices=["csv", "json"], default="csv")
     k.set_defaults(func=_cmd_classify)
@@ -230,8 +239,8 @@ def build_parser() -> argparse.ArgumentParser:
         "brute-force uniqueness of the construction",
         lambda a: scan_uniqueness(a.max_n, m_cap=a.m_cap, n_min=a.min_n, jobs=a.jobs),
     )
-    p.add_argument("--max-n", type=int, default=6)
-    p.add_argument("--min-n", type=int, default=LMRTTG_MIN_N)
+    p.add_argument("--max-n", type=_n_value, default=6)
+    p.add_argument("--min-n", type=_n_value, default=LMRTTG_MIN_N)
     p.add_argument("--m-cap", type=int, default=None)
     p.add_argument("--jobs", type=_jobs, default=1)
 
@@ -252,7 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = verify("all", "run the single verifications above in turn", None)
     p.set_defaults(func=_cmd_verify_all)
-    p.add_argument("--max-n", type=int, default=6)
+    p.add_argument("--max-n", type=_n_value, default=6)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--jobs", type=_jobs, default=1)
 

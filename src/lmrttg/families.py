@@ -85,9 +85,10 @@ def _build_c1(n: int, m: int) -> Graph:
     if j == k:
         # the attachment vertex would have degree 0: plain clique plus padding
         return disjoint_union(Graph.complete(k), Graph.empty(n - k))
-    edges = [(u, v) for u in range(k) for v in range(u + 1, k)]
-    edges += [(u, k) for u in range(k - j)]
-    return disjoint_union(Graph.from_edges(k + 1, edges), Graph.empty(n - k - 1))
+    # the k-clique on 0..k-1, with vertex k joined to 0..k-j-1
+    return disjoint_union(
+        join(Graph.complete(k - j), disjoint_union(Graph.complete(j), Graph.complete(1))), Graph.empty(n - k - 1)
+    )
 
 
 def _build_c2(n: int, m: int) -> Graph:
@@ -112,7 +113,8 @@ def build_family(n: int, m: int, tag: FamilyTag) -> Graph:
     """The named family member on ``n`` vertices and ``m`` edges.
 
     An S-side member is the complement of its C-side mirror with every
-    vertex v renamed n-1-v, which puts its universal vertices first.
+    vertex v renamed n-1-v, which puts its universal vertices first: the
+    rows in reverse order, each with its n bits reversed.
     Raises FamilyDoesNotExist when the family's side condition fails.
     """
     if not family_exists(n, m, tag):
@@ -120,7 +122,7 @@ def build_family(n: int, m: int, tag: FamilyTag) -> Graph:
     c_tag, mc = mirror(n, m, tag) or (tag, m)
     g = _BUILDERS[c_tag](n, mc)
     if c_tag is not tag:
-        g = Graph.from_edges(n, [(n - 1 - u, n - 1 - v) for u, v in complement(g).edges()])
+        g = Graph(n, [int(f"{row:0{n}b}"[::-1], 2) for row in reversed(complement(g).rows)])
     if (g.n, g.m) != (n, m):
         raise InvariantError(f"builder produced ({g.n},{g.m}) for ({n},{m},{tag})")
     return g

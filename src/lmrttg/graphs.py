@@ -5,6 +5,10 @@ bit row per vertex (bit ``v`` of ``rows[u]`` is set iff ``uv`` is an edge),
 which keeps complement/join/union and triangle counting down to a handful
 of word operations.  All graph values are immutable after construction, so
 they can be shared freely between parallel workers.
+
+The rows are the one graph form that passes between the package's modules.
+Edge lists are the input and output format: ``from_edges`` for outside
+input and hand-written constructions, ``edges`` for graph JSON and DOT.
 """
 
 from __future__ import annotations

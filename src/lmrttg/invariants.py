@@ -44,7 +44,9 @@ def max_m1_graphs(n: int, m: int) -> tuple:
     sequence of ``D - {t}``.  So the maximizers of one degree sequence are
     all isomorphic, and each class is one set D.  The sets are enumerated
     largest element first, stopping once ``1 + ... + i`` falls short of
-    the edges still to place.
+    the edges still to place.  Each class's graph is built as rows: the row
+    of v holds the members of D above v, and every vertex below v when v
+    is in D.
     """
     if n < 0 or not 0 <= m <= comb(n, 2):
         raise DomainError(f"need n >= 0 and 0 <= m <= C(n,2); got n={n}, m={m}")
@@ -69,7 +71,8 @@ def max_m1_graphs(n: int, m: int) -> tuple:
             continue
         if m1 > best:
             best, argmax = m1, []
-        argmax.append(Graph.from_edges(n, [(u, v) for v in dom for u in range(v)]))
+        dmask = sum(1 << v for v in dom)
+        argmax.append(Graph(n, [dmask >> (v + 1) << (v + 1) | ((1 << v) - 1) * (v in dom) for v in range(n)]))
     return best, argmax
 
 

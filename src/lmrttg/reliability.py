@@ -33,8 +33,10 @@ def _check_nvec_size(n: int) -> None:
         raise SizeLimitError(f"coefficient vectors limited to n <= {NVEC_MAX_VERTICES} (got {n})")
 
 
-def _nvec(n: int, s: int, t: int, edges) -> tuple:
-    """``(N_1, ..., N_m)`` by inclusion-exclusion over vertex sets, O(3^n).
+def _nvec(g: Graph, s: int, t: int) -> tuple:
+    """``(N_1, ..., N_m)`` of g with terminals s and t, by inclusion-exclusion
+    over vertex sets, O(3^n); the edge counts of the vertex sets are read
+    off the graph's adjacency rows.
 
     For S containing s, conn[S] counts the connected spanning edge sets of
     G[S] by size.  An edge set of G[S] whose s-component is T leaves the
@@ -48,14 +50,10 @@ def _nvec(n: int, s: int, t: int, edges) -> tuple:
     of N counts edge subsets, so it lies in [0, 2^m] below X, and the
     base-X digits of the result are exactly N_0, ..., N_m.
     """
+    n, m, rows = g.n, g.m, g.rows
     _check_nvec_size(n)
-    m = len(edges)
     width = m + 1
     pw = [((1 << width) + 1) ** k for k in range(m + 1)]
-    rows = [0] * n
-    for u, v in edges:
-        rows[u] |= 1 << v
-        rows[v] |= 1 << u
     e = [0] * (1 << n)
     for S in range(1, 1 << n):
         low = S & -S
@@ -83,7 +81,7 @@ def _nvec(n: int, s: int, t: int, edges) -> tuple:
 def n_vector(tg: TwoTerminalGraph) -> tuple:
     """Exact coefficient vector ``(N_1, ..., N_m)`` by inclusion-exclusion
     over vertex sets; graphs above NVEC_MAX_VERTICES raise SizeLimitError."""
-    return _nvec(tg.graph.n, tg.s, tg.t, tg.graph.edges())
+    return _nvec(tg.graph, tg.s, tg.t)
 
 
 #: Most digits, and largest decimal exponent, of a probability text.  A
@@ -188,7 +186,7 @@ def _prefix_scan(n: int, m: int) -> tuple:
     there are sum over w of d_w(d_w-1) of those.  So ``scored`` joins the
     terminal edges over each class of ``max_m1_graphs(r, k)``.
 
-    Returns ``(examined, survivors, scored edge lists)``.
+    Returns ``(examined, survivors, scored graphs)``.
     """
     r, free = n - 2, m - 1
     inner_pairs = comb(r, 2)
@@ -221,9 +219,9 @@ def _prefix_scan(n: int, m: int) -> tuple:
             need -= len(cls)
         survivors += cells * comb(len(cls), need)
         if x == r:
-            scored += [join(Graph.complete(2), h).edges() for h in max_m1_graphs(r, k)[1]]
+            scored += [join(Graph.complete(2), h) for h in max_m1_graphs(r, k)[1]]
         else:
-            scored += [forced + list(pick) for pick in combinations(cls, need)]
+            scored += [Graph.from_edges(n, forced + list(pick)) for pick in combinations(cls, need)]
     return examined, survivors, scored
 
 
@@ -244,9 +242,9 @@ def _search(n: int, m: int, max_n: int = None) -> dict:
     if n < 2 or not 1 <= m <= comb(n, 2):
         raise DomainError(f"need n >= 2 and 1 <= m <= C(n,2); got n={n}, m={m}")
     examined, survivors, scored = _prefix_scan(n, m)
-    vecs = [_nvec(n, 0, 1, edges) for edges in scored]
+    vecs = [_nvec(g, 0, 1) for g in scored]
     best_vec = max(vecs)
-    tied = [Graph.from_edges(n, edges) for edges, vec in zip(scored, vecs) if vec == best_vec]
+    tied = [g for g, vec in zip(scored, vecs) if vec == best_vec]
     # each winner keyed once per terminal order; its class key is the smaller
     ordered = [tuple(canonical_key_ordered(TwoTerminalGraph(g, s, t)) for s, t in ((0, 1), (1, 0))) for g in tied]
     return {

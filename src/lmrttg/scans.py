@@ -73,7 +73,7 @@ class ScanReport:
 def _h_optima(n: int, m: int):
     """Max first Zagreb index over every labeled graph in G_{n,m}, then max
     h-invariant among the maximizers.  Returns
-    (max_m1, max_h, runner_up_h, winner_edge_lists).
+    (max_m1, max_h, runner_up_h, winner_graphs).
 
     Exhaustive by isomorphism classes: ``max_m1_graphs`` gives the maximum
     over all of G_{n,m} and one graph per class of maximizers.  h is an
@@ -85,7 +85,7 @@ def _h_optima(n: int, m: int):
     scored = [(invariant_bundle(g).h_value, g) for g in graphs]
     max_h = max(h for h, _ in scored)
     runner_up = max((h for h, _ in scored if h < max_h), default=None)
-    winners = [g.edges() for h, g in scored if h == max_h]
+    winners = [g for h, g in scored if h == max_h]
     return best_m1, max_h, runner_up, winners
 
 
@@ -109,7 +109,7 @@ def verify_seven_pairs() -> ScanReport:
         best_m1, max_h, runner_up, winners = _h_optima(n, m)
         tag, predicted = build_h_optimal(n, m)
         pkey = graph_key(predicted)
-        single_class = all(graph_key(Graph.from_edges(n, edges)) == pkey for edges in winners)
+        single_class = all(graph_key(g) == pkey for g in winners)
         candidates = candidate_set(n, m)
         h_by_tag = {str(t): h for t, h in family_h_values(n, m).items()}
         family_m1 = max(invariant_bundle(g).m1 for _, g in candidates)
@@ -283,6 +283,9 @@ def scan_uniqueness(n_max: int, m_cap: int = None, n_min: int = LMRTTG_MIN_N, jo
 # Randomized identity suite.
 # ---------------------------------------------------------------------------
 
+#: First n of both graph loops in the identity suite.  The identities hold
+#: for every graph, so this is the suite's own range, not the classified one.
+IDENTITY_MIN_N = 5
 #: Vertex bound of the random graphs in the identity suite.
 IDENTITY_RANDOM_MAX_N = 9
 #: Vertex bound of the family graphs in the identity suite.
@@ -345,7 +348,7 @@ def identity_suite(seed: int = 0, samples: int = 1000) -> ScanReport:
     report = ScanReport(scope=f"identity suite (seed={seed}, samples={samples})")
     checked = 0
     for _ in range(samples):
-        n = rnd.randint(5, IDENTITY_RANDOM_MAX_N)
+        n = rnd.randint(IDENTITY_MIN_N, IDENTITY_RANDOM_MAX_N)
         pairs = vertex_pairs(n)
         edges = rnd.sample(pairs, rnd.randint(0, len(pairs)))
         g = Graph.from_edges(n, edges)
@@ -353,7 +356,7 @@ def identity_suite(seed: int = 0, samples: int = 1000) -> ScanReport:
         checked += 1
         if fails:
             report.records.append({"n": n, "edges": edges, "failed": fails, "ok": False})
-    for n in range(5, IDENTITY_FAMILY_MAX_N + 1):
+    for n in range(IDENTITY_MIN_N, IDENTITY_FAMILY_MAX_N + 1):
         for m in range(comb(n, 2) + 1):
             for tag, g in candidate_set(n, m):
                 fails = _identity_failures(g, tag)

@@ -268,6 +268,23 @@ def test_classify_empty_range_prints_the_header_alone(capsys):
     assert run_cli(capsys, "classify", "--n", "4..2", "--format", "json") == (0, "[]\n", "")
 
 
+def test_negative_n_is_usage_error_naming_the_option(capsys):
+    # every n option has one argument type, so a negative n fails before any
+    # work, with or without --istar-only, and the message names the option
+    cases = [
+        (("classify", "--n=-3..6"), "--n"),
+        (("classify", "--n=-3..6", "--istar-only"), "--n"),
+        (("classify", "--n", "2..-1", "--format", "json"), "--n"),
+        (("verify", "theorem-main", "--min-n=-2"), "--min-n"),
+        (("verify", "theorem-main", "--max-n=-1"), "--max-n"),
+        (("verify", "all", "--max-n=-1"), "--max-n"),
+    ]
+    for argv, option in cases:
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert f"error: argument {option}: need an integer of at least 0; got '-" in err, argv
+
+
 _JSON = ("--format", "json", "--no-meta")
 
 
@@ -608,10 +625,14 @@ def test_input_too_large_for_memory_is_usage_error():
         proc = run_module("construct", "--n", "1000000000", "--m", "5", "--family", family, preexec_fn=cap_memory)
         assert proc.returncode == 2, proc.stderr
         assert proc.stderr == "error: construct: --n must be at most 65536, got 1000000000\n"
-    for argv in (("construct", "--n", "20000", "--m", "5", "--family", "s1"), ("classify", "--n", "100000")):
+    for argv in (("construct", "--n", "65536", "--m", "5", "--family", "s1"), ("classify", "--n", "100000")):
         proc = run_module(*argv, preexec_fn=cap_memory)
         assert (proc.returncode, proc.stdout) == (2, ""), proc.stderr
         assert proc.stderr == "error: out of memory: the input is too large for this machine\n"
+    # s1 is built as rows from its mirror, with no edge list of the mirror's C(n,2) - 5 edges
+    proc = run_module("construct", "--n", "20000", "--m", "5", "--family", "s1", preexec_fn=cap_memory)
+    assert (proc.returncode, proc.stderr) == (0, ""), proc.stderr
+    assert json.loads(proc.stdout) == {"n": 20000, "edges": [[0, v] for v in range(1, 6)]}
 
 
 def test_usage_error_exit_code():
@@ -702,13 +723,15 @@ _commands = st.one_of(
     ),
     _argv(
         ("verify", "theorem-main", "--min-n"),
-        _int_arg(4, 5),
+        _int_arg(-2, 5),
         "--max-n",
-        _int_arg(3, 5),
+        _int_arg(-2, 5),
         "--jobs",
         st.sampled_from(["1", "0", "two"]),  # never above 1: no worker process starts
         st.one_of(st.just(()), st.tuples(st.just("--m-cap"), _int_arg(-1, 12))),
     ),
+    # at most n = 3 no theorem-main step has a pair, so no step runs
+    _argv(("verify", "all", "--max-n"), _int_arg(-2, 3), "--jobs", "1"),
 )
 
 

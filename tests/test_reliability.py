@@ -142,8 +142,8 @@ def test_filtration_level_three_gives_universal_terminals():
             _, survivors, scored = _prefix_scan(n, m)
             assert survivors == comb(comb(n - 2, 2), m - 2 * n + 3), (n, m)
             assert scored, (n, m)
-            for edges in scored:
-                assert terminal_edges <= set(edges) and len(edges) == m, (n, m)
+            for g in scored:
+                assert terminal_edges <= set(g.edges()) and len(g.edges()) == m, (n, m)
 
 
 def test_n4_under_universal_terminals_moves_with_m1_alone():
@@ -199,6 +199,7 @@ def test_prefix_scan_survivors_match_oracle():
         for m in range(1, comb(n, 2) + 1):
             oracle = prefix_survivors_oracle(n, m)
             _, survivors, scored = _prefix_scan(n, m)
+            scored = [g.edges() for g in scored]
             assert survivors == len(oracle), (n, m)
             assert len({frozenset(edges) for edges in scored}) == len(scored), (n, m)
             assert {frozenset(edges) for edges in scored} <= oracle, (n, m)

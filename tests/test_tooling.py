@@ -97,6 +97,25 @@ def test_first_n_check_flags_literal_bounds(tmp_path):
     assert [text for _, text in _hand_copied_bounds(path)] == ["n < 5", "4 <= n <= 9"]
 
 
+def _asserts(path):
+    """The line of each ``assert`` statement in a source file."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    return [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+
+
+def test_library_has_no_asserts():
+    # python -O strips assert statements and the invariants they check; the
+    # library raises its errors instead
+    found = [f"{path.name}:{line}" for path in sorted(SRC.glob("*.py")) for line in _asserts(path)]
+    assert found == []
+
+
+def test_assert_check_flags_assert_statements(tmp_path):
+    path = tmp_path / "sample.py"
+    path.write_text("def f(x):\n    assert x > 0, 'positive'\n    return x\n\n\nassert_free = f(1) == 1\n")
+    assert _asserts(path) == [2]
+
+
 def _function_imports(path):
     """(function, module) for each import statement inside a function of a source file."""
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
