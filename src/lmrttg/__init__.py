@@ -26,10 +26,10 @@ from .graphs import (
     TwoTerminalGraph,
     canonical_key,
     complement,
-    disjoint_union,
     from_json,
     graph_key,
     join,
+    threshold_graph,
     to_dot,
 )
 from .invariants import (

@@ -55,8 +55,8 @@ def _int_at_least(low: int):
     return parse
 
 
-#: A vertex count n, and the ``--jobs`` worker count.
-_n_value, _jobs = _int_at_least(0), _int_at_least(1)
+#: A vertex count n, the ``--jobs`` worker count, and an n of a central-band scan.
+_n_value, _jobs, _band_n = _int_at_least(0), _int_at_least(1), _int_at_least(BAND_MIN_N)
 
 
 def _parse_range(text: str) -> tuple:
@@ -231,8 +231,8 @@ def build_parser() -> argparse.ArgumentParser:
     verify("seven-pairs", "the seven exceptional tie pairs", lambda a: verify_seven_pairs(), aliases=["lemma7"])
 
     p = verify("istar-scan", "central-band dominance scan", lambda a: scan_tie_band(a.from_n, a.to_n))
-    p.add_argument("--from", dest="from_n", type=int, default=BAND_MIN_N)
-    p.add_argument("--to", dest="to_n", type=int, default=TIE_SCAN_MAX_N)
+    p.add_argument("--from", dest="from_n", type=_band_n, default=BAND_MIN_N)
+    p.add_argument("--to", dest="to_n", type=_band_n, default=TIE_SCAN_MAX_N)
 
     p = verify(
         "theorem-main",
@@ -256,8 +256,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=1000)
 
     p = verify("bounds", "polynomial bounds on the central band", lambda a: band_bounds_report(a.from_n, a.to_n))
-    p.add_argument("--from", dest="from_n", type=int, default=BAND_MIN_N)
-    p.add_argument("--to", dest="to_n", type=int, default=60)
+    p.add_argument("--from", dest="from_n", type=_band_n, default=BAND_MIN_N)
+    p.add_argument("--to", dest="to_n", type=_band_n, default=60)
 
     p = verify("all", "run the single verifications above in turn", None)
     p.set_defaults(func=_cmd_verify_all)

@@ -17,14 +17,16 @@ These two parameter pairs drive six named families:
   exists iff ``k'+1 <= 2k'-j'-1 <= n-1``.
 * ``S3``: universal vertices over ``K_3 u (k'-2)K_1``; exists iff ``j' = 3``.
 
-Only the C side is built from parts.  Each ``Si`` on (n, m) is the
-complement of ``Ci`` on (n, C(n,2) - m), whose parameters are ``(k', j')``
-(Ahlswede & Katona 1978), so ``mirror`` ties the two sides together once
-and every S-side fact is derived from its C-side mirror.  The module also
-builds the unique best-in-class graphs assembled from the families: the
-maximizer of the second-Zagreb-minus-six-triangles invariant among
-first-Zagreb maximizers, and the locally most reliable two-terminal graph
-derived from it.
+Every member is a threshold graph (``graphs.threshold_graph``), and only
+the C side lists its creation blocks (``_c_blocks``).  Each ``Si`` on (n, m)
+is the complement of ``Ci`` on (n, C(n,2) - m), whose parameters are
+``(k', j')`` (Ahlswede & Katona 1978): its mirror's blocks, each flag
+flipped and each vertex v relabelled n-1-v.  So ``mirror`` ties the two
+sides together once and every S-side fact is derived from the C side.  The
+module also builds the unique best-in-class graphs assembled from the
+families: the maximizer of the second-Zagreb-minus-six-triangles invariant
+among first-Zagreb maximizers, and the locally most reliable two-terminal
+graph derived from it.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from math import comb
 
 from .classify import Sign, central_band, check_range, classify, quasi_complete_params, quasi_star_params, trivial_tie_ms
 from .errors import DomainError, FamilyDoesNotExist, InvariantError
-from .graphs import Graph, TwoTerminalGraph, complement, disjoint_union, join
+from .graphs import Graph, TwoTerminalGraph, join, threshold_graph
 
 
 class FamilyTag(str, Enum):
@@ -78,35 +80,18 @@ def family_exists(n: int, m: int, tag: FamilyTag) -> bool:
     return c_side_exists(n, tag, *quasi_complete_params(m))
 
 
-def _build_c1(n: int, m: int) -> Graph:
+def _c_blocks(n: int, m: int, tag: FamilyTag) -> list:
+    """The creation blocks of the existing C-side member ``tag`` on (n, m)."""
     if m == 0:
-        return Graph.empty(n)
+        return [(0, n, False)]
     k, j = quasi_complete_params(m)
-    if j == k:
-        # the attachment vertex would have degree 0: plain clique plus padding
-        return disjoint_union(Graph.complete(k), Graph.empty(n - k))
-    # the k-clique on 0..k-1, with vertex k joined to 0..k-j-1
-    return disjoint_union(
-        join(Graph.complete(k - j), disjoint_union(Graph.complete(j), Graph.complete(1))), Graph.empty(n - k - 1)
-    )
-
-
-def _build_c2(n: int, m: int) -> Graph:
-    k, j = quasi_complete_params(m)
-    hub_part = join(Graph.complete(1), disjoint_union(Graph.complete(k - 1), Graph.empty(k - j)))
-    return disjoint_union(hub_part, Graph.empty(n - 2 * k + j))
-
-
-def _build_c3(n: int, m: int) -> Graph:
-    k, _ = quasi_complete_params(m)
-    return disjoint_union(join(Graph.complete(k - 2), Graph.empty(3)), Graph.empty(n - k - 1))
-
-
-_BUILDERS = {
-    FamilyTag.C1: _build_c1,
-    FamilyTag.C2: _build_c2,
-    FamilyTag.C3: _build_c3,
-}
+    if tag is FamilyTag.C2:
+        return [(1, k, True), (k, 2 * k - j, False), (0, 1, True), (2 * k - j, n, False)]
+    if tag is FamilyTag.C3:
+        return [(k - 2, k + 1, False), (0, k - 2, True), (k + 1, n, False)]
+    if j == k:  # the attachment vertex would have degree 0: a plain k-clique
+        return [(0, k, True), (k, n, False)]
+    return [(k - j, k, True), (k, k + 1, False), (0, k - j, True), (k + 1, n, False)]
 
 
 def build_family(n: int, m: int, tag: FamilyTag) -> Graph:
@@ -114,15 +99,16 @@ def build_family(n: int, m: int, tag: FamilyTag) -> Graph:
 
     An S-side member is the complement of its C-side mirror with every
     vertex v renamed n-1-v, which puts its universal vertices first: the
-    rows in reverse order, each with its n bits reversed.
+    mirror's blocks with every flag flipped and every run relabelled.
     Raises FamilyDoesNotExist when the family's side condition fails.
     """
     if not family_exists(n, m, tag):
         raise FamilyDoesNotExist(f"{tag} has no member at n={n}, m={m}")
     c_tag, mc = mirror(n, m, tag) or (tag, m)
-    g = _BUILDERS[c_tag](n, mc)
+    blocks = _c_blocks(n, mc, c_tag)
     if c_tag is not tag:
-        g = Graph(n, [int(f"{row:0{n}b}"[::-1], 2) for row in reversed(complement(g).rows)])
+        blocks = [(n - hi, n - lo, not dominating) for lo, hi, dominating in blocks]
+    g = threshold_graph(n, blocks)
     if (g.n, g.m) != (n, m):
         raise InvariantError(f"builder produced ({g.n},{g.m}) for ({n},{m},{tag})")
     return g

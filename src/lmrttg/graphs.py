@@ -2,9 +2,10 @@
 
 Vertices are the integers ``0..n-1``.  Adjacency is stored as one integer
 bit row per vertex (bit ``v`` of ``rows[u]`` is set iff ``uv`` is an edge),
-which keeps complement/join/union and triangle counting down to a handful
-of word operations.  All graph values are immutable after construction, so
-they can be shared freely between parallel workers.
+which keeps complement, join and triangle counting down to a handful of
+word operations.  ``threshold_graph`` builds a threshold graph from its
+creation sequence, as every family member and ``M1`` maximizer is.  All
+graph values are immutable, so parallel workers can share them freely.
 
 The rows are the one graph form that passes between the package's modules.
 Edge lists are the input and output format: ``from_edges`` for outside
@@ -130,12 +131,6 @@ def complement(g: Graph) -> Graph:
     return Graph(g.n, tuple(full ^ row ^ (1 << v) for v, row in enumerate(g.rows)))
 
 
-def disjoint_union(g: Graph, h: Graph) -> Graph:
-    """Union on disjoint vertex sets; the vertices of ``h`` are shifted up by ``g.n``."""
-    rows = list(g.rows) + [row << g.n for row in h.rows]
-    return Graph(g.n + h.n, rows)
-
-
 def join(g: Graph, h: Graph) -> Graph:
     """Disjoint union plus every cross edge between the two parts."""
     gmask = (1 << g.n) - 1
@@ -143,6 +138,26 @@ def join(g: Graph, h: Graph) -> Graph:
     rows = [row | hmask for row in g.rows]
     rows += [(row << g.n) | gmask for row in h.rows]
     return Graph(g.n + h.n, rows)
+
+
+def threshold_graph(n: int, blocks) -> Graph:
+    """The threshold graph created from ``blocks``: runs ``(lo, hi, dominating)``
+    of the labels ``lo..hi-1``, in creation order, that partition ``0..n-1``.
+    A vertex of a dominating run is joined to every vertex created before it,
+    one of an isolated run to none; one backward pass sets every row."""
+    rows, later, after, full = [0] * n, 0, 0, (1 << n) - 1
+    for lo, hi, dominating in reversed(blocks):
+        run = (1 << hi) - (1 << lo)
+        if dominating:
+            mask = later | (full ^ after)
+            rows[lo:hi] = [mask ^ (1 << v) for v in range(lo, hi)]
+            later |= run
+        else:
+            rows[lo:hi] = [later] * (hi - lo)
+        after |= run
+    if after != full or sum(hi - lo for lo, hi, _ in blocks) != n:
+        raise DomainError(f"blocks must partition 0..{n - 1}; got {blocks!r}")
+    return Graph(n, rows)
 
 
 @lru_cache(maxsize=None)

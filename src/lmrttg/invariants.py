@@ -21,7 +21,7 @@ from typing import NamedTuple
 from .classify import quasi_complete_params, quasi_star_m1, quasi_star_params
 from .errors import DomainError, FamilyDoesNotExist, InvariantError
 from .families import MIRROR_TAGS, FamilyTag, c_side_exists
-from .graphs import Graph
+from .graphs import Graph, threshold_graph
 
 
 def max_m1_graphs(n: int, m: int) -> tuple:
@@ -44,9 +44,8 @@ def max_m1_graphs(n: int, m: int) -> tuple:
     sequence of ``D - {t}``.  So the maximizers of one degree sequence are
     all isomorphic, and each class is one set D.  The sets are enumerated
     largest element first, stopping once ``1 + ... + i`` falls short of
-    the edges still to place.  Each class's graph is built as rows: the row
-    of v holds the members of D above v, and every vertex below v when v
-    is in D.
+    the edges still to place.  Each class's graph is built by
+    ``graphs.threshold_graph``, one run per vertex.
     """
     if n < 0 or not 0 <= m <= comb(n, 2):
         raise DomainError(f"need n >= 0 and 0 <= m <= C(n,2); got n={n}, m={m}")
@@ -71,8 +70,7 @@ def max_m1_graphs(n: int, m: int) -> tuple:
             continue
         if m1 > best:
             best, argmax = m1, []
-        dmask = sum(1 << v for v in dom)
-        argmax.append(Graph(n, [dmask >> (v + 1) << (v + 1) | ((1 << v) - 1) * (v in dom) for v in range(n)]))
+        argmax.append(threshold_graph(n, [(v, v + 1, v in dom) for v in range(n)]))
     return best, argmax
 
 

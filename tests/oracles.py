@@ -203,6 +203,46 @@ def threshold_sign_oracle(n, m):
     return "-"
 
 
+def threshold_oracle(n, blocks):
+    """Edge list of the threshold graph created run by run: ``blocks`` lists
+    runs ``(lo, hi, dominating)`` of the labels ``lo..hi-1`` in creation
+    order, and uv is an edge iff the later-created of u and v is dominating."""
+    order = [(v, dominating) for lo, hi, dominating in blocks for v in range(lo, hi)]
+    assert sorted(v for v, _ in order) == list(range(n))
+    position = {v: i for i, (v, _) in enumerate(order)}
+    flag = dict(order)
+    return [(u, v) for u in range(n) for v in range(u + 1, n) if flag[max(u, v, key=position.get)]]
+
+
+def quasi_complete_oracle(n, m, family):
+    """Edge list of the quasi-complete family member ``family`` ("c1", "c2"
+    or "c3") on n vertices and m edges, or None when it does not exist.
+
+    Plain pair lists from the definitions: with ``m = C(k+1,2) - j`` and
+    ``1 <= j <= k``, the padding vertices come last, and
+
+    * c1: a clique on 0..k-1, and vertex k joined to 0..k-j-1;
+    * c2: a hub 0 joined to 1..2k-j-1, which hold a clique on 1..k-1
+      (needs j <= k - 2 and 2k - j <= n);
+    * c3: a clique on 0..k-3 joined to k-2, k-1 and k (needs j = 3 and k < n).
+    """
+    k = 1
+    while (k + 1) * k // 2 <= m:
+        k += 1
+    j = (k + 1) * k // 2 - m
+    if family == "c1":
+        cliques, joined = [range(k)], [(range(k - j), [k])]
+    elif family == "c2" and j <= k - 2 and 2 * k - j <= n:
+        cliques, joined = [range(1, k)], [([0], range(1, 2 * k - j))]
+    elif family == "c3" and j == 3 and k < n:
+        cliques, joined = [range(k - 2)], [(range(k - 2), range(k - 2, k + 1))]
+    else:
+        return None
+    edges = {(a, b) for block in cliques for a in block for b in block if a < b}
+    edges |= {(a, b) for left, right in joined for a in left for b in right}
+    return sorted(edges)
+
+
 def quasi_star_oracle(n, m, family):
     """Edge list of the quasi-star family member ``family`` ("s1", "s2" or
     "s3") on n vertices and m edges, or None when it does not exist.

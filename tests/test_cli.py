@@ -186,8 +186,8 @@ def test_brute_above_coefficient_cap_is_usage_error_before_scanning(capsys, monk
 
 
 def test_broken_invariant_is_a_failed_verdict(capsys, monkeypatch):
-    # a builder that returns the wrong edge count trips the size invariant
-    monkeypatch.setitem(families._BUILDERS, families.FamilyTag.C1, lambda n, m: Graph.complete(n))
+    # blocks that give the wrong edge count (K6) trip the size invariant
+    monkeypatch.setattr(families, "_c_blocks", lambda n, m, tag: [(0, n, True)])
     code, out, err = run_cli(capsys, "construct", "--n", "6", "--m", "6", "--family", "c1")
     assert code == 1 and out == ""
     assert err.startswith("error: invariant failed:") and "(6,15)" in err
@@ -246,11 +246,20 @@ def test_identities_negative_samples_is_usage_error(capsys):
     assert err.startswith("error:") and "samples" in err
 
 
-@pytest.mark.parametrize("bounds", [("9", "8"), ("1", "0")], ids=["descending", "below-band"])
-def test_bounds_empty_range_is_usage_error(capsys, bounds):
-    code, out, err = run_cli(capsys, "verify", "bounds", "--from", bounds[0], "--to", bounds[1])
-    assert code == 2 and out == ""
-    assert err.startswith("error:") and f"{bounds[0]}..{bounds[1]}" in err
+@pytest.mark.parametrize(
+    "bounds, last_line",
+    [
+        (("9", "8"), "error: need 8 <= n_lo <= n_hi; got 9..8"),
+        (("1", "0"), "lmrttg verify {}: error: argument --from: need an integer of at least 8; got '1'"),
+    ],
+    ids=["descending", "below-band"],
+)
+def test_bounds_empty_range_is_usage_error(capsys, bounds, last_line):
+    # an n below the band is the option's own error; a descending range is the library's
+    for command in ("bounds", "istar-scan"):
+        code, out, err = run_cli(capsys, "verify", command, "--from", bounds[0], "--to", bounds[1])
+        assert code == 2 and out == ""
+        assert err.splitlines()[-1] == last_line.format(command) and err.count("error") == 1, err
 
 
 def test_verify_all_without_a_uniqueness_pair_is_usage_error(capsys, monkeypatch):
@@ -625,14 +634,16 @@ def test_input_too_large_for_memory_is_usage_error():
         proc = run_module("construct", "--n", "1000000000", "--m", "5", "--family", family, preexec_fn=cap_memory)
         assert proc.returncode == 2, proc.stderr
         assert proc.stderr == "error: construct: --n must be at most 65536, got 1000000000\n"
-    for argv in (("construct", "--n", "65536", "--m", "5", "--family", "s1"), ("classify", "--n", "100000")):
+    # c1 on C(n,2) - 5 edges needs 65536 rows of 65536 bits, 512 MB
+    near_complete = str(comb(65536, 2) - 5)
+    for argv in (("construct", "--n", "65536", "--m", near_complete, "--family", "c1"), ("classify", "--n", "100000")):
         proc = run_module(*argv, preexec_fn=cap_memory)
         assert (proc.returncode, proc.stdout) == (2, ""), proc.stderr
         assert proc.stderr == "error: out of memory: the input is too large for this machine\n"
-    # s1 is built as rows from its mirror, with no edge list of the mirror's C(n,2) - 5 edges
-    proc = run_module("construct", "--n", "20000", "--m", "5", "--family", "s1", preexec_fn=cap_memory)
+    # s1 is built from its mirror's creation blocks, never from the mirror's rows
+    proc = run_module("construct", "--n", "65536", "--m", "5", "--family", "s1", preexec_fn=cap_memory)
     assert (proc.returncode, proc.stderr) == (0, ""), proc.stderr
-    assert json.loads(proc.stdout) == {"n": 20000, "edges": [[0, v] for v in range(1, 6)]}
+    assert json.loads(proc.stdout) == {"n": 65536, "edges": [[0, v] for v in range(1, 6)]}
 
 
 def test_usage_error_exit_code():
@@ -717,9 +728,9 @@ _commands = st.one_of(
     _argv(
         st.sampled_from([("verify", "istar-scan"), ("verify", "bounds")]),
         "--from",
-        _int_arg(7, 14),
+        _int_arg(-3, 14),
         "--to",
-        _int_arg(8, 20),
+        _int_arg(-3, 20),
     ),
     _argv(
         ("verify", "theorem-main", "--min-n"),

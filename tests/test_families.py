@@ -22,7 +22,7 @@ from lmrttg import (
     quasi_star_params,
 )
 from lmrttg.classify import Sign
-from lmrttg.graphs import disjoint_union, join
+from lmrttg.graphs import join
 from lmrttg.invariants import max_m1_graphs
 from oracles import iso_oracle
 
@@ -66,24 +66,26 @@ def test_decomposition_consistency_exhaustive():
 
 
 def test_build_family_known_graphs():
-    c166 = build_family(6, 6, FamilyTag.C1)
-    assert graph_key(c166) == graph_key(disjoint_union(Graph.complete(4), Graph.empty(2)))
+    def clique(k):
+        return [(u, v) for u in range(k) for v in range(u + 1, k)]
 
-    c179 = build_family(7, 9, FamilyTag.C1)
-    k5_minus_edge = Graph.from_edges(5, [(u, v) for u in range(5) for v in range(u + 1, 5)][:-1])
-    assert graph_key(c179) == graph_key(disjoint_union(k5_minus_edge, Graph.empty(2)))
+    c166 = build_family(6, 6, FamilyTag.C1)  # K4 u 2K1
+    assert graph_key(c166) == graph_key(Graph.from_edges(6, clique(4)))
 
-    c255 = build_family(5, 5, FamilyTag.C2)
-    target = join(Graph.complete(1), disjoint_union(Graph.complete(2), Graph.empty(2)))
+    c179 = build_family(7, 9, FamilyTag.C1)  # (K5 - e) u 2K1
+    assert graph_key(c179) == graph_key(Graph.from_edges(7, clique(5)[:-1]))
+
+    c255 = build_family(5, 5, FamilyTag.C2)  # K1 v (K2 u 2K1)
+    target = Graph.from_edges(5, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2)])
     assert graph_key(c255) == graph_key(target)
     assert graph_key(c255) == graph_key(build_family(5, 5, FamilyTag.S1))
 
-    s267 = build_family(6, 7, FamilyTag.S2)
-    target = disjoint_union(join(Graph.complete(2), Graph.empty(3)), Graph.complete(1))
+    s267 = build_family(6, 7, FamilyTag.S2)  # (K2 v 3K1) u K1
+    target = Graph.from_edges(6, clique(2) + [(a, b) for a in (0, 1) for b in range(2, 5)])
     assert graph_key(s267) == graph_key(target)
 
-    s279 = build_family(7, 9, FamilyTag.S2)
-    target = disjoint_union(join(Graph.complete(2), Graph.empty(4)), Graph.complete(1))
+    s279 = build_family(7, 9, FamilyTag.S2)  # (K2 v 4K1) u K1
+    target = Graph.from_edges(7, clique(2) + [(a, b) for a in (0, 1) for b in range(2, 6)])
     assert graph_key(s279) == graph_key(target)
 
 
@@ -156,18 +158,19 @@ def test_complement_duality_of_families():
 
 def test_quasi_star_labels_match_the_definitions():
     # construct prints these exact labels, not just the isomorphism class
-    from oracles import quasi_star_oracle
+    from oracles import quasi_complete_oracle, quasi_star_oracle
 
-    members = 0
+    members = {"c": 0, "s": 0}
     for n in range(13):
         for m in range(comb(n, 2) + 1):
-            for tag in (FamilyTag.S1, FamilyTag.S2, FamilyTag.S3):
-                edges = quasi_star_oracle(n, m, tag.value)
+            for tag in FamilyTag:
+                oracle = quasi_complete_oracle if tag.value[0] == "c" else quasi_star_oracle
+                edges = oracle(n, m, tag.value)
                 assert family_exists(n, m, tag) == (edges is not None), (n, m, tag)
                 if edges is not None:
                     assert build_family(n, m, tag).edges() == edges, (n, m, tag)
-                    members += 1
-    assert members == 414
+                    members[tag.value[0]] += 1
+    assert members == {"c": 414, "s": 414}
 
 
 def test_h_optimal_examples():

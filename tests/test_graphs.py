@@ -15,14 +15,14 @@ from lmrttg import (
     build_family,
     canonical_key,
     complement,
-    disjoint_union,
     from_json,
     graph_key,
     join,
+    threshold_graph,
     to_dot,
 )
 from lmrttg.graphs import GRAPH_JSON_MAX_N, canonical_key_ordered, form_of_key, to_json_obj, vertex_pairs
-from oracles import canonical_form_oracle, iso_oracle, ordered_iso_oracle, random_graph, relabel
+from oracles import canonical_form_oracle, iso_oracle, ordered_iso_oracle, random_graph, relabel, threshold_oracle
 
 
 def test_complement_of_empty_is_complete():
@@ -59,12 +59,26 @@ def test_join_edge_count_randomized():
         assert join(g, h).m == g.m + h.m + g.n * h.n
 
 
-def test_disjoint_union():
-    g = disjoint_union(Graph.complete(4), Graph.empty(2))
-    assert (g.n, g.m) == (6, 6)
-    assert disjoint_union(g, Graph.empty(0)) == g
-    three_k1 = disjoint_union(disjoint_union(Graph.complete(1), Graph.complete(1)), Graph.complete(1))
-    assert (three_k1.n, three_k1.m) == (3, 0)
+@st.composite
+def _block_partitions(draw):
+    """``(n, blocks)``: 0..n-1 cut into label runs, empty ones allowed, in a drawn creation order with drawn flags."""
+    n = draw(st.integers(0, 12))
+    cuts = [0, *sorted(draw(st.lists(st.integers(0, n), max_size=6))), n]
+    return n, draw(st.permutations([(lo, hi, draw(st.booleans())) for lo, hi in zip(cuts, cuts[1:])]))
+
+
+@given(_block_partitions())
+def test_threshold_graph_matches_the_oracle(case):
+    n, blocks = case
+    assert threshold_graph(n, blocks).edges() == threshold_oracle(n, blocks)
+
+
+def test_threshold_graph_needs_a_partition():
+    assert threshold_graph(3, [(0, 3, True)]) == Graph.complete(3)
+    assert threshold_graph(3, [(2, 2, True), (0, 3, False)]) == Graph.empty(3)
+    for blocks in ([(0, 2, True)], [(0, 2, True), (1, 3, False)], [(0, 4, True)], [(2, 0, True), (0, 3, False)]):
+        with pytest.raises(DomainError, match="partition"):
+            threshold_graph(3, blocks)
 
 
 def test_degree_sum_is_twice_edges_randomized():

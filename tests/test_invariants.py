@@ -25,14 +25,14 @@ from lmrttg import (
     quasi_star_params,
 )
 from lmrttg.errors import FamilyDoesNotExist
-from lmrttg.graphs import disjoint_union
 from lmrttg.invariants import max_m1_graphs
 from lmrttg.scans import _p4_by_walk
 from oracles import max_m1_oracle, p3_oracle, p4_oracle, random_graph, triangle_oracle, zagreb_oracle
 
 
 def test_zagreb1_examples():
-    assert invariant_bundle(disjoint_union(Graph.complete(4), Graph.empty(2))).m1 == 36
+    k4_and_2k1 = Graph.from_edges(6, [(u, v) for u in range(4) for v in range(u + 1, 4)])
+    assert invariant_bundle(k4_and_2k1).m1 == 36
     star5 = build_family(6, 5, FamilyTag.S1)  # the 5-leaf star
     assert invariant_bundle(star5).m1 == 30
     assert invariant_bundle(Graph.empty(7)).m1 == 0
