@@ -17,7 +17,6 @@ from .families import (
     build_family,
     build_h_optimal,
     build_lmrttg,
-    build_lmrttg_sparse,
     candidate_set,
     family_exists,
 )

@@ -14,7 +14,7 @@ import time
 
 from .classify import BAND_MIN_N, TABLE_COLUMNS, table
 from .errors import DomainError, InvariantError
-from .families import LMRTTG_MIN_N, FamilyTag, build_family, build_h_optimal, build_lmrttg, build_lmrttg_sparse
+from .families import LMRTTG_MIN_N, FamilyTag, build_family, build_h_optimal, build_lmrttg
 from .graphs import GRAPH_JSON_MAX_N, TwoTerminalGraph, from_json, to_dot, to_json_obj
 from .invariants import invariant_bundle
 from .reliability import RELIABILITY_MAX_DIGITS, n_vector, probability, reliability_from_counts
@@ -70,7 +70,6 @@ _CONSTRUCT = {
     **{tag.value: (lambda n, m, tag=tag: build_family(n, m, tag)) for tag in FamilyTag},
     "h": lambda n, m: build_h_optimal(n, m)[1],
     "g": build_lmrttg,
-    "sparse": build_lmrttg_sparse,
 }
 
 
@@ -244,10 +243,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m-cap", type=int, default=None)
     p.add_argument("--jobs", type=_jobs, default=1)
 
-    p = verify("brute", "brute-force one (n, m) pair", lambda a: brute_record(a.n, a.m, deep=a.deep))
+    p = verify("brute", "brute-force one (n, m) pair", lambda a: brute_record(a.n, a.m))
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
-    p.add_argument("--deep", action="store_true", help="lift the search's vertex cap up to the canonical-key cap")
+    p.add_argument("--deep", action="store_true", help="no effect: kept so that old command lines parse")
 
     verify("sturm", "root isolation for the dominance margin", lambda a: sturm_report())
 

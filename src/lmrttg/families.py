@@ -185,24 +185,6 @@ def build_h_optimal(n: int, m: int) -> tuple:
     return tag, build_family(n, m, tag)
 
 
-def build_lmrttg_sparse(n: int, m: int) -> TwoTerminalGraph:
-    """The optimal two-terminal graph for ``5 <= m <= 2n-3``.
-
-    Terminals 0 and 1 joined by an edge plus ``(m-1) // 2`` length-two
-    paths through inner vertices; even edge counts additionally link the
-    first two inner vertices.  Even counts fit through m = 2n-2, where the
-    graph coincides with the universal-terminal construction.
-    """
-    if not 5 <= m <= 2 * n - 2:  # which forces n >= 4
-        raise DomainError(f"need n >= 4 and 5 <= m <= 2n-3 (or even m = 2n-2); got n={n}, m={m}")
-    edges = [(0, 1)]
-    for i in range((m - 1) // 2):
-        edges += [(0, i + 2), (1, i + 2)]
-    if m % 2 == 0:
-        edges.append((2, 3))
-    return TwoTerminalGraph(Graph.from_edges(n, edges), 0, 1)
-
-
 def lmrttg_ms(n: int) -> range:
     """The main theorem's edge counts at n, ``5 <= m <= C(n,2)``; ValueError for a negative n."""
     return range(5, comb(n, 2) + 1)
@@ -215,12 +197,17 @@ LMRTTG_MIN_N = next(n for n in count() if lmrttg_ms(n))
 def build_lmrttg(n: int, m: int) -> TwoTerminalGraph:
     """The unique locally most reliable two-terminal graph on (n, m).
 
-    Sparse edge counts use the two-path construction; past ``2n-3`` the
+    Up to ``2n-3`` edges: terminals 0 and 1 joined by an edge plus
+    ``(m-1) // 2`` length-two paths through inner vertices, and for an even
+    m an edge between the first two inner vertices.  Past ``2n-3`` the
     terminals become universal over the optimal core on ``n-2`` vertices.
     """
     if n < 0 or m not in lmrttg_ms(n):
         raise DomainError(f"need n >= 4 and 5 <= m <= C(n,2); got n={n}, m={m}")
-    if m <= 2 * n - 3:
-        return build_lmrttg_sparse(n, m)
-    _, core = build_h_optimal(n - 2, m - (2 * n - 3))
-    return TwoTerminalGraph(join(Graph.complete(2), core), 0, 1)
+    if m > 2 * n - 3:
+        _, core = build_h_optimal(n - 2, m - (2 * n - 3))
+        return TwoTerminalGraph(join(Graph.complete(2), core), 0, 1)
+    edges = [(0, 1)] + [(s, v) for v in range(2, 2 + (m - 1) // 2) for s in (0, 1)]
+    if m % 2 == 0:
+        edges.append((2, 3))
+    return TwoTerminalGraph(Graph.from_edges(n, edges), 0, 1)

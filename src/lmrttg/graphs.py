@@ -36,9 +36,8 @@ class Graph:
         rows = tuple(rows)
         if n < 0 or len(rows) != n:
             raise DomainError("row count must equal the vertex count")
-        full = (1 << n) - 1
         for v, row in enumerate(rows):
-            if row & ~full:
+            if row >> n:
                 raise DomainError("adjacency bit outside the vertex range")
             if (row >> v) & 1:
                 raise DomainError("self-loops are not allowed")

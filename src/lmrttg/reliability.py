@@ -24,8 +24,10 @@ from .errors import DomainError, SizeLimitError
 from .graphs import KEY_MAX_UNPINNED, Graph, TwoTerminalGraph, canonical_key_ordered, form_of_key, join
 from .invariants import max_m1_graphs
 
-DEFAULT_MAX_VERTICES = 8
 NVEC_MAX_VERTICES = 14
+#: Most vertices of the optimum search: its candidates are scored by
+#: coefficient vectors, and its winners are keyed with both terminals pinned.
+SEARCH_MAX_N = min(NVEC_MAX_VERTICES, KEY_MAX_UNPINNED + 2)
 
 
 def _check_nvec_size(n: int) -> None:
@@ -225,20 +227,14 @@ def _prefix_scan(n: int, m: int) -> tuple:
     return examined, survivors, scored
 
 
-def _search(n: int, m: int, max_n: int = None) -> dict:
+def _search(n: int, m: int) -> dict:
     """Full optimum search; returns the sorted canonical keys of the
     winners plus bookkeeping for reports.
 
-    Every vertex cap (the search's, the coefficient vectors' and the
-    canonical keys') is checked before the scan starts.  Only the
+    The vertex cap is checked before the scan starts.  Only the
     ``scored`` list of ``_prefix_scan`` is scored."""
-    if max_n is None:
-        max_n = DEFAULT_MAX_VERTICES
-    if n > max_n:
-        raise SizeLimitError(f"search limited to n <= {max_n} (got {n}); raise with `verify brute --deep` or max_n")
-    _check_nvec_size(n)
-    if n - 2 > KEY_MAX_UNPINNED:  # a winner's key pins its two terminals
-        raise SizeLimitError(f"search winners are keyed canonically, limited to n <= {KEY_MAX_UNPINNED + 2} (got {n})")
+    if n > SEARCH_MAX_N:
+        raise SizeLimitError(f"search limited to n <= {SEARCH_MAX_N} (got {n})")
     if n < 2 or not 1 <= m <= comb(n, 2):
         raise DomainError(f"need n >= 2 and 1 <= m <= C(n,2); got n={n}, m={m}")
     examined, survivors, scored = _prefix_scan(n, m)
@@ -256,5 +252,8 @@ def _search(n: int, m: int, max_n: int = None) -> dict:
 
 
 def find_lmrttg(n: int, m: int, max_n: int = None) -> list:
-    """All lexicographic maximizers, one canonical representative each."""
-    return [form_of_key(key) for key in _search(n, m, max_n=max_n)["keys"]]
+    """All lexicographic maximizers, one canonical representative each;
+    ``max_n`` can only lower the search's cap, SEARCH_MAX_N."""
+    if max_n is not None and n > max_n:
+        raise SizeLimitError(f"search limited to n <= {max_n} (got {n})")
+    return [form_of_key(key) for key in _search(n, m)["keys"]]

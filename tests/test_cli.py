@@ -167,10 +167,16 @@ def test_reliability_prints_values_beyond_the_int_text_limit(tmp_path, capsys):
 
 
 def test_theorem_main_above_search_bound_is_usage_error(capsys):
-    code, out, err = run_cli(capsys, "verify", "theorem-main", "--min-n", "9", "--max-n", "9", "--m-cap", "5", "--jobs", "1")
+    code, out, err = run_cli(capsys, "verify", "theorem-main", "--min-n", "11", "--max-n", "11", "--m-cap", "5", "--jobs", "1")
     assert code == 2 and out == ""
-    assert "theorem-main is limited to n <= 8" in err
-    assert "`verify brute --deep`" in err
+    assert "theorem-main is limited to n <= 10 (got --max-n 11)" in err
+
+
+def test_theorem_main_reaches_n_9_without_a_flag(capsys):
+    code, out, _ = run_cli(capsys, "verify", "theorem-main", "--min-n", "9", "--max-n", "9", "--jobs", "1", *_JSON)
+    rep = json.loads(out)
+    assert code == 0 and rep["verdict"] == "pass"
+    assert rep["pairs_scanned"] == len(rep["records"]) == 32  # m = 5..36
 
 
 def test_brute_above_coefficient_cap_is_usage_error_before_scanning(capsys, monkeypatch):
@@ -178,11 +184,11 @@ def test_brute_above_coefficient_cap_is_usage_error_before_scanning(capsys, monk
         raise AssertionError("scanned before the size check")
 
     monkeypatch.setattr(reliability, "_prefix_scan", no_scan)
-    # n = 15 is above the coefficient-vector cap, n = 11 only above the canonical-key cap
-    for n, bound in ((15, "n <= 14"), (11, "n <= 10")):
-        code, out, err = run_cli(capsys, "verify", "brute", "--deep", "--n", str(n), "--m", "5")
+    # n = 15 is above the coefficient-vector cap too, but both stop at the search cap
+    for n in (11, 15):
+        code, out, err = run_cli(capsys, "verify", "brute", "--n", str(n), "--m", "5")
         assert code == 2 and out == ""
-        assert err.startswith("error:") and bound in err
+        assert err == f"error: search limited to n <= 10 (got {n})\n"
 
 
 def test_broken_invariant_is_a_failed_verdict(capsys, monkeypatch):
@@ -229,9 +235,9 @@ def test_verify_all_above_search_bound_fails_before_any_step(capsys, monkeypatch
         raise AssertionError("a step ran before the range check")
 
     monkeypatch.setattr(cli, "verify_seven_pairs", no_step)
-    code, out, err = run_cli(capsys, "verify", "all", "--max-n", "9", "--jobs", "1")
+    code, out, err = run_cli(capsys, "verify", "all", "--max-n", "11", "--jobs", "1")
     assert code == 2 and out == ""
-    assert err.startswith("error:") and "n <= 8" in err
+    assert err.startswith("error:") and "n <= 10" in err
 
 
 def test_theorem_main_empty_range_is_usage_error(capsys):
@@ -336,6 +342,9 @@ _JSON = ("--format", "json", "--no-meta")
             ("verify", "brute", "--deep", "--n", "8", "--m", "9", *_JSON),
             "a4a285978dc7e9aac5e90820ea405bef014c9bf538990dc28d7c3635306879f8",
         ),
+        # --deep has no effect: the same pairs print the same bytes without it
+        (("verify", "brute", "--n", "8", "--m", "8", *_JSON), "1cd7ba1a7511bb5e7c6ef890c2eec47f7d402c4246c24fed9146086191246e43"),
+        (("verify", "brute", "--n", "8", "--m", "9", *_JSON), "a4a285978dc7e9aac5e90820ea405bef014c9bf538990dc28d7c3635306879f8"),
     ],
 )
 def test_pinned_output_bytes(capsys, argv, digest):
@@ -709,7 +718,7 @@ _commands = st.one_of(
         "--m",
         _int_arg(-1, 40),
         "--family",
-        st.sampled_from(["c1", "c2", "c3", "s1", "s2", "s3", "h", "g", "sparse", "q"]),
+        st.sampled_from(["c1", "c2", "c3", "s1", "s2", "s3", "h", "g", "q"]),
         st.sampled_from([(), ("--format", "dot")]),
     ),
     _argv(

@@ -10,7 +10,6 @@ from lmrttg import (
     build_family,
     build_h_optimal,
     build_lmrttg,
-    build_lmrttg_sparse,
     candidate_set,
     canonical_key,
     classify,
@@ -206,23 +205,21 @@ def test_edge_count_five_never_reaches_c_side():
 
 
 def test_sparse_construction_examples():
-    g45 = build_lmrttg_sparse(4, 5)
+    g45 = build_lmrttg(4, 5)
     assert set(g45.graph.edges()) == {(0, 1), (0, 2), (1, 2), (0, 3), (1, 3)}
-    g56 = build_lmrttg_sparse(5, 6)
+    g56 = build_lmrttg(5, 6)
     assert set(g56.graph.edges()) == {(0, 1), (0, 2), (1, 2), (0, 3), (1, 3), (2, 3)}
     assert g56.graph.degrees()[4] == 0
-    g46 = build_lmrttg_sparse(4, 6)
-    assert g46.graph == Graph.complete(4)
     with pytest.raises(DomainError):
-        build_lmrttg_sparse(4, 7)
+        build_lmrttg(4, 7)
     with pytest.raises(DomainError):
-        build_lmrttg_sparse(5, 4)
+        build_lmrttg(5, 4)
 
 
 def test_sparse_construction_shape():
     for n in range(4, 12):
         for m in range(5, 2 * n - 2):
-            tg = build_lmrttg_sparse(n, m)
+            tg = build_lmrttg(n, m)
             assert (tg.graph.n, tg.graph.m) == (n, m)
             assert (tg.graph.rows[tg.s] >> tg.t) & 1
 

@@ -107,6 +107,11 @@ def test_construction_validation():
         Graph.from_edges(3, [(0, 3)])
     with pytest.raises(DomainError):
         Graph.from_edges(3, [(0, 1), (1, 0)])
+    # a row bit at n or above, negative rows included, is outside the vertex range
+    for row in (1 << 3, 1 << 200, -1, -(1 << 3)):
+        with pytest.raises(DomainError, match="outside the vertex range"):
+            Graph(3, (0, row, 0))
+    assert Graph(3, (0, 1 << 2, 1 << 1)).m == 1
     with pytest.raises(DomainError):
         TwoTerminalGraph(Graph.empty(3), 1, 1)
     with pytest.raises(DomainError):

@@ -13,7 +13,6 @@ from lmrttg import (
     SizeLimitError,
     TwoTerminalGraph,
     build_lmrttg,
-    build_lmrttg_sparse,
     canonical_key,
     find_lmrttg,
     n_vector,
@@ -40,7 +39,7 @@ def _random_two_terminal(rnd, n_lo=2, n_hi=5, m_hi=8):
 
 
 def test_n_vector_two_path_graph():
-    tg = build_lmrttg_sparse(4, 5)
+    tg = build_lmrttg(4, 5)
     expected = (1, 6, 10, 5, 1)
     assert nvec_oracle(tg) == expected
     assert n_vector(tg) == expected
@@ -100,7 +99,7 @@ def test_n_vector_extension_inequality():
 
 
 def test_reliability_at_examples():
-    tg = build_lmrttg_sparse(4, 5)
+    tg = build_lmrttg(4, 5)
     assert reliability_at(tg, Fraction(1, 2)) == Fraction(23, 32)
     assert reliability_at(tg, 1) == 1
     edge = TwoTerminalGraph(Graph.from_edges(2, [(0, 1)]), 0, 1)
@@ -128,7 +127,7 @@ def test_lex_max_is_unique_at_4_5():
     best = max(vecs.values())
     winners = [tg for tg, v in vecs.items() if v == best]
     assert len(winners) == 1
-    assert canonical_key(winners[0]) == canonical_key(build_lmrttg_sparse(4, 5))
+    assert canonical_key(winners[0]) == canonical_key(build_lmrttg(4, 5))
 
 
 def test_filtration_level_three_gives_universal_terminals():
@@ -176,8 +175,13 @@ def test_find_lmrttg_small_cases():
     assert len(winners) == 1
     assert winners[0].graph == Graph.complete(6)
 
-    with pytest.raises(SizeLimitError, match=r"`verify brute --deep` or max_n"):
-        find_lmrttg(9, 6)
+    with pytest.raises(SizeLimitError, match=r"search limited to n <= 10 \(got 11\)"):
+        find_lmrttg(11, 6)
+    # max_n lowers the cap and never raises it
+    with pytest.raises(SizeLimitError, match=r"search limited to n <= 8 \(got 9\)"):
+        find_lmrttg(9, 6, max_n=8)
+    with pytest.raises(SizeLimitError, match=r"n <= 10 \(got 11\)"):
+        find_lmrttg(11, 6, max_n=12)
     with pytest.raises(DomainError):
         find_lmrttg(5, 0)
 

