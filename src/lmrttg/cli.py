@@ -17,7 +17,7 @@ from .errors import DomainError, InvariantError
 from .families import LMRTTG_MIN_N, FamilyTag, build_family, build_h_optimal, build_lmrttg
 from .graphs import GRAPH_JSON_MAX_N, TwoTerminalGraph, from_json, to_dot, to_json_obj
 from .invariants import invariant_bundle
-from .reliability import RELIABILITY_MAX_DIGITS, n_vector, probability, reliability_from_counts
+from .reliability import RELIABILITY_MAX_DIGITS, SEARCH_MAX_N, n_vector, probability, reliability_from_counts
 from .scans import (
     TIE_SCAN_MAX_N,
     ScanReport,
@@ -55,8 +55,11 @@ def _int_at_least(low: int):
     return parse
 
 
-#: A vertex count n, the ``--jobs`` worker count, and an n of a central-band scan.
+#: A vertex count n, the ``--jobs`` count, and an n of a central-band scan.
 _n_value, _jobs, _band_n = _int_at_least(0), _int_at_least(1), _int_at_least(BAND_MIN_N)
+#: Help of an option that no longer does anything but still parses (``--jobs``
+#: still rejects a count below 1).
+_NO_EFFECT = "no effect: kept so that old command lines parse"
 
 
 def _parse_range(text: str) -> tuple:
@@ -171,7 +174,7 @@ def _cmd_verify_all(args) -> int:
     steps = [["seven-pairs"], ["istar-scan"], ["identities", "--seed", str(args.seed)], ["bounds"]]
     uniqueness_pairs(LMRTTG_MIN_N, args.max_n)  # a range the theorem-main steps reject fails before any step runs
     for n in range(LMRTTG_MIN_N, args.max_n + 1):
-        steps.append(["theorem-main", "--min-n", str(n), "--max-n", str(n), "--jobs", str(args.jobs)])
+        steps.append(["theorem-main", "--min-n", str(n), "--max-n", str(n)])
     steps.append(["sturm"])
     shared = ["--format", args.format] + (["--no-meta"] if args.no_meta else [])
     parser = build_parser()
@@ -238,15 +241,15 @@ def build_parser() -> argparse.ArgumentParser:
         "brute-force uniqueness of the construction",
         lambda a: scan_uniqueness(a.max_n, m_cap=a.m_cap, n_min=a.min_n, jobs=a.jobs),
     )
-    p.add_argument("--max-n", type=_n_value, default=6)
+    p.add_argument("--max-n", type=_n_value, default=SEARCH_MAX_N)
     p.add_argument("--min-n", type=_n_value, default=LMRTTG_MIN_N)
     p.add_argument("--m-cap", type=int, default=None)
-    p.add_argument("--jobs", type=_jobs, default=1)
+    p.add_argument("--jobs", type=_jobs, default=1, help=_NO_EFFECT)
 
     p = verify("brute", "brute-force one (n, m) pair", lambda a: brute_record(a.n, a.m))
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
-    p.add_argument("--deep", action="store_true", help="no effect: kept so that old command lines parse")
+    p.add_argument("--deep", action="store_true", help=_NO_EFFECT)
 
     verify("sturm", "root isolation for the dominance margin", lambda a: sturm_report())
 
@@ -260,9 +263,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = verify("all", "run the single verifications above in turn", None)
     p.set_defaults(func=_cmd_verify_all)
-    p.add_argument("--max-n", type=_n_value, default=6)
+    p.add_argument("--max-n", type=_n_value, default=SEARCH_MAX_N)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--jobs", type=_jobs, default=1)
+    p.add_argument("--jobs", type=_jobs, default=1, help=_NO_EFFECT)
 
     return parser
 

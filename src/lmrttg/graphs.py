@@ -5,7 +5,7 @@ bit row per vertex (bit ``v`` of ``rows[u]`` is set iff ``uv`` is an edge),
 which keeps complement, join and triangle counting down to a handful of
 word operations.  ``threshold_graph`` builds a threshold graph from its
 creation sequence, as every family member and ``M1`` maximizer is.  All
-graph values are immutable, so parallel workers can share them freely.
+graph values are immutable, so they can be shared and hashed freely.
 
 The rows are the one graph form that passes between the package's modules.
 Edge lists are the input and output format: ``from_edges`` for outside
@@ -21,7 +21,8 @@ from itertools import chain, permutations, product
 from .errors import DomainError, SizeLimitError
 
 #: Most vertices that a canonical form does not pin: a key walks the slot
-#: orders of these, so two-terminal keys reach n = 10 and graph_key n = 8.
+#: orders of these, up to all 8! of a twin-free regular graph such as the
+#: 3-cube, so two-terminal keys reach n = 10 and graph_key n = 8.
 KEY_MAX_UNPINNED = 8
 #: Vertex bound of the graph JSON format, checked before any row is allocated.
 GRAPH_JSON_MAX_N = 1 << 16
@@ -176,11 +177,43 @@ def vertex_pairs(n: int) -> tuple:
 # reach the same masks; the minimal mask is the relabeled graph itself, so
 # equal keys mean isomorphic inputs.  The degree classes cut the search
 # from (n - len(lead))! maps to the product of the class factorials.
+#
+# Twins cut it further.  Two vertices u, v outside the lead are twins when
+# their rows agree outside u and v, so that swapping them is an automorphism;
+# it fixes every other vertex, the lead ones included, and every degree
+# class.  A slot order and its image under the swap give the same mask, so
+# the walk takes one order per arrangement of each degree class's twin
+# classes, and the minimum, and with it every key, is unchanged.  Being
+# twins is an equivalence, so a vertex is compared with one member of each
+# twin class.  Vertices of equal degree in a threshold graph are twins
+# (Mahadev & Peled 1995), so the dense winners need a single order.
 # ---------------------------------------------------------------------------
 
 
+def _twin_orders(classes: list):
+    """The slot orders of one degree class, one per arrangement of its twin
+    classes, each class's vertices taken in a fixed order."""
+    if all(len(cls) == 1 for cls in classes):
+        return permutations([cls[0] for cls in classes])
+    taken, order, size = [0] * len(classes), [], sum(map(len, classes))
+
+    def walk():
+        if len(order) == size:
+            yield tuple(order)
+        for i, cls in enumerate(classes):
+            if taken[i] < len(cls):
+                order.append(cls[taken[i]])
+                taken[i] += 1
+                yield from walk()
+                taken[i] -= 1
+                order.pop()
+
+    return walk()
+
+
 def _min_mask(g: Graph, groups) -> int:
-    """Minimum mask over the slot orders that arrange each group in turn."""
+    """Minimum mask over the slot orders that arrange each group of twin
+    classes in turn."""
     n = g.n
     bit = [[0] * n for _ in range(n)]
     for i, (a, b) in enumerate(vertex_pairs(n)):
@@ -188,7 +221,7 @@ def _min_mask(g: Graph, groups) -> int:
     edges = g.edges()
     slot = [0] * n
     best = None
-    for combo in product(*(permutations(grp) for grp in groups)):
+    for combo in product(*(_twin_orders(grp) for grp in groups)):
         for i, v in enumerate(chain.from_iterable(combo)):
             slot[v] = i
         mask = 0
@@ -201,15 +234,23 @@ def _min_mask(g: Graph, groups) -> int:
 
 def _canonical(g: Graph, lead: tuple) -> tuple:
     """``(n, mask)`` over the relabelings that pin each lead vertex, in
-    order, to the first slots and the other vertices by degree class."""
+    order, to the first slots and the other vertices by degree class, each
+    class split into its twin classes."""
     if g.n - len(lead) > KEY_MAX_UNPINNED:
         raise SizeLimitError(f"canonical form limited to n <= {KEY_MAX_UNPINNED + len(lead)} (got {g.n})")
-    degs = g.degrees()
+    rows = g.rows
     by_deg = {}
     for v in range(g.n):
         if v not in lead:
-            by_deg.setdefault(degs[v], []).append(v)
-    groups = [(v,) for v in lead] + [by_deg[d] for d in sorted(by_deg, reverse=True)]
+            classes = by_deg.setdefault(rows[v].bit_count(), [])
+            for cls in classes:
+                u = cls[0]
+                if not (rows[u] ^ rows[v]) & ~(1 << u | 1 << v):
+                    cls.append(v)
+                    break
+            else:
+                classes.append([v])
+    groups = [[(v,)] for v in lead] + [by_deg[d] for d in sorted(by_deg, reverse=True)]
     return g.n, _min_mask(g, groups)
 
 

@@ -236,12 +236,6 @@ def brute_record(n: int, m: int) -> dict:
     return rec
 
 
-def _uniqueness_record(nm) -> dict:
-    rec = brute_record(*nm)
-    rec.pop("winner_canonical", None)
-    return rec
-
-
 def uniqueness_pairs(n_min: int, n_max: int, m_cap: int = None) -> list:
     """The (n, m) pairs that ``scan_uniqueness`` searches: each n in
     [n_min, n_max] with m in ``lmrttg_ms(n)``, up to m_cap if given.  Raises before
@@ -262,17 +256,12 @@ def scan_uniqueness(n_max: int, m_cap: int = None, n_min: int = LMRTTG_MIN_N, jo
     """Brute-force the unique optimum for every pair in ``uniqueness_pairs``.
 
     For each pair the lexicographic maximizer set must be a single class
-    equal to the construction.  Deterministic regardless of the worker
-    count; at most one worker per pair is started.
+    equal to the construction.  The records are ``brute_record``'s without
+    the winner's graph.  ``jobs`` has no effect: the search runs serially,
+    and the argument is kept so that old callers still work.
     """
     pairs = uniqueness_pairs(n_min, n_max, m_cap)
-    if jobs > 1 and len(pairs) > 1:
-        from multiprocessing import Pool  # imported here so that commands without workers start faster
-
-        with Pool(min(jobs, len(pairs))) as pool:
-            records = pool.map(_uniqueness_record, pairs)
-    else:
-        records = [_uniqueness_record(nm) for nm in pairs]
+    records = [{k: v for k, v in brute_record(n, m).items() if k != "winner_canonical"} for n, m in pairs]
     return ScanReport(scope=f"brute-force uniqueness, n in {n_min}..{n_max}", records=records, pairs_scanned=len(records))
 
 

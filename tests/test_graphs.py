@@ -227,6 +227,65 @@ def test_canonical_keys_are_relabel_invariant_and_match_vf2(case):
     assert (canonical_key_ordered(other) == canonical_key_ordered(tg)) == ordered_iso_oracle(other, tg)
 
 
+@st.composite
+def _twin_rich_graph(draw):
+    """A graph on at most 8 vertices with many twins, relabeled at random:
+    either a random base graph whose vertices are blown up into classes of
+    open twins (no edge inside) or closed twins (a clique), or K2 joined to
+    a threshold graph, whose vertices of equal degree are twins.  Up to two
+    flipped pairs turn some twins into near-twins, which a wrong twin rule
+    would merge."""
+    n = draw(st.integers(2, 8))
+    if draw(st.booleans()):
+        b = draw(st.integers(1, n))
+        owner = list(range(b)) + draw(st.lists(st.integers(0, b - 1), min_size=n - b, max_size=n - b))
+        closed = draw(st.lists(st.booleans(), min_size=b, max_size=b))
+        base = set(draw(st.lists(st.sampled_from(vertex_pairs(b)), unique=True))) if b > 1 else set()
+        edges = [
+            (u, v)
+            for u, v in vertex_pairs(n)
+            if tuple(sorted((owner[u], owner[v]))) in base or (owner[u] == owner[v] and closed[owner[u]])
+        ]
+    else:
+        dominating = draw(st.lists(st.booleans(), min_size=n - 2, max_size=n - 2))
+        inner = threshold_oracle(n - 2, [(i, i + 1, d) for i, d in enumerate(dominating)])
+        edges = [(0, 1)] + [(k, v) for k in (0, 1) for v in range(2, n)] + [(u + 2, v + 2) for u, v in inner]
+    flips = set(draw(st.lists(st.sampled_from(vertex_pairs(n)), max_size=2, unique=True)))
+    g = Graph.from_edges(n, set(edges) ^ flips)
+    return relabel(g, draw(st.permutations(range(n))))
+
+
+@st.composite
+def _twin_rich_two_terminal(draw):
+    """A twin-rich graph whose second terminal is, half the time when it
+    can be, a twin of the first."""
+    g = draw(_twin_rich_graph())
+    adj = [set() for _ in range(g.n)]
+    for u, v in g.edges():
+        adj[u].add(v)
+        adj[v].add(u)
+    s = draw(st.integers(0, g.n - 1))
+    twins = [u for u in range(g.n) if u != s and adj[u] - {s} == adj[s] - {u}]
+    others = [u for u in range(g.n) if u != s]
+    t = draw(st.sampled_from(twins if twins and draw(st.booleans()) else others))
+    return TwoTerminalGraph(g, s, t)
+
+
+@given(_twin_rich_two_terminal())
+def test_twin_walk_matches_labelling_oracle(tg):
+    # the key walk takes one slot order per arrangement of twin classes; the
+    # oracle walks every order, so a wrong twin rule changes the form
+    key = canonical_key(tg)
+    assert form_of_key(key).graph.edges() == canonical_form_oracle(tg)
+    assert canonical_key(form_of_key(key)) == key
+
+
+@given(_twin_rich_graph(), _twin_rich_graph(), st.data())
+def test_graph_key_matches_vf2_on_twin_rich_graphs(a, b, data):
+    assert graph_key(relabel(a, data.draw(st.permutations(range(a.n))))) == graph_key(a)
+    assert (graph_key(a) == graph_key(b)) == iso_oracle(a, b)
+
+
 def test_json_roundtrip():
     g = Graph.from_edges(5, [(0, 1), (2, 4), (1, 3)])
     assert from_json(json.dumps(to_json_obj(g))) == g

@@ -136,10 +136,9 @@ def _package_imports(path):
 
 
 def test_library_imports_at_module_level():
-    # a deferred import hides a module's dependencies, and a cycle between modules needs one;
-    # the worker pool's import is deferred only to keep it out of start-up
+    # a deferred import hides a module's dependencies, and a cycle between modules needs one
     found = {f"{path.name}:{fn}:{module}" for path in sorted(SRC.glob("*.py")) for fn, module in _function_imports(path)}
-    assert found == {"scans.py:scan_uniqueness:multiprocessing"}
+    assert found == set()
     graph = {path.stem: _package_imports(path) for path in SRC.glob("*.py")}
     assert graph["classify"] == {"errors"} and "classify" in graph["families"]
     TopologicalSorter(graph).prepare()  # raises CycleError on an import cycle
@@ -147,8 +146,8 @@ def test_library_imports_at_module_level():
 
 def test_cli_import_leaves_heavy_modules_unloaded():
     # dataclasses pulls in inspect, dis, ast and tokenize at every start-up, and
-    # multiprocessing belongs to the theorem-main worker pool alone; -S keeps
-    # site hooks out of the child, so only the package's own imports count
+    # multiprocessing is heavy and has no user since the search runs serially; -S
+    # keeps site hooks out of the child, so only the package's own imports count
     code = "import sys, lmrttg.cli; print(sorted({'dataclasses', 'inspect', 'multiprocessing'} & set(sys.modules)))"
     env = dict(os.environ, PYTHONPATH=str(SRC.parent))
     proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, env=env, timeout=60)
