@@ -57,8 +57,8 @@ def _int_at_least(low: int):
 
 #: A vertex count n, the ``--jobs`` count, and an n of a central-band scan.
 _n_value, _jobs, _band_n = _int_at_least(0), _int_at_least(1), _int_at_least(BAND_MIN_N)
-#: Help of an option that no longer does anything but still parses (``--jobs``
-#: still rejects a count below 1).
+#: Help of an option that no longer does anything but still parses
+#: (``theorem-main --jobs`` still rejects a count below 1).
 _NO_EFFECT = "no effect: kept so that old command lines parse"
 
 
@@ -265,7 +265,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_verify_all)
     p.add_argument("--max-n", type=_n_value, default=SEARCH_MAX_N)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--jobs", type=_jobs, default=1, help=_NO_EFFECT)
 
     return parser
 

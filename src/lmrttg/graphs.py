@@ -238,11 +238,11 @@ def _canonical(g: Graph, lead: tuple) -> tuple:
     class split into its twin classes."""
     if g.n - len(lead) > KEY_MAX_UNPINNED:
         raise SizeLimitError(f"canonical form limited to n <= {KEY_MAX_UNPINNED + len(lead)} (got {g.n})")
-    rows = g.rows
+    rows, degs = g.rows, g.degrees()
     by_deg = {}
     for v in range(g.n):
         if v not in lead:
-            classes = by_deg.setdefault(rows[v].bit_count(), [])
+            classes = by_deg.setdefault(degs[v], [])
             for cls in classes:
                 u = cls[0]
                 if not (rows[u] ^ rows[v]) & ~(1 << u | 1 << v):

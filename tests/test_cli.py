@@ -199,11 +199,10 @@ def test_broken_invariant_is_a_failed_verdict(capsys, monkeypatch):
 
 
 def test_jobs_has_no_effect_but_still_rejects_counts_below_one(capsys):
-    # the search is serial; --jobs only parses, so old command lines keep their exit codes
-    for argv in (("theorem-main", "--max-n", "4"), ("all", "--max-n", "4")):
-        code, out, err = run_cli(capsys, "verify", *argv, "--jobs", "0")
-        assert code == 2 and out == ""
-        assert "error: argument --jobs" in err
+    # the search is serial; theorem-main --jobs only parses, so old command lines keep their exit codes
+    code, out, err = run_cli(capsys, "verify", "theorem-main", "--max-n", "4", "--jobs", "0")
+    assert code == 2 and out == ""
+    assert "error: argument --jobs" in err
 
 
 def test_verify_all_above_search_bound_fails_before_any_step(capsys, monkeypatch):
@@ -211,7 +210,7 @@ def test_verify_all_above_search_bound_fails_before_any_step(capsys, monkeypatch
         raise AssertionError("a step ran before the range check")
 
     monkeypatch.setattr(cli, "verify_seven_pairs", no_step)
-    code, out, err = run_cli(capsys, "verify", "all", "--max-n", "11", "--jobs", "1")
+    code, out, err = run_cli(capsys, "verify", "all", "--max-n", "11")
     assert code == 2 and out == ""
     assert err.startswith("error:") and "n <= 10" in err
 
@@ -249,7 +248,7 @@ def test_verify_all_without_a_uniqueness_pair_is_usage_error(capsys, monkeypatch
         raise AssertionError("a step ran before the range check")
 
     monkeypatch.setattr(cli, "verify_seven_pairs", no_step)
-    code, out, err = run_cli(capsys, "verify", "all", "--max-n", "3", "--jobs", "1")
+    code, out, err = run_cli(capsys, "verify", "all", "--max-n", "3")
     assert code == 2 and out == ""
     assert err.startswith("error:") and "4..3" in err
 
@@ -516,7 +515,7 @@ def test_byte_stable_outputs(capsys):
 
 
 def test_verify_all_desk_scale(capsys):
-    code, out, _ = run_cli(capsys, "verify", "all", "--max-n", "4", "--jobs", "1", "--no-meta")
+    code, out, _ = run_cli(capsys, "verify", "all", "--max-n", "4", "--no-meta")
     assert code == 0
     assert "FAIL" not in out
 
@@ -561,7 +560,7 @@ def test_verify_all_md_is_the_single_checks_in_turn(capsys):
         code, out, _ = run_cli(capsys, "verify", *argv, "--no-meta")
         assert code == 0
         expected += out
-    code, out, _ = run_cli(capsys, "verify", "all", "--max-n", "4", "--jobs", "1", "--no-meta")
+    code, out, _ = run_cli(capsys, "verify", "all", "--max-n", "4", "--no-meta")
     assert code == 0
     assert out == expected
 
@@ -569,7 +568,7 @@ def test_verify_all_md_is_the_single_checks_in_turn(capsys):
 def test_verify_all_json_is_one_document_with_the_decomposition_check(capsys, monkeypatch):
     # a planted decomposition violation must reach the bounds report and the overall verdict
     monkeypatch.setattr(scans, "band_decomposition_violations", lambda lo, hi: [(lo, 0, 0)])
-    code, out, _ = run_cli(capsys, "verify", "all", "--max-n", "4", "--jobs", "1", "--format", "json", "--no-meta")
+    code, out, _ = run_cli(capsys, "verify", "all", "--max-n", "4", "--format", "json", "--no-meta")
     doc = json.loads(out)
     assert code == 1 and doc["verdict"] == "fail"
     reports = doc["reports"]
@@ -741,7 +740,7 @@ _commands = st.one_of(
         st.one_of(st.just(()), st.tuples(st.just("--m-cap"), _int_arg(-1, 12))),
     ),
     # at most n = 3 no theorem-main step has a pair, so no step runs
-    _argv(("verify", "all", "--max-n"), _int_arg(-2, 3), "--jobs", "1"),
+    _argv(("verify", "all", "--max-n"), _int_arg(-2, 3)),
 )
 
 
