@@ -148,7 +148,7 @@ def band_n_range(n_lo: int, n_hi: int) -> range:
     """The n range ``n_lo..n_hi`` of a central-band scan; raises DomainError
     unless ``BAND_MIN_N <= n_lo <= n_hi``."""
     if not BAND_MIN_N <= n_lo <= n_hi:
-        raise DomainError(f"need {BAND_MIN_N} <= n_lo <= n_hi; got {n_lo}..{n_hi}")
+        raise DomainError(f"need {BAND_MIN_N} <= --from <= --to; got --from {n_lo} --to {n_hi}")
     return range(n_lo, n_hi + 1)
 
 

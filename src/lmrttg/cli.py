@@ -17,7 +17,7 @@ from .errors import DomainError, InvariantError
 from .families import LMRTTG_MIN_N, FamilyTag, build_family, build_h_optimal, build_lmrttg
 from .graphs import GRAPH_JSON_MAX_N, TwoTerminalGraph, from_json, to_dot, to_json_obj
 from .invariants import invariant_bundle
-from .reliability import RELIABILITY_MAX_DIGITS, SEARCH_MAX_N, n_vector, probability, reliability_from_counts
+from .reliability import RELIABILITY_MAX_DIGITS, n_vector, probability, reliability_from_counts
 from .scans import (
     TIE_SCAN_MAX_N,
     ScanReport,
@@ -37,7 +37,9 @@ def _dumps(obj) -> str:
 
 
 def _print_json(obj) -> None:
-    print(_dumps(obj), end="")
+    """``_dumps(obj)``, written as it is encoded rather than joined first."""
+    json.dump(obj, sys.stdout, indent=2, sort_keys=True, default=str)
+    sys.stdout.write("\n")
 
 
 def _int_at_least(low: int):
@@ -57,6 +59,10 @@ def _int_at_least(low: int):
 
 #: A vertex count n, the ``--jobs`` count, and an n of a central-band scan.
 _n_value, _jobs, _band_n = _int_at_least(0), _int_at_least(1), _int_at_least(BAND_MIN_N)
+#: Default last n of ``theorem-main`` and ``verify all``.  The search reaches
+#: ``reliability.NVEC_MAX_VERTICES`` = 14, but a bare ``verify all`` then runs
+#: for over 90 s with no progress output; up to 10 it takes about a second.
+THEOREM_MAX_N_DEFAULT = 10
 #: Help of an option that no longer does anything but still parses
 #: (``theorem-main --jobs`` still rejects a count below 1).
 _NO_EFFECT = "no effect: kept so that old command lines parse"
@@ -164,7 +170,10 @@ def _outcome(args) -> tuple:
 
 def _cmd_verify(args) -> int:
     doc, text, ok = _outcome(args)
-    print(_dumps(doc) if args.format == "json" else text, end="")
+    if args.format == "json":
+        _print_json(doc)
+    else:
+        print(text, end="")
     return 0 if ok else 1
 
 
@@ -241,7 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
         "brute-force uniqueness of the construction",
         lambda a: scan_uniqueness(a.max_n, m_cap=a.m_cap, n_min=a.min_n, jobs=a.jobs),
     )
-    p.add_argument("--max-n", type=_n_value, default=SEARCH_MAX_N)
+    p.add_argument("--max-n", type=_n_value, default=THEOREM_MAX_N_DEFAULT)
     p.add_argument("--min-n", type=_n_value, default=LMRTTG_MIN_N)
     p.add_argument("--m-cap", type=int, default=None)
     p.add_argument("--jobs", type=_jobs, default=1, help=_NO_EFFECT)
@@ -255,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = verify("identities", "randomized exact identity suite", lambda a: identity_suite(a.seed, a.samples))
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--samples", type=int, default=1000)
+    p.add_argument("--samples", type=_int_at_least(0), default=1000)
 
     p = verify("bounds", "polynomial bounds on the central band", lambda a: band_bounds_report(a.from_n, a.to_n))
     p.add_argument("--from", dest="from_n", type=_band_n, default=BAND_MIN_N)
@@ -263,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = verify("all", "run the single verifications above in turn", None)
     p.set_defaults(func=_cmd_verify_all)
-    p.add_argument("--max-n", type=_n_value, default=SEARCH_MAX_N)
+    p.add_argument("--max-n", type=_n_value, default=THEOREM_MAX_N_DEFAULT)
     p.add_argument("--seed", type=int, default=0)
 
     return parser

@@ -17,13 +17,13 @@ from __future__ import annotations
 import json
 from functools import lru_cache
 from itertools import chain, permutations, product
+from math import factorial, prod
 
 from .errors import DomainError, SizeLimitError
 
-#: Most vertices that a canonical form does not pin: a key walks the slot
-#: orders of these, up to all 8! of a twin-free regular graph such as the
-#: 3-cube, so two-terminal keys reach n = 10 and graph_key n = 8.
-KEY_MAX_UNPINNED = 8
+#: Most slot orders that a canonical-key walk takes: all 8! of the twin-free
+#: 3-regular 3-cube under ``graph_key``.  The walk is counted before it starts.
+KEY_MAX_ORDERS = factorial(8)
 #: Vertex bound of the graph JSON format, checked before any row is allocated.
 GRAPH_JSON_MAX_N = 1 << 16
 
@@ -187,37 +187,48 @@ def vertex_pairs(n: int) -> tuple:
 # twins is an equivalence, so a vertex is compared with one member of each
 # twin class.  Vertices of equal degree in a threshold graph are twins
 # (Mahadev & Peled 1995), so the dense winners need a single order.
+#
+# A degree class of s vertices in twin classes of sizes c_1, ..., c_j has
+# s! / (c_1! ... c_j!) arrangements, and the walk takes each combination of
+# one per class.  This product is counted, and bounded by KEY_MAX_ORDERS,
+# before the walk: every graph the optimum search scores up to n = 24 needs
+# one order, and the twin-free Petersen graph (10! orders) raises at once.
 # ---------------------------------------------------------------------------
 
 
 def _twin_orders(classes: list):
     """The slot orders of one degree class, one per arrangement of its twin
-    classes, each class's vertices taken in a fixed order."""
+    classes, each class's vertices taken in a fixed order.  The arrangements
+    are the distinct permutations of the class labels, stepped through in
+    lexicographic order without recursion, so a class of any size walks."""
     if all(len(cls) == 1 for cls in classes):
-        return permutations([cls[0] for cls in classes])
-    taken, order, size = [0] * len(classes), [], sum(map(len, classes))
-
-    def walk():
-        if len(order) == size:
-            yield tuple(order)
-        for i, cls in enumerate(classes):
-            if taken[i] < len(cls):
-                order.append(cls[taken[i]])
-                taken[i] += 1
-                yield from walk()
-                taken[i] -= 1
-                order.pop()
-
-    return walk()
+        yield from permutations([cls[0] for cls in classes])
+        return
+    labels = [i for i, cls in enumerate(classes) for _ in cls]
+    while True:
+        taken = [iter(cls) for cls in classes]
+        yield tuple(next(taken[i]) for i in labels)
+        j = len(labels) - 2
+        while j >= 0 and labels[j] >= labels[j + 1]:
+            j -= 1
+        if j < 0:
+            return
+        k = len(labels) - 1
+        while labels[k] <= labels[j]:
+            k -= 1
+        labels[j], labels[k] = labels[k], labels[j]
+        labels[j + 1 :] = reversed(labels[j + 1 :])
 
 
 def _min_mask(g: Graph, groups) -> int:
     """Minimum mask over the slot orders that arrange each group of twin
     classes in turn."""
     n = g.n
-    bit = [[0] * n for _ in range(n)]
+    # pair numbers, not pair bits: the bits of all C(n, 2) pairs would take
+    # about n^4 / 8 bits, a gigabyte at n = 500
+    pair = [[0] * n for _ in range(n)]
     for i, (a, b) in enumerate(vertex_pairs(n)):
-        bit[a][b] = bit[b][a] = 1 << i
+        pair[a][b] = pair[b][a] = i
     edges = g.edges()
     slot = [0] * n
     best = None
@@ -226,7 +237,7 @@ def _min_mask(g: Graph, groups) -> int:
             slot[v] = i
         mask = 0
         for u, v in edges:
-            mask |= bit[slot[u]][slot[v]]
+            mask |= 1 << pair[slot[u]][slot[v]]
         if best is None or mask < best:
             best = mask
     return best
@@ -235,9 +246,7 @@ def _min_mask(g: Graph, groups) -> int:
 def _canonical(g: Graph, lead: tuple) -> tuple:
     """``(n, mask)`` over the relabelings that pin each lead vertex, in
     order, to the first slots and the other vertices by degree class, each
-    class split into its twin classes."""
-    if g.n - len(lead) > KEY_MAX_UNPINNED:
-        raise SizeLimitError(f"canonical form limited to n <= {KEY_MAX_UNPINNED + len(lead)} (got {g.n})")
+    class split into its twin classes, within KEY_MAX_ORDERS slot orders."""
     rows, degs = g.rows, g.degrees()
     by_deg = {}
     for v in range(g.n):
@@ -250,6 +259,9 @@ def _canonical(g: Graph, lead: tuple) -> tuple:
                     break
             else:
                 classes.append([v])
+    orders = prod(factorial(sum(map(len, cls))) // prod(factorial(len(c)) for c in cls) for cls in by_deg.values())
+    if orders > KEY_MAX_ORDERS:
+        raise SizeLimitError(f"canonical form would walk more than {KEY_MAX_ORDERS} slot orders")
     groups = [[(v,)] for v in lead] + [by_deg[d] for d in sorted(by_deg, reverse=True)]
     return g.n, _min_mask(g, groups)
 
@@ -269,7 +281,7 @@ def canonical_key_ordered(tg: TwoTerminalGraph) -> tuple:
 
 
 def graph_key(g: Graph) -> tuple:
-    """Complete isomorphism invariant for plain graphs (up to KEY_MAX_UNPINNED vertices)."""
+    """Complete isomorphism invariant for plain graphs, within KEY_MAX_ORDERS slot orders."""
     return _canonical(g, ())
 
 

@@ -21,13 +21,12 @@ from itertools import combinations
 from math import comb
 
 from .errors import DomainError, SizeLimitError
-from .graphs import KEY_MAX_UNPINNED, Graph, TwoTerminalGraph, canonical_key_ordered, form_of_key, join
+from .graphs import Graph, TwoTerminalGraph, canonical_key_ordered, form_of_key, join
 from .invariants import max_m1_graphs
 
+#: Most vertices of a coefficient vector, and so of the optimum search, which
+#: scores its candidates by them.
 NVEC_MAX_VERTICES = 14
-#: Most vertices of the optimum search: its candidates are scored by
-#: coefficient vectors, and its winners are keyed with both terminals pinned.
-SEARCH_MAX_N = min(NVEC_MAX_VERTICES, KEY_MAX_UNPINNED + 2)
 
 
 def _check_nvec_size(n: int) -> None:
@@ -232,28 +231,32 @@ def _search(n: int, m: int) -> dict:
     winners plus bookkeeping for reports.
 
     The vertex cap is checked before the scan starts.  Only the
-    ``scored`` list of ``_prefix_scan`` is scored."""
-    if n > SEARCH_MAX_N:
-        raise SizeLimitError(f"search limited to n <= {SEARCH_MAX_N} (got {n})")
+    ``scored`` list of ``_prefix_scan`` is scored, one graph per ordered
+    key with terminals 0 and 1.  Equal ordered keys mean equal vectors:
+    they give an isomorphism that maps 0 to 0 and 1 to 1, so it maps the
+    i-edge sets joining the terminals in one graph one-to-one onto the
+    other's, for every i."""
+    _check_nvec_size(n)
     if n < 2 or not 1 <= m <= comb(n, 2):
         raise DomainError(f"need n >= 2 and 1 <= m <= C(n,2); got n={n}, m={m}")
     examined, survivors, scored = _prefix_scan(n, m)
-    vecs = [_nvec(g, 0, 1) for g in scored]
-    best_vec = max(vecs)
-    tied = [g for g, vec in zip(scored, vecs) if vec == best_vec]
-    # each winner keyed once per terminal order; its class key is the smaller
-    ordered = [tuple(canonical_key_ordered(TwoTerminalGraph(g, s, t)) for s, t in ((0, 1), (1, 0))) for g in tied]
+    by_key = {canonical_key_ordered(TwoTerminalGraph(g, 0, 1)): g for g in scored}
+    vecs = {key: _nvec(g, 0, 1) for key, g in by_key.items()}
+    best_vec = max(vecs.values())
+    tied = [key for key, vec in vecs.items() if vec == best_vec]
+    # a winner's class key is the smaller of its keys under the two terminal
+    # orders; it ties alone iff one ordered key ties
     return {
-        "keys": sorted({min(keys) for keys in ordered}),
+        "keys": sorted({min(key, canonical_key_ordered(TwoTerminalGraph(by_key[key], 1, 0))) for key in tied}),
         "examined": examined,
         "survivors": survivors,
-        "unique_ordered": len({keys[0] for keys in ordered}) == 1,
+        "unique_ordered": len(tied) == 1,
     }
 
 
 def find_lmrttg(n: int, m: int, max_n: int = None) -> list:
     """All lexicographic maximizers, one canonical representative each;
-    ``max_n`` can only lower the search's cap, SEARCH_MAX_N."""
+    ``max_n`` can only lower the search's cap, NVEC_MAX_VERTICES."""
     if max_n is not None and n > max_n:
         raise SizeLimitError(f"search limited to n <= {max_n} (got {n})")
     return [form_of_key(key) for key in _search(n, m)["keys"]]

@@ -26,7 +26,7 @@ from .families import (
 from .graphs import Graph, canonical_key, complement, form_of_key, graph_key, to_json_obj, vertex_pairs
 from .invariants import complement_residuals, family_h, family_h_values, h_sum_offset, invariant_bundle, max_m1_graphs
 from .quadratic import MARGIN, band_bounds_check, count_roots, refine_root
-from .reliability import SEARCH_MAX_N, _search
+from .reliability import NVEC_MAX_VERTICES, _search
 
 
 class ScanReport:
@@ -239,10 +239,10 @@ def brute_record(n: int, m: int) -> dict:
 def uniqueness_pairs(n_min: int, n_max: int, m_cap: int = None) -> list:
     """The (n, m) pairs that ``scan_uniqueness`` searches: each n in
     [n_min, n_max] with m in ``lmrttg_ms(n)``, up to m_cap if given.  Raises before
-    any search when n_max is above SEARCH_MAX_N or the range
+    any search when n_max is above NVEC_MAX_VERTICES or the range
     holds no pair."""
-    if n_max > SEARCH_MAX_N:
-        raise SizeLimitError(f"theorem-main is limited to n <= {SEARCH_MAX_N} (got --max-n {n_max})")
+    if n_max > NVEC_MAX_VERTICES:
+        raise SizeLimitError(f"theorem-main is limited to n <= {NVEC_MAX_VERTICES} (got --max-n {n_max})")
     pairs = []
     for n in range(n_min, n_max + 1):
         pairs.extend((n, m) for m in lmrttg_ms(n) if m_cap is None or m <= m_cap)

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lmrttg import Graph, TwoTerminalGraph, classify, cli, families, quasi_complete_params, quasi_star_params, reliability, scans
+from lmrttg import DomainError, Graph, TwoTerminalGraph, classify, cli, families, quasi_complete_params, quasi_star_params, reliability, scans
 from lmrttg.classify import BAND_MIN_N, TABLE_COLUMNS, central_band, spectrum
 from lmrttg.cli import main
 from lmrttg.families import LMRTTG_MIN_N, lmrttg_ms
@@ -166,9 +166,9 @@ def test_reliability_prints_values_beyond_the_int_text_limit(tmp_path, capsys):
 
 
 def test_theorem_main_above_search_bound_is_usage_error(capsys):
-    code, out, err = run_cli(capsys, "verify", "theorem-main", "--min-n", "11", "--max-n", "11", "--m-cap", "5", "--jobs", "1")
+    code, out, err = run_cli(capsys, "verify", "theorem-main", "--min-n", "15", "--max-n", "15", "--m-cap", "5", "--jobs", "1")
     assert code == 2 and out == ""
-    assert "theorem-main is limited to n <= 10 (got --max-n 11)" in err
+    assert "theorem-main is limited to n <= 14 (got --max-n 15)" in err
 
 
 def test_theorem_main_reaches_n_9_without_a_flag(capsys):
@@ -183,11 +183,10 @@ def test_brute_above_coefficient_cap_is_usage_error_before_scanning(capsys, monk
         raise AssertionError("scanned before the size check")
 
     monkeypatch.setattr(reliability, "_prefix_scan", no_scan)
-    # n = 15 is above the coefficient-vector cap too, but both stop at the search cap
-    for n in (11, 15):
-        code, out, err = run_cli(capsys, "verify", "brute", "--n", str(n), "--m", "5")
-        assert code == 2 and out == ""
-        assert err == f"error: search limited to n <= 10 (got {n})\n"
+    # the coefficient-vector cap is the search's only vertex cap
+    code, out, err = run_cli(capsys, "verify", "brute", "--n", "15", "--m", "5")
+    assert code == 2 and out == ""
+    assert err == "error: coefficient vectors limited to n <= 14 (got 15)\n"
 
 
 def test_broken_invariant_is_a_failed_verdict(capsys, monkeypatch):
@@ -210,9 +209,9 @@ def test_verify_all_above_search_bound_fails_before_any_step(capsys, monkeypatch
         raise AssertionError("a step ran before the range check")
 
     monkeypatch.setattr(cli, "verify_seven_pairs", no_step)
-    code, out, err = run_cli(capsys, "verify", "all", "--max-n", "11")
+    code, out, err = run_cli(capsys, "verify", "all", "--max-n", "15")
     assert code == 2 and out == ""
-    assert err.startswith("error:") and "n <= 10" in err
+    assert err.startswith("error:") and "n <= 14" in err
 
 
 def test_theorem_main_empty_range_is_usage_error(capsys):
@@ -224,13 +223,16 @@ def test_theorem_main_empty_range_is_usage_error(capsys):
 def test_identities_negative_samples_is_usage_error(capsys):
     code, out, err = run_cli(capsys, "verify", "identities", "--samples", "-1")
     assert code == 2 and out == ""
-    assert err.startswith("error:") and "samples" in err
+    assert err.splitlines()[-1].endswith("error: argument --samples: need an integer of at least 0; got '-1'")
+    # the library keeps its own check
+    with pytest.raises(DomainError, match=r"need samples >= 0; got -1"):
+        scans.identity_suite(0, -1)
 
 
 @pytest.mark.parametrize(
     "bounds, last_line",
     [
-        (("9", "8"), "error: need 8 <= n_lo <= n_hi; got 9..8"),
+        (("9", "8"), "error: need 8 <= --from <= --to; got --from 9 --to 8"),
         (("1", "0"), "lmrttg verify {}: error: argument --from: need an integer of at least 8; got '1'"),
     ],
     ids=["descending", "below-band"],
@@ -260,19 +262,24 @@ def test_classify_empty_range_prints_the_header_alone(capsys):
 
 def test_negative_n_is_usage_error_naming_the_option(capsys):
     # every n option has one argument type, so a negative n fails before any
-    # work, with or without --istar-only, and the message names the option
+    # work, with or without --istar-only, and the message names the option;
+    # so does --samples, and a descending band range names both its options
+    negative = "error: argument {}: need an integer of at least 0; got '-"
     cases = [
-        (("classify", "--n=-3..6"), "--n"),
-        (("classify", "--n=-3..6", "--istar-only"), "--n"),
-        (("classify", "--n", "2..-1", "--format", "json"), "--n"),
-        (("verify", "theorem-main", "--min-n=-2"), "--min-n"),
-        (("verify", "theorem-main", "--max-n=-1"), "--max-n"),
-        (("verify", "all", "--max-n=-1"), "--max-n"),
+        (("classify", "--n=-3..6"), negative.format("--n")),
+        (("classify", "--n=-3..6", "--istar-only"), negative.format("--n")),
+        (("classify", "--n", "2..-1", "--format", "json"), negative.format("--n")),
+        (("verify", "theorem-main", "--min-n=-2"), negative.format("--min-n")),
+        (("verify", "theorem-main", "--max-n=-1"), negative.format("--max-n")),
+        (("verify", "all", "--max-n=-1"), negative.format("--max-n")),
+        (("verify", "identities", "--samples=-1"), negative.format("--samples")),
+        (("verify", "istar-scan", "--from", "9", "--to", "8"), "error: need 8 <= --from <= --to; got --from 9 --to 8"),
+        (("verify", "bounds", "--from", "20", "--to", "10"), "error: need 8 <= --from <= --to; got --from 20 --to 10"),
     ]
-    for argv, option in cases:
+    for argv, text in cases:
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (2, ""), argv
-        assert f"error: argument {option}: need an integer of at least 0; got '-" in err, argv
+        assert text in err, argv
 
 
 _JSON = ("--format", "json", "--no-meta")
@@ -320,7 +327,7 @@ _JSON = ("--format", "json", "--no-meta")
         # --deep has no effect: the same pairs print the same bytes without it
         (("verify", "brute", "--n", "8", "--m", "8", *_JSON), "1cd7ba1a7511bb5e7c6ef890c2eec47f7d402c4246c24fed9146086191246e43"),
         (("verify", "brute", "--n", "8", "--m", "9", *_JSON), "a4a285978dc7e9aac5e90820ea405bef014c9bf538990dc28d7c3635306879f8"),
-        # the dense, middle and sparse winners at the search cap, and its last two n:
+        # the dense, middle and sparse winners at n = 10, and theorem-main at n = 9 and 10:
         # taken before twin classes entered the key walk, so they pin its keys
         (("verify", "brute", "--n", "10", "--m", "45", *_JSON), "3e724d64214ea93e4036525b5c5bf5d841944565584671a22fc5c512deb76c91"),
         (("verify", "brute", "--n", "10", "--m", "30", *_JSON), "c51446c0df974a5596dfa2f5b30a6958a4cdd6b0918356bb8f1cf1ef945c5d41"),
@@ -329,6 +336,11 @@ _JSON = ("--format", "json", "--no-meta")
             ("verify", "theorem-main", "--min-n", "9", "--max-n", "10", "--jobs", "1", *_JSON),
             "8cffb7c1b3c749fc534b95151763f3658843757e26ed14400c73b807fef09ba9",
         ),
+        # an even sparse pair (36 scored copies of one class) and a dense pair at
+        # n = 12, taken with the vertex-capped key walk raised to reach them, so
+        # they pin its keys and scoring
+        (("verify", "brute", "--n", "12", "--m", "20", *_JSON), "1701a558b937c408b1464b65dc6bbef052650358fb609cafe6a52f4e9c32416b"),
+        (("verify", "brute", "--n", "12", "--m", "40", *_JSON), "654119112b89b48082f80e8878b142535025bbabae328176cf70b22c209b0d43"),
     ],
 )
 def test_pinned_output_bytes(capsys, argv, digest):
@@ -531,9 +543,11 @@ def test_theorem_range_defaults_come_from_lmrttg_ms(capsys, monkeypatch):
     assert not lmrttg_ms(LMRTTG_MIN_N - 1) and lmrttg_ms(LMRTTG_MIN_N) == range(5, 7)
     assert inspect.signature(scans.scan_uniqueness).parameters["n_min"].default == LMRTTG_MIN_N
     assert cli.build_parser().parse_args(["verify", "theorem-main"]).min_n == LMRTTG_MIN_N
-    # both --max-n default to the search cap, whatever it is
-    for cap in (reliability.SEARCH_MAX_N, reliability.SEARCH_MAX_N - 1):
-        monkeypatch.setattr(cli, "SEARCH_MAX_N", cap)
+    # both --max-n follow one default, whatever it is, and it stays at 10,
+    # within the search's reach
+    assert cli.THEOREM_MAX_N_DEFAULT == 10 <= reliability.NVEC_MAX_VERTICES
+    for cap in (cli.THEOREM_MAX_N_DEFAULT, cli.THEOREM_MAX_N_DEFAULT - 1):
+        monkeypatch.setattr(cli, "THEOREM_MAX_N_DEFAULT", cap)
         parser = cli.build_parser()
         assert [parser.parse_args(["verify", cmd]).max_n for cmd in ("theorem-main", "all")] == [cap, cap]
     # verify all's theorem-main steps start at the constant, whatever it is

@@ -1,6 +1,7 @@
 import json
 import random
 from itertools import permutations
+from math import factorial, prod
 
 import pytest
 from hypothesis import given
@@ -21,6 +22,7 @@ from lmrttg import (
     threshold_graph,
     to_dot,
 )
+from lmrttg import graphs
 from lmrttg.graphs import GRAPH_JSON_MAX_N, canonical_key_ordered, form_of_key, to_json_obj, vertex_pairs
 from oracles import canonical_form_oracle, iso_oracle, ordered_iso_oracle, random_graph, relabel, threshold_oracle
 
@@ -178,16 +180,44 @@ def test_graph_key_matches_isomorphism():
             assert (graph_key(a) == graph_key(b)) == nx.is_isomorphic(to_networkx(a), to_networkx(b))
 
 
-def test_canonical_key_size_bound():
+def test_canonical_key_size_bound(monkeypatch):
+    # the bound is on slot orders: the twin-free 3-regular Petersen graph has
+    # 10! of them and raises before the walk, the 3-cube's 8! are the most
+    # a walk takes, and isolated vertices are twins, so any number of them key
+    cube = Graph.from_edges(8, [(u, u | bit) for u in range(8) for bit in (1, 2, 4) if not u & bit])
+    assert cube.degrees() == (3,) * 8
+    graph_key(cube)
+    petersen = Graph.from_edges(10, [(i, (i + 1) % 5) for i in range(5)] + [(i, i + 5) for i in range(5)]
+                                + [(5 + i, 5 + (i + 2) % 5) for i in range(5)])
+    assert petersen.degrees() == (3,) * 10
     big = TwoTerminalGraph(Graph.empty(11), 0, 1)
-    with pytest.raises(SizeLimitError):
-        canonical_key(big)
-    with pytest.raises(SizeLimitError):
-        canonical_key_ordered(big)
-    canonical_key(TwoTerminalGraph(Graph.empty(10), 0, 1))
-    with pytest.raises(SizeLimitError):
-        graph_key(Graph.empty(9))
-    graph_key(Graph.empty(8))
+    assert canonical_key(big) == canonical_key_ordered(big) == (11, 0)
+
+    def no_walk(g, groups):
+        raise AssertionError("walked before the size check")
+
+    monkeypatch.setattr(graphs, "_min_mask", no_walk)
+    with pytest.raises(SizeLimitError, match=r"would walk more than 40320 slot orders"):
+        graph_key(petersen)
+    # the count is not printed: the leaves of three disjoint 4000-leaf stars
+    # have over 5,000 digits of orders, past the int-to-text limit
+    stars = Graph.from_edges(12003, [(hub, 3 + 3 * i + hub) for hub in range(3) for i in range(4000)])
+    with pytest.raises(SizeLimitError, match=r"would walk more than 40320 slot orders"):
+        graph_key(stars)
+
+
+def test_twin_orders_count_their_multinomial():
+    # the walk takes exactly the orders that _canonical counts, each once, and
+    # steps through a twin class of any size without recursion
+    for sizes in ([1, 1, 1], [2, 1], [2, 2], [3, 1, 2], [1, 4, 1]):
+        classes, start = [], 0
+        for size in sizes:
+            classes.append(list(range(start, start + size)))
+            start += size
+        orders = list(graphs._twin_orders(classes))
+        assert len(orders) == len(set(orders)) == factorial(start) // prod(map(factorial, sizes))
+        assert all(sorted(order) == list(range(start)) for order in orders)
+    assert sum(1 for _ in graphs._twin_orders([list(range(1500)), [1500]])) == 1501
 
 
 def test_canonical_form_matches_labelling_oracle():

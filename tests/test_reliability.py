@@ -175,13 +175,13 @@ def test_find_lmrttg_small_cases():
     assert len(winners) == 1
     assert winners[0].graph == Graph.complete(6)
 
-    with pytest.raises(SizeLimitError, match=r"search limited to n <= 10 \(got 11\)"):
-        find_lmrttg(11, 6)
+    with pytest.raises(SizeLimitError, match=r"coefficient vectors limited to n <= 14 \(got 15\)"):
+        find_lmrttg(15, 6)
     # max_n lowers the cap and never raises it
     with pytest.raises(SizeLimitError, match=r"search limited to n <= 8 \(got 9\)"):
         find_lmrttg(9, 6, max_n=8)
-    with pytest.raises(SizeLimitError, match=r"n <= 10 \(got 11\)"):
-        find_lmrttg(11, 6, max_n=12)
+    with pytest.raises(SizeLimitError, match=r"n <= 14 \(got 15\)"):
+        find_lmrttg(15, 6, max_n=16)
     with pytest.raises(DomainError):
         find_lmrttg(5, 0)
 

@@ -98,6 +98,43 @@ def test_first_n_check_flags_literal_bounds(tmp_path):
     assert [text for _, text in _hand_copied_bounds(path)] == ["n < 5", "4 <= n <= 9"]
 
 
+def _size_caps(path):
+    """(line, source, named) for each ``SizeLimitError(...)`` call in a source
+    file; ``named`` says that its text is an f-string that formats a value
+    and holds no integer literal, in its words or in a formatted value."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "SizeLimitError":
+            text = node.args[0] if len(node.args) == 1 else None
+            formatted = isinstance(text, ast.JoinedStr) and any(isinstance(v, ast.FormattedValue) for v in text.values)
+            literal = any(
+                type(x.value) is int or isinstance(x.value, str) and re.search(r"\d", x.value)
+                for x in ast.walk(node)
+                if isinstance(x, ast.Constant)
+            )
+            yield node.lineno, ast.unparse(node), formatted and not literal
+
+
+def test_library_size_caps_are_named():
+    # a cap copied into an error text drifts from the constant that enforces it
+    caps = [(f"{path.name}:{line}: {text}", named) for path in sorted(SRC.glob("*.py")) for line, text, named in _size_caps(path)]
+    assert len(caps) >= 4
+    assert [where for where, named in caps if not named] == []
+
+
+def test_size_cap_check_flags_literal_caps(tmp_path):
+    path = tmp_path / "sample.py"
+    path.write_text(
+        'a = SizeLimitError(f"n <= {CAP} (got {n})")\n'
+        'b = SizeLimitError("limited to n <= 10")\n'
+        'c = SizeLimitError(f"n <= 10 (got {n})")\n'
+        'd = SizeLimitError(f"n <= {CAP + 2} (got {n})")\n'
+        'e = SizeLimitError(f"{count(g)} orders")\n'
+        'f = SizeLimitError(msg)\n'
+    )
+    assert [line for line, _, named in _size_caps(path) if not named] == [2, 3, 4, 6]
+
+
 def _asserts(path):
     """The line of each ``assert`` statement in a source file."""
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
