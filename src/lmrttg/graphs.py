@@ -15,7 +15,6 @@ input and hand-written constructions, ``edges`` for graph JSON and DOT.
 from __future__ import annotations
 
 import json
-from functools import lru_cache
 from itertools import chain, permutations, product
 from math import factorial, prod
 
@@ -160,7 +159,6 @@ def threshold_graph(n: int, blocks) -> Graph:
     return Graph(n, rows)
 
 
-@lru_cache(maxsize=None)
 def vertex_pairs(n: int) -> tuple:
     """All unordered pairs ``(u, v)`` with ``u < v`` in lexicographic order."""
     return tuple((u, v) for u in range(n) for v in range(u + 1, n))
@@ -183,10 +181,15 @@ def vertex_pairs(n: int) -> tuple:
 # it fixes every other vertex, the lead ones included, and every degree
 # class.  A slot order and its image under the swap give the same mask, so
 # the walk takes one order per arrangement of each degree class's twin
-# classes, and the minimum, and with it every key, is unchanged.  Being
-# twins is an equivalence, so a vertex is compared with one member of each
-# twin class.  Vertices of equal degree in a threshold graph are twins
-# (Mahadev & Peled 1995), so the dense winners need a single order.
+# classes, and the minimum, and with it every key, is unchanged.  Twins are
+# equal rows: unjoined twins have equal rows, and joined twins have equal
+# closed rows, rows[v] | 1 << v.  No vertex has twins of both kinds: were
+# u, v unjoined twins and v, w joined twins, then w is in N(v) = N(u), so u
+# is in N[w] = N[v], and u is joined to v.  So the twin classes are the
+# groups of equal rows, plus the groups of equal closed rows among the
+# vertices whose row no other vertex shares, found by lookup, with no two
+# vertices compared.  Vertices of equal degree in a threshold graph are
+# twins (Mahadev & Peled 1995), so the dense winners need a single order.
 #
 # A degree class of s vertices in twin classes of sizes c_1, ..., c_j has
 # s! / (c_1! ... c_j!) arrangements, and the walk takes each combination of
@@ -224,11 +227,10 @@ def _min_mask(g: Graph, groups) -> int:
     """Minimum mask over the slot orders that arrange each group of twin
     classes in turn."""
     n = g.n
-    # pair numbers, not pair bits: the bits of all C(n, 2) pairs would take
-    # about n^4 / 8 bits, a gigabyte at n = 500
-    pair = [[0] * n for _ in range(n)]
-    for i, (a, b) in enumerate(vertex_pairs(n)):
-        pair[a][b] = pair[b][a] = i
+    # slot pair (a, b), a < b, is bit base[a] + b, its place in vertex_pairs
+    # order: a(2n - a - 1)/2 pairs start at a slot below a, and b - a - 1
+    # start at a before it; n offsets keep the setup linear
+    base = [a * (2 * n - a - 3) // 2 - 1 for a in range(n)]
     edges = g.edges()
     slot = [0] * n
     best = None
@@ -237,7 +239,8 @@ def _min_mask(g: Graph, groups) -> int:
             slot[v] = i
         mask = 0
         for u, v in edges:
-            mask |= 1 << pair[slot[u]][slot[v]]
+            a, b = slot[u], slot[v]
+            mask |= 1 << (base[a] + b if a < b else base[b] + a)
         if best is None or mask < best:
             best = mask
     return best
@@ -247,18 +250,15 @@ def _canonical(g: Graph, lead: tuple) -> tuple:
     """``(n, mask)`` over the relabelings that pin each lead vertex, in
     order, to the first slots and the other vertices by degree class, each
     class split into its twin classes, within KEY_MAX_ORDERS slot orders."""
-    rows, degs = g.rows, g.degrees()
-    by_deg = {}
+    rows, by_row, by_closed, by_deg = g.rows, {}, {}, {}
     for v in range(g.n):
         if v not in lead:
-            classes = by_deg.setdefault(degs[v], [])
-            for cls in classes:
-                u = cls[0]
-                if not (rows[u] ^ rows[v]) & ~(1 << u | 1 << v):
-                    cls.append(v)
-                    break
-            else:
-                classes.append([v])
+            by_row.setdefault(rows[v], []).append(v)
+    for v, *rest in by_row.values():
+        if not rest:
+            by_closed.setdefault(rows[v] | 1 << v, []).append(v)
+    for cls in chain((c for c in by_row.values() if len(c) > 1), by_closed.values()):
+        by_deg.setdefault(rows[cls[0]].bit_count(), []).append(cls)
     orders = prod(factorial(sum(map(len, cls))) // prod(factorial(len(c)) for c in cls) for cls in by_deg.values())
     if orders > KEY_MAX_ORDERS:
         raise SizeLimitError(f"canonical form would walk more than {KEY_MAX_ORDERS} slot orders")

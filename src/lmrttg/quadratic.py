@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import zip_longest
-from math import isqrt
+from math import isqrt, lcm
 
 from .classify import central_band
 from .errors import DomainError
@@ -214,16 +214,17 @@ MARGIN = GAP_LOWER - SPREAD_UPPER
 
 
 def _floor(x: QuadNumber) -> int:
-    """``floor(x)``, exactly: an isqrt estimate of ``a + b*sqrt(2)``, within
-    2 of x, corrected by exact sign steps."""
-    u, v = x.b.numerator, x.b.denominator
-    root = isqrt(2 * u * u) // v  # floor(|b| sqrt(2))
-    f = x.a.numerator // x.a.denominator + (root if u >= 0 else -root)
-    while (x - f).sign() < 0:
-        f -= 1
-    while (x - (f + 1)).sign() >= 0:
-        f += 1
-    return f
+    """``floor(x)``, exactly.  Over the common denominator d of a and b,
+    ``x = (A + B*sqrt(2)) / d`` with integers A, B.  For real y, y and floor(y)
+    lie in the same ``[q*d, q*d + d)``, so ``floor(y / d) = floor(y) // d``,
+    and ``floor(x) = (A + s) // d`` with ``s = floor(B*sqrt(2))``, which is
+    ``isqrt(2*B*B)`` for ``B >= 0``.  For ``B < 0``, ``B*sqrt(2)`` is irrational,
+    so no integer, and ``s = -ceil(|B|*sqrt(2)) = -isqrt(2*B*B) - 1``."""
+    d = lcm(x.a.denominator, x.b.denominator)
+    big_a = x.a.numerator * (d // x.a.denominator)
+    big_b = x.b.numerator * (d // x.b.denominator)
+    root = isqrt(2 * big_b * big_b)
+    return (big_a + (root if big_b >= 0 else -root - 1)) // d
 
 
 @lru_cache(maxsize=None)

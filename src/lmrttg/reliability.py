@@ -21,7 +21,7 @@ from itertools import combinations
 from math import comb
 
 from .errors import DomainError, SizeLimitError
-from .graphs import Graph, TwoTerminalGraph, canonical_key_ordered, form_of_key, join
+from .graphs import Graph, TwoTerminalGraph, canonical_key, canonical_key_ordered, form_of_key, join
 from .invariants import max_m1_graphs
 
 #: Most vertices of a coefficient vector, and so of the optimum search, which
@@ -244,10 +244,8 @@ def _search(n: int, m: int) -> dict:
     vecs = {key: _nvec(g, 0, 1) for key, g in by_key.items()}
     best_vec = max(vecs.values())
     tied = [key for key, vec in vecs.items() if vec == best_vec]
-    # a winner's class key is the smaller of its keys under the two terminal
-    # orders; it ties alone iff one ordered key ties
     return {
-        "keys": sorted({min(key, canonical_key_ordered(TwoTerminalGraph(by_key[key], 1, 0))) for key in tied}),
+        "keys": sorted({canonical_key(TwoTerminalGraph(by_key[key], 0, 1)) for key in tied}),
         "examined": examined,
         "survivors": survivors,
         "unique_ordered": len(tied) == 1,

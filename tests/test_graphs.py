@@ -1,7 +1,11 @@
 import json
+import os
 import random
+import subprocess
+import sys
 from itertools import permutations
 from math import factorial, prod
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -204,6 +208,46 @@ def test_canonical_key_size_bound(monkeypatch):
     stars = Graph.from_edges(12003, [(hub, 3 + 3 * i + hub) for hub in range(3) for i in range(4000)])
     with pytest.raises(SizeLimitError, match=r"would walk more than 40320 slot orders"):
         graph_key(stars)
+
+
+#: Run in a fresh process, so that its peak resident set is the keys' own.
+#: The peak is the process's VmHWM: ru_maxrss keeps the spawning process's
+#: peak across exec, so in a test run it reads the test process's own.
+_LARGE_KEYS = """
+import json, time
+from lmrttg import Graph, SizeLimitError, build_lmrttg, canonical_key, graph_key
+n = 4000
+circulant = Graph.from_edges(n, [(u, (u + j) % n) for u in range(n) for j in (1, 2, 3)])
+tg = build_lmrttg(2000, 3001)
+start = time.perf_counter()
+try:
+    graph_key(circulant)
+    raised = None
+except SizeLimitError:
+    raised = time.perf_counter() - start
+start = time.perf_counter()
+canonical_key(tg)
+keyed = time.perf_counter() - start
+empty = graph_key(Graph.empty(2000))
+with open("/proc/self/status") as status:
+    peak_mb = next(int(line.split()[1]) for line in status if line.startswith("VmHWM:")) / 1024
+print(json.dumps({"raised_s": raised, "keyed_s": keyed, "empty": empty, "peak_mb": peak_mb}))
+"""
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads the peak resident set from /proc")
+def test_key_setup_is_linear_and_caches_nothing():
+    # twin classes are a row lookup and pairs are numbered by n offsets, so the
+    # twin-free C_4000(1,2,3) raises, and a 2000-vertex construction and 2000
+    # isolated vertices key, with no n x n table and no cache of C(n, 2) pairs
+    env = dict(os.environ, PYTHONPATH=str(Path(graphs.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-S", "-c", _LARGE_KEYS], capture_output=True, text=True, env=env, timeout=120)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    got = json.loads(proc.stdout)
+    assert got["raised_s"] is not None and got["raised_s"] < 1
+    assert got["keyed_s"] < 1
+    assert got["empty"] == [2000, 0]
+    assert got["peak_mb"] < 64
 
 
 def test_twin_orders_count_their_multinomial():

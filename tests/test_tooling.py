@@ -98,6 +98,39 @@ def test_first_n_check_flags_literal_bounds(tmp_path):
     assert [text for _, text in _hand_copied_bounds(path)] == ["n < 5", "4 <= n <= 9"]
 
 
+def _unused_imports(path):
+    """(line, name) for each name a source file imports and never reads; a
+    ``from __future__`` import switches on a feature and binds nothing."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update({alias.asname or alias.name.split(".")[0]: node.lineno for alias in node.names})
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update({alias.asname or alias.name: node.lineno for alias in node.names})
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted((line, name) for name, line in imported.items() if name not in read)
+
+
+def test_library_has_no_unused_imports():
+    # an import left behind by a deleted use loads and hides a dependency;
+    # __init__ imports only to re-export
+    paths = [path for path in sorted(SRC.glob("*.py")) if path.name != "__init__.py"]
+    assert len(paths) > 5
+    found = [f"{path.name}:{line}: {name}" for path in paths for line, name in _unused_imports(path)]
+    assert found == []
+
+
+def test_unused_import_check_flags_unread_names(tmp_path):
+    path = tmp_path / "sample.py"
+    path.write_text(
+        "from __future__ import annotations\n"
+        "import os.path\nimport json as js\nfrom functools import lru_cache, reduce\nfrom math import comb as c\n"
+        "def f(x) -> js.JSONDecoder:\n    return reduce(max, x, os.sep)\n"
+    )
+    assert _unused_imports(path) == [(4, "lru_cache"), (5, "c")]
+
+
 def _size_caps(path):
     """(line, source, named) for each ``SizeLimitError(...)`` call in a source
     file; ``named`` says that its text is an f-string that formats a value
