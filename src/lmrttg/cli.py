@@ -11,6 +11,7 @@ import argparse
 import json
 import sys
 import time
+from itertools import islice
 
 from .classify import BAND_MIN_N, TABLE_COLUMNS, table
 from .errors import DomainError, InvariantError
@@ -32,13 +33,13 @@ from .scans import (
 )
 
 
-def _dumps(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True, default=str) + "\n"
-
-
 def _print_json(obj) -> None:
-    """``_dumps(obj)``, written as it is encoded rather than joined first."""
-    json.dump(obj, sys.stdout, indent=2, sort_keys=True, default=str)
+    """Write ``json.dumps(obj, indent=2, sort_keys=True, default=str)`` and a
+    newline, encoded in batches of 1,024 chunks so that a long document is
+    neither joined whole nor written one token at a time."""
+    chunks = json.JSONEncoder(indent=2, sort_keys=True, default=str).iterencode(obj)
+    while batch := "".join(islice(chunks, 1024)):
+        sys.stdout.write(batch)
     sys.stdout.write("\n")
 
 
@@ -61,7 +62,7 @@ def _int_at_least(low: int):
 _n_value, _jobs, _band_n = _int_at_least(0), _int_at_least(1), _int_at_least(BAND_MIN_N)
 #: Default last n of ``theorem-main`` and ``verify all``.  The search reaches
 #: ``reliability.NVEC_MAX_VERTICES`` = 14, but a bare ``verify all`` then runs
-#: for over 90 s with no progress output; up to 10 it takes about a second.
+#: for about 36 s with no progress output; up to 10 it takes about a second.
 THEOREM_MAX_N_DEFAULT = 10
 #: Help of an option that no longer does anything but still parses
 #: (``theorem-main --jobs`` still rejects a count below 1).
@@ -154,10 +155,10 @@ def _cmd_reliability(args) -> int:
 
 
 def _outcome(args) -> tuple:
-    """Run the check bound to a verify subcommand: (JSON document, md text, passed).  A check
-    returns a ScanReport, judged by its ``verdict``, or one record, judged by its boolean ``ok``
-    and printed as JSON in both formats.  The check is timed here, and the document gets its
-    ``elapsed`` seconds unless ``--no-meta``."""
+    """Run the check bound to a verify subcommand: (JSON document, passed).  A check
+    returns a ScanReport, judged by its ``verdict``, or one record, judged by its boolean ``ok``.
+    In md format the result is written here, a report as Markdown and a record as JSON.  The
+    check is timed here, and the document gets its ``elapsed`` seconds unless ``--no-meta``."""
     t0 = time.perf_counter()
     result = args.check(args)
     elapsed = round(time.perf_counter() - t0, 3)
@@ -165,15 +166,17 @@ def _outcome(args) -> tuple:
     doc, ok = (result.to_json_obj(), result.verdict) if is_report else (result, result["ok"])
     if not args.no_meta:
         doc["elapsed"] = elapsed
-    return doc, result.to_markdown() if is_report else _dumps(doc), ok
+    if args.format == "md" and is_report:
+        sys.stdout.write(result.to_markdown())
+    elif args.format == "md":
+        _print_json(doc)
+    return doc, ok
 
 
 def _cmd_verify(args) -> int:
-    doc, text, ok = _outcome(args)
+    doc, ok = _outcome(args)
     if args.format == "json":
         _print_json(doc)
-    else:
-        print(text, end="")
     return 0 if ok else 1
 
 
@@ -187,14 +190,10 @@ def _cmd_verify_all(args) -> int:
     steps.append(["sturm"])
     shared = ["--format", args.format] + (["--no-meta"] if args.no_meta else [])
     parser = build_parser()
-    outcomes = []
-    for step in steps:
-        outcomes.append(_outcome(parser.parse_args(["verify", *step, *shared])))
-        if args.format == "md":
-            print(outcomes[-1][1], end="")
-    passed = all(ok for _, _, ok in outcomes)
+    outcomes = [_outcome(parser.parse_args(["verify", *step, *shared])) for step in steps]
+    passed = all(ok for _, ok in outcomes)
     if args.format == "json":
-        _print_json({"verdict": "pass" if passed else "fail", "reports": [doc for doc, _, _ in outcomes]})
+        _print_json({"verdict": "pass" if passed else "fail", "reports": [doc for doc, _ in outcomes]})
     return 0 if passed else 1
 
 

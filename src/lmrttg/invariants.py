@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 from .classify import quasi_complete_params, quasi_star_m1, quasi_star_params
 from .errors import DomainError, FamilyDoesNotExist, InvariantError
-from .families import MIRROR_TAGS, FamilyTag, c_side_exists
+from .families import FamilyTag, c_side_exists
 from .graphs import Graph, threshold_graph
 
 
@@ -171,37 +171,36 @@ def h_sum_offset(n: int, m: int) -> int:
     return 2 * m * m - 6 * comb(n, 3) + (n - 1) ** 2 * comb(n, 2) - 3 * (n - 1) * (n - 3) * m
 
 
-def _quasi_complete_family_h(k: int, j: int, tag: FamilyTag) -> int:
-    """h of the C-side family member on ``C(k+1,2) - j`` edges: the
-    quasi-complete closed form plus the fixed offset of the variant."""
-    if tag is FamilyTag.C1:
-        return quasi_complete_h(k, j)
-    if tag is FamilyTag.C3:
-        return quasi_complete_h(k, j) + 3
-    return quasi_complete_h(k, j) - _half((2 * k - 7) * (k - j) * (k - j - 1))
-
-
 def family_h_values(n: int, m: int) -> dict:
     """h of every existing family member at (n, m), by closed form, as
     ``{tag: h}`` in FamilyTag order.
 
-    A C-side member ``Ci`` on m edges reads ``(k, j)`` of m.  An S-side
-    member is the complement of its C-side mirror ``Ci`` on ``mc = C(n,2) -
+    A C-side member ``Ci`` on m edges reads ``(k, j)`` of m: C1 is the
+    quasi-complete closed form, C3 adds 3 and C2 subtracts ``(2k-7)(k-j)(k-j-1)/2``.
+    An S-side member is the complement of its C-side mirror ``Ci`` on ``mc = C(n,2) -
     m`` edges, whose parameters are ``(k', j')`` of (n, m), so the
     complement-sum identity gives ``h(Si) = (n - 9/2) M1(Si) + offset(n, m)
     - h(Ci)``.  ``M1(Si) = M1(S1)`` because C1, C2 and C3 have equal M1:
     with ``a = k - j`` their degrees are k (a times), k-1 (j times) and a;
     2k-j-1, k-1 (k-1 times) and 1 (a times); k (k-2 times) and k-2 (3
     times, j = 3); each sum of squares is ``k(k-1)^2 + a(2k-1) + a^2``.
-    Both parameter pairs are computed once.
+    Both parameter pairs, and the quasi-complete h of each, are computed once.
     """
-    kp, jp = quasi_star_params(n, m)
     k, j = quasi_complete_params(m)
-    out = {tag: _quasi_complete_family_h(k, j, tag) for tag in MIRROR_TAGS.values() if c_side_exists(n, tag, k, j)}
-    s_side = _half((2 * n - 9) * quasi_star_m1(n, kp, jp)) + h_sum_offset(n, m)  # M1 is always even
-    for s_tag, c_tag in MIRROR_TAGS.items():
-        if c_side_exists(n, c_tag, kp, jp):
-            out[s_tag] = s_side - _quasi_complete_family_h(kp, jp, c_tag)
+    kp, jp = quasi_star_params(n, m)
+    h = quasi_complete_h(k, j)
+    out = {FamilyTag.C1: h}
+    if c_side_exists(n, FamilyTag.C2, k, j):
+        out[FamilyTag.C2] = h - _half((2 * k - 7) * (k - j) * (k - j - 1))
+    if c_side_exists(n, FamilyTag.C3, k, j):
+        out[FamilyTag.C3] = h + 3
+    # h of S1; M1 is always even
+    h = _half((2 * n - 9) * quasi_star_m1(n, kp, jp)) + h_sum_offset(n, m) - quasi_complete_h(kp, jp)
+    out[FamilyTag.S1] = h
+    if c_side_exists(n, FamilyTag.C2, kp, jp):
+        out[FamilyTag.S2] = h + _half((2 * kp - 7) * (kp - jp) * (kp - jp - 1))
+    if c_side_exists(n, FamilyTag.C3, kp, jp):
+        out[FamilyTag.S3] = h - 3
     return out
 
 

@@ -232,16 +232,19 @@ def _search(n: int, m: int) -> dict:
 
     The vertex cap is checked before the scan starts.  Only the
     ``scored`` list of ``_prefix_scan`` is scored, one graph per ordered
-    key with terminals 0 and 1.  Equal ordered keys mean equal vectors:
-    they give an isomorphism that maps 0 to 0 and 1 to 1, so it maps the
-    i-edge sets joining the terminals in one graph one-to-one onto the
-    other's, for every i."""
+    key with terminals 0 and 1, and only when it holds two keys or more.
+    Equal ordered keys mean equal vectors: they give an isomorphism that
+    maps 0 to 0 and 1 to 1, so it maps the i-edge sets joining the
+    terminals in one graph one-to-one onto the other's, for every i.  A
+    lone key needs no vector: every lexicographic maximiser has the
+    largest ``(N_2, N_3)`` prefix, so an isomorphism fixing 0 and 1 maps
+    it onto a graph in ``scored``, and that lone key is the unique optimum."""
     _check_nvec_size(n)
     if n < 2 or not 1 <= m <= comb(n, 2):
         raise DomainError(f"need n >= 2 and 1 <= m <= C(n,2); got n={n}, m={m}")
     examined, survivors, scored = _prefix_scan(n, m)
     by_key = {canonical_key_ordered(TwoTerminalGraph(g, 0, 1)): g for g in scored}
-    vecs = {key: _nvec(g, 0, 1) for key, g in by_key.items()}
+    vecs = {key: _nvec(g, 0, 1) for key, g in by_key.items()} if len(by_key) > 1 else dict.fromkeys(by_key, ())
     best_vec = max(vecs.values())
     tied = [key for key, vec in vecs.items() if vec == best_vec]
     return {

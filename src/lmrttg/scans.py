@@ -20,11 +20,10 @@ from .classify import (
 )
 from .errors import DomainError, SizeLimitError
 from .families import (
-    LMRTTG_MIN_N, SEVEN_PAIR_TAGS, FamilyTag, build_h_optimal, build_lmrttg, candidate_set, h_optimal_tag, lmrttg_ms,
-    mirror,
+    LMRTTG_MIN_N, MIRROR_TAGS, SEVEN_PAIR_TAGS, build_h_optimal, build_lmrttg, candidate_set, h_optimal_tag, lmrttg_ms,
 )
 from .graphs import Graph, canonical_key, complement, form_of_key, graph_key, to_json_obj, vertex_pairs
-from .invariants import complement_residuals, family_h, family_h_values, h_sum_offset, invariant_bundle, max_m1_graphs
+from .invariants import complement_residuals, family_h_values, h_sum_offset, invariant_bundle, max_m1_graphs
 from .quadratic import MARGIN, band_bounds_check, count_roots, refine_root
 from .reliability import NVEC_MAX_VERTICES, _search
 
@@ -296,10 +295,10 @@ def _p4_by_walk(g: Graph) -> int:
     return total
 
 
-def _identity_failures(g: Graph, tag: FamilyTag = None) -> list:
-    """The identities that fail on g.  With a ``tag``, g is that family's
-    member on (g.n, g.m), and the closed forms of its h and M1 are checked
-    against the bundle too."""
+def _identity_failures(g: Graph, closed: tuple = None) -> list:
+    """The identities that fail on g.  ``closed``, when given, is the
+    ``(h, M1)`` that a family's closed forms give for g, and both are
+    checked against the bundle too."""
     fails = []
     b = invariant_bundle(g)
     bc = invariant_bundle(complement(g))
@@ -314,13 +313,10 @@ def _identity_failures(g: Graph, tag: FamilyTag = None) -> list:
         fails.append("complement-sum identity")
     if complement_residuals(g.n, b, bc) != (0, 0, 0):
         fails.append("complementation identities")
-    if tag is not None:
-        if family_h(g.n, g.m, tag) != b.h_value:
+    if closed is not None:
+        h, m1 = closed
+        if h != b.h_value:
             fails.append("family h closed form")
-        if mirror(g.n, g.m, tag) is None:
-            m1 = quasi_complete_m1(*quasi_complete_params(g.m))
-        else:
-            m1 = quasi_star_m1(g.n, *quasi_star_params(g.n, g.m))
         if m1 != b.m1:
             fails.append("M1 closed form")
     return fails
@@ -333,9 +329,10 @@ def identity_suite(seed: int = 0, samples: int = 1000) -> ScanReport:
     rnd = random.Random(seed)
     report = ScanReport(scope=f"identity suite (seed={seed}, samples={samples})")
     checked = 0
+    pair_tables = {n: vertex_pairs(n) for n in range(IDENTITY_MIN_N, IDENTITY_RANDOM_MAX_N + 1)}
     for _ in range(samples):
         n = rnd.randint(IDENTITY_MIN_N, IDENTITY_RANDOM_MAX_N)
-        pairs = vertex_pairs(n)
+        pairs = pair_tables[n]
         edges = rnd.sample(pairs, rnd.randint(0, len(pairs)))
         g = Graph.from_edges(n, edges)
         fails = _identity_failures(g)
@@ -344,8 +341,11 @@ def identity_suite(seed: int = 0, samples: int = 1000) -> ScanReport:
             report.records.append({"n": n, "edges": edges, "failed": fails, "ok": False})
     for n in range(IDENTITY_MIN_N, IDENTITY_FAMILY_MAX_N + 1):
         for m in range(comb(n, 2) + 1):
+            h_by_tag = family_h_values(n, m)
+            c_m1 = quasi_complete_m1(*quasi_complete_params(m))
+            s_m1 = quasi_star_m1(n, *quasi_star_params(n, m))
             for tag, g in candidate_set(n, m):
-                fails = _identity_failures(g, tag)
+                fails = _identity_failures(g, (h_by_tag.get(tag), s_m1 if tag in MIRROR_TAGS else c_m1))
                 checked += 1
                 if fails:
                     report.records.append({"n": n, "m": m, "tag": str(tag), "failed": fails, "ok": False})

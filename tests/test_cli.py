@@ -349,6 +349,34 @@ def test_pinned_output_bytes(capsys, argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+class _CountingOut(io.StringIO):
+    """A text stdout that counts its writes."""
+
+    writes = 0
+
+    def write(self, text):
+        self.writes += 1
+        return super().write(text)
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [{}, {"n": 5, "ok": True, "edges": [[0, 1]], "at": Fraction(1, 2)}, scans.scan_tie_band(8, TIE_SCAN_MAX_N).to_json_obj()],
+    ids=["empty", "record", "istar-scan"],
+)
+def test_print_json_writes_the_dumps_bytes_in_batches(monkeypatch, obj):
+    # the one JSON writer: json.dumps's bytes and a newline, in at most one
+    # write per 1,024 encoder chunks plus one for the newline
+    chunks = sum(1 for _ in json.JSONEncoder(indent=2, sort_keys=True, default=str).iterencode(obj))
+    if "records" in obj:
+        assert chunks == 14430
+    out = _CountingOut()
+    monkeypatch.setattr(sys, "stdout", out)
+    cli._print_json(obj)
+    assert out.getvalue() == json.dumps(obj, indent=2, sort_keys=True, default=str) + "\n"
+    assert out.writes <= -(-chunks // 1024) + 1
+
+
 def test_classify_istar_only_keeps_only_ties(capsys):
     code, out, _ = run_cli(capsys, "classify", "--n", "3..5", "--istar-only")
     assert code == 0
@@ -554,7 +582,7 @@ def test_theorem_range_defaults_come_from_lmrttg_ms(capsys, monkeypatch):
     monkeypatch.setattr(cli, "LMRTTG_MIN_N", LMRTTG_MIN_N + 1)
     assert cli.build_parser().parse_args(["verify", "theorem-main"]).min_n == LMRTTG_MIN_N + 1
     steps = []
-    monkeypatch.setattr(cli, "_outcome", lambda args: steps.append(args) or ({}, "", True))
+    monkeypatch.setattr(cli, "_outcome", lambda args: steps.append(args) or ({}, True))
     assert run_cli(capsys, "verify", "all", "--max-n", "7")[0] == 0
     found = [(a.min_n, a.max_n) for a in steps if a.verify_cmd == "theorem-main"]
     assert found == [(n, n) for n in range(LMRTTG_MIN_N + 1, 8)]

@@ -16,9 +16,11 @@ from lmrttg import (
     canonical_key,
     find_lmrttg,
     n_vector,
+    reliability,
     reliability_at,
 )
-from lmrttg.graphs import vertex_pairs
+from lmrttg.families import lmrttg_ms
+from lmrttg.graphs import canonical_key_ordered, vertex_pairs
 from lmrttg.reliability import NVEC_MAX_VERTICES, _prefix_scan
 from oracles import nvec_oracle, prefix_survivors_oracle
 
@@ -220,3 +222,21 @@ def test_prefix_scan_covers_every_labeled_candidate():
     for n in range(2, 9):
         for m in range(1, comb(n, 2) + 1):
             assert _prefix_scan(n, m)[0] == comb(comb(n, 2) - 1, m - 1), (n, m)
+
+
+def test_search_scores_vectors_only_to_break_a_tie(monkeypatch):
+    # a lone ordered key in the scored list is the optimum without a vector;
+    # two or more keys get one vector each
+    calls = []
+    nvec = reliability._nvec
+    monkeypatch.setattr(reliability, "_nvec", lambda g, s, t: calls.append(g) or nvec(g, s, t))
+    tied = []
+    for n in range(4, 11):
+        for m in lmrttg_ms(n):
+            keys = {canonical_key_ordered(TwoTerminalGraph(g, 0, 1)) for g in _prefix_scan(n, m)[2]}
+            calls.clear()
+            reliability._search(n, m)
+            assert len(calls) == (len(keys) if len(keys) > 1 else 0), (n, m)
+            if len(keys) > 1:
+                tied.append((n, m))
+    assert len(tied) == 21 and tied[:3] == [(6, 12), (7, 14), (7, 16)]

@@ -152,8 +152,10 @@ def test_identity_suite_deterministic_and_green():
 
 def test_identity_suite_checks_the_family_closed_forms(monkeypatch):
     # a wrong C3 offset and a wrong quasi-star M1 each fail the family graphs they touch
-    real_h = scans.family_h
-    monkeypatch.setattr(scans, "family_h", lambda n, m, t: real_h(n, m, t) + 2 * (t is FamilyTag.C3))
+    real_h = scans.family_h_values
+    monkeypatch.setattr(
+        scans, "family_h_values", lambda n, m: {t: h + 2 * (t is FamilyTag.C3) for t, h in real_h(n, m).items()}
+    )
     monkeypatch.setattr(scans, "quasi_star_m1", lambda n, kp, jp: -1)
     rep = identity_suite(seed=0, samples=0)
     fails = {(r["tag"], f) for r in rep.records for f in r["failed"]}

@@ -73,6 +73,45 @@ def test_float_check_flags_float_math(tmp_path):
     assert sorted(what for _, what in _float_uses(path)) == ["math.log(...)", "math.sqrt(...)"]
 
 
+def _json_dump_calls(path):
+    """The lines of a source file that call ``json.dump``, by module or from-import name."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    json_names = {
+        alias.asname or alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Import)
+        for alias in node.names
+        if alias.name == "json"
+    }
+    dump_names = {
+        alias.asname or alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "json"
+        for alias in node.names
+        if alias.name == "dump"
+    }
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            fn = node.func
+            if (isinstance(fn, ast.Name) and fn.id in dump_names) or (
+                isinstance(fn, ast.Attribute) and isinstance(fn.value, ast.Name) and fn.value.id in json_names and fn.attr == "dump"
+            ):
+                yield node.lineno
+
+
+def test_library_writes_json_through_the_batched_writer():
+    # json.dump makes one write per encoder token; documents go through
+    # cli._print_json, which writes them in batches
+    found = [f"{path.name}:{line}" for path in sorted(SRC.glob("*.py")) for line in _json_dump_calls(path)]
+    assert found == []
+
+
+def test_json_dump_check_flags_dump_calls(tmp_path):
+    path = tmp_path / "sample.py"
+    path.write_text("import json as j\nfrom json import dump as d, dumps\nj.dump(1, f)\nd(2, f)\nj.dumps(3)\ndumps(4)\n")
+    assert list(_json_dump_calls(path)) == [3, 4]
+
+
 def _hand_copied_bounds(path):
     """(line, source) for each comparison of the name ``n`` with the literal 4 or 5 in a source file."""
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
