@@ -26,7 +26,6 @@ from __future__ import annotations
 
 from enum import Enum
 from fractions import Fraction
-from functools import lru_cache
 from math import comb, isqrt
 from typing import NamedTuple
 
@@ -115,7 +114,6 @@ class SpectrumParams(NamedTuple):
     r: Fraction
 
 
-@lru_cache(maxsize=None)
 def spectrum(n: int) -> SpectrumParams:
     if n < CLASSIFY_MIN_N:
         raise DomainError(f"spectrum defined for n >= {CLASSIFY_MIN_N}; got {n}")
@@ -133,7 +131,6 @@ def spectrum(n: int) -> SpectrumParams:
 BAND_MIN_N = 8
 
 
-@lru_cache(maxsize=None)
 def central_band(n: int) -> range:
     """The central band J at n: the edge counts within n/2 of half the
     possible edges, ``C(n,2) - n <= 2m <= C(n,2) + n``.  Empty for

@@ -28,22 +28,25 @@ GRAPH_JSON_MAX_N = 1 << 16
 
 
 class Graph:
-    """Immutable simple undirected graph on vertices ``0..n-1``."""
+    """Immutable simple undirected graph on vertices ``0..n-1`` with ``m`` edges,
+    counted when it is built."""
 
-    __slots__ = ("n", "rows", "_m")
+    __slots__ = ("n", "rows", "m")
 
     def __init__(self, n: int, rows) -> None:
         rows = tuple(rows)
         if n < 0 or len(rows) != n:
             raise DomainError("row count must equal the vertex count")
+        ends = 0
         for v, row in enumerate(rows):
             if row >> n:
                 raise DomainError("adjacency bit outside the vertex range")
             if (row >> v) & 1:
                 raise DomainError("self-loops are not allowed")
+            ends += row.bit_count()
         self.n = n
         self.rows = rows
-        self._m = None
+        self.m = ends // 2
 
     @classmethod
     def empty(cls, n: int) -> "Graph":
@@ -67,13 +70,6 @@ class Graph:
             rows[u] |= 1 << v
             rows[v] |= 1 << u
         return cls(n, rows)
-
-    @property
-    def m(self) -> int:
-        """Edge count."""
-        if self._m is None:
-            self._m = sum(row.bit_count() for row in self.rows) // 2
-        return self._m
 
     def degrees(self) -> tuple:
         return tuple(row.bit_count() for row in self.rows)

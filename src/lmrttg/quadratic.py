@@ -10,9 +10,8 @@ never to floating point.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from itertools import zip_longest
-from math import isqrt, lcm
+from math import isqrt
 
 from .classify import central_band
 from .errors import DomainError
@@ -152,8 +151,10 @@ def sturm_sequence(f: QuadPolynomial) -> list:
     return chain[:-1]
 
 
-def sign_variations(chain, x) -> int:
-    signs = [p(x).sign() for p in chain]
+def sign_variations(chain, x=None) -> int:
+    """Sign changes along the chain at x, zeros skipped; without x, at +inf,
+    where each polynomial has the sign of its leading coefficient."""
+    signs = [p.leading().sign() if x is None else p(x).sign() for p in chain]
     signs = [s for s in signs if s != 0]
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
@@ -195,44 +196,42 @@ def refine_root(f: QuadPolynomial, lo, hi, width) -> tuple:
     return (lo, hi)
 
 
-def _eighth(a, b=0) -> QuadNumber:
-    return QuadNumber.of(Fraction(a, 8), Fraction(b, 8))
-
-
-#: Lower bound, as a polynomial in n, for the gap between the
-#: quasi-complete and quasi-star h-invariants inside the central band.
-GAP_LOWER = QuadPolynomial(
-    [_eighth(72), _eighth(-46, -226), _eighth(19, 76), _eighth(-20, -37), _eighth(3, -2)]
-)
-
+#: Lower bound, as a polynomial in n, for the gap between the quasi-complete
+#: and quasi-star h-invariants inside the central band.  Each bound is kept
+#: as integer pairs in eighths, ascending by degree: ``8 P(n) = sum A_i n^i +
+#: sqrt(2) * sum B_i n^i`` for the pairs ``(A_i, B_i)``.
+_GAP_EIGHTHS = ((72, 0), (-46, -226), (19, 76), (-20, -37), (3, -2))
 #: Upper bound for the spread among the three quasi-star variants.
-SPREAD_UPPER = QuadPolynomial([_eighth(4), _eighth(0, -16), _eighth(-2), _eighth(0, 2)])
+_SPREAD_EIGHTHS = ((4, 0), (0, -16), (-2, 0), (0, 2))
+
+GAP_LOWER = QuadPolynomial(QuadNumber.of(Fraction(a, 8), Fraction(b, 8)) for a, b in _GAP_EIGHTHS)
+SPREAD_UPPER = QuadPolynomial(QuadNumber.of(Fraction(a, 8), Fraction(b, 8)) for a, b in _SPREAD_EIGHTHS)
 
 #: Dominance margin: gap bound minus spread bound.  Once this is positive,
 #: the C-side family beats every S-side family.
 MARGIN = GAP_LOWER - SPREAD_UPPER
 
 
-def _floor(x: QuadNumber) -> int:
-    """``floor(x)``, exactly.  Over the common denominator d of a and b,
-    ``x = (A + B*sqrt(2)) / d`` with integers A, B.  For real y, y and floor(y)
-    lie in the same ``[q*d, q*d + d)``, so ``floor(y / d) = floor(y) // d``,
-    and ``floor(x) = (A + s) // d`` with ``s = floor(B*sqrt(2))``, which is
-    ``isqrt(2*B*B)`` for ``B >= 0``.  For ``B < 0``, ``B*sqrt(2)`` is irrational,
-    so no integer, and ``s = -ceil(|B|*sqrt(2)) = -isqrt(2*B*B) - 1``."""
-    d = lcm(x.a.denominator, x.b.denominator)
-    big_a = x.a.numerator * (d // x.a.denominator)
-    big_b = x.b.numerator * (d // x.b.denominator)
-    root = isqrt(2 * big_b * big_b)
-    return (big_a + (root if big_b >= 0 else -root - 1)) // d
-
-
-@lru_cache(maxsize=None)
 def _bounds_at(n: int) -> tuple:
     """``(ceil(GAP_LOWER(n)), floor(SPREAD_UPPER(n)))``: both bounds depend on
     n alone, and an integer x satisfies ``x >= a`` exactly when ``x >=
-    ceil(a)``, and ``x <= b`` exactly when ``x <= floor(b)``."""
-    return -_floor(-GAP_LOWER(n)), _floor(SPREAD_UPPER(n))
+    ceil(a)``, and ``x <= b`` exactly when ``x <= floor(b)``.
+
+    Horner's rule gives integers A, B with ``8 P(n) = A + B*sqrt(2)`` for
+    ``P = SPREAD_UPPER`` and for ``P = -GAP_LOWER``, and ``ceil(a) =
+    -floor(-a)``.  For real y, y and floor(y) lie in the same ``[8q, 8q + 8)``,
+    so ``floor(y / 8) = floor(y) // 8``, and ``floor(P(n)) = (A + s) // 8`` with
+    ``s = floor(B*sqrt(2))``, which is ``isqrt(2*B*B)`` for ``B >= 0``.  For
+    ``B < 0``, ``B*sqrt(2)`` is irrational, so no integer, and ``s =
+    -ceil(|B|*sqrt(2)) = -isqrt(2*B*B) - 1``."""
+    floors = []
+    for sign, eighths in ((-1, _GAP_EIGHTHS), (1, _SPREAD_EIGHTHS)):
+        big_a = big_b = 0
+        for a, b in reversed(eighths):
+            big_a, big_b = big_a * n + sign * a, big_b * n + sign * b
+        root = isqrt(2 * big_b * big_b)
+        floors.append((big_a + (root if big_b >= 0 else -root - 1)) // 8)
+    return -floors[0], floors[1]
 
 
 def band_bounds_check(n: int, m: int) -> tuple:

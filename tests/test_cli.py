@@ -19,6 +19,7 @@ from lmrttg.classify import BAND_MIN_N, TABLE_COLUMNS, central_band, spectrum
 from lmrttg.cli import main
 from lmrttg.families import LMRTTG_MIN_N, lmrttg_ms
 from lmrttg.graphs import to_json_obj, vertex_pairs
+from lmrttg.quadratic import QuadNumber, QuadPolynomial
 from lmrttg.scans import TIE_SCAN_MAX_N
 
 
@@ -491,6 +492,18 @@ def test_verify_sturm_failing_root_count_fails(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "verify", "sturm", "--no-meta")
     assert code == 1
     assert '"ok": false' in out and json.loads(out)["roots_in_436_437"] == 2
+
+
+def test_verify_sturm_fails_on_roots_past_its_window(capsys, monkeypatch):
+    # (x - 873/2)(x - 2*10^6)(x - 3*10^6) has the margin's root in (436, 437]
+    # and its sign at 437, but two more roots beyond the (437, 10^6] it reports
+    a, b, c = Fraction(873, 2), 2 * 10**6, 3 * 10**6
+    cubic = QuadPolynomial(QuadNumber.of(x) for x in (-a * b * c, a * b + a * c + b * c, -(a + b + c), 1))
+    monkeypatch.setattr(scans, "MARGIN", cubic)
+    code, out, _ = run_cli(capsys, "verify", "sturm", "--no-meta")
+    rec = json.loads(out)
+    assert (rec["roots_in_436_437"], rec["roots_in_437_1e6"], rec["sign_at_437"]) == (1, 0, 1)
+    assert code == 1 and rec["ok"] is False
 
 
 @pytest.mark.parametrize(

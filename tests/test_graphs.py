@@ -79,6 +79,15 @@ def test_threshold_graph_matches_the_oracle(case):
     assert threshold_graph(n, blocks).edges() == threshold_oracle(n, blocks)
 
 
+@given(_block_partitions(), _block_partitions())
+def test_every_builder_counts_its_edges(a, b):
+    # m is a plain slot, set when the graph is built
+    g, h = threshold_graph(*a), threshold_graph(*b)
+    built = [g, Graph.from_edges(g.n, g.edges()[::2]), complement(g), join(g, h), Graph.empty(a[0]), Graph.complete(a[0])]
+    assert [x.m for x in built] == [len(x.edges()) for x in built]
+    assert Graph.__slots__ == ("n", "rows", "m")
+
+
 def test_threshold_graph_needs_a_partition():
     assert threshold_graph(3, [(0, 3, True)]) == Graph.complete(3)
     assert threshold_graph(3, [(2, 2, True), (0, 3, False)]) == Graph.empty(3)

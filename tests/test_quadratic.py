@@ -23,7 +23,7 @@ from lmrttg import (
     sturm_sequence,
 )
 from lmrttg.classify import central_band
-from lmrttg.quadratic import _bounds_at, _floor
+from lmrttg.quadratic import _bounds_at, sign_variations
 from lmrttg.scans import _tie_band_records
 from oracles import poly_mod_oracle, poly_mul_oracle, poly_sub_oracle, sturm_degrees_oracle
 
@@ -87,6 +87,19 @@ def test_sturm_roots_of_x2_minus_2():
     assert count_roots(f, Fraction(3, 2), 2) == 0
     linear = QuadPolynomial([q(1), q(1)])
     assert len(sturm_sequence(linear)) == 2
+
+
+def test_sign_variations_at_infinity_read_the_leading_signs():
+    # V(x) - V(+inf) counts the roots in (x, +inf)
+    def above(f, x):
+        chain = sturm_sequence(f)
+        return sign_variations(chain, x) - sign_variations(chain)
+
+    f = QuadPolynomial([q(-6), q(11), q(-6), q(1)])  # roots at 1, 2 and 3
+    assert [above(f, x) for x in (0, Fraction(3, 2), Fraction(5, 2), 10)] == [3, 2, 1, 0]
+    assert above(QuadPolynomial([q(-6), q(-11), q(-6), q(-1)]), -4) == 3  # negated roots -1, -2, -3
+    assert above(QuadPolynomial([q(0, -1), q(1)]), 1) == 1  # the root sqrt(2)
+    assert (above(MARGIN, 436), above(MARGIN, 437)) == (1, 0)
 
 
 def test_count_roots_boundary_conventions():
@@ -178,16 +191,6 @@ def test_band_bounds_small_band():
                 assert band_bounds_check(n, m) == (True, True), (n, m)
     with pytest.raises(DomainError):
         band_bounds_check(8, 5)
-
-
-fractions = st.fractions(max_denominator=10**6).filter(lambda x: abs(x) < 10**12)
-
-
-@given(fractions, fractions)
-def test_floor_is_the_greatest_integer_below(a, b):
-    x = q(a, b)
-    f = _floor(x)
-    assert (x - f).sign() >= 0 > (x - (f + 1)).sign()
 
 
 def test_band_thresholds_are_the_ceiling_and_floor_of_the_bounds():

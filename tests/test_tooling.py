@@ -112,6 +112,49 @@ def test_json_dump_check_flags_dump_calls(tmp_path):
     assert list(_json_dump_calls(path)) == [3, 4]
 
 
+#: The ``functools`` decorators that keep results between calls.
+_CACHES = {"lru_cache", "cache", "cached_property"}
+
+
+def _functools_caches(path):
+    """(line, name) for each ``functools`` cache a source file imports by name
+    or reaches as an attribute of the module."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    functools_names = {
+        alias.asname or alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Import)
+        for alias in node.names
+        if alias.name == "functools"
+    }
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "functools":
+            yield from ((node.lineno, alias.name) for alias in node.names if alias.name in _CACHES)
+        elif (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id in functools_names
+            and node.attr in _CACHES
+        ):
+            yield node.lineno, node.attr
+
+
+def test_library_keeps_no_caches():
+    # a process-wide cache is state that outlives the call: results depend on
+    # what ran before, and memory grows with every argument seen
+    found = [f"{path.name}:{line}: {name}" for path in sorted(SRC.glob("*.py")) for line, name in _functools_caches(path)]
+    assert found == []
+
+
+def test_cache_check_flags_functools_caches(tmp_path):
+    path = tmp_path / "sample.py"
+    path.write_text(
+        "import functools as ft\nfrom functools import reduce, lru_cache as lc\n"
+        "@ft.cache\ndef f(x):\n    return ft.reduce(max, x)\n\n\nclass A:\n    p = ft.cached_property(f)\n"
+    )
+    assert sorted(_functools_caches(path)) == [(2, "lru_cache"), (3, "cache"), (9, "cached_property")]
+
+
 def _hand_copied_bounds(path):
     """(line, source) for each comparison of the name ``n`` with the literal 4 or 5 in a source file."""
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
