@@ -15,8 +15,8 @@ from fractions import Fraction
 from math import comb
 
 from .classify import (
-    BAND_MIN_N, CLASSIFY_MIN_N, band_n_range, central_band, quasi_complete_m1, quasi_complete_params, quasi_star_m1,
-    quasi_star_params, tie_pairs, ties,
+    BAND_MIN_N, CLASSIFY_MIN_N, band_n_range, cells, central_band, quasi_complete_m1, quasi_complete_params,
+    quasi_star_m1, quasi_star_params, tie_pairs, ties,
 )
 from .errors import DomainError, SizeLimitError
 from .families import (
@@ -176,17 +176,18 @@ def scan_tie_band(n_lo: int, n_hi: int) -> ScanReport:
 
 def band_decomposition_violations(n_lo: int, n_hi: int) -> list:
     """Central-band pairs whose decomposition parameters escape
-    (n/sqrt(2) - 2, n/sqrt(2) + 1); checked by exact squared comparisons."""
+    (n/sqrt(2) - 2, n/sqrt(2) + 1), as ``(n, m, val)``; checked by exact
+    squared comparisons once per cell, on which both k and k' are fixed."""
     bad = []
     for n in band_n_range(n_lo, n_hi):
-        for m in central_band(n):
-            k, _ = quasi_complete_params(m)
-            kp, _ = quasi_star_params(n, m)
+        for m0, last, k, _, kp, _, _, _ in cells(n, central_band(n)):
+            escaped = []
             for val in (k, kp):
                 low_ok = n * n < 2 * (val + 2) ** 2
                 high_ok = val <= 1 or 2 * (val - 1) ** 2 < n * n
                 if not (low_ok and high_ok):
-                    bad.append((n, m, val))
+                    escaped.append(val)
+            bad.extend((n, m, val) for m in range(m0, last + 1) for val in escaped)
     return bad
 
 

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import settings
 
-from lmrttg import verify_seven_pairs
+from lmrttg.scans import verify_seven_pairs
 
 # the same examples every run, no example database in the checkout, and no
 # timing-dependent deadline failures

@@ -437,14 +437,13 @@ def sturm_degrees_oracle(p):
 
 def relabel(g, perm):
     """Image of g under the vertex bijection ``perm`` (old index -> new index)."""
-    from lmrttg import Graph
+    from lmrttg.graphs import Graph
 
     return Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
 
 
 def random_graph(rnd, n_lo=2, n_hi=8):
-    from lmrttg import Graph
-    from lmrttg.graphs import vertex_pairs
+    from lmrttg.graphs import Graph, vertex_pairs
 
     n = rnd.randint(n_lo, n_hi)
     pairs = vertex_pairs(n)

@@ -9,31 +9,25 @@ import time
 from fractions import Fraction
 from math import comb
 
-from lmrttg import (
-    FamilyTag,
-    MARGIN,
-    band_bounds_check,
-    band_decomposition_violations,
-    build_family,
+from lmrttg.classify import (
+    central_band,
     classify,
-    count_roots,
-    family_exists,
-    family_h,
-    identity_suite,
-    invariant_bundle,
-    quasi_complete_h,
     quasi_complete_params,
     quasi_star_m1,
     quasi_star_params,
+    spectrum,
+    tie_pairs,
+)
+from lmrttg.families import FamilyTag, build_family, family_exists
+from lmrttg.invariants import family_h, invariant_bundle, quasi_complete_h
+from lmrttg.quadratic import MARGIN, band_bounds_check, count_roots, sign_variations, sturm_sequence
+from lmrttg.scans import (
+    band_decomposition_violations,
+    identity_suite,
     scan_tie_band,
     scan_uniqueness,
-    spectrum,
-    sturm_sequence,
-    tie_pairs,
     verify_seven_pairs,
 )
-from lmrttg.classify import central_band
-from lmrttg.quadratic import sign_variations
 from oracles import m1_race_oracle, threshold_sign_oracle
 
 

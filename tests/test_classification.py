@@ -1,13 +1,15 @@
 from fractions import Fraction
-from importlib import import_module
 from math import comb
 
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from lmrttg import (
-    DomainError,
+from lmrttg.classify import (
+    BAND_MIN_N,
+    Sign,
+    cells,
+    central_band,
     classify,
     quasi_complete_m1,
     quasi_complete_params,
@@ -15,9 +17,10 @@ from lmrttg import (
     quasi_star_params,
     spectrum,
     tie_pairs,
+    ties,
+    trivial_tie_ms,
 )
-from lmrttg.classify import BAND_MIN_N, Sign, cells, central_band, ties, trivial_tie_ms
-from lmrttg.errors import InvariantError
+from lmrttg.errors import DomainError, InvariantError
 from lmrttg.scans import TIE_SCAN_MAX_N
 from oracles import m1_race_oracle, threshold_sign_oracle
 
@@ -191,7 +194,7 @@ def test_gap_has_zero_second_difference_on_each_cell(data):
 
 def test_ties_confirms_each_solved_tie(monkeypatch):
     # a solved tie that classify rejects is a broken invariant, raised and not asserted
-    monkeypatch.setattr(import_module("lmrttg.classify"), "classify", lambda n, m: Sign.MINUS)
+    monkeypatch.setattr("lmrttg.classify.classify", lambda n, m: Sign.MINUS)
     with pytest.raises(InvariantError):
         ties(8, central_band(8))
 

@@ -14,11 +14,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lmrttg import DomainError, Graph, TwoTerminalGraph, classify, cli, families, quasi_complete_params, quasi_star_params, reliability, scans
-from lmrttg.classify import BAND_MIN_N, TABLE_COLUMNS, central_band, spectrum
+from lmrttg import cli, families, reliability, scans
+from lmrttg.classify import (
+    BAND_MIN_N,
+    TABLE_COLUMNS,
+    central_band,
+    classify,
+    quasi_complete_params,
+    quasi_star_params,
+    spectrum,
+)
 from lmrttg.cli import main
+from lmrttg.errors import DomainError
 from lmrttg.families import LMRTTG_MIN_N, lmrttg_ms
-from lmrttg.graphs import to_json_obj, vertex_pairs
+from lmrttg.graphs import Graph, TwoTerminalGraph, to_json_obj, vertex_pairs
 from lmrttg.quadratic import QuadNumber, QuadPolynomial
 from lmrttg.scans import TIE_SCAN_MAX_N
 

@@ -2,27 +2,11 @@ from math import comb
 
 import pytest
 
-from lmrttg import (
-    DomainError,
-    FamilyDoesNotExist,
-    FamilyTag,
-    Graph,
-    build_family,
-    build_h_optimal,
-    build_lmrttg,
-    candidate_set,
-    canonical_key,
-    classify,
-    complement,
-    family_exists,
-    graph_key,
-    invariant_bundle,
-    quasi_complete_params,
-    quasi_star_params,
-)
-from lmrttg.classify import Sign
-from lmrttg.graphs import join
-from lmrttg.invariants import max_m1_graphs
+from lmrttg.classify import Sign, classify, quasi_complete_params, quasi_star_params
+from lmrttg.errors import DomainError, FamilyDoesNotExist
+from lmrttg.families import FamilyTag, build_family, build_h_optimal, build_lmrttg, candidate_set, family_exists
+from lmrttg.graphs import Graph, TwoTerminalGraph, canonical_key, complement, graph_key, join
+from lmrttg.invariants import invariant_bundle, max_m1_graphs
 from oracles import iso_oracle
 
 
@@ -248,6 +232,4 @@ def test_lmrttg_boundary_agrees_with_dense_form():
         tg = build_lmrttg(n, 2 * n - 3)
         assert terminals_universal(tg)
         dense = join(Graph.complete(2), build_h_optimal(n - 2, 0)[1])
-        from lmrttg import TwoTerminalGraph
-
         assert canonical_key(tg) == canonical_key(TwoTerminalGraph(dense, 0, 1))

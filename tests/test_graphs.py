@@ -11,23 +11,25 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from lmrttg import (
-    DomainError,
-    FamilyTag,
+from lmrttg import graphs
+from lmrttg.errors import DomainError, SizeLimitError
+from lmrttg.families import FamilyTag, build_family
+from lmrttg.graphs import (
+    GRAPH_JSON_MAX_N,
     Graph,
-    SizeLimitError,
     TwoTerminalGraph,
-    build_family,
     canonical_key,
+    canonical_key_ordered,
     complement,
+    form_of_key,
     from_json,
     graph_key,
     join,
     threshold_graph,
     to_dot,
+    to_json_obj,
+    vertex_pairs,
 )
-from lmrttg import graphs
-from lmrttg.graphs import GRAPH_JSON_MAX_N, canonical_key_ordered, form_of_key, to_json_obj, vertex_pairs
 from oracles import canonical_form_oracle, iso_oracle, ordered_iso_oracle, random_graph, relabel, threshold_oracle
 
 
@@ -224,7 +226,9 @@ def test_canonical_key_size_bound(monkeypatch):
 #: peak across exec, so in a test run it reads the test process's own.
 _LARGE_KEYS = """
 import json, time
-from lmrttg import Graph, SizeLimitError, build_lmrttg, canonical_key, graph_key
+from lmrttg.errors import SizeLimitError
+from lmrttg.families import build_lmrttg
+from lmrttg.graphs import Graph, canonical_key, graph_key
 n = 4000
 circulant = Graph.from_edges(n, [(u, (u + j) % n) for u in range(n) for j in (1, 2, 3)])
 tg = build_lmrttg(2000, 3001)

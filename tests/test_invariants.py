@@ -6,26 +6,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lmrttg import (
-    DomainError,
-    FamilyTag,
-    Graph,
-    build_family,
-    complement,
+from lmrttg.classify import quasi_complete_params, quasi_star_m1, quasi_star_params
+from lmrttg.errors import DomainError, FamilyDoesNotExist
+from lmrttg.families import FamilyTag, build_family, family_exists
+from lmrttg.graphs import Graph, complement, graph_key
+from lmrttg.invariants import (
     complement_residuals,
-    family_exists,
     family_h,
     family_h_values,
-    graph_key,
     h_sum_offset,
     invariant_bundle,
+    max_m1_graphs,
     quasi_complete_h,
-    quasi_complete_params,
-    quasi_star_m1,
-    quasi_star_params,
 )
-from lmrttg.errors import FamilyDoesNotExist
-from lmrttg.invariants import max_m1_graphs
 from lmrttg.scans import _p4_by_walk
 from oracles import max_m1_oracle, p3_oracle, p4_oracle, random_graph, triangle_oracle, zagreb_oracle
 

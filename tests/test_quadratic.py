@@ -7,23 +7,23 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from lmrttg import (
+from lmrttg.classify import central_band
+from lmrttg.errors import DomainError
+from lmrttg.families import FamilyTag, family_exists
+from lmrttg.invariants import family_h
+from lmrttg.quadratic import (
     GAP_LOWER,
     MARGIN,
     SPREAD_UPPER,
-    DomainError,
-    FamilyTag,
     QuadNumber,
     QuadPolynomial,
+    _bounds_at,
     band_bounds_check,
     count_roots,
-    family_exists,
-    family_h,
     refine_root,
+    sign_variations,
     sturm_sequence,
 )
-from lmrttg.classify import central_band
-from lmrttg.quadratic import _bounds_at, sign_variations
 from lmrttg.scans import _tie_band_records
 from oracles import poly_mod_oracle, poly_mul_oracle, poly_sub_oracle, sturm_degrees_oracle
 

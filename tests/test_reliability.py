@@ -7,21 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lmrttg import (
-    DomainError,
-    Graph,
-    SizeLimitError,
-    TwoTerminalGraph,
-    build_lmrttg,
-    canonical_key,
-    find_lmrttg,
-    n_vector,
-    reliability,
-    reliability_at,
-)
-from lmrttg.families import lmrttg_ms
-from lmrttg.graphs import canonical_key_ordered, vertex_pairs
-from lmrttg.reliability import NVEC_MAX_VERTICES, _prefix_scan
+from lmrttg import reliability
+from lmrttg.errors import DomainError, SizeLimitError
+from lmrttg.families import build_lmrttg, lmrttg_ms
+from lmrttg.graphs import Graph, TwoTerminalGraph, canonical_key, canonical_key_ordered, vertex_pairs
+from lmrttg.reliability import NVEC_MAX_VERTICES, _prefix_scan, find_lmrttg, n_vector, reliability_at
 from oracles import nvec_oracle, prefix_survivors_oracle
 
 

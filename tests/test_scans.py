@@ -4,27 +4,24 @@ from pathlib import Path
 
 import pytest
 
-from lmrttg import (
-    DomainError,
-    families,
-    FamilyTag,
-    Graph,
+from lmrttg import families, scans
+from lmrttg.classify import quasi_complete_params, quasi_star_params
+from lmrttg.errors import DomainError
+from lmrttg.families import FamilyTag, build_family, candidate_set
+from lmrttg.graphs import Graph, graph_key
+from lmrttg.invariants import family_h, invariant_bundle
+from lmrttg.scans import (
     ScanReport,
+    _h_optima,
+    _tie_band_records,
     band_bounds_report,
     band_decomposition_violations,
     brute_record,
-    build_family,
-    candidate_set,
-    family_h,
-    graph_key,
     identity_suite,
-    invariant_bundle,
     scan_tie_band,
     scan_uniqueness,
     sturm_report,
 )
-from lmrttg import scans
-from lmrttg.scans import _h_optima, _tie_band_records
 from oracles import h_optima_oracle, iso_oracle
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -167,6 +164,31 @@ def test_band_decomposition_violations_empty():
     assert band_decomposition_violations(8, 60) == []
 
 
+def test_band_decomposition_violations_solve_no_pair(monkeypatch):
+    # k and k' are fixed on a cell, so the check reads them from the cells
+    # and solves no decomposition per pair
+    calls = []
+    for name in ("quasi_complete_params", "quasi_star_params"):
+        monkeypatch.setattr(scans, name, lambda *args, fn=getattr(scans, name): calls.append(args) or fn(*args))
+    assert band_decomposition_violations(8, 100) == []
+    assert calls == []
+
+
+def test_band_decomposition_violations_list_every_pair_of_a_failing_cell(monkeypatch):
+    # over every m the parameters escape on whole cells; each pair is listed
+    # once per escaping parameter, k before k', in increasing m
+    monkeypatch.setattr(scans, "central_band", lambda n: range(comb(n, 2) + 1))
+    expected = [
+        (n, m, val)
+        for n in range(8, 13)
+        for m in range(comb(n, 2) + 1)
+        for val in (quasi_complete_params(m)[0], quasi_star_params(n, m)[0])
+        if not (n * n < 2 * (val + 2) ** 2 and (val <= 1 or 2 * (val - 1) ** 2 < n * n))
+    ]
+    assert len(expected) > 100
+    assert band_decomposition_violations(8, 12) == expected
+
+
 @pytest.mark.parametrize("scan", [scan_tie_band, band_bounds_report, band_decomposition_violations])
 @pytest.mark.parametrize("n_lo, n_hi", [(1, 7), (9, 8)])
 def test_band_scans_reject_ranges_outside_the_band(scan, n_lo, n_hi):
@@ -182,8 +204,8 @@ def test_band_bounds_report_small():
 
 def test_band_bounds_report_checks_decomposition_on_its_whole_range(monkeypatch):
     # a violation planted above n = 200 must reach the report of a range that reaches it
-    quasi_star = scans.quasi_star_params
-    monkeypatch.setattr(scans, "quasi_star_params", lambda n, m: (n, 0) if n > 200 else quasi_star(n, m))
+    cells = scans.cells
+    monkeypatch.setattr(scans, "cells", lambda n, ms: [(*c[:4], n, *c[5:]) if n > 200 else c for c in cells(n, ms)])
     rep = band_bounds_report(8, 210)
     assert not rep.verdict
     (rec,) = rep.records

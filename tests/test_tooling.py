@@ -196,7 +196,7 @@ def _unused_imports(path):
 
 def test_library_has_no_unused_imports():
     # an import left behind by a deleted use loads and hides a dependency;
-    # __init__ imports only to re-export
+    # __init__ imports its modules so that `import lmrttg` binds them
     paths = [path for path in sorted(SRC.glob("*.py")) if path.name != "__init__.py"]
     assert len(paths) > 5
     found = [f"{path.name}:{line}: {name}" for path in paths for line, name in _unused_imports(path)]
@@ -282,9 +282,15 @@ def _function_imports(path):
 
 
 def _package_imports(path):
-    """The package modules a source file imports with ``from .x import``, at module level or in a function."""
+    """The package modules a source file imports with ``from .x import`` or
+    ``from . import x``, at module level or in a function."""
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-    return {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.level == 1}
+    return {
+        node.module or alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level == 1
+        for alias in node.names
+    }
 
 
 def test_library_imports_at_module_level():
@@ -294,6 +300,22 @@ def test_library_imports_at_module_level():
     graph = {path.stem: _package_imports(path) for path in SRC.glob("*.py")}
     assert graph["classify"] == {"errors"} and "classify" in graph["families"]
     TopologicalSorter(graph).prepare()  # raises CycleError on an import cycle
+
+
+def test_package_is_its_modules():
+    # each library name has one import path, its module: the package re-exports
+    # no names, so no function can shadow the module it is defined in
+    body = ast.parse((SRC / "__init__.py").read_text(encoding="utf-8")).body
+    docstring, *imports = body
+    assert isinstance(docstring, ast.Expr) and isinstance(docstring.value, ast.Constant)
+    assert imports and all(isinstance(node, ast.ImportFrom) and (node.level, node.module) == (1, None) for node in imports)
+    assert all((SRC / f"{alias.name}.py").is_file() and alias.asname is None for node in imports for alias in node.names)
+    modules = sorted(path.stem for path in SRC.glob("*.py") if not path.stem.startswith("__"))
+    lmrttg = import_module("lmrttg")
+    assert [m for m in modules if import_module(f"lmrttg.{m}") is not getattr(lmrttg, m)] == []
+    import lmrttg.classify as classify_module
+
+    assert classify_module is sys.modules["lmrttg.classify"]
 
 
 def test_cli_import_leaves_heavy_modules_unloaded():
