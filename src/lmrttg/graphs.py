@@ -15,14 +15,10 @@ input and hand-written constructions, ``edges`` for graph JSON and DOT.
 from __future__ import annotations
 
 import json
-from itertools import chain, permutations, product
-from math import factorial, prod
+from itertools import chain
 
-from .errors import DomainError, SizeLimitError
+from .errors import DomainError, InvariantError
 
-#: Most slot orders that a canonical-key walk takes: all 8! of the twin-free
-#: 3-regular 3-cube under ``graph_key``.  The walk is counted before it starts.
-KEY_MAX_ORDERS = factorial(8)
 #: Vertex bound of the graph JSON format, checked before any row is allocated.
 GRAPH_JSON_MAX_N = 1 << 16
 
@@ -162,108 +158,52 @@ def vertex_pairs(n: int) -> tuple:
 
 # ---------------------------------------------------------------------------
 # Canonical forms.
-#
-# A key is ``(n, mask)``: the minimum edge bitmask, with the pair bits in
-# vertex_pairs order, over the relabelings that put the lead vertices on
-# the first slots in the given order and every other vertex on a slot of
-# its degree class, the classes by descending degree.  Isomorphisms keep
-# degrees and send lead vertices to lead vertices, so isomorphic inputs
-# reach the same masks; the minimal mask is the relabeled graph itself, so
-# equal keys mean isomorphic inputs.  The degree classes cut the search
-# from (n - len(lead))! maps to the product of the class factorials.
-#
-# Twins cut it further.  Two vertices u, v outside the lead are twins when
-# their rows agree outside u and v, so that swapping them is an automorphism;
-# it fixes every other vertex, the lead ones included, and every degree
-# class.  A slot order and its image under the swap give the same mask, so
-# the walk takes one order per arrangement of each degree class's twin
-# classes, and the minimum, and with it every key, is unchanged.  Twins are
-# equal rows: unjoined twins have equal rows, and joined twins have equal
-# closed rows, rows[v] | 1 << v.  No vertex has twins of both kinds: were
-# u, v unjoined twins and v, w joined twins, then w is in N(v) = N(u), so u
-# is in N[w] = N[v], and u is joined to v.  So the twin classes are the
-# groups of equal rows, plus the groups of equal closed rows among the
-# vertices whose row no other vertex shares, found by lookup, with no two
-# vertices compared.  Vertices of equal degree in a threshold graph are
-# twins (Mahadev & Peled 1995), so the dense winners need a single order.
-#
-# A degree class of s vertices in twin classes of sizes c_1, ..., c_j has
-# s! / (c_1! ... c_j!) arrangements, and the walk takes each combination of
-# one per class.  This product is counted, and bounded by KEY_MAX_ORDERS,
-# before the walk: every graph the optimum search scores up to n = 24 needs
-# one order, and the twin-free Petersen graph (10! orders) raises at once.
 # ---------------------------------------------------------------------------
 
 
-def _twin_orders(classes: list):
-    """The slot orders of one degree class, one per arrangement of its twin
-    classes, each class's vertices taken in a fixed order.  The arrangements
-    are the distinct permutations of the class labels, stepped through in
-    lexicographic order without recursion, so a class of any size walks."""
-    if all(len(cls) == 1 for cls in classes):
-        yield from permutations([cls[0] for cls in classes])
-        return
-    labels = [i for i, cls in enumerate(classes) for _ in cls]
-    while True:
-        taken = [iter(cls) for cls in classes]
-        yield tuple(next(taken[i]) for i in labels)
-        j = len(labels) - 2
-        while j >= 0 and labels[j] >= labels[j + 1]:
-            j -= 1
-        if j < 0:
-            return
-        k = len(labels) - 1
-        while labels[k] <= labels[j]:
-            k -= 1
-        labels[j], labels[k] = labels[k], labels[j]
-        labels[j + 1 :] = reversed(labels[j + 1 :])
+def _canonical(g: Graph, lead: tuple) -> tuple:
+    """``(n, mask)``: the edge bitmask, pair bits in vertex_pairs order, of
+    g relabeled by a slot order: the lead vertices first, in order, then the
+    others by descending degree.
 
+    Precondition: the non-lead vertices of each degree are pairwise twins,
+    so their rows are all equal or their closed rows ``rows[v] | 1 << v``
+    all are, since twins of both kinds never meet (were u, v unjoined twins
+    and v, w joined ones, w is in N(v) = N(u), so u is in N[w] = N[v]);
+    otherwise this raises InvariantError.  Every graph the optimum search
+    scores, every family member and every ``M1`` maximizer is a threshold
+    graph, whose vertices of equal degree are twins (Mahadev & Peled 1995).
 
-def _min_mask(g: Graph, groups) -> int:
-    """Minimum mask over the slot orders that arrange each group of twin
-    classes in turn."""
-    n = g.n
+    Proof that the key is complete.  Permuting one such class and fixing
+    every other vertex is an automorphism, so all slot orders give one mask,
+    which is also their minimum.  An isomorphism from g to h that maps lead to
+    lead in order keeps degrees, so a slot order of h composed with it is a
+    slot order of g that relabels g onto the same graph: isomorphic inputs
+    get equal masks.  The mask is the relabeled graph itself, so equal keys
+    mean inputs isomorphic by a map that sends lead to lead in order."""
+    n, rows, by_deg = g.n, g.rows, {}
+    for v in range(n):
+        if v not in lead:
+            by_deg.setdefault(rows[v].bit_count(), []).append(v)
+    for d, cls in by_deg.items():
+        if len({rows[v] for v in cls}) > 1 and len({rows[v] | 1 << v for v in cls}) > 1:
+            raise InvariantError(f"canonical key: the {len(cls)} vertices of degree {d} are not one twin class")
+    slot, mask = [0] * n, 0
+    for i, v in enumerate(chain(lead, *(by_deg[d] for d in sorted(by_deg, reverse=True)))):
+        slot[v] = i
     # slot pair (a, b), a < b, is bit base[a] + b, its place in vertex_pairs
     # order: a(2n - a - 1)/2 pairs start at a slot below a, and b - a - 1
-    # start at a before it; n offsets keep the setup linear
+    # start at a before it
     base = [a * (2 * n - a - 3) // 2 - 1 for a in range(n)]
-    edges = g.edges()
-    slot = [0] * n
-    best = None
-    for combo in product(*(_twin_orders(grp) for grp in groups)):
-        for i, v in enumerate(chain.from_iterable(combo)):
-            slot[v] = i
-        mask = 0
-        for u, v in edges:
-            a, b = slot[u], slot[v]
-            mask |= 1 << (base[a] + b if a < b else base[b] + a)
-        if best is None or mask < best:
-            best = mask
-    return best
-
-
-def _canonical(g: Graph, lead: tuple) -> tuple:
-    """``(n, mask)`` over the relabelings that pin each lead vertex, in
-    order, to the first slots and the other vertices by degree class, each
-    class split into its twin classes, within KEY_MAX_ORDERS slot orders."""
-    rows, by_row, by_closed, by_deg = g.rows, {}, {}, {}
-    for v in range(g.n):
-        if v not in lead:
-            by_row.setdefault(rows[v], []).append(v)
-    for v, *rest in by_row.values():
-        if not rest:
-            by_closed.setdefault(rows[v] | 1 << v, []).append(v)
-    for cls in chain((c for c in by_row.values() if len(c) > 1), by_closed.values()):
-        by_deg.setdefault(rows[cls[0]].bit_count(), []).append(cls)
-    orders = prod(factorial(sum(map(len, cls))) // prod(factorial(len(c)) for c in cls) for cls in by_deg.values())
-    if orders > KEY_MAX_ORDERS:
-        raise SizeLimitError(f"canonical form would walk more than {KEY_MAX_ORDERS} slot orders")
-    groups = [[(v,)] for v in lead] + [by_deg[d] for d in sorted(by_deg, reverse=True)]
-    return g.n, _min_mask(g, groups)
+    for u, v in g.edges():
+        a, b = slot[u], slot[v]
+        mask |= 1 << (base[a] + b if a < b else base[b] + a)
+    return n, mask
 
 
 def canonical_key(tg: TwoTerminalGraph) -> tuple:
-    """Complete invariant of (graph, unordered terminal pair) isomorphism.
+    """Complete invariant of (graph, unordered terminal pair) isomorphism,
+    for graphs inside the ``_canonical`` precondition.
 
     Two two-terminal graphs get equal keys iff some graph isomorphism maps
     the one terminal pair onto the other (as an unordered pair).
@@ -277,7 +217,7 @@ def canonical_key_ordered(tg: TwoTerminalGraph) -> tuple:
 
 
 def graph_key(g: Graph) -> tuple:
-    """Complete isomorphism invariant for plain graphs, within KEY_MAX_ORDERS slot orders."""
+    """Complete isomorphism invariant for plain graphs whose equal-degree vertices are twins."""
     return _canonical(g, ())
 
 

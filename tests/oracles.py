@@ -369,6 +369,19 @@ def canonical_form_oracle(tg):
     return best[1]
 
 
+def degree_twins_oracle(g, lead=()):
+    """Whether every two vertices outside ``lead`` with equal degree are
+    twins: each third vertex is joined to both or to neither, pair by pair
+    from the edge list."""
+    adj = _adjacency(g)
+    rest = [v for v in range(g.n) if v not in lead]
+    return all(
+        all((w in adj[u]) == (w in adj[v]) for w in range(g.n) if w not in (u, v))
+        for u, v in combinations(rest, 2)
+        if len(adj[u]) == len(adj[v])
+    )
+
+
 # Polynomials over Q[sqrt(2)] as ascending lists of (a, b) Fraction pairs,
 # each pair standing for a + b*sqrt(2); the zero polynomial is [].
 

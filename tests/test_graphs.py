@@ -4,16 +4,15 @@ import random
 import subprocess
 import sys
 from itertools import permutations
-from math import factorial, prod
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lmrttg import graphs
-from lmrttg.errors import DomainError, SizeLimitError
-from lmrttg.families import FamilyTag, build_family
+from lmrttg.errors import DomainError, InvariantError
+from lmrttg.families import FamilyTag, build_family, build_lmrttg, lmrttg_ms
 from lmrttg.graphs import (
     GRAPH_JSON_MAX_N,
     Graph,
@@ -30,7 +29,15 @@ from lmrttg.graphs import (
     to_json_obj,
     vertex_pairs,
 )
-from oracles import canonical_form_oracle, iso_oracle, ordered_iso_oracle, random_graph, relabel, threshold_oracle
+from oracles import (
+    canonical_form_oracle,
+    degree_twins_oracle,
+    iso_oracle,
+    ordered_iso_oracle,
+    random_graph,
+    relabel,
+    threshold_oracle,
+)
 
 
 def test_complement_of_empty_is_complete():
@@ -141,9 +148,16 @@ def test_canonical_key_terminal_swap():
 
 
 def test_canonical_key_inner_transposition():
+    # swapping two inner vertices keeps the key of a graph inside the
+    # precondition; inner vertices 2 and 3 of the path 1-2-0-3-4 have degree 2
+    # and are not twins, so that graph has no key
+    tg = build_lmrttg(5, 6)
+    swapped = TwoTerminalGraph(relabel(tg.graph, [0, 1, 2, 4, 3]), 0, 1)
+    assert canonical_key(swapped) == canonical_key(tg)
     g = Graph.from_edges(5, [(0, 2), (2, 1), (0, 3), (3, 4)])
-    swapped = relabel(g, [0, 1, 2, 4, 3])
-    assert canonical_key(TwoTerminalGraph(g, 0, 1)) == canonical_key(TwoTerminalGraph(swapped, 0, 1))
+    for key in (canonical_key, canonical_key_ordered):
+        with pytest.raises(InvariantError, match="the 2 vertices of degree 2 are not one twin class"):
+            key(TwoTerminalGraph(g, 0, 1))
 
 
 def test_canonical_key_distinguishes_terminal_placement_on_path():
@@ -156,69 +170,43 @@ def test_canonical_key_distinguishes_terminal_placement_on_path():
     assert canonical_key(ends) != canonical_key(end_mid)
 
 
-def test_canonical_key_invariance_randomized():
-    rnd = random.Random(4)
-    for _ in range(100):
-        g = random_graph(rnd, 2, 8)
-        s, t = rnd.sample(range(g.n), 2)
-        tg = TwoTerminalGraph(g, s, t)
-        key = canonical_key(tg)
-        for _ in range(20):
-            perm = list(range(g.n))
-            rnd.shuffle(perm)
-            tg2 = TwoTerminalGraph(relabel(g, perm), perm[s], perm[t])
-            if rnd.random() < 0.5:
-                tg2 = TwoTerminalGraph(tg2.graph, tg2.t, tg2.s)
-            assert canonical_key(tg2) == key
-
-
-def test_canonical_key_matches_vf2_oracle():
-    rnd = random.Random(5)
-    for _ in range(60):
-        a = random_graph(rnd, 2, 5)
-        b = random_graph(rnd, 2, 5)
-        ta = TwoTerminalGraph(a, *rnd.sample(range(a.n), 2))
-        tb = TwoTerminalGraph(b, *rnd.sample(range(b.n), 2))
-        assert (canonical_key(ta) == canonical_key(tb)) == iso_oracle(ta, tb)
-
-
 def test_graph_key_matches_isomorphism():
-    # all 4-vertex graphs, pairwise: same key iff isomorphic
-    rnd = random.Random(6)
-    graphs = [random_graph(rnd, 4, 4) for _ in range(40)]
+    # every labelled graph on 4 vertices: a key raises exactly when the oracle
+    # finds two vertices of equal degree that are not twins, and the others
+    # get equal keys iff they are isomorphic
     import networkx as nx
 
     from oracles import to_networkx
 
-    for a in graphs[:10]:
-        for b in graphs[:10]:
-            assert (graph_key(a) == graph_key(b)) == nx.is_isomorphic(to_networkx(a), to_networkx(b))
+    pairs = vertex_pairs(4)
+    accepted = []
+    for mask in range(1 << len(pairs)):
+        g = Graph.from_edges(4, [pair for i, pair in enumerate(pairs) if mask >> i & 1])
+        if degree_twins_oracle(g):
+            accepted.append((graph_key(g), g))
+        else:
+            with pytest.raises(InvariantError):
+                graph_key(g)
+    assert len(accepted) == 46
+    for key_a, a in accepted:
+        for key_b, b in accepted:
+            assert (key_a == key_b) == nx.is_isomorphic(to_networkx(a), to_networkx(b))
 
 
-def test_canonical_key_size_bound(monkeypatch):
-    # the bound is on slot orders: the twin-free 3-regular Petersen graph has
-    # 10! of them and raises before the walk, the 3-cube's 8! are the most
-    # a walk takes, and isolated vertices are twins, so any number of them key
+def test_canonical_key_size_bound():
+    # a key labels a graph once, so it has no size bound; twin-free regular
+    # graphs and 2K_2 as a plain graph are outside its precondition and raise
     cube = Graph.from_edges(8, [(u, u | bit) for u in range(8) for bit in (1, 2, 4) if not u & bit])
-    assert cube.degrees() == (3,) * 8
-    graph_key(cube)
     petersen = Graph.from_edges(10, [(i, (i + 1) % 5) for i in range(5)] + [(i, i + 5) for i in range(5)]
                                 + [(5 + i, 5 + (i + 2) % 5) for i in range(5)])
-    assert petersen.degrees() == (3,) * 10
+    two_k2 = Graph.from_edges(4, [(0, 1), (2, 3)])
+    assert cube.degrees() == (3,) * 8 and petersen.degrees() == (3,) * 10
+    for g in (cube, petersen, two_k2):
+        with pytest.raises(InvariantError, match="not one twin class"):
+            graph_key(g)
+    assert canonical_key(TwoTerminalGraph(two_k2, 0, 1)) == (4, 0b100001)
     big = TwoTerminalGraph(Graph.empty(11), 0, 1)
-    assert canonical_key(big) == canonical_key_ordered(big) == (11, 0)
-
-    def no_walk(g, groups):
-        raise AssertionError("walked before the size check")
-
-    monkeypatch.setattr(graphs, "_min_mask", no_walk)
-    with pytest.raises(SizeLimitError, match=r"would walk more than 40320 slot orders"):
-        graph_key(petersen)
-    # the count is not printed: the leaves of three disjoint 4000-leaf stars
-    # have over 5,000 digits of orders, past the int-to-text limit
-    stars = Graph.from_edges(12003, [(hub, 3 + 3 * i + hub) for hub in range(3) for i in range(4000)])
-    with pytest.raises(SizeLimitError, match=r"would walk more than 40320 slot orders"):
-        graph_key(stars)
+    assert canonical_key(big) == canonical_key_ordered(big) == graph_key(big.graph) == (11, 0)
 
 
 #: Run in a fresh process, so that its peak resident set is the keys' own.
@@ -226,7 +214,7 @@ def test_canonical_key_size_bound(monkeypatch):
 #: peak across exec, so in a test run it reads the test process's own.
 _LARGE_KEYS = """
 import json, time
-from lmrttg.errors import SizeLimitError
+from lmrttg.errors import InvariantError
 from lmrttg.families import build_lmrttg
 from lmrttg.graphs import Graph, canonical_key, graph_key
 n = 4000
@@ -236,7 +224,7 @@ start = time.perf_counter()
 try:
     graph_key(circulant)
     raised = None
-except SizeLimitError:
+except InvariantError:
     raised = time.perf_counter() - start
 start = time.perf_counter()
 canonical_key(tg)
@@ -250,9 +238,10 @@ print(json.dumps({"raised_s": raised, "keyed_s": keyed, "empty": empty, "peak_mb
 
 @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads the peak resident set from /proc")
 def test_key_setup_is_linear_and_caches_nothing():
-    # twin classes are a row lookup and pairs are numbered by n offsets, so the
-    # twin-free C_4000(1,2,3) raises, and a 2000-vertex construction and 2000
-    # isolated vertices key, with no n x n table and no cache of C(n, 2) pairs
+    # degree classes are grouped and checked by row lookup, and pairs are
+    # numbered by n offsets, so the twin-free C_4000(1,2,3) raises, and a
+    # 2000-vertex construction and 2000 isolated vertices key, with no n x n
+    # table and no cache of C(n, 2) pairs
     env = dict(os.environ, PYTHONPATH=str(Path(graphs.__file__).parents[1]))
     proc = subprocess.run([sys.executable, "-S", "-c", _LARGE_KEYS], capture_output=True, text=True, env=env, timeout=120)
     assert (proc.returncode, proc.stderr) == (0, "")
@@ -263,65 +252,34 @@ def test_key_setup_is_linear_and_caches_nothing():
     assert got["peak_mb"] < 64
 
 
-def test_twin_orders_count_their_multinomial():
-    # the walk takes exactly the orders that _canonical counts, each once, and
-    # steps through a twin class of any size without recursion
-    for sizes in ([1, 1, 1], [2, 1], [2, 2], [3, 1, 2], [1, 4, 1]):
-        classes, start = [], 0
-        for size in sizes:
-            classes.append(list(range(start, start + size)))
-            start += size
-        orders = list(graphs._twin_orders(classes))
-        assert len(orders) == len(set(orders)) == factorial(start) // prod(map(factorial, sizes))
-        assert all(sorted(order) == list(range(start)) for order in orders)
-    assert sum(1 for _ in graphs._twin_orders([list(range(1500)), [1500]])) == 1501
-
-
 def test_canonical_form_matches_labelling_oracle():
-    # pins the labelling that `verify brute` prints as winner_canonical
-    rnd = random.Random(7)
-    for _ in range(150):
-        g = random_graph(rnd, 2, 7)
-        tg = TwoTerminalGraph(g, *rnd.sample(range(g.n), 2))
-        key = canonical_key(tg)
-        form = form_of_key(key)
-        assert (form.s, form.t) == (0, 1)
-        assert form.graph.edges() == canonical_form_oracle(tg)
-        assert canonical_key(form) == key
+    # pins the labelling that `verify brute` prints as winner_canonical, on
+    # every construction it is compared with up to n = 7
+    for n in range(4, 8):
+        for m in lmrttg_ms(n):
+            tg = build_lmrttg(n, m)
+            key = canonical_key(tg)
+            form = form_of_key(key)
+            assert (form.s, form.t) == (0, 1)
+            assert form.graph.edges() == canonical_form_oracle(tg), (n, m)
+            assert canonical_key(form) == key
 
 
 @st.composite
-def _relabeled_pair(draw):
-    """A two-terminal graph on at most 7 vertices, a vertex permutation, and
-    the permuted graph with the terminals moved along or drawn anew."""
+def _general_graph(draw):
+    """A graph on 2 to 7 vertices with drawn edges."""
     n = draw(st.integers(2, 7))
     pairs = vertex_pairs(n)
-    edges = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=len(pairs)))
-    g = Graph.from_edges(n, edges)
-    s, t = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
-    perm = draw(st.permutations(range(n)))
-    s2, t2 = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
-    h = relabel(g, perm)
-    return TwoTerminalGraph(g, s, t), TwoTerminalGraph(h, perm[s], perm[t]), TwoTerminalGraph(h, s2, t2)
-
-
-@given(_relabeled_pair())
-def test_canonical_keys_are_relabel_invariant_and_match_vf2(case):
-    tg, image, other = case
-    assert canonical_key(image) == canonical_key(tg)
-    assert canonical_key_ordered(image) == canonical_key_ordered(tg)
-    assert (canonical_key(other) == canonical_key(tg)) == iso_oracle(other, tg)
-    assert (canonical_key_ordered(other) == canonical_key_ordered(tg)) == ordered_iso_oracle(other, tg)
+    return Graph.from_edges(n, draw(st.lists(st.sampled_from(pairs), unique=True, max_size=len(pairs))))
 
 
 @st.composite
 def _twin_rich_graph(draw):
-    """A graph on at most 8 vertices with many twins, relabeled at random:
-    either a random base graph whose vertices are blown up into classes of
-    open twins (no edge inside) or closed twins (a clique), or K2 joined to
-    a threshold graph, whose vertices of equal degree are twins.  Up to two
-    flipped pairs turn some twins into near-twins, which a wrong twin rule
-    would merge."""
+    """A graph on 2 to 8 vertices with many twins: either a random base graph
+    whose vertices are blown up into classes of open twins (no edge inside)
+    or closed twins (a clique), or K2 joined to a threshold graph, whose
+    vertices of equal degree are twins.  Up to two flipped pairs turn some
+    twins into near-twins, which a wrong twin rule would accept."""
     n = draw(st.integers(2, 8))
     if draw(st.booleans()):
         b = draw(st.integers(1, n))
@@ -338,39 +296,79 @@ def _twin_rich_graph(draw):
         inner = threshold_oracle(n - 2, [(i, i + 1, d) for i, d in enumerate(dominating)])
         edges = [(0, 1)] + [(k, v) for k in (0, 1) for v in range(2, n)] + [(u + 2, v + 2) for u, v in inner]
     flips = set(draw(st.lists(st.sampled_from(vertex_pairs(n)), max_size=2, unique=True)))
-    g = Graph.from_edges(n, set(edges) ^ flips)
-    return relabel(g, draw(st.permutations(range(n))))
+    return Graph.from_edges(n, set(edges) ^ flips)
 
 
 @st.composite
-def _twin_rich_two_terminal(draw):
-    """A twin-rich graph whose second terminal is, half the time when it
-    can be, a twin of the first."""
-    g = draw(_twin_rich_graph())
-    adj = [set() for _ in range(g.n)]
-    for u, v in g.edges():
-        adj[u].add(v)
-        adj[v].add(u)
+def _threshold_graph(draw):
+    """A threshold graph on 2 to 8 vertices from a drawn creation sequence."""
+    n = draw(st.integers(2, 8))
+    dominating = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    return Graph.from_edges(n, threshold_oracle(n, [(v, v + 1, d) for v, d in enumerate(dominating)]))
+
+
+@st.composite
+def _key_graph(draw):
+    """A general, twin-rich or threshold graph, relabeled at random."""
+    g = draw(st.one_of(_general_graph(), _twin_rich_graph(), _threshold_graph()))
+    return relabel(g, draw(st.permutations(range(g.n))))
+
+
+@st.composite
+def _key_case(draw):
+    """A two-terminal graph whose second terminal is, half the time when it
+    can be, a twin of the first; its image under a vertex permutation; and
+    that image with its terminals drawn anew."""
+    g = draw(_key_graph())
+    adj = [{v for v in range(g.n) if g.rows[u] >> v & 1} for u in range(g.n)]
     s = draw(st.integers(0, g.n - 1))
     twins = [u for u in range(g.n) if u != s and adj[u] - {s} == adj[s] - {u}]
     others = [u for u in range(g.n) if u != s]
     t = draw(st.sampled_from(twins if twins and draw(st.booleans()) else others))
-    return TwoTerminalGraph(g, s, t)
+    perm = draw(st.permutations(range(g.n)))
+    h = relabel(g, perm)
+    s2, t2 = draw(st.lists(st.integers(0, g.n - 1), min_size=2, max_size=2, unique=True))
+    return TwoTerminalGraph(g, s, t), TwoTerminalGraph(h, perm[s], perm[t]), TwoTerminalGraph(h, s2, t2)
 
 
-@given(_twin_rich_two_terminal())
-def test_twin_walk_matches_labelling_oracle(tg):
-    # the key walk takes one slot order per arrangement of twin classes; the
-    # oracle walks every order, so a wrong twin rule changes the form
+@settings(max_examples=300)
+@given(_key_case())
+def test_canonical_keys_are_relabel_invariant_and_match_vf2(case):
+    # a key raises exactly when some two inner vertices of equal degree are
+    # not twins; otherwise it agrees with both VF2 oracles and the labelling
+    # oracle, under relabeling too
+    tg, image, other = case
+    accepted = [degree_twins_oracle(x.graph, (x.s, x.t)) for x in case]
+    for x, ok in zip(case, accepted):
+        if not ok:
+            for key in (canonical_key, canonical_key_ordered):
+                with pytest.raises(InvariantError, match="not one twin class"):
+                    key(x)
+    assert accepted[1] == accepted[0]
+    if not accepted[0]:
+        return
     key = canonical_key(tg)
+    assert canonical_key(image) == key
+    assert canonical_key_ordered(image) == canonical_key_ordered(tg)
     assert form_of_key(key).graph.edges() == canonical_form_oracle(tg)
     assert canonical_key(form_of_key(key)) == key
+    if accepted[2]:
+        assert (canonical_key(other) == key) == iso_oracle(other, tg)
+        assert (canonical_key_ordered(other) == canonical_key_ordered(tg)) == ordered_iso_oracle(other, tg)
 
 
-@given(_twin_rich_graph(), _twin_rich_graph(), st.data())
+@settings(max_examples=200)
+@given(_key_graph(), _key_graph(), st.data())
 def test_graph_key_matches_vf2_on_twin_rich_graphs(a, b, data):
-    assert graph_key(relabel(a, data.draw(st.permutations(range(a.n))))) == graph_key(a)
-    assert (graph_key(a) == graph_key(b)) == iso_oracle(a, b)
+    # graph_key has no lead, so every degree class must be one twin class
+    for g in (a, b):
+        if not degree_twins_oracle(g):
+            with pytest.raises(InvariantError, match="not one twin class"):
+                graph_key(g)
+    if degree_twins_oracle(a):
+        assert graph_key(relabel(a, data.draw(st.permutations(range(a.n))))) == graph_key(a)
+        if degree_twins_oracle(b):
+            assert (graph_key(a) == graph_key(b)) == iso_oracle(a, b)
 
 
 def test_json_roundtrip():

@@ -214,6 +214,17 @@ def test_prefix_scan_covers_every_labeled_candidate():
             assert _prefix_scan(n, m)[0] == comb(comb(n, 2) - 1, m - 1), (n, m)
 
 
+def test_keys_accept_every_graph_the_search_scores():
+    # every scored graph and every construction that `verify brute` keys is
+    # inside the key's precondition under both terminal orders, so no
+    # supported pair can stop on the key's InvariantError
+    for n in range(2, NVEC_MAX_VERTICES + 1):
+        graphs = [TwoTerminalGraph(g, 0, 1) for m in range(1, comb(n, 2) + 1) for g in _prefix_scan(n, m)[2]]
+        for tg in graphs + [build_lmrttg(n, m) for m in lmrttg_ms(n)]:
+            canonical_key_ordered(tg)
+            canonical_key_ordered(TwoTerminalGraph(tg.graph, tg.t, tg.s))
+
+
 def test_search_scores_vectors_only_to_break_a_tie(monkeypatch):
     # a lone ordered key in the scored list is the optimum without a vector;
     # two or more keys get one vector each

@@ -233,7 +233,7 @@ def _size_caps(path):
 def test_library_size_caps_are_named():
     # a cap copied into an error text drifts from the constant that enforces it
     caps = [(f"{path.name}:{line}: {text}", named) for path in sorted(SRC.glob("*.py")) for line, text, named in _size_caps(path)]
-    assert len(caps) >= 4
+    assert len(caps) >= 3
     assert [where for where, named in caps if not named] == []
 
 
