@@ -1,192 +1,102 @@
-"""Exact arithmetic in the field Q[sqrt(2)] and Sturm root counting.
+"""Exact signs and root counts of polynomials with coefficients in Q[sqrt(2)].
 
 The dominance analysis of the central band compares integer invariant gaps
-against polynomial bounds whose coefficients live in Q[sqrt(2)].  The
-decisive root lies within one unit of an integer, so every sign here is
-decided exactly: sign(a + b*sqrt(2)) reduces to comparing a^2 with 2*b^2,
-never to floating point.
+against polynomial bounds P in n.  Each is kept as integer pairs in eighths,
+ascending by degree: ``8 P(x) = sum A_i x^i + sqrt(2) * sum B_i x^i`` for
+the pairs ``(A_i, B_i)``.  Every sign is decided exactly: sign(A + B*sqrt(2))
+reduces to comparing A^2 with 2*B^2, never to floating point.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import zip_longest
-from math import isqrt
+from math import comb, isqrt
 
 from .classify import central_band
-from .errors import DomainError
+from .errors import DomainError, InvariantError
 from .families import FamilyTag
 from .invariants import family_h_values
 
 
-class QuadNumber:
-    """The real number ``a + b*sqrt(2)`` with rational a, b."""
-
-    __slots__ = ("a", "b")
-
-    def __init__(self, a: Fraction, b: Fraction) -> None:
-        self.a = a
-        self.b = b
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, QuadNumber) and (self.a, self.b) == (other.a, other.b)
-
-    def __hash__(self) -> int:
-        return hash((self.a, self.b))
-
-    def __repr__(self) -> str:
-        return f"QuadNumber(a={self.a!r}, b={self.b!r})"
-
-    @classmethod
-    def of(cls, a, b=0) -> "QuadNumber":
-        return cls(Fraction(a), Fraction(b))
-
-    def __add__(self, other):
-        other = _coerce(other)
-        return QuadNumber(self.a + other.a, self.b + other.b)
-
-    def __neg__(self):
-        return QuadNumber(-self.a, -self.b)
-
-    def __sub__(self, other):
-        return self + (-_coerce(other))
-
-    def __mul__(self, other):
-        other = _coerce(other)
-        return QuadNumber(
-            self.a * other.a + 2 * self.b * other.b,
-            self.a * other.b + self.b * other.a,
-        )
-
-    __rmul__ = __mul__
-
-    def inverse(self) -> "QuadNumber":
-        den = self.a * self.a - 2 * self.b * self.b
-        if den == 0:
-            raise ZeroDivisionError("division by zero in Q[sqrt(2)]")
-        return QuadNumber(self.a / den, -self.b / den)
-
-    def sign(self) -> int:
-        """Exact sign, decided by comparing a^2 against 2 b^2."""
-        # the term of larger magnitude decides; sqrt(2) is irrational, so
-        # a^2 = 2 b^2 only when a = b = 0, and then lead is 0
-        lead = self.a if self.a * self.a > 2 * self.b * self.b else self.b
-        return (lead > 0) - (lead < 0)
-
-    def is_zero(self) -> bool:
-        return self.a == 0 and self.b == 0
+def sign(a: int, b: int) -> int:
+    """Exact sign of ``a + b*sqrt(2)``, decided by comparing a^2 against 2 b^2."""
+    # the term of larger magnitude decides; sqrt(2) is irrational, so
+    # a^2 = 2 b^2 only when a = b = 0, and then lead is 0
+    lead = a if a * a > 2 * b * b else b
+    return (lead > 0) - (lead < 0)
 
 
-def _coerce(x) -> QuadNumber:
-    if isinstance(x, QuadNumber):
-        return x
-    return QuadNumber(Fraction(x), Fraction(0))
+def evaluate(f: tuple, x) -> tuple:
+    """Integers ``(A, B)`` with ``q^d * 8 f(p/q) = A + B*sqrt(2)``, where
+    ``x = p/q`` in lowest terms and ``d = len(f) - 1``: Horner's rule on
+    ``sum c_i p^i q^(d-i)``.  As ``q^d > 0``, the pair has the sign of f(x)."""
+    x = Fraction(x)
+    big_a = big_b = 0
+    scale = 1
+    for a, b in reversed(f):
+        big_a, big_b = big_a * x.numerator + a * scale, big_b * x.numerator + b * scale
+        scale *= x.denominator
+    return big_a, big_b
 
 
-_ZERO = QuadNumber.of(0)
+def sign_at(f: tuple, x) -> int:
+    return sign(*evaluate(f, x))
 
 
-class QuadPolynomial:
-    """Polynomial with QuadNumber coefficients, ascending by degree."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs) -> None:
-        cs = [_coerce(c) for c in coeffs]
-        while cs and cs[-1].is_zero():
-            cs.pop()
-        self.coeffs = tuple(cs)
-
-    def degree(self) -> int:
-        """Degree; -1 for the zero polynomial."""
-        return len(self.coeffs) - 1
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def leading(self) -> QuadNumber:
-        if self.is_zero():
-            raise DomainError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
-
-    def __call__(self, x) -> QuadNumber:
-        acc = _ZERO
-        for c in reversed(self.coeffs):
-            acc = acc * _coerce(x) + c
-        return acc
-
-    def derivative(self) -> "QuadPolynomial":
-        return QuadPolynomial([i * c for i, c in enumerate(self.coeffs)][1:])
-
-    def __sub__(self, other: "QuadPolynomial") -> "QuadPolynomial":
-        return QuadPolynomial(a - b for a, b in zip_longest(self.coeffs, other.coeffs, fillvalue=_ZERO))
-
-    def __mod__(self, other: "QuadPolynomial") -> "QuadPolynomial":
-        """Remainder of field division."""
-        if other.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        d = other.degree()
-        inv_lead = other.leading().inverse()
-        while len(rem) - 1 >= d:
-            # a zero leading term gives factor 0, and the pop drops it
-            factor = rem[-1] * inv_lead
-            shift = len(rem) - 1 - d
-            for i, c in enumerate(other.coeffs):
-                rem[shift + i] = rem[shift + i] - factor * c
-            rem.pop()
-        return QuadPolynomial(rem)
-
-    def __repr__(self) -> str:
-        return f"QuadPolynomial({list(self.coeffs)!r})"
+def taylor_shift(f: tuple, x) -> tuple:
+    """Integer pairs of ``q^d * 8 f(y + p/q)`` in y, ascending, with x, q and
+    d as in ``evaluate``: coefficient k is ``sum_(i >= k) C(i, k) c_i
+    p^(i-k) q^(d-i+k)``, by the binomial theorem."""
+    x = Fraction(x)
+    p, q, d = x.numerator, x.denominator, len(f) - 1
+    shifted = []
+    for k in range(d + 1):
+        terms = [(comb(i, k) * p ** (i - k) * q ** (d - i + k), a, b) for i, (a, b) in enumerate(f[k:], k)]
+        shifted.append((sum(w * a for w, a, _ in terms), sum(w * b for w, _, b in terms)))
+    return tuple(shifted)
 
 
-def sturm_sequence(f: QuadPolynomial) -> list:
-    """The chain f, f', then successive negated remainders."""
-    if f.is_zero():
-        raise DomainError("Sturm sequence of the zero polynomial")
-    chain = [f, f.derivative()]
-    while not chain[-1].is_zero():
-        chain.append(QuadPolynomial([-c for c in (chain[-2] % chain[-1]).coeffs]))
-    return chain[:-1]
+def roots_beyond(f: tuple, x) -> int:
+    """Distinct real roots of f in (x, +inf), decided by Descartes' rule of
+    signs on the Taylor shift g(y) = q^d * 8 f(y + x).
+
+    The roots of f above x are the positive roots of g, with the same
+    multiplicities.  By Descartes' rule, which holds for real coefficients,
+    g has V - 2j positive roots counted with multiplicity, for some j >= 0,
+    where V counts the sign variations of g's coefficients, zeros skipped.
+    A root at x only zeroes g's lowest coefficients, so it is not counted.
+    V = 0 leaves no root, and V = 1 exactly one, which is simple.  V >= 2
+    leaves V, V - 2, ... open: raise InvariantError rather than guess."""
+    signs = [s for s in (sign(a, b) for a, b in taylor_shift(f, x)) if s]
+    if not signs:
+        raise DomainError("the zero polynomial vanishes everywhere")
+    variations = sum(1 for s, t in zip(signs, signs[1:]) if s != t)
+    if variations > 1:
+        raise InvariantError(f"{variations} sign variations beyond {x}: Descartes' rule leaves the root count open")
+    return variations
 
 
-def sign_variations(chain, x=None) -> int:
-    """Sign changes along the chain at x, zeros skipped; without x, at +inf,
-    where each polynomial has the sign of its leading coefficient."""
-    signs = [p.leading().sign() if x is None else p(x).sign() for p in chain]
-    signs = [s for s in signs if s != 0]
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
-
-
-def count_roots(f: QuadPolynomial, lo, hi) -> int:
-    """Distinct real roots of f in the half-open interval (lo, hi].
-
-    Requires ``f(lo) != 0``; a root exactly at ``hi`` is counted (the
-    variation count is right-continuous at roots).
-    """
+def count_roots(f: tuple, lo, hi) -> int:
+    """Distinct real roots of f in (lo, hi]: the roots beyond lo minus those
+    beyond hi, so a root at lo is not counted and one at hi is.  Raises
+    InvariantError when either count is undecided (see ``roots_beyond``)."""
     lo, hi = Fraction(lo), Fraction(hi)
     if lo >= hi:
         raise DomainError("interval must satisfy lo < hi")
-    if f(lo).sign() == 0:
-        raise DomainError("f(lo) = 0: perturb the left endpoint")
-    chain = sturm_sequence(f)
-    return sign_variations(chain, lo) - sign_variations(chain, hi)
+    return roots_beyond(f, lo) - roots_beyond(f, hi)
 
 
-def refine_root(f: QuadPolynomial, lo, hi, width) -> tuple:
-    """Shrink a bracket [lo, hi] with a sign change to the given width.
-
-    Bisection in exact rationals; returns the final (lo, hi).
-    """
-    lo, hi = Fraction(lo), Fraction(hi)
-    width = Fraction(width)
-    slo = f(lo).sign()
-    if slo == 0 or slo == f(hi).sign():
+def refine_root(f: tuple, lo, hi, width) -> tuple:
+    """Shrink a bracket [lo, hi] with a sign change to the given width by
+    bisection in exact rationals; returns the final (lo, hi)."""
+    lo, hi, width = Fraction(lo), Fraction(hi), Fraction(width)
+    slo = sign_at(f, lo)
+    if slo == 0 or slo == sign_at(f, hi):
         raise DomainError("bracket endpoints must have opposite nonzero signs")
     while hi - lo > width:
         mid = (lo + hi) / 2
-        smid = f(mid).sign()
+        smid = sign_at(f, mid)
         if smid == 0:
             return (mid, mid)
         if smid == slo:
@@ -197,48 +107,39 @@ def refine_root(f: QuadPolynomial, lo, hi, width) -> tuple:
 
 
 #: Lower bound, as a polynomial in n, for the gap between the quasi-complete
-#: and quasi-star h-invariants inside the central band.  Each bound is kept
-#: as integer pairs in eighths, ascending by degree: ``8 P(n) = sum A_i n^i +
-#: sqrt(2) * sum B_i n^i`` for the pairs ``(A_i, B_i)``.
+#: and quasi-star h-invariants inside the central band, in eighths.
 _GAP_EIGHTHS = ((72, 0), (-46, -226), (19, 76), (-20, -37), (3, -2))
 #: Upper bound for the spread among the three quasi-star variants.
 _SPREAD_EIGHTHS = ((4, 0), (0, -16), (-2, 0), (0, 2))
 
-GAP_LOWER = QuadPolynomial(QuadNumber.of(Fraction(a, 8), Fraction(b, 8)) for a, b in _GAP_EIGHTHS)
-SPREAD_UPPER = QuadPolynomial(QuadNumber.of(Fraction(a, 8), Fraction(b, 8)) for a, b in _SPREAD_EIGHTHS)
+#: Dominance margin: gap bound minus spread bound, in eighths.  Once this is
+#: positive, the C-side family beats every S-side family.
+MARGIN = tuple((a - c, b - d) for (a, b), (c, d) in zip_longest(_GAP_EIGHTHS, _SPREAD_EIGHTHS, fillvalue=(0, 0)))
 
-#: Dominance margin: gap bound minus spread bound.  Once this is positive,
-#: the C-side family beats every S-side family.
-MARGIN = GAP_LOWER - SPREAD_UPPER
+
+def _floor_eighth(a: int, b: int) -> int:
+    """``floor((a + b*sqrt(2)) / 8)``.  For real y, y and floor(y) lie in one
+    ``[8q, 8q + 8)``, so ``floor(y / 8) = floor(y) // 8``, and ``floor(y) = a
+    + s`` with ``s = floor(b*sqrt(2))``: ``isqrt(2*b*b)`` for ``b >= 0``, and
+    ``-isqrt(2*b*b) - 1`` for ``b < 0``, where ``b*sqrt(2)`` is no integer."""
+    root = isqrt(2 * b * b)
+    return (a + (root if b >= 0 else -root - 1)) // 8
 
 
 def _bounds_at(n: int) -> tuple:
-    """``(ceil(GAP_LOWER(n)), floor(SPREAD_UPPER(n)))``: both bounds depend on
-    n alone, and an integer x satisfies ``x >= a`` exactly when ``x >=
-    ceil(a)``, and ``x <= b`` exactly when ``x <= floor(b)``.
-
-    Horner's rule gives integers A, B with ``8 P(n) = A + B*sqrt(2)`` for
-    ``P = SPREAD_UPPER`` and for ``P = -GAP_LOWER``, and ``ceil(a) =
-    -floor(-a)``.  For real y, y and floor(y) lie in the same ``[8q, 8q + 8)``,
-    so ``floor(y / 8) = floor(y) // 8``, and ``floor(P(n)) = (A + s) // 8`` with
-    ``s = floor(B*sqrt(2))``, which is ``isqrt(2*B*B)`` for ``B >= 0``.  For
-    ``B < 0``, ``B*sqrt(2)`` is irrational, so no integer, and ``s =
-    -ceil(|B|*sqrt(2)) = -isqrt(2*B*B) - 1``."""
-    floors = []
-    for sign, eighths in ((-1, _GAP_EIGHTHS), (1, _SPREAD_EIGHTHS)):
-        big_a = big_b = 0
-        for a, b in reversed(eighths):
-            big_a, big_b = big_a * n + sign * a, big_b * n + sign * b
-        root = isqrt(2 * big_b * big_b)
-        floors.append((big_a + (root if big_b >= 0 else -root - 1)) // 8)
-    return -floors[0], floors[1]
+    """``(ceil(gap bound(n)), floor(spread bound(n)))``: an integer x satisfies
+    ``x >= a`` exactly when ``x >= ceil(a) = -floor(-a)``, and ``x <= b``
+    exactly when ``x <= floor(b)``."""
+    gap_a, gap_b = evaluate(_GAP_EIGHTHS, n)
+    return -_floor_eighth(-gap_a, -gap_b), _floor_eighth(*evaluate(_SPREAD_EIGHTHS, n))
 
 
 def band_bounds_check(n: int, m: int) -> tuple:
     """Verify both polynomial bounds at a central-band pair, exactly:
-    ``(gap_ok, spread_ok)``, where ``gap_ok`` is ``h(C1) - h(S1) >=
-    GAP_LOWER(n)`` and ``spread_ok`` is ``max |h(Si) - h(Sj)| <= SPREAD_UPPER(n)``.
-    The h values are integers, so each compares with an integer threshold."""
+    ``(gap_ok, spread_ok)``, where ``gap_ok`` is ``h(C1) - h(S1) >=`` the gap
+    bound at n and ``spread_ok`` is ``max |h(Si) - h(Sj)| <=`` the spread
+    bound at n.  The h values are integers, so each compares with an integer
+    threshold."""
     if m not in central_band(n):
         raise DomainError(f"({n},{m}) lies outside the central band")
     gap_lower, spread_upper = _bounds_at(n)

@@ -24,7 +24,7 @@ from .families import (
 )
 from .graphs import Graph, canonical_key, complement, form_of_key, graph_key, to_json_obj, vertex_pairs
 from .invariants import complement_residuals, family_h_values, h_sum_offset, invariant_bundle, max_m1_graphs
-from .quadratic import MARGIN, band_bounds_check, count_roots, refine_root, sign_variations, sturm_sequence
+from .quadratic import MARGIN, band_bounds_check, count_roots, refine_root, roots_beyond, sign_at
 from .reliability import NVEC_MAX_VERTICES, _search
 
 
@@ -364,17 +364,16 @@ def sturm_report() -> dict:
     interval ``(a, a+1]`` that starts where the tie scan ends, ``a =
     TIE_SCAN_MAX_N``.  ``ok`` holds iff there is one root in (a, a+1], none in
     (a+1, +inf), and the margin is positive at a+1.  The record reports the
-    roots in (a+1, 10^6]; ``ok`` compares the Sturm chain's sign variations
-    at a+1 and at +inf."""
+    roots in (a+1, 10^6]; ``ok`` reads Descartes' rule on the Taylor shift to
+    a+1, which counts every root beyond it or raises (``roots_beyond``)."""
     a, b = TIE_SCAN_MAX_N, TIE_SCAN_MAX_N + 1
     lo, hi = refine_root(MARGIN, a, b, Fraction(1, 10**6))
-    at_end, beyond, sign = count_roots(MARGIN, a, b), count_roots(MARGIN, b, 10**6), MARGIN(b).sign()
-    chain = sturm_sequence(MARGIN)
+    at_end, beyond, sign = count_roots(MARGIN, a, b), count_roots(MARGIN, b, 10**6), sign_at(MARGIN, b)
     return {
         f"roots_in_{a}_{b}": at_end,
         f"roots_in_{b}_1e6": beyond,
         f"sign_at_{b}": sign,
         "greatest_root_bracket": [str(lo), str(hi)],
         "bracket_width": str(hi - lo),
-        "ok": at_end == 1 and sign_variations(chain, b) == sign_variations(chain) and sign > 0,
+        "ok": at_end == 1 and roots_beyond(MARGIN, b) == 0 and sign > 0,
     }

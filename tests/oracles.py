@@ -424,9 +424,10 @@ def poly_mul_oracle(p, d):
     return _trimmed(out)
 
 
-def poly_mod_oracle(p, d):
-    """Remainder of ``p`` by a nonzero ``d``: schoolbook long division yields
-    the quotient q one coefficient at a time, and the remainder is p - q*d."""
+def poly_divmod_oracle(p, d):
+    """Quotient and remainder of ``p`` by a nonzero ``d``: schoolbook long
+    division yields the quotient q one coefficient at a time, and the
+    remainder is p - q*d."""
     p, d = _trimmed(p), _trimmed(d)
     work = list(p)
     quotient = [(Fraction(0), Fraction(0))] * max(0, len(p) - len(d) + 1)
@@ -436,16 +437,66 @@ def poly_mod_oracle(p, d):
             work[i + j] = _qsub(work[i + j], _qmul(quotient[i], c))
     rem = poly_sub_oracle(p, poly_mul_oracle(quotient, d))
     assert len(rem) < len(d)
-    return rem
+    return _trimmed(quotient), rem
 
 
-def sturm_degrees_oracle(p):
-    """Degrees of the Sturm chain of a nonzero p: p, p', then negated
-    remainders, up to the last nonzero one."""
-    chain = [_trimmed(p), _trimmed((i * a, i * b) for i, (a, b) in enumerate(p) if i)]
+def quad_sign_oracle(x):
+    """Sign of ``a + b*sqrt(2)`` by cases on the signs of a and b: equal
+    signs decide at once.  Otherwise the number is positive exactly when
+    a^2 > 2 b^2 for a > 0 > b, and exactly when a^2 < 2 b^2 for a < 0 < b;
+    the two squares never tie, as sqrt(2) is irrational."""
+    a, b = x
+    if a >= 0 and b >= 0:
+        return int(a > 0 or b > 0)
+    if a <= 0 and b <= 0:
+        return -int(a < 0 or b < 0)
+    return 1 if (a * a > 2 * b * b) == (a > 0) else -1
+
+
+def poly_eval_oracle(p, x):
+    """``p(x)`` at a rational x, summing ``c_i * x^i`` term by term."""
+    x = Fraction(x)
+    return (sum(a * x**i for i, (a, _) in enumerate(p)), sum(b * x**i for i, (_, b) in enumerate(p)))
+
+
+def shift_variations_oracle(p, x):
+    """Sign variations, zeros skipped, of the coefficients of ``p(y + x)``
+    in y, expanded as the sum of ``c_i * (y + x)^i`` with each power built
+    by repeated schoolbook products."""
+    power, shifted = [(Fraction(1), Fraction(0))], []
+    for a, b in p:
+        shifted = poly_sub_oracle(shifted, poly_mul_oracle([(-a, -b)], power))
+        power = poly_mul_oracle(power, [(Fraction(x), Fraction(0)), (Fraction(1), Fraction(0))])
+    signs = [s for s in map(quad_sign_oracle, shifted) if s]
+    return sum(1 for s, t in zip(signs, signs[1:]) if s != t)
+
+
+def _derivative(p):
+    return _trimmed((i * a, i * b) for i, (a, b) in enumerate(p) if i)
+
+
+def root_count_oracle(p, lo, hi):
+    """Distinct real roots of a nonzero p in (lo, hi], by Sturm's theorem on
+    the squarefree part ``s = p / gcd(p, p')``.  s has p's roots, each
+    simple, so no two neighbours in s's chain (s, s', then negated
+    remainders) share a zero, and the chain ends in a nonzero constant.  So
+    the variation count V(x), zeros skipped, drops by one as x passes a root
+    of s, is right-continuous there and is constant elsewhere, and V(lo) -
+    V(hi) counts the roots in (lo, hi]."""
+    p = _trimmed(p)
+    g, d = p, _derivative(p)
+    while d:
+        g, d = d, poly_divmod_oracle(g, d)[1]
+    chain = [poly_divmod_oracle(p, g)[0]]
+    chain.append(_derivative(chain[0]))
     while chain[-1]:
-        chain.append([(-a, -b) for a, b in poly_mod_oracle(chain[-2], chain[-1])])
-    return [len(q) - 1 for q in chain[:-1]]
+        chain.append([(-a, -b) for a, b in poly_divmod_oracle(chain[-2], chain[-1])[1]])
+
+    def variations(x):
+        signs = [s for s in (quad_sign_oracle(poly_eval_oracle(q, x)) for q in chain[:-1]) if s]
+        return sum(1 for s, t in zip(signs, signs[1:]) if s != t)
+
+    return variations(lo) - variations(hi)
 
 
 def relabel(g, perm):

@@ -20,7 +20,7 @@ from lmrttg.classify import (
 )
 from lmrttg.families import FamilyTag, build_family, family_exists
 from lmrttg.invariants import family_h, invariant_bundle, quasi_complete_h
-from lmrttg.quadratic import MARGIN, band_bounds_check, count_roots, sign_variations, sturm_sequence
+from lmrttg.quadratic import MARGIN, band_bounds_check, count_roots, sign, sign_at, taylor_shift
 from lmrttg.scans import (
     band_decomposition_violations,
     identity_suite,
@@ -146,13 +146,12 @@ def test_criterion_6_classification_agreement():
 
 def test_criterion_7_sturm_claims():
     t0 = time.perf_counter()
-    ok = count_roots(MARGIN, 436, 437) == 1
-    # none beyond 437, up to +inf: there each polynomial of the chain has the sign of its leading coefficient
-    chain = sturm_sequence(MARGIN)
-    signs_at_inf = [p.leading().sign() for p in chain]
-    variations_at_inf = sum(1 for a, b in zip(signs_at_inf, signs_at_inf[1:]) if a != b)
-    ok = ok and 0 not in signs_at_inf and sign_variations(chain, 437) == variations_at_inf
-    ok = ok and MARGIN(437).sign() > 0
+    # Descartes' rule on the Taylor shifts: the signs (-,+,+,+,+) at 436 leave
+    # exactly one root beyond 436, and all-positive signs at 437 leave none
+    shift_signs = [[sign(*c) for c in taylor_shift(MARGIN, a)] for a in (436, 437)]
+    ok = shift_signs == [[-1, 1, 1, 1, 1], [1, 1, 1, 1, 1]]
+    ok = ok and count_roots(MARGIN, 436, 437) == 1
+    ok = ok and sign_at(MARGIN, 437) > 0
     elapsed = time.perf_counter() - t0
     ok = ok and elapsed < 1.0
     _report(7, ok, "margin polynomial: one root in (436,437], none in (437,+inf), positive at 437, budget 1s", elapsed)
@@ -183,6 +182,6 @@ def test_criterion_9_band_polynomial_bounds():
     # desk-scale stand-in for the unbounded-n dominance claim
     spots = [rec for n in (437, 500, 1000) for rec in scan_tie_band(n, n).records]
     ok = ok and len(spots) >= 3 and all(rec["ok"] for rec in spots)
-    ok = ok and all(MARGIN(n).sign() > 0 for n in (437, 500, 1000))
+    ok = ok and all(sign_at(MARGIN, n) > 0 for n in (437, 500, 1000))
     elapsed = time.perf_counter() - t0
     _report(9, ok, f"polynomial bounds exact on {checked} band pairs (n <= 60) + large-n spot checks", elapsed)

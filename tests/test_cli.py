@@ -28,7 +28,6 @@ from lmrttg.cli import main
 from lmrttg.errors import DomainError
 from lmrttg.families import LMRTTG_MIN_N, lmrttg_ms
 from lmrttg.graphs import Graph, TwoTerminalGraph, to_json_obj, vertex_pairs
-from lmrttg.quadratic import QuadNumber, QuadPolynomial
 from lmrttg.scans import TIE_SCAN_MAX_N
 
 
@@ -504,15 +503,16 @@ def test_verify_sturm_failing_root_count_fails(capsys, monkeypatch):
 
 
 def test_verify_sturm_fails_on_roots_past_its_window(capsys, monkeypatch):
-    # (x - 873/2)(x - 2*10^6)(x - 3*10^6) has the margin's root in (436, 437]
-    # and its sign at 437, but two more roots beyond the (437, 10^6] it reports
+    # (x - 873/2)(x - 2*10^6)(x - 3*10^6), as eighths, has the margin's root in
+    # (436, 437] and its sign at 437, but two more roots beyond the (437, 10^6]
+    # it reports; its shift to 436 has three sign variations, so Descartes'
+    # rule leaves the count open and the run stops with exit 1, no record
     a, b, c = Fraction(873, 2), 2 * 10**6, 3 * 10**6
-    cubic = QuadPolynomial(QuadNumber.of(x) for x in (-a * b * c, a * b + a * c + b * c, -(a + b + c), 1))
+    cubic = tuple((int(8 * x), 0) for x in (-a * b * c, a * b + a * c + b * c, -(a + b + c), 1))
     monkeypatch.setattr(scans, "MARGIN", cubic)
-    code, out, _ = run_cli(capsys, "verify", "sturm", "--no-meta")
-    rec = json.loads(out)
-    assert (rec["roots_in_436_437"], rec["roots_in_437_1e6"], rec["sign_at_437"]) == (1, 0, 1)
-    assert code == 1 and rec["ok"] is False
+    code, out, err = run_cli(capsys, "verify", "sturm", "--no-meta")
+    assert (code, out) == (1, "")
+    assert "invariant failed: 3 sign variations beyond 436" in err
 
 
 @pytest.mark.parametrize(
