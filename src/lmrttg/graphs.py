@@ -265,7 +265,11 @@ def from_json_obj(d):
 
 
 def from_json(text: str):
-    return from_json_obj(json.loads(text))
+    try:
+        obj = json.loads(text)
+    except RecursionError:
+        raise DomainError("graph JSON is nested too deeply to parse") from None
+    return from_json_obj(obj)
 
 
 def to_dot(obj) -> str:

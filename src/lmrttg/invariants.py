@@ -86,9 +86,8 @@ class InvariantBundle(NamedTuple):
 
 def invariant_bundle(g: Graph) -> InvariantBundle:
     """The exact invariants of one graph in one pass: the degrees, then one
-    loop over each row's set bits above its vertex (the edges uv with u <
-    v) that sums ``d(u) d(v)`` for M2 and the common neighbours of u and v,
-    three per triangle.
+    loop over ``g.edges()`` that sums ``d(u) d(v)`` for M2 and the common
+    neighbours of u and v, three per triangle.
 
     ``p4`` counts paths on four vertices, each once.  A walk a-u-v-b is a
     choice of an oriented middle edge uv plus neighbours a != v of u and
@@ -100,15 +99,9 @@ def invariant_bundle(g: Graph) -> InvariantBundle:
     rows = g.rows
     degs = [row.bit_count() for row in rows]
     m2 = common = 0
-    for u, row in enumerate(rows):
-        du = degs[u]
-        w = row >> (u + 1) << (u + 1)
-        while w:
-            low = w & -w
-            v = low.bit_length() - 1
-            m2 += du * degs[v]
-            common += (row & rows[v]).bit_count()
-            w ^= low
+    for u, v in g.edges():
+        m2 += degs[u] * degs[v]
+        common += (rows[u] & rows[v]).bit_count()
     k3 = common // 3
     m1 = sum(d * d for d in degs)
     m = sum(degs) // 2

@@ -13,10 +13,7 @@ from fractions import Fraction
 from itertools import zip_longest
 from math import comb, isqrt
 
-from .classify import central_band
 from .errors import DomainError, InvariantError
-from .families import FamilyTag
-from .invariants import family_h_values
 
 
 def sign(a: int, b: int) -> int:
@@ -32,11 +29,12 @@ def evaluate(f: tuple, x) -> tuple:
     ``x = p/q`` in lowest terms and ``d = len(f) - 1``: Horner's rule on
     ``sum c_i p^i q^(d-i)``.  As ``q^d > 0``, the pair has the sign of f(x)."""
     x = Fraction(x)
+    p, q = x.numerator, x.denominator
     big_a = big_b = 0
     scale = 1
     for a, b in reversed(f):
-        big_a, big_b = big_a * x.numerator + a * scale, big_b * x.numerator + b * scale
-        scale *= x.denominator
+        big_a, big_b = big_a * p + a * scale, big_b * p + b * scale
+        scale *= q
     return big_a, big_b
 
 
@@ -134,16 +132,10 @@ def _bounds_at(n: int) -> tuple:
     return -_floor_eighth(-gap_a, -gap_b), _floor_eighth(*evaluate(_SPREAD_EIGHTHS, n))
 
 
-def band_bounds_check(n: int, m: int) -> tuple:
-    """Verify both polynomial bounds at a central-band pair, exactly:
-    ``(gap_ok, spread_ok)``, where ``gap_ok`` is ``h(C1) - h(S1) >=`` the gap
-    bound at n and ``spread_ok`` is ``max |h(Si) - h(Sj)| <=`` the spread
-    bound at n.  The h values are integers, so each compares with an integer
-    threshold."""
-    if m not in central_band(n):
-        raise DomainError(f"({n},{m}) lies outside the central band")
+def band_bounds_check(n: int, gap: int, spread: int) -> tuple:
+    """Both polynomial bounds at n, exactly: ``(gap_ok, spread_ok)``, where
+    ``gap_ok`` is ``gap >=`` the gap bound at n and ``spread_ok`` is ``spread
+    <=`` the spread bound at n.  Both are integers, so each compares with an
+    integer threshold."""
     gap_lower, spread_upper = _bounds_at(n)
-    h_by_tag = family_h_values(n, m)
-    h_s = [h_by_tag[t] for t in (FamilyTag.S1, FamilyTag.S2, FamilyTag.S3) if t in h_by_tag]
-    gap = h_by_tag[FamilyTag.C1] - h_s[0]  # S1 exists at every (n, m)
-    return gap >= gap_lower, max(h_s) - min(h_s) <= spread_upper
+    return gap >= gap_lower, spread <= spread_upper

@@ -20,11 +20,12 @@ from .classify import (
 )
 from .errors import DomainError, SizeLimitError
 from .families import (
-    LMRTTG_MIN_N, MIRROR_TAGS, SEVEN_PAIR_TAGS, build_h_optimal, build_lmrttg, candidate_set, h_optimal_tag, lmrttg_ms,
+    LMRTTG_MIN_N, MIRROR_TAGS, SEVEN_PAIR_TAGS, FamilyTag, build_h_optimal, build_lmrttg, candidate_set, h_optimal_tag,
+    lmrttg_ms,
 )
 from .graphs import Graph, canonical_key, complement, form_of_key, graph_key, to_json_obj, vertex_pairs
 from .invariants import complement_residuals, family_h_values, h_sum_offset, invariant_bundle, max_m1_graphs
-from .quadratic import MARGIN, band_bounds_check, count_roots, refine_root, roots_beyond, sign_at
+from .quadratic import MARGIN, band_bounds_check, count_roots, refine_root, roots_beyond, sign, sign_at
 from .reliability import NVEC_MAX_VERTICES, _search
 
 
@@ -176,29 +177,29 @@ def scan_tie_band(n_lo: int, n_hi: int) -> ScanReport:
 
 def band_decomposition_violations(n_lo: int, n_hi: int) -> list:
     """Central-band pairs whose decomposition parameters escape
-    (n/sqrt(2) - 2, n/sqrt(2) + 1), as ``(n, m, val)``; checked by exact
-    squared comparisons once per cell, on which both k and k' are fixed."""
+    (n/sqrt(2) - 2, n/sqrt(2) + 1), as ``(n, m, val)``; checked once per
+    cell, on which both k and k' are fixed.  Times sqrt(2), the window is
+    ``-n + (val + 2) sqrt(2) > 0`` and ``n + (1 - val) sqrt(2) > 0``, each an
+    exact ``sign``."""
     bad = []
     for n in band_n_range(n_lo, n_hi):
         for m0, last, k, _, kp, _, _, _ in cells(n, central_band(n)):
-            escaped = []
-            for val in (k, kp):
-                low_ok = n * n < 2 * (val + 2) ** 2
-                high_ok = val <= 1 or 2 * (val - 1) ** 2 < n * n
-                if not (low_ok and high_ok):
-                    escaped.append(val)
+            escaped = [val for val in (k, kp) if not (sign(-n, val + 2) > 0 and sign(n, 1 - val) > 0)]
             bad.extend((n, m, val) for m in range(m0, last + 1) for val in escaped)
     return bad
 
 
 def band_bounds_report(n_lo: int, n_hi: int) -> ScanReport:
-    """Exact polynomial-bound checks on every central-band pair, then the
+    """Exact polynomial-bound checks on every central-band pair, of the gap
+    ``h(C1) - h(S1)`` and of the spread among the S-side h values, then the
     decomposition-parameter check on the same range, as one record listing
     its violations."""
     report = ScanReport(scope=f"band polynomial bounds, n in {n_lo}..{n_hi}")
     for n in band_n_range(n_lo, n_hi):
         for m in central_band(n):
-            gap_ok, spread_ok = band_bounds_check(n, m)
+            h_by_tag = family_h_values(n, m)
+            h_s = [h for t, h in h_by_tag.items() if t in MIRROR_TAGS]  # S1 first; it exists at every (n, m)
+            gap_ok, spread_ok = band_bounds_check(n, h_by_tag[FamilyTag.C1] - h_s[0], max(h_s) - min(h_s))
             report.pairs_scanned += 1
             if not (gap_ok and spread_ok):
                 report.records.append({"n": n, "m": m, "gap_ok": gap_ok, "spread_ok": spread_ok, "ok": False})
@@ -368,12 +369,12 @@ def sturm_report() -> dict:
     a+1, which counts every root beyond it or raises (``roots_beyond``)."""
     a, b = TIE_SCAN_MAX_N, TIE_SCAN_MAX_N + 1
     lo, hi = refine_root(MARGIN, a, b, Fraction(1, 10**6))
-    at_end, beyond, sign = count_roots(MARGIN, a, b), count_roots(MARGIN, b, 10**6), sign_at(MARGIN, b)
+    at_end, beyond, end_sign = count_roots(MARGIN, a, b), count_roots(MARGIN, b, 10**6), sign_at(MARGIN, b)
     return {
         f"roots_in_{a}_{b}": at_end,
         f"roots_in_{b}_1e6": beyond,
-        f"sign_at_{b}": sign,
+        f"sign_at_{b}": end_sign,
         "greatest_root_bracket": [str(lo), str(hi)],
         "bracket_width": str(hi - lo),
-        "ok": at_end == 1 and roots_beyond(MARGIN, b) == 0 and sign > 0,
+        "ok": at_end == 1 and roots_beyond(MARGIN, b) == 0 and end_sign > 0,
     }

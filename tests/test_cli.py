@@ -654,19 +654,21 @@ def test_verify_all_json_is_one_document_with_the_decomposition_check(capsys, mo
         '{"n": 3, "edges": [["a", 1]]}',
         "[[0, 1]]",
         '{"n": 3, "edges": [[0, 1]], "terminals": [0]}',
+        "[" * 1100 + "]" * 1100,  # json.loads recurses once per bracket, past the recursion limit
         None,
     ],
-    ids=["missing-n", "missing-edges", "string-endpoint", "top-level-list", "one-terminal", "directory"],
+    ids=["missing-n", "missing-edges", "string-endpoint", "top-level-list", "one-terminal", "deeply-nested", "directory"],
 )
 def test_malformed_graph_file_is_usage_error(tmp_path, content):
     path = tmp_path
     if content is not None:
         path = tmp_path / "g.json"
         path.write_text(content)
-    proc = run_module("invariants", "--graph", str(path))
-    assert proc.returncode == 2
-    assert proc.stderr.startswith("error:")
-    assert "Traceback" not in proc.stderr
+    for argv in (("invariants", "--graph", str(path)), ("reliability", "--graph", str(path), "--at", "1/2")):
+        proc = run_module(*argv)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1, proc.stderr
+        assert "Traceback" not in proc.stderr
 
 
 def test_graph_file_above_the_vertex_bound_is_usage_error(tmp_path):

@@ -1,7 +1,6 @@
 import random
 from decimal import Decimal, getcontext
 from fractions import Fraction
-from math import comb
 
 import pytest
 from hypothesis import given
@@ -25,7 +24,7 @@ from lmrttg.quadratic import (
     sign_at,
     taylor_shift,
 )
-from lmrttg.scans import TIE_SCAN_MAX_N, _tie_band_records
+from lmrttg.scans import TIE_SCAN_MAX_N, _tie_band_records, band_bounds_report
 from oracles import poly_eval_oracle, poly_mul_oracle, quad_sign_oracle, root_count_oracle, shift_variations_oracle
 
 getcontext().prec = 60
@@ -177,13 +176,9 @@ def test_refine_root_bracket():
 
 
 def test_band_bounds_small_band():
-    for n in range(8, 21):
-        c = comb(n, 2)
-        for m in range((c - n + 1) // 2, (c + n) // 2 + 1):
-            if m in central_band(n):
-                assert band_bounds_check(n, m) == (True, True), (n, m)
-    with pytest.raises(DomainError):
-        band_bounds_check(8, 5)
+    rep = band_bounds_report(8, 20)
+    assert rep.verdict and rep.records == []
+    assert rep.pairs_scanned == sum(len(central_band(n)) for n in range(8, 21))
 
 
 def _oracle_bounds(n):
@@ -211,7 +206,7 @@ def test_band_bounds_check_equals_the_direct_comparison():
             h_s = [family_h(n, m, t) for t in s_tags if family_exists(n, m, t)]
             spread = max(abs(x - y) for x in h_s for y in h_s)
             direct = (quad_sign_oracle((gap - ga, -gb)) >= 0, quad_sign_oracle((sa - spread, sb)) >= 0)
-            assert band_bounds_check(n, m) == direct, (n, m)
+            assert band_bounds_check(n, gap, spread) == direct, (n, m)
 
 
 def test_large_n_spot_checks():

@@ -189,6 +189,16 @@ def test_band_decomposition_violations_list_every_pair_of_a_failing_cell(monkeyp
     assert band_decomposition_violations(8, 12) == expected
 
 
+def test_band_decomposition_window_agrees_with_squared_comparisons(monkeypatch):
+    # every val in 0..n+2 for n in 8..3000, two per cell: cell i holds k = 2i
+    # and k' = 2i + 1 on its one pair m = i; the oracle squares both sides
+    monkeypatch.setattr(scans, "cells", lambda n, ms: [(i, i, 2 * i, 0, 2 * i + 1, 0, 0, 0) for i in range(n // 2 + 2)])
+    for n in range(8, 3001):
+        vals = range(2 * (n // 2 + 2))
+        inside = [val for val in vals if n * n < 2 * (val + 2) ** 2 and (val <= 1 or 2 * (val - 1) ** 2 < n * n)]
+        assert band_decomposition_violations(n, n) == [(n, val // 2, val) for val in vals if val not in inside], n
+
+
 @pytest.mark.parametrize("scan", [scan_tie_band, band_bounds_report, band_decomposition_violations])
 @pytest.mark.parametrize("n_lo, n_hi", [(1, 7), (9, 8)])
 def test_band_scans_reject_ranges_outside_the_band(scan, n_lo, n_hi):

@@ -299,6 +299,7 @@ def test_library_imports_at_module_level():
     assert found == set()
     graph = {path.stem: _package_imports(path) for path in SRC.glob("*.py")}
     assert graph["classify"] == {"errors"} and "classify" in graph["families"]
+    assert graph["quadratic"] == {"errors"}  # the polynomial layer knows no graphs
     TopologicalSorter(graph).prepare()  # raises CycleError on an import cycle
 
 
