@@ -224,9 +224,8 @@ def ties(n: int, ms: range) -> list:
 
 def tie_pairs(n: int) -> list:
     """All m with a first-Zagreb tie at this n, except the near-empty and
-    near-complete ones (``trivial_tie_ms``)."""
-    if n < CLASSIFY_MIN_N:
-        raise DomainError(f"tie classification needs n >= {CLASSIFY_MIN_N}; got {n}")
+    near-complete ones (``trivial_tie_ms``).  DomainError below
+    CLASSIFY_MIN_N, from ``ties``; ValueError for a negative n."""
     skip = trivial_tie_ms(n)
     return [m for m in ties(n, range(comb(n, 2) + 1)) if m not in skip]
 

@@ -26,7 +26,11 @@ sides together once and every S-side fact is derived from the C side.  The
 module also builds the unique best-in-class graphs assembled from the
 families: the maximizer of the second-Zagreb-minus-six-triangles invariant
 among first-Zagreb maximizers, and the locally most reliable two-terminal
-graph derived from it.
+graph derived from it.  That graph is a threshold graph too: up to ``2n-3``
+edges its creation blocks are ``[(2, 2+x, False), (0, 2, True), (2+x, n,
+False)]`` for ``x = (m-1) // 2`` (for an even m the first run becomes
+``(2, 3, False), (3, 4, True), (4, 2+x, False)``), and past ``2n-3`` its
+two terminals dominate a family member.
 """
 
 from __future__ import annotations
@@ -56,11 +60,11 @@ class FamilyTag(str, Enum):
 MIRROR_TAGS = {FamilyTag.S1: FamilyTag.C1, FamilyTag.S2: FamilyTag.C2, FamilyTag.S3: FamilyTag.C3}
 
 
-def mirror(n: int, m: int, tag: FamilyTag):
+def mirror(n: int, m: int, tag: FamilyTag) -> tuple:
     """``(Ci, C(n,2) - m)`` for ``tag = Si``: the C-side family and edge count
-    whose member on n vertices is the complement of this one.  None for a
-    C-side tag."""
-    return (MIRROR_TAGS[tag], comb(n, 2) - m) if tag in MIRROR_TAGS else None
+    whose member on n vertices is the complement of this one.  ``(tag, m)``
+    for a C-side tag."""
+    return (MIRROR_TAGS[tag], comb(n, 2) - m) if tag in MIRROR_TAGS else (tag, m)
 
 
 def c_side_exists(n: int, tag: FamilyTag, k: int, j: int) -> bool:
@@ -76,7 +80,7 @@ def c_side_exists(n: int, tag: FamilyTag, k: int, j: int) -> bool:
 def family_exists(n: int, m: int, tag: FamilyTag) -> bool:
     """Whether the family has a member on ``n`` vertices and ``m`` edges."""
     check_range(n, m)
-    tag, m = mirror(n, m, tag) or (tag, m)
+    tag, m = mirror(n, m, tag)
     return c_side_exists(n, tag, *quasi_complete_params(m))
 
 
@@ -104,7 +108,7 @@ def build_family(n: int, m: int, tag: FamilyTag) -> Graph:
     """
     if not family_exists(n, m, tag):
         raise FamilyDoesNotExist(f"{tag} has no member at n={n}, m={m}")
-    c_tag, mc = mirror(n, m, tag) or (tag, m)
+    c_tag, mc = mirror(n, m, tag)
     blocks = _c_blocks(n, mc, c_tag)
     if c_tag is not tag:
         blocks = [(n - hi, n - lo, not dominating) for lo, hi, dominating in blocks]
@@ -197,17 +201,21 @@ LMRTTG_MIN_N = next(n for n in count() if lmrttg_ms(n))
 def build_lmrttg(n: int, m: int) -> TwoTerminalGraph:
     """The unique locally most reliable two-terminal graph on (n, m).
 
-    Up to ``2n-3`` edges: terminals 0 and 1 joined by an edge plus
-    ``(m-1) // 2`` length-two paths through inner vertices, and for an even
-    m an edge between the first two inner vertices.  Past ``2n-3`` the
-    terminals become universal over the optimal core on ``n-2`` vertices.
+    Up to ``2n-3`` edges: terminals 0 and 1 joined by an edge plus ``x =
+    (m-1) // 2`` length-two paths through the inner vertices ``2..x+1``, and
+    for an even m an edge between the first two inner vertices.  Its
+    creation blocks are the inner vertices, isolated except for a dominating
+    vertex 3 when m is even, then the terminals, dominating, then isolated
+    padding.  Past ``2n-3`` the terminals become universal over the optimal
+    core on ``n-2`` vertices.  So the graph is a threshold graph at every
+    (n, m): one creation sequence below, two dominating vertices added to a
+    threshold core above.
     """
     if n < 0 or m not in lmrttg_ms(n):
         raise DomainError(f"need n >= 4 and 5 <= m <= C(n,2); got n={n}, m={m}")
     if m > 2 * n - 3:
         _, core = build_h_optimal(n - 2, m - (2 * n - 3))
         return TwoTerminalGraph(join(Graph.complete(2), core), 0, 1)
-    edges = [(0, 1)] + [(s, v) for v in range(2, 2 + (m - 1) // 2) for s in (0, 1)]
-    if m % 2 == 0:
-        edges.append((2, 3))
-    return TwoTerminalGraph(Graph.from_edges(n, edges), 0, 1)
+    x = (m - 1) // 2
+    inner = [(2, 3, False), (3, 4, True), (4, 2 + x, False)] if m % 2 == 0 else [(2, 2 + x, False)]
+    return TwoTerminalGraph(threshold_graph(n, inner + [(0, 2, True), (2 + x, n, False)]), 0, 1)

@@ -7,9 +7,11 @@ word operations.  ``threshold_graph`` builds a threshold graph from its
 creation sequence, as every family member and ``M1`` maximizer is.  All
 graph values are immutable, so they can be shared and hashed freely.
 
-The rows are the one graph form that passes between the package's modules.
-Edge lists are the input and output format: ``from_edges`` for outside
-input and hand-written constructions, ``edges`` for graph JSON and DOT.
+The rows are the one graph form that passes between the package's modules,
+and ``Graph`` checks that they are symmetric.  Edge lists are the input and
+output format: ``from_edges`` for outside input, the graph a key stands for,
+the prefix-scan cells' graphs and the identity suite's random graphs, and
+``edges`` for graph JSON and DOT.
 """
 
 from __future__ import annotations
@@ -33,20 +35,27 @@ class Graph:
         rows = tuple(rows)
         if n < 0 or len(rows) != n:
             raise DomainError("row count must equal the vertex count")
-        ends = 0
+        ends = m = 0
         for v, row in enumerate(rows):
             if row >> n:
                 raise DomainError("adjacency bit outside the vertex range")
             if (row >> v) & 1:
                 raise DomainError("self-loops are not allowed")
+            # each bit above the diagonal needs its reverse bit; then the rows
+            # are symmetric iff the bits below it are exactly those reverses
+            bit, w = 1 << v, row >> (v + 1) << (v + 1)
+            while w:
+                low = w & -w
+                if not rows[low.bit_length() - 1] & bit:
+                    raise DomainError("adjacency rows must be symmetric")
+                w ^= low
+            m += (row >> (v + 1)).bit_count()
             ends += row.bit_count()
+        if ends != 2 * m:
+            raise DomainError("adjacency rows must be symmetric")
         self.n = n
         self.rows = rows
-        self.m = ends // 2
-
-    @classmethod
-    def empty(cls, n: int) -> "Graph":
-        return cls(n, (0,) * n)
+        self.m = m
 
     @classmethod
     def complete(cls, n: int) -> "Graph":
@@ -66,9 +75,6 @@ class Graph:
             rows[u] |= 1 << v
             rows[v] |= 1 << u
         return cls(n, rows)
-
-    def degrees(self) -> tuple:
-        return tuple(row.bit_count() for row in self.rows)
 
     def edges(self) -> list:
         """All edges as sorted ``(u, v)`` pairs with ``u < v``, found by

@@ -18,7 +18,7 @@ from __future__ import annotations
 from math import comb
 from typing import NamedTuple
 
-from .classify import quasi_complete_params, quasi_star_m1, quasi_star_params
+from .classify import check_range, quasi_complete_params, quasi_star_m1, quasi_star_params
 from .errors import DomainError, FamilyDoesNotExist, InvariantError
 from .families import FamilyTag, c_side_exists
 from .graphs import Graph, threshold_graph
@@ -47,8 +47,7 @@ def max_m1_graphs(n: int, m: int) -> tuple:
     the edges still to place.  Each class's graph is built by
     ``graphs.threshold_graph``, one run per vertex.
     """
-    if n < 0 or not 0 <= m <= comb(n, 2):
-        raise DomainError(f"need n >= 0 and 0 <= m <= C(n,2); got n={n}, m={m}")
+    check_range(n, m)
 
     def dominating_sets(rem, top):
         if rem == 0:

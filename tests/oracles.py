@@ -214,6 +214,18 @@ def threshold_oracle(n, blocks):
     return [(u, v) for u in range(n) for v in range(u + 1, n) if flag[max(u, v, key=position.get)]]
 
 
+def lmrttg_sparse_oracle(n, m):
+    """Sorted edge list of the locally most reliable two-terminal graph on
+    (n, m) with ``5 <= m <= 2n-3``, from its definition: the terminal edge
+    01, the paths 0-v-1 through the inner vertices ``2..(m-1)//2+1``, and
+    for an even m the edge 23."""
+    assert 5 <= m <= 2 * n - 3
+    edges = [(0, 1)] + [(s, v) for v in range(2, 2 + (m - 1) // 2) for s in (0, 1)]
+    if m % 2 == 0:
+        edges.append((2, 3))
+    return sorted(edges)
+
+
 def quasi_complete_oracle(n, m, family):
     """Edge list of the quasi-complete family member ``family`` ("c1", "c2"
     or "c3") on n vertices and m edges, or None when it does not exist.

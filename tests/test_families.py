@@ -7,12 +7,11 @@ from lmrttg.errors import DomainError, FamilyDoesNotExist
 from lmrttg.families import FamilyTag, build_family, build_h_optimal, build_lmrttg, candidate_set, family_exists
 from lmrttg.graphs import Graph, TwoTerminalGraph, canonical_key, complement, graph_key, join
 from lmrttg.invariants import invariant_bundle, max_m1_graphs
-from oracles import iso_oracle
+from oracles import iso_oracle, lmrttg_sparse_oracle
 
 
 def terminals_universal(tg):
-    degrees = tg.graph.degrees()
-    return all(degrees[v] == tg.graph.n - 1 for v in (tg.s, tg.t))
+    return all(tg.graph.rows[v].bit_count() == tg.graph.n - 1 for v in (tg.s, tg.t))
 
 
 def test_quasi_complete_params_examples():
@@ -97,7 +96,7 @@ def test_candidate_set():
 def test_candidate_set_holds_every_first_zagreb_maximizer():
     # up to isomorphism the M1 argmax classes are exactly the family members of largest M1
     def iso(a, b):
-        return sorted(a.degrees()) == sorted(b.degrees()) and iso_oracle(a, b)
+        return sorted(row.bit_count() for row in a.rows) == sorted(row.bit_count() for row in b.rows) and iso_oracle(a, b)
 
     for n in range(1, 15):
         for m in range(comb(n, 2) + 1):
@@ -162,10 +161,10 @@ def test_h_optimal_examples():
     for n in range(5, 12):
         tag, g = build_h_optimal(n, 3)
         assert tag is FamilyTag.S1
-        assert sorted(g.degrees(), reverse=True) == [3, 1, 1, 1] + [0] * (n - 4)
+        assert sorted((row.bit_count() for row in g.rows), reverse=True) == [3, 1, 1, 1] + [0] * (n - 4)
     tag, g = build_h_optimal(6, 5)
     assert tag is FamilyTag.S1
-    assert graph_key(g) == graph_key(join(Graph.complete(1), Graph.empty(5)))
+    assert graph_key(g) == graph_key(join(Graph.complete(1), Graph(5, [0] * 5)))
 
 
 def test_h_optimal_small_n_outside_range():
@@ -193,7 +192,7 @@ def test_sparse_construction_examples():
     assert set(g45.graph.edges()) == {(0, 1), (0, 2), (1, 2), (0, 3), (1, 3)}
     g56 = build_lmrttg(5, 6)
     assert set(g56.graph.edges()) == {(0, 1), (0, 2), (1, 2), (0, 3), (1, 3), (2, 3)}
-    assert g56.graph.degrees()[4] == 0
+    assert g56.graph.rows[4] == 0
     with pytest.raises(DomainError):
         build_lmrttg(4, 7)
     with pytest.raises(DomainError):
@@ -201,11 +200,13 @@ def test_sparse_construction_examples():
 
 
 def test_sparse_construction_shape():
-    for n in range(4, 12):
+    # construct prints these exact labels, built from creation blocks
+    for n in range(4, 41):
         for m in range(5, 2 * n - 2):
             tg = build_lmrttg(n, m)
             assert (tg.graph.n, tg.graph.m) == (n, m)
             assert (tg.graph.rows[tg.s] >> tg.t) & 1
+            assert tg.graph.edges() == lmrttg_sparse_oracle(n, m), (n, m)
 
 
 def test_lmrttg_construction():

@@ -28,7 +28,7 @@ def test_zagreb1_examples():
     assert invariant_bundle(k4_and_2k1).m1 == 36
     star5 = build_family(6, 5, FamilyTag.S1)  # the 5-leaf star
     assert invariant_bundle(star5).m1 == 30
-    assert invariant_bundle(Graph.empty(7)).m1 == 0
+    assert invariant_bundle(Graph(7, [0] * 7)).m1 == 0
 
 
 def test_zagreb2_examples():
@@ -99,7 +99,7 @@ def test_h_sum_offset_example():
     s1, c1 = build_family(6, 6, FamilyTag.S1), build_family(6, 9, FamilyTag.C1)
     lhs = invariant_bundle(s1).h_value + invariant_bundle(c1).h_value
     assert lhs == 111
-    assert invariant_bundle(Graph.empty(6)).h_value == 0
+    assert invariant_bundle(Graph(6, [0] * 6)).h_value == 0
 
 
 def test_triangle_path_expansion_of_h():
@@ -224,7 +224,7 @@ def test_max_m1_graphs_match_labeled_graphs():
             assert len(keys) == len(set(keys)), (n, m)
             assert set(keys) == {graph_key(Graph.from_edges(n, e)) for e in argmax}, (n, m)
     # no vertices: the empty graph, which the search joins under two terminals at n = 2
-    assert max_m1_graphs(0, 0) == (0, [Graph.empty(0)])
+    assert max_m1_graphs(0, 0) == (0, [Graph(0, [])])
     with pytest.raises(DomainError):
         max_m1_graphs(5, 11)
     with pytest.raises(DomainError):
@@ -236,5 +236,5 @@ def test_max_m1_graphs_match_erdos_gallai_oracle():
         for m in range(comb(n, 2) + 1):
             best, argmax = max_m1_oracle(n, m)
             got_best, got = max_m1_graphs(n, m)
-            seqs = sorted((tuple(sorted(g.degrees(), reverse=True)) for g in got), reverse=True)
+            seqs = sorted((tuple(sorted((row.bit_count() for row in g.rows), reverse=True)) for g in got), reverse=True)
             assert (got_best, seqs) == (best, argmax), (n, m)

@@ -6,6 +6,7 @@ import re
 import shlex
 import subprocess
 import sys
+from collections import Counter
 from graphlib import TopologicalSorter
 from importlib import import_module
 from importlib.util import module_from_spec, spec_from_file_location
@@ -19,6 +20,26 @@ ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "lmrttg"
 
 
+def _imports_of(tree, module):
+    """``(names, froms)`` for a module in a parsed source file: the names that
+    ``import module [as a]`` binds, and ``(line, bound, name)`` for each name
+    that ``from module import name [as bound]`` binds."""
+    names = {
+        alias.asname or alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Import)
+        for alias in node.names
+        if alias.name == module
+    }
+    froms = [
+        (node.lineno, alias.asname or alias.name, alias.name)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == module
+        for alias in node.names
+    ]
+    return names, froms
+
+
 #: The ``math`` functions that return floats.
 _FLOAT_MATH = {"sqrt", "pow", "exp", "log", "isclose"}
 
@@ -27,20 +48,8 @@ def _float_uses(path):
     """(line, what) for each float literal and each call of ``float`` or of a
     float-returning ``math`` function in a source file."""
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-    math_names = {
-        alias.asname or alias.name
-        for node in ast.walk(tree)
-        if isinstance(node, ast.Import)
-        for alias in node.names
-        if alias.name == "math"
-    }
-    from_math = {
-        alias.asname or alias.name: alias.name
-        for node in ast.walk(tree)
-        if isinstance(node, ast.ImportFrom) and node.module == "math"
-        for alias in node.names
-        if alias.name in _FLOAT_MATH
-    }
+    math_names, froms = _imports_of(tree, "math")
+    from_math = {bound: name for _, bound, name in froms if name in _FLOAT_MATH}
     for node in ast.walk(tree):
         if isinstance(node, ast.Constant) and isinstance(node.value, float):
             yield node.lineno, repr(node.value)
@@ -76,20 +85,8 @@ def test_float_check_flags_float_math(tmp_path):
 def _json_dump_calls(path):
     """The lines of a source file that call ``json.dump``, by module or from-import name."""
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-    json_names = {
-        alias.asname or alias.name
-        for node in ast.walk(tree)
-        if isinstance(node, ast.Import)
-        for alias in node.names
-        if alias.name == "json"
-    }
-    dump_names = {
-        alias.asname or alias.name
-        for node in ast.walk(tree)
-        if isinstance(node, ast.ImportFrom) and node.module == "json"
-        for alias in node.names
-        if alias.name == "dump"
-    }
+    json_names, froms = _imports_of(tree, "json")
+    dump_names = {bound for _, bound, name in froms if name == "dump"}
     for node in ast.walk(tree):
         if isinstance(node, ast.Call):
             fn = node.func
@@ -120,17 +117,10 @@ def _functools_caches(path):
     """(line, name) for each ``functools`` cache a source file imports by name
     or reaches as an attribute of the module."""
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-    functools_names = {
-        alias.asname or alias.name
-        for node in ast.walk(tree)
-        if isinstance(node, ast.Import)
-        for alias in node.names
-        if alias.name == "functools"
-    }
+    functools_names, froms = _imports_of(tree, "functools")
+    yield from ((line, name) for line, _, name in froms if name in _CACHES)
     for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom) and node.module == "functools":
-            yield from ((node.lineno, alias.name) for alias in node.names if alias.name in _CACHES)
-        elif (
+        if (
             isinstance(node, ast.Attribute)
             and isinstance(node.value, ast.Name)
             and node.value.id in functools_names
@@ -211,6 +201,64 @@ def test_unused_import_check_flags_unread_names(tmp_path):
         "def f(x) -> js.JSONDecoder:\n    return reduce(max, x, os.sep)\n"
     )
     assert _unused_imports(path) == [(4, "lru_cache"), (5, "c")]
+
+
+def _reads(tree):
+    """The names a parsed source reads: each name, each attribute, and the
+    last part of each string that is a dotted name, as the benchmark's traced
+    names (``"families.build_lmrttg"``) are."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) and re.fullmatch(r"\w+(\.\w+)+", node.value):
+            yield node.value.rsplit(".", 1)[1]
+
+
+def _unread_api(paths, users):
+    """``module.name`` or ``module.Class.name`` for each public top-level
+    function or class, and each public method, that the files ``paths`` define
+    and that no file of ``paths`` or ``users`` reads outside its own
+    definition.  Reads match by name alone, whatever object they reach."""
+    trees = {path: ast.parse(path.read_text(encoding="utf-8"), filename=str(path)) for path in [*paths, *users]}
+    reads = Counter(name for tree in trees.values() for name in _reads(tree))
+    found = []
+    for path in paths:
+        body = trees[path].body
+        defs = [(node.name, node) for node in body if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
+        defs += [
+            (f"{cls.name}.{node.name}", node)
+            for cls in body
+            if isinstance(cls, ast.ClassDef)
+            for node in cls.body
+            if isinstance(node, ast.FunctionDef)
+        ]
+        found += [
+            f"{path.stem}.{qual}"
+            for qual, node in defs
+            if not node.name.startswith("_") and reads[node.name] == Counter(_reads(node))[node.name]
+        ]
+    return found
+
+
+def test_library_api_has_a_library_caller():
+    # API that only the tests call is kept alive by them alone; the benchmark
+    # harness counts as a caller, and cli.main is the pyproject entry point
+    found = _unread_api(sorted(SRC.glob("*.py")), sorted((ROOT / "perfbench").glob("*.py")))
+    assert [qual for qual in found if qual != "cli.main"] == []
+
+
+def test_api_check_flags_names_read_only_by_their_definition(tmp_path):
+    lib, user = tmp_path / "lib.py", tmp_path / "user.py"
+    lib.write_text(
+        "def used():\n    return helper()\n\n\ndef helper():\n    return 1\n\n\n"
+        "def recursive(n):\n    return recursive(n - 1)\n\n\ndef traced():\n    return 0\n\n\n"
+        "class Box:\n    def __eq__(self, other):\n        return isinstance(other, Box)\n\n"
+        "    def size(self):\n        return 0\n\n    def _private(self):\n        return 0\n"
+    )
+    user.write_text('import lib\nlib.used()\nTRACED = ["lib.traced"]\n')
+    assert sorted(_unread_api([lib], [user])) == ["lib.Box", "lib.Box.size", "lib.recursive"]
 
 
 def _size_caps(path):
