@@ -8,7 +8,9 @@ creation sequence, as every family member and ``M1`` maximizer is.  All
 graph values are immutable, so they can be shared and hashed freely.
 
 The rows are the one graph form that passes between the package's modules,
-and ``Graph`` checks that they are symmetric.  Edge lists are the input and
+and ``Graph`` checks that they are symmetric.  The builders here make
+symmetric rows by construction and know their edge count, so they build
+through ``_built``, which checks nothing.  Edge lists are the input and
 output format: ``from_edges`` for outside input, the graph a key stands for,
 the prefix-scan cells' graphs and the identity suite's random graphs, and
 ``edges`` for graph JSON and DOT.
@@ -60,11 +62,13 @@ class Graph:
     @classmethod
     def complete(cls, n: int) -> "Graph":
         full = (1 << n) - 1
-        return cls(n, tuple(full ^ (1 << v) for v in range(n)))
+        return _built(n, tuple(full ^ (1 << v) for v in range(n)), n * (n - 1) // 2)
 
     @classmethod
     def from_edges(cls, n: int, edges) -> "Graph":
-        rows = [0] * n
+        if n < 0:
+            raise DomainError(f"vertex count must be nonnegative; got {n}")
+        rows, m = [0] * n, 0
         for u, v in edges:
             if u == v:
                 raise DomainError(f"self-loop at vertex {u}")
@@ -74,7 +78,8 @@ class Graph:
                 raise DomainError(f"duplicate edge ({u},{v})")
             rows[u] |= 1 << v
             rows[v] |= 1 << u
-        return cls(n, rows)
+            m += 1
+        return _built(n, tuple(rows), m)
 
     def edges(self) -> list:
         """All edges as sorted ``(u, v)`` pairs with ``u < v``, found by
@@ -124,8 +129,8 @@ class TwoTerminalGraph:
 
 
 def complement(g: Graph) -> Graph:
-    full = (1 << g.n) - 1
-    return Graph(g.n, tuple(full ^ row ^ (1 << v) for v, row in enumerate(g.rows)))
+    n, full = g.n, (1 << g.n) - 1
+    return _built(n, tuple(full ^ row ^ (1 << v) for v, row in enumerate(g.rows)), n * (n - 1) // 2 - g.m)
 
 
 def join(g: Graph, h: Graph) -> Graph:
@@ -134,27 +139,40 @@ def join(g: Graph, h: Graph) -> Graph:
     hmask = ((1 << h.n) - 1) << g.n
     rows = [row | hmask for row in g.rows]
     rows += [(row << g.n) | gmask for row in h.rows]
-    return Graph(g.n + h.n, rows)
+    return _built(g.n + h.n, tuple(rows), g.m + h.m + g.n * h.n)
 
 
 def threshold_graph(n: int, blocks) -> Graph:
     """The threshold graph created from ``blocks``: runs ``(lo, hi, dominating)``
     of the labels ``lo..hi-1``, in creation order, that partition ``0..n-1``.
     A vertex of a dominating run is joined to every vertex created before it,
-    one of an isolated run to none; one backward pass sets every row."""
-    rows, later, after, full = [0] * n, 0, 0, (1 << n) - 1
+    one of an isolated run to none; one backward pass sets every row.  A
+    dominating run of s labels with b labels created before it adds ``s b
+    + C(s, 2)`` edges, and b is n less the s labels and those created later."""
+    rows, later, after, full, created_later, m = [0] * n, 0, 0, (1 << n) - 1, 0, 0
     for lo, hi, dominating in reversed(blocks):
-        run = (1 << hi) - (1 << lo)
+        run, size = (1 << hi) - (1 << lo), hi - lo
         if dominating:
             mask = later | (full ^ after)
             rows[lo:hi] = [mask ^ (1 << v) for v in range(lo, hi)]
             later |= run
+            m += size * (n - created_later - size) + size * (size - 1) // 2
         else:
-            rows[lo:hi] = [later] * (hi - lo)
+            rows[lo:hi] = [later] * size
         after |= run
-    if after != full or sum(hi - lo for lo, hi, _ in blocks) != n:
+        created_later += size
+    if after != full or created_later != n:
         raise DomainError(f"blocks must partition 0..{n - 1}; got {blocks!r}")
-    return Graph(n, rows)
+    return _built(n, tuple(rows), m)
+
+
+def _built(n: int, rows: tuple, m: int) -> Graph:
+    """A Graph on n vertices with the given rows and edge count, unchecked:
+    only the builders in this module call it, each with symmetric rows in
+    range and the m they make."""
+    g = object.__new__(Graph)
+    g.n, g.rows, g.m = n, rows, m
+    return g
 
 
 def vertex_pairs(n: int) -> tuple:

@@ -8,6 +8,9 @@ caller reads the fields it needs.  The ``h`` closed forms are written for
 the quasi-complete side; each quasi-star value follows from its
 quasi-complete mirror (``families.mirror``) by the complement-sum
 identity, with the quasi-star ``M1`` from ``classify.quasi_star_m1``.
+``cell_extremes`` bounds the gap ``h(C1) - h(S1)`` and the S-side spread
+over a cell of ``classify.cells`` from a few offsets, as the gap is
+quadratic in the offset.
 ``max_m1_graphs`` is the first-Zagreb argmax engine: every maximizer over
 the graphs with n vertices and m edges is a threshold graph, so it
 enumerates the threshold graphs' dominating sets.
@@ -20,7 +23,7 @@ from typing import NamedTuple
 
 from .classify import check_range, quasi_complete_params, quasi_star_m1, quasi_star_params
 from .errors import DomainError, FamilyDoesNotExist, InvariantError
-from .families import FamilyTag, c_side_exists
+from .families import MIRROR_TAGS, FamilyTag, c_side_exists
 from .graphs import Graph, threshold_graph
 
 
@@ -165,7 +168,13 @@ def h_sum_offset(n: int, m: int) -> int:
 
 def family_h_values(n: int, m: int) -> dict:
     """h of every existing family member at (n, m), by closed form, as
-    ``{tag: h}`` in FamilyTag order.
+    ``{tag: h}`` in FamilyTag order: ``family_h_at`` on both decompositions of m."""
+    return family_h_at(n, *quasi_complete_params(m), *quasi_star_params(n, m))
+
+
+def family_h_at(n: int, k: int, j: int, kp: int, jp: int) -> dict:
+    """``family_h_values(n, m)`` for ``m = C(k+1,2) - j``, from both
+    decompositions of m, ``(k, j)`` and ``(k', j')``, which the caller knows.
 
     A C-side member ``Ci`` on m edges reads ``(k, j)`` of m: C1 is the
     quasi-complete closed form, C3 adds 3 and C2 subtracts ``(2k-7)(k-j)(k-j-1)/2``.
@@ -176,10 +185,8 @@ def family_h_values(n: int, m: int) -> dict:
     with ``a = k - j`` their degrees are k (a times), k-1 (j times) and a;
     2k-j-1, k-1 (k-1 times) and 1 (a times); k (k-2 times) and k-2 (3
     times, j = 3); each sum of squares is ``k(k-1)^2 + a(2k-1) + a^2``.
-    Both parameter pairs, and the quasi-complete h of each, are computed once.
+    The quasi-complete h of each parameter pair is computed once.
     """
-    k, j = quasi_complete_params(m)
-    kp, jp = quasi_star_params(n, m)
     h = quasi_complete_h(k, j)
     out = {FamilyTag.C1: h}
     if c_side_exists(n, FamilyTag.C2, k, j):
@@ -187,7 +194,7 @@ def family_h_values(n: int, m: int) -> dict:
     if c_side_exists(n, FamilyTag.C3, k, j):
         out[FamilyTag.C3] = h + 3
     # h of S1; M1 is always even
-    h = _half((2 * n - 9) * quasi_star_m1(n, kp, jp)) + h_sum_offset(n, m) - quasi_complete_h(kp, jp)
+    h = _half((2 * n - 9) * quasi_star_m1(n, kp, jp)) + h_sum_offset(n, comb(k + 1, 2) - j) - quasi_complete_h(kp, jp)
     out[FamilyTag.S1] = h
     if c_side_exists(n, FamilyTag.C2, kp, jp):
         out[FamilyTag.S2] = h + _half((2 * kp - 7) * (kp - jp) * (kp - jp - 1))
@@ -203,3 +210,53 @@ def family_h(n: int, m: int, tag: FamilyTag) -> int:
     if h is None:
         raise FamilyDoesNotExist(f"{tag} has no member at n={n}, m={m}")
     return h
+
+
+def gap_and_spread(h_by_tag: dict) -> tuple:
+    """``(h(C1) - h(S1), spread)`` of one pair's ``{tag: h}``, where the spread
+    is the largest minus the smallest S-side value; S1 exists at every pair."""
+    h_s = [h for t, h in h_by_tag.items() if t in MIRROR_TAGS]  # S1 first
+    return h_by_tag[FamilyTag.C1] - h_s[0], max(h_s) - min(h_s)
+
+
+def cell_extremes(n: int, k: int, j: int, kp: int, jp: int, last: int) -> tuple:
+    """``(least gap, greatest spread)`` of ``gap_and_spread`` over the
+    offsets ``0..last`` of a ``classify.cells`` cell, whose pair at offset
+    i has the parameters ``(k, j - i, kp, jp + i)``, from ``family_h_at``
+    at a few offsets.
+
+    The gap is a quadratic f(i).  ``h(C1) = quasi_complete_h(k, j)`` is
+    quadratic in j, and ``h(S1) = (n - 9/2) M1(S1) + h_sum_offset(n, m) -
+    quasi_complete_h(k', j')``, where ``M1(S1)`` is quadratic in j' and the
+    offset in m; j, j' and m are affine in i.  So ``f(i+1) - f(i) = D1 + i
+    D2`` with ``D1 = f(1) - f(0)`` and ``D2 = f(2) - 2 f(1) + f(0)``.  For
+    ``D2 <= 0`` these steps never grow, so once f falls it keeps falling,
+    and f is least at 0 or last.  For ``D2 > 0`` they grow: f falls until
+    the first i with ``D1 + i D2 >= 0``, ``ceil(-D1 / D2)``, and rises from
+    there, so that i clipped to ``0..last`` is least.
+
+    The spread is the width of the S-side values: ``S2 - S1 = q(j') =
+    (2k'-7)(k'-j')(k'-j'-1)/2`` where S2 exists, on the piece ``2k' - n <=
+    j' <= k' - 2`` (``c_side_exists``), and ``S3 - S1 = -3`` where S3
+    exists, only at ``j' = 3``.  q < 0 needs k' <= 3, where the piece ends
+    at j' <= 1, so the spread is exactly ``|q(j')|`` on the piece plus 3
+    at ``j' = 3`` if S3 exists, and 0 elsewhere.  On the piece ``|q(j')| =
+    |2k'-7| a(a-1)/2`` with ``a = k' - j' >= 2``, which falls as j'
+    rises.  So the greatest spread is at the piece's first offset in the
+    cell, at the offset ``3 - j'`` of ``j' = 3``, which is at most 2 as
+    ``j' >= 1``, or, where the cell holds neither, 0 at every offset.
+    Both extremes are read over the offsets evaluated, a subset of the
+    cell that holds all these points."""
+    offsets = {0, min(1, last), min(2, last), last}
+    first_s2 = max(0, 2 * kp - n - jp)
+    if first_s2 <= min(last, kp - 2 - jp):
+        offsets.add(first_s2)
+    at = {i: gap_and_spread(family_h_at(n, k, j - i, kp, jp + i)) for i in offsets}
+    if last >= 2:
+        (f0, _), (f1, _), (f2, _) = at[0], at[1], at[2]
+        d1, d2 = f1 - f0, f2 - 2 * f1 + f0
+        if d2 > 0:
+            vertex = min(max(-(d1 // d2), 0), last)
+            if vertex not in at:
+                at[vertex] = gap_and_spread(family_h_at(n, k, j - vertex, kp, jp + vertex))
+    return min(gap for gap, _ in at.values()), max(spread for _, spread in at.values())

@@ -20,11 +20,12 @@ from .classify import (
 )
 from .errors import DomainError, SizeLimitError
 from .families import (
-    LMRTTG_MIN_N, MIRROR_TAGS, SEVEN_PAIR_TAGS, FamilyTag, build_h_optimal, build_lmrttg, candidate_set, h_optimal_tag,
-    lmrttg_ms,
+    LMRTTG_MIN_N, MIRROR_TAGS, SEVEN_PAIR_TAGS, build_h_optimal, build_lmrttg, candidate_set, h_optimal_tag, lmrttg_ms,
 )
 from .graphs import Graph, canonical_key, complement, form_of_key, graph_key, to_json_obj, vertex_pairs
-from .invariants import complement_residuals, family_h_values, h_sum_offset, invariant_bundle, max_m1_graphs
+from .invariants import (
+    cell_extremes, complement_residuals, family_h_values, gap_and_spread, h_sum_offset, invariant_bundle, max_m1_graphs,
+)
 from .quadratic import MARGIN, band_bounds_check, count_roots, refine_root, roots_beyond, sign, sign_at
 from .reliability import NVEC_MAX_VERTICES, _search
 
@@ -193,16 +194,24 @@ def band_bounds_report(n_lo: int, n_hi: int) -> ScanReport:
     """Exact polynomial-bound checks on every central-band pair, of the gap
     ``h(C1) - h(S1)`` and of the spread among the S-side h values, then the
     decomposition-parameter check on the same range, as one record listing
-    its violations."""
+    its violations.
+
+    The bounds are checked one ``cells`` cell at a time.  A pair passes iff
+    its gap is at least an integer threshold at n and its spread at most
+    another (``band_bounds_check``), so a cell passes whole iff its least
+    gap and greatest spread do (``invariants.cell_extremes``).  A cell
+    that fails is walked pair by pair, each from ``family_h_values``, and
+    each failing pair gets a record."""
     report = ScanReport(scope=f"band polynomial bounds, n in {n_lo}..{n_hi}")
     for n in band_n_range(n_lo, n_hi):
-        for m in central_band(n):
-            h_by_tag = family_h_values(n, m)
-            h_s = [h for t, h in h_by_tag.items() if t in MIRROR_TAGS]  # S1 first; it exists at every (n, m)
-            gap_ok, spread_ok = band_bounds_check(n, h_by_tag[FamilyTag.C1] - h_s[0], max(h_s) - min(h_s))
-            report.pairs_scanned += 1
-            if not (gap_ok and spread_ok):
-                report.records.append({"n": n, "m": m, "gap_ok": gap_ok, "spread_ok": spread_ok, "ok": False})
+        for m0, last, k, j, kp, jp, _, _ in cells(n, central_band(n)):
+            report.pairs_scanned += last - m0 + 1
+            if all(band_bounds_check(n, *cell_extremes(n, k, j, kp, jp, last - m0))):
+                continue
+            for m in range(m0, last + 1):
+                gap_ok, spread_ok = band_bounds_check(n, *gap_and_spread(family_h_values(n, m)))
+                if not (gap_ok and spread_ok):
+                    report.records.append({"n": n, "m": m, "gap_ok": gap_ok, "spread_ok": spread_ok, "ok": False})
     violations = band_decomposition_violations(n_lo, n_hi)
     if violations:
         report.records.append({"check": "decomposition bounds", "violations": violations, "ok": False})

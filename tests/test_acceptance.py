@@ -22,6 +22,7 @@ from lmrttg.families import FamilyTag, build_family, family_exists
 from lmrttg.invariants import family_h, invariant_bundle, quasi_complete_h
 from lmrttg.quadratic import MARGIN, count_roots, sign, sign_at, taylor_shift
 from lmrttg.scans import (
+    TIE_SCAN_MAX_N,
     band_bounds_report,
     band_decomposition_violations,
     identity_suite,
@@ -170,12 +171,12 @@ def test_criterion_8_band_scan():
 
 def test_criterion_9_band_polynomial_bounds():
     t0 = time.perf_counter()
-    rep = band_bounds_report(8, 60)
+    rep = band_bounds_report(8, TIE_SCAN_MAX_N)
     checked = rep.pairs_scanned
-    ok = rep.verdict and checked == sum(len(central_band(n)) for n in range(8, 61))
+    ok = rep.verdict and checked == sum(len(central_band(n)) for n in range(8, TIE_SCAN_MAX_N + 1)) == 95453
     # desk-scale stand-in for the unbounded-n dominance claim
     spots = [rec for n in (437, 500, 1000) for rec in scan_tie_band(n, n).records]
     ok = ok and len(spots) >= 3 and all(rec["ok"] for rec in spots)
     ok = ok and all(sign_at(MARGIN, n) > 0 for n in (437, 500, 1000))
     elapsed = time.perf_counter() - t0
-    _report(9, ok, f"polynomial bounds exact on {checked} band pairs (n <= 60) + large-n spot checks", elapsed)
+    _report(9, ok, f"polynomial bounds exact on {checked} band pairs (n <= {TIE_SCAN_MAX_N}) + large-n spot checks", elapsed)

@@ -88,12 +88,18 @@ def test_threshold_graph_matches_the_oracle(case):
     assert threshold_graph(n, blocks).edges() == threshold_oracle(n, blocks)
 
 
-@given(_block_partitions(), _block_partitions())
-def test_every_builder_counts_its_edges(a, b):
-    # m is a plain slot, set when the graph is built
+@given(_block_partitions(), _block_partitions(), st.data())
+def test_every_builder_counts_its_edges(a, b, data):
+    # m is a plain slot, set when the graph is built; the builders skip
+    # Graph's row checks, which must accept their rows and count the same m
     g, h = threshold_graph(*a), threshold_graph(*b)
-    built = [g, Graph.from_edges(g.n, g.edges()[::2]), complement(g), join(g, h), Graph(a[0], [0] * a[0]), Graph.complete(a[0])]
+    pairs = vertex_pairs(g.n)
+    picked = data.draw(st.lists(st.sampled_from(pairs), unique=True) if pairs else st.just([]))
+    edges = [(v, u) if i % 2 else (u, v) for i, (u, v) in enumerate(picked)]
+    built = [g, h, Graph.from_edges(g.n, edges), complement(g), join(g, h), Graph(g.n, [0] * g.n), Graph.complete(g.n)]
     assert [x.m for x in built] == [len(x.edges()) for x in built]
+    checked = [Graph(x.n, x.rows) for x in built]
+    assert [(x, x.m, type(x.rows)) for x in built] == [(y, y.m, tuple) for y in checked]
     assert Graph.__slots__ == ("n", "rows", "m")
 
 

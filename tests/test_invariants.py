@@ -6,11 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lmrttg import invariants
 from lmrttg.classify import quasi_complete_params, quasi_star_m1, quasi_star_params
 from lmrttg.errors import DomainError, FamilyDoesNotExist
 from lmrttg.families import FamilyTag, build_family, family_exists
 from lmrttg.graphs import Graph, complement, graph_key
 from lmrttg.invariants import (
+    cell_extremes,
     complement_residuals,
     family_h,
     family_h_values,
@@ -145,6 +147,20 @@ def test_family_h_values_domain():
         family_h_values(6, 16)
     with pytest.raises(DomainError):
         family_h_values(6, -1)
+
+
+def test_cell_extremes_find_the_least_of_every_quadratic_gap(monkeypatch):
+    # the gap rule needs only a gap quadratic in the offset, so a stand-in
+    # family_h_at whose gap at offset i (its j') is f(i) must give min f on
+    # every cell, for the concave and linear f that no band cell has too
+    for b in range(-7, 8):
+        for c in range(-2, 3):
+            monkeypatch.setattr(
+                invariants, "family_h_at", lambda n, k, j, kp, jp, b=b, c=c: {FamilyTag.C1: b * jp + c * jp * jp, FamilyTag.S1: 0}
+            )
+            for last in range(9):
+                least = min(b * i + c * i * i for i in range(last + 1))
+                assert cell_extremes(8, 9, 9, 9, 0, last) == (least, 0), (b, c, last)
 
 
 @st.composite

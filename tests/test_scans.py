@@ -1,15 +1,16 @@
 import json
+from collections import Counter
 from math import comb
 from pathlib import Path
 
 import pytest
 
-from lmrttg import families, scans
-from lmrttg.classify import quasi_complete_params, quasi_star_params
+from lmrttg import families, invariants, scans
+from lmrttg.classify import cells, central_band, quasi_complete_params, quasi_star_params
 from lmrttg.errors import DomainError
 from lmrttg.families import FamilyTag, build_family, candidate_set
 from lmrttg.graphs import Graph, graph_key
-from lmrttg.invariants import family_h, invariant_bundle
+from lmrttg.invariants import family_h, family_h_values, invariant_bundle
 from lmrttg.scans import (
     ScanReport,
     _h_optima,
@@ -220,6 +221,64 @@ def test_band_bounds_report_checks_decomposition_on_its_whole_range(monkeypatch)
     assert not rep.verdict
     (rec,) = rep.records
     assert rec["check"] == "decomposition bounds" and {n for n, _, _ in rec["violations"]} == set(range(201, 211))
+
+
+def test_band_bounds_report_solves_no_decomposition_per_pair(monkeypatch):
+    # each cell's pairs read (k, j - i, k', j' + i) from the cell; per pair the
+    # old loop solved both decompositions, 5,069 times each on 8..100
+    calls = []
+    for module in (scans, invariants):
+        for name in ("quasi_complete_params", "quasi_star_params"):
+            monkeypatch.setattr(module, name, lambda *args, fn=getattr(module, name): calls.append(args) or fn(*args))
+    rep = band_bounds_report(8, 100)
+    assert rep.verdict and rep.pairs_scanned == 5069
+    assert calls == []
+
+
+@pytest.mark.parametrize("n_hi, every_m", [(200, False), (20, True)])
+def test_band_bounds_records_equal_a_per_pair_reference(monkeypatch, n_hi, every_m):
+    # each pass puts one threshold at every n one step inside a cell's least
+    # gap or greatest spread and leaves the other at its extreme over n, so
+    # that this cell fails in part or whole while the others pass or fail;
+    # every cell is picked for both thresholds, and every pair is checked on
+    # its own.  Every central-band cell's gap has a positive second
+    # difference; over every m some have none, so the ends-only rule runs.
+    if every_m:
+        monkeypatch.setattr(scans, "central_band", lambda n: range(comb(n, 2) + 1))
+    band = scans.central_band
+    values = {}
+    for n in range(8, n_hi + 1):
+        for m in band(n):
+            h_by_tag = family_h_values(n, m)
+            h_s = [h_by_tag[t] for t in (FamilyTag.S1, FamilyTag.S2, FamilyTag.S3) if t in h_by_tag]
+            values[n, m] = (h_by_tag[FamilyTag.C1] - h_by_tag[FamilyTag.S1], max(h_s) - min(h_s))
+    band_cells = {n: [range(m0, last + 1) for m0, last, *_ in cells(n, band(n))] for n in range(8, n_hi + 1)}
+    open_bounds = {n: (min(values[n, m][0] for m in band(n)), max(values[n, m][1] for m in band(n))) for n in band_cells}
+    kinds = Counter()
+    for index in range(2 * max(map(len, band_cells.values()))):
+        side, bounds = index % 2, {}
+        for n, ms in band_cells.items():
+            picked = [values[n, m][side] for m in ms[index // 2 % len(ms)]]
+            bounds[n] = (min(picked) + 1, open_bounds[n][1]) if side == 0 else (open_bounds[n][0], max(picked) - 1)
+
+        def check(n, gap, spread):
+            return gap >= bounds[n][0], spread <= bounds[n][1]
+
+        monkeypatch.setattr(scans, "band_bounds_check", check)
+        expected = []
+        for (n, m), (gap, spread) in values.items():
+            gap_ok, spread_ok = check(n, gap, spread)
+            if not (gap_ok and spread_ok):
+                expected.append({"n": n, "m": m, "gap_ok": gap_ok, "spread_ok": spread_ok, "ok": False})
+        rep = band_bounds_report(8, n_hi)
+        pair_records = [rec for rec in rep.records if rec.get("check") != "decomposition bounds"]
+        assert (pair_records, rep.pairs_scanned) == (expected, len(values)), index
+        failing = {(rec["n"], rec["m"]) for rec in expected}
+        for n, cell_list in band_cells.items():
+            for ms in cell_list:
+                failed = sum((n, m) in failing for m in ms)
+                kinds["pass" if failed == 0 else "whole" if failed == len(ms) else "part"] += 1
+    assert kinds["pass"] and kinds["whole"] and kinds["part"], kinds
 
 
 def test_sturm_report_contents():

@@ -298,6 +298,53 @@ def test_size_cap_check_flags_literal_caps(tmp_path):
     assert [line for line, _, named in _size_caps(path) if not named] == [2, 3, 4, 6]
 
 
+#: The builders in graphs.py that make symmetric rows and count their edges.
+_ROW_BUILDERS = {"complete", "from_edges", "complement", "join", "threshold_graph"}
+
+
+def _unchecked_builds(path, builders=()):
+    """(line, function) for each use of the unchecked constructor ``_built``
+    in a source file, by name, attribute or import, outside the functions
+    ``builders``; a use at module level is in ``<module>``."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+    def walk(node, fn):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield from walk(child, child.name)
+                continue
+            if (
+                isinstance(child, ast.Name) and child.id == "_built"
+                or isinstance(child, ast.Attribute) and child.attr == "_built"
+                or isinstance(child, ast.alias) and child.name == "_built"
+            ) and fn not in builders:
+                yield child.lineno, fn
+            yield from walk(child, fn)
+
+    return list(walk(tree, "<module>"))
+
+
+def test_only_the_graph_builders_skip_the_symmetry_check():
+    # Graph(n, rows) checks rows from a caller; _built trusts its rows and m,
+    # so only a builder that makes them symmetric and counts its edges calls it
+    found = [
+        f"{path.name}:{line}: {fn}"
+        for path in sorted(SRC.glob("*.py"))
+        for line, fn in _unchecked_builds(path, _ROW_BUILDERS if path.name == "graphs.py" else ())
+    ]
+    assert found == []
+    assert {fn for _, fn in _unchecked_builds(SRC / "graphs.py")} == _ROW_BUILDERS
+
+
+def test_unchecked_build_check_flags_uses_outside_the_builders(tmp_path):
+    path = tmp_path / "sample.py"
+    path.write_text(
+        "from .graphs import _built\nimport graphs\n\n\ndef join(g):\n    return _built(g.n, g.rows, g.m)\n\n\n"
+        "def relabel(g):\n    return graphs._built(g.n, g.rows, g.m)\n\n\nmake = _built\n"
+    )
+    assert _unchecked_builds(path, {"join"}) == [(1, "<module>"), (10, "relabel"), (13, "<module>")]
+
+
 def _asserts(path):
     """The line of each ``assert`` statement in a source file."""
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
