@@ -267,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = verify("bounds", "polynomial bounds on the central band", lambda a: band_bounds_report(a.from_n, a.to_n))
     p.add_argument("--from", dest="from_n", type=_band_n, default=BAND_MIN_N)
-    p.add_argument("--to", dest="to_n", type=_band_n, default=60)
+    p.add_argument("--to", dest="to_n", type=_band_n, default=TIE_SCAN_MAX_N)
 
     p = verify("all", "run the single verifications above in turn", None)
     p.set_defaults(func=_cmd_verify_all)

@@ -9,9 +9,10 @@ The search never assumes anything about the winner's shape.  It covers
 every labeled candidate (terminals fixed at 0 and 1, which every
 two-terminal graph can be relabeled to) by grouping them into cells by
 the terminals' inner neighbourhoods, where the ``(N_1, N_2, N_3)`` prefix
-has a closed maximum.  Only one cell per type is built, and on the dense
-side only the inner graphs of largest M1; their full vectors are scored
-by inclusion-exclusion over vertex sets.
+has a closed maximum.  The best cells are solved in closed form, and only
+their maximisers in one cell are built, on the dense side only the inner
+graphs of largest M1; their full vectors are scored by inclusion-exclusion
+over vertex sets.
 """
 
 from __future__ import annotations
@@ -158,72 +159,59 @@ def _prefix_scan(n: int, m: int) -> tuple:
         N_3 = C(m-1, 2) + x(m-3) + sum over uv in F of w(uv),
 
     where w(uv) = [u in A][v in B] + [v in A][u in B] counts the paths
-    0-u-v-1 and 0-v-u-1.  So the best N_3 in a cell takes the k heaviest
-    pairs: the C(x, 2) pairs inside A & B weigh 2, the x(a+b) + ab pairs
-    joining A & B, A - B and B - A (a = |A - B|, b = |B - A|) weigh 1, and
-    the rest weigh 0.  A cell's best key depends only on (x, a, b), so the
-    scan walks those types, each standing for C(r; x, a, b) cells of
-    C(P, k) candidates (r = n-2).  In a cell the maximisers are the pairs
-    above the threshold weight plus any subset of the right size from the
-    threshold class, and nothing else.
+    0-u-v-1 and 0-v-u-1: 2 on a pair inside A & B, 1 on a pair joining
+    A & B, A - B and B - A, and 0 on the rest.
 
     No candidate is skipped and no shape is assumed: the cells partition
     the candidates, so ``examined``, the sum of C(P, k) over all cells,
     equals C(C(n,2)-1, m-1) by Vandermonde's identity (the m-1 free edges
-    split into |A|+|B| of the 2r terminal pairs and k inner pairs).
+    split into |A|+|B| of the 2r terminal pairs and k inner pairs, r = n-2).
 
-    A permutation of the inner vertices fixes the terminals and maps each
-    cell of a type, with its maximisers, onto every other cell of that
-    type.  So ``survivors`` sums, over the best types, the cells times
-    C(|threshold class|, need), and ``scored`` holds the maximisers of one
-    cell per best type: A = the first x+a inner vertices, B = the first x
-    of them plus the next b.
+    The best cells are solved, not searched.  Each path 0-v-1 takes two of
+    the m-1 free edges, so x <= min(r, (m-1)//2) = x*, and N_2 is largest
+    exactly on the cells with x = x*, which exist: if x* = r, the m-1-2r
+    edges left fit among the P inner pairs (m <= C(n,2)); if x* < r, at
+    most one edge is left, and a terminal edge to a vertex outside A & B
+    takes it.
 
-    The dense type x = r (both terminals universal) has the largest N_2,
-    so it stands alone, and its cell holds every k-edge graph H on I.
-    There N_4 = c(n, k) + M1(H) - 2k: a connecting 4-edge set without the
-    terminal edge or a path 0-v-1 (those are counted by (n, k) alone) is a
-    path 0-u-v-1 plus one of the m-6 other edges, or a path 0-u-w-v-1, and
-    there are sum over w of d_w(d_w-1) of those.  So ``scored`` joins the
-    terminal edges over each class of ``max_m1_graphs(r, k)``.
+    The dense cell x* = r (both terminals universal) is then the only best
+    cell, and it holds every k-edge graph H on I, k = m-1-2r; all C(P, k) of them
+    tie on N_3.  There N_4 = c(n, k) + M1(H) - 2k: a connecting 4-edge set
+    without the terminal edge or a path 0-v-1 (those are counted by (n, k)
+    alone) is a path 0-u-v-1 plus one of the m-6 other edges, or a path
+    0-u-w-v-1, and there are sum over w of d_w(d_w-1) of those.  So
+    ``scored`` joins the terminal edges over each class of
+    ``max_m1_graphs(r, k)``.
+
+    On the sparse side x* < r, if m-1 = 2x* the cell fixes the candidate:
+    A = B, F empty.  Otherwise one edge is left.  On a terminal pair it
+    makes A - B or B - A one vertex and adds nothing to N_3, since F stays
+    empty; as an inner pair (A = B) it adds 2 inside A & B and 0 elsewhere.
+    A & B holds a pair iff x* >= 2, that is m >= 5, and then the
+    maximisers are the C(x*, 2) inner edges inside A & B of each cell with
+    A = B; for x* <= 1 every placement ties.  A permutation of the inner
+    vertices fixes the terminals and maps every maximiser onto one with
+    A & B = {2..x*+1} and any terminal edge outside it ending at x*+2; so
+    ``scored`` holds those, and ``survivors`` counts C(r, x*) choices of
+    A & B times the placements for each, r - x* per terminal.
 
     Returns ``(examined, survivors, scored graphs)``.
     """
     r, free = n - 2, m - 1
-    inner_pairs = comb(r, 2)
-    examined = 0
-    by_key = {}
-    for x in range(r + 1):
-        for a in range(r - x + 1):
-            for b in range(r - x - a + 1):
-                k = free - 2 * x - a - b
-                if not 0 <= k <= inner_pairs:
-                    continue
-                cells = comb(r, x) * comb(r - x, a) * comb(r - x - a, b)
-                examined += cells * comb(inner_pairs, k)
-                heavy, light = comb(x, 2), x * (a + b) + a * b
-                top = 2 * min(k, heavy) + min(max(k - heavy, 0), light)
-                key = (free + x, comb(free, 2) + x * (m - 3) + top)
-                by_key.setdefault(key, []).append((x, a, b, k, cells))
-    survivors, scored = 0, []
-    for x, a, b, k, cells in by_key[max(by_key)]:
-        A, B = range(2, 2 + x + a), [*range(2, 2 + x), *range(2 + x + a, 2 + x + a + b)]
-        by_weight = ([], [], [])
-        for u, v in combinations(range(2, n), 2):
-            by_weight[(u in A and v in B) + (v in A and u in B)].append((u, v))
-        forced = [(0, 1)] + [(0, v) for v in A] + [(1, v) for v in B]
-        need = k
-        for cls in reversed(by_weight):
-            if need <= len(cls):
-                break
-            forced += cls
-            need -= len(cls)
-        survivors += cells * comb(len(cls), need)
-        if x == r:
-            scored += [join(Graph.complete(2), h) for h in max_m1_graphs(r, k)[1]]
-        else:
-            scored += [Graph.from_edges(n, forced + list(pick)) for pick in combinations(cls, need)]
-    return examined, survivors, scored
+    x = min(r, free // 2)
+    examined = comb(comb(n, 2) - 1, free)
+    if x == r:
+        k = free - 2 * r
+        return examined, comb(comb(r, 2), k), [join(Graph.complete(2), h) for h in max_m1_graphs(r, k)[1]]
+    forced = [(0, 1), *((t, v) for v in range(2, 2 + x) for t in (0, 1))]
+    picks, placements = [[]], 1
+    if free > 2 * x:
+        picks = [[pair] for pair in combinations(range(2, 2 + x) if x >= 2 else range(2, n), 2)]
+        placements = len(picks)
+        if x < 2:
+            picks += [[(0, 2 + x)], [(1, 2 + x)]]
+            placements += 2 * (r - x)
+    return examined, comb(r, x) * placements, [Graph.from_edges(n, forced + pick) for pick in picks]
 
 
 def _search(n: int, m: int) -> dict:

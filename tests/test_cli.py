@@ -585,8 +585,9 @@ def test_verify_all_desk_scale(capsys):
 def test_band_scan_defaults_come_from_their_constants():
     parser = cli.build_parser()
     istar = parser.parse_args(["verify", "istar-scan"])
-    assert (istar.from_n, istar.to_n) == (BAND_MIN_N, TIE_SCAN_MAX_N)
-    assert parser.parse_args(["verify", "bounds"]).from_n == BAND_MIN_N
+    bounds = parser.parse_args(["verify", "bounds"])
+    # bounds checks the tail's premises on every n that the tie scan covers
+    assert (istar.from_n, istar.to_n) == (bounds.from_n, bounds.to_n) == (BAND_MIN_N, TIE_SCAN_MAX_N)
 
 
 def test_theorem_range_defaults_come_from_lmrttg_ms(capsys, monkeypatch):

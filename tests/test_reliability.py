@@ -208,10 +208,33 @@ def test_prefix_scan_survivors_match_oracle():
 
 
 def test_prefix_scan_covers_every_labeled_candidate():
-    # the cells' C(P, k) counts add up to every (m-1)-subset of the non-terminal pairs
+    # the cells' C(P, k) counts, summed over every type (x, a, b), add up to
+    # every (m-1)-subset of the non-terminal pairs
     for n in range(2, 9):
+        r, inner_pairs = n - 2, comb(n - 2, 2)
         for m in range(1, comb(n, 2) + 1):
-            assert _prefix_scan(n, m)[0] == comb(comb(n, 2) - 1, m - 1), (n, m)
+            cells = sum(
+                comb(r, x) * comb(r - x, a) * comb(r - x - a, b) * comb(inner_pairs, m - 1 - 2 * x - a - b)
+                for x in range(r + 1)
+                for a in range(r - x + 1)
+                for b in range(r - x - a + 1)
+                if 2 * x + a + b <= m - 1
+            )
+            assert cells == comb(comb(n, 2) - 1, m - 1) == _prefix_scan(n, m)[0], (n, m)
+
+
+def test_sparse_prefix_scan_is_the_construction():
+    # on 5 <= m <= 2n-3 the best cells put (m-1)//2 inner vertices in both
+    # terminals' neighbourhoods and any leftover edge inside them, and every
+    # maximiser is the construction with its terminals in order
+    pairs = [(n, m) for n in range(4, 21) for m in range(5, 2 * n - 2)]
+    assert len(pairs) == 289
+    for n, m in pairs:
+        x = (m - 1) // 2
+        _, survivors, scored = _prefix_scan(n, m)
+        assert survivors == comb(n - 2, x) * comb(x, 2) ** ((m - 1) % 2), (n, m)
+        key = canonical_key_ordered(build_lmrttg(n, m))
+        assert {canonical_key_ordered(TwoTerminalGraph(g, 0, 1)) for g in scored} == {key}, (n, m)
 
 
 def test_keys_accept_every_graph_the_search_scores():

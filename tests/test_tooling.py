@@ -217,10 +217,11 @@ def _reads(tree):
 
 
 def _unread_api(paths, users):
-    """``module.name`` or ``module.Class.name`` for each public top-level
-    function or class, and each public method, that the files ``paths`` define
-    and that no file of ``paths`` or ``users`` reads outside its own
-    definition.  Reads match by name alone, whatever object they reach."""
+    """``module.name`` or ``module.Class.name`` for each top-level function
+    or class, and each method other than a dunder, that the files ``paths``
+    define and that no file of ``paths`` or ``users`` reads outside its own
+    definition; private names count too.  Reads match by name alone,
+    whatever object they reach."""
     trees = {path: ast.parse(path.read_text(encoding="utf-8"), filename=str(path)) for path in [*paths, *users]}
     reads = Counter(name for tree in trees.values() for name in _reads(tree))
     found = []
@@ -237,14 +238,15 @@ def _unread_api(paths, users):
         found += [
             f"{path.stem}.{qual}"
             for qual, node in defs
-            if not node.name.startswith("_") and reads[node.name] == Counter(_reads(node))[node.name]
+            if not re.fullmatch(r"__\w+__", node.name) and reads[node.name] == Counter(_reads(node))[node.name]
         ]
     return found
 
 
 def test_library_api_has_a_library_caller():
-    # API that only the tests call is kept alive by them alone; the benchmark
-    # harness counts as a caller, and cli.main is the pyproject entry point
+    # API and private helpers that only the tests call are kept alive by them
+    # alone; the benchmark harness counts as a caller, and cli.main is the
+    # pyproject entry point
     found = _unread_api(sorted(SRC.glob("*.py")), sorted((ROOT / "perfbench").glob("*.py")))
     assert [qual for qual in found if qual != "cli.main"] == []
 
@@ -258,7 +260,7 @@ def test_api_check_flags_names_read_only_by_their_definition(tmp_path):
         "    def size(self):\n        return 0\n\n    def _private(self):\n        return 0\n"
     )
     user.write_text('import lib\nlib.used()\nTRACED = ["lib.traced"]\n')
-    assert sorted(_unread_api([lib], [user])) == ["lib.Box", "lib.Box.size", "lib.recursive"]
+    assert sorted(_unread_api([lib], [user])) == ["lib.Box", "lib.Box._private", "lib.Box.size", "lib.recursive"]
 
 
 def _size_caps(path):
