@@ -235,11 +235,6 @@ def canonical_key(tg: TwoTerminalGraph) -> tuple:
     return min(_canonical(tg.graph, lead) for lead in ((tg.s, tg.t), (tg.t, tg.s)))
 
 
-def canonical_key_ordered(tg: TwoTerminalGraph) -> tuple:
-    """Like canonical_key but with the terminals taken as an ordered pair."""
-    return _canonical(tg.graph, (tg.s, tg.t))
-
-
 def graph_key(g: Graph) -> tuple:
     """Complete isomorphism invariant for plain graphs whose equal-degree vertices are twins."""
     return _canonical(g, ())

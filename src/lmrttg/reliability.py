@@ -9,20 +9,20 @@ The search never assumes anything about the winner's shape.  It covers
 every labeled candidate (terminals fixed at 0 and 1, which every
 two-terminal graph can be relabeled to) by grouping them into cells by
 the terminals' inner neighbourhoods, where the ``(N_1, N_2, N_3)`` prefix
-has a closed maximum.  The best cells are solved in closed form, and only
-their maximisers in one cell are built, on the dense side only the inner
-graphs of largest M1; their full vectors are scored by inclusion-exclusion
-over vertex sets.
+has a closed maximum.  The best cells are solved in closed form, and one
+maximiser is built per class of graphs isomorphic with the terminals kept
+in order, on the dense side one per class of inner graphs of largest M1.
+Only when there are several are their full vectors scored, by
+inclusion-exclusion over vertex sets.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
 from math import comb
 
 from .errors import DomainError, SizeLimitError
-from .graphs import Graph, TwoTerminalGraph, canonical_key, canonical_key_ordered, form_of_key, join
+from .graphs import Graph, TwoTerminalGraph, canonical_key, form_of_key, join
 from .invariants import max_m1_graphs
 
 #: Most vertices of a coefficient vector, and so of the optimum search, which
@@ -189,11 +189,23 @@ def _prefix_scan(n: int, m: int) -> tuple:
     empty; as an inner pair (A = B) it adds 2 inside A & B and 0 elsewhere.
     A & B holds a pair iff x* >= 2, that is m >= 5, and then the
     maximisers are the C(x*, 2) inner edges inside A & B of each cell with
-    A = B; for x* <= 1 every placement ties.  A permutation of the inner
-    vertices fixes the terminals and maps every maximiser onto one with
-    A & B = {2..x*+1} and any terminal edge outside it ending at x*+2; so
-    ``scored`` holds those, and ``survivors`` counts C(r, x*) choices of
-    A & B times the placements for each, r - x* per terminal.
+    A = B; for x* <= 1 every placement ties: C(r, 2) inner pairs and r - x*
+    terminal pairs per terminal.  ``survivors`` counts C(r, x*) choices of
+    A & B times the placements for each.
+
+    ``scored`` holds one maximiser per class, two graphs being in one class
+    when an isomorphism maps 0 to 0 and 1 to 1.  Such a map permutes the
+    inner vertices, and each permutation of them is one from a graph onto
+    its image.  On the dense side it restricts to an isomorphism of the
+    inner graphs H, and ``max_m1_graphs`` gives one H per class.  On the
+    sparse side it maps A & B onto the other graph's A & B, and the
+    permutations map any A & B onto {2..x*+1} and then permute that set and
+    the rest freely.  So the leftover edges inside A & B form one orbit,
+    held by (2, 3), which makes the graph ``build_lmrttg(n, m)`` label for
+    label.  For x* <= 1 the inner pairs form one orbit per number of ends
+    in A & B, which is x*+2-u for (u, u+1), and the terminal edges to a
+    vertex outside A & B form one orbit per terminal, held by (0, x*+2)
+    and (1, x*+2).
 
     Returns ``(examined, survivors, scored graphs)``.
     """
@@ -205,38 +217,36 @@ def _prefix_scan(n: int, m: int) -> tuple:
         return examined, comb(comb(r, 2), k), [join(Graph.complete(2), h) for h in max_m1_graphs(r, k)[1]]
     forced = [(0, 1), *((t, v) for v in range(2, 2 + x) for t in (0, 1))]
     picks, placements = [[]], 1
-    if free > 2 * x:
-        picks = [[pair] for pair in combinations(range(2, 2 + x) if x >= 2 else range(2, n), 2)]
-        placements = len(picks)
-        if x < 2:
-            picks += [[(0, 2 + x)], [(1, 2 + x)]]
-            placements += 2 * (r - x)
+    if free > 2 * x and x >= 2:
+        picks, placements = [[(2, 3)]], comb(x, 2)
+    elif free > 2 * x:
+        picks = [[(u, u + 1)] for u in range(2, min(x + 3, n - 1))] + [[(0, x + 2)], [(1, x + 2)]]
+        placements = comb(r, 2) + 2 * (r - x)
     return examined, comb(r, x) * placements, [Graph.from_edges(n, forced + pick) for pick in picks]
 
 
-def _search(n: int, m: int) -> dict:
+def optimum_search(n: int, m: int) -> dict:
     """Full optimum search; returns the sorted canonical keys of the
     winners plus bookkeeping for reports.
 
-    The vertex cap is checked before the scan starts.  Only the
-    ``scored`` list of ``_prefix_scan`` is scored, one graph per ordered
-    key with terminals 0 and 1, and only when it holds two keys or more.
-    Equal ordered keys mean equal vectors: they give an isomorphism that
-    maps 0 to 0 and 1 to 1, so it maps the i-edge sets joining the
-    terminals in one graph one-to-one onto the other's, for every i.  A
-    lone key needs no vector: every lexicographic maximiser has the
-    largest ``(N_2, N_3)`` prefix, so an isomorphism fixing 0 and 1 maps
-    it onto a graph in ``scored``, and that lone key is the unique optimum."""
+    The vertex cap is checked before the scan starts.  Every lexicographic
+    maximiser has the largest ``(N_2, N_3)`` prefix, so an isomorphism
+    fixing 0 and 1 maps it onto a graph of ``_prefix_scan``'s ``scored``
+    list, which holds one graph per class of such maps.  A lone graph is
+    therefore the unique optimum and needs no vector.  Two or more get one
+    vector each: a map fixing 0 and 1 maps the i-edge sets joining the
+    terminals in one graph one-to-one onto the other's, for every i, so one
+    graph speaks for its class.  Only the tied graphs are keyed, and
+    ``unique_ordered`` says that one graph ties."""
     _check_nvec_size(n)
     if n < 2 or not 1 <= m <= comb(n, 2):
         raise DomainError(f"need n >= 2 and 1 <= m <= C(n,2); got n={n}, m={m}")
     examined, survivors, scored = _prefix_scan(n, m)
-    by_key = {canonical_key_ordered(TwoTerminalGraph(g, 0, 1)): g for g in scored}
-    vecs = {key: _nvec(g, 0, 1) for key, g in by_key.items()} if len(by_key) > 1 else dict.fromkeys(by_key, ())
-    best_vec = max(vecs.values())
-    tied = [key for key, vec in vecs.items() if vec == best_vec]
+    vecs = [_nvec(g, 0, 1) for g in scored] if len(scored) > 1 else [()]
+    best = max(vecs)
+    tied = [g for g, vec in zip(scored, vecs) if vec == best]
     return {
-        "keys": sorted({canonical_key(TwoTerminalGraph(by_key[key], 0, 1)) for key in tied}),
+        "keys": sorted({canonical_key(TwoTerminalGraph(g, 0, 1)) for g in tied}),
         "examined": examined,
         "survivors": survivors,
         "unique_ordered": len(tied) == 1,
@@ -248,4 +258,4 @@ def find_lmrttg(n: int, m: int, max_n: int = None) -> list:
     ``max_n`` can only lower the search's cap, NVEC_MAX_VERTICES."""
     if max_n is not None and n > max_n:
         raise SizeLimitError(f"search limited to n <= {max_n} (got {n})")
-    return [form_of_key(key) for key in _search(n, m)["keys"]]
+    return [form_of_key(key) for key in optimum_search(n, m)["keys"]]

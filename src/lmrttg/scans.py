@@ -27,7 +27,7 @@ from .invariants import (
     cell_extremes, complement_residuals, family_h_values, gap_and_spread, h_sum_offset, invariant_bundle, max_m1_graphs,
 )
 from .quadratic import MARGIN, band_bounds_check, count_roots, refine_root, roots_beyond, sign, sign_at
-from .reliability import NVEC_MAX_VERTICES, _search
+from .reliability import NVEC_MAX_VERTICES, optimum_search
 
 
 class ScanReport:
@@ -225,7 +225,7 @@ def band_bounds_report(n_lo: int, n_hi: int) -> ScanReport:
 
 def brute_record(n: int, m: int) -> dict:
     """Search one (n, m) pair and compare against the construction."""
-    res = _search(n, m)
+    res = optimum_search(n, m)
     rec = {
         "n": n,
         "m": m,

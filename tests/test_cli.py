@@ -345,9 +345,9 @@ _JSON = ("--format", "json", "--no-meta")
             ("verify", "theorem-main", "--min-n", "9", "--max-n", "10", "--jobs", "1", *_JSON),
             "8cffb7c1b3c749fc534b95151763f3658843757e26ed14400c73b807fef09ba9",
         ),
-        # an even sparse pair (36 scored copies of one class) and a dense pair at
-        # n = 12, taken with the vertex-capped key walk raised to reach them, so
-        # they pin its keys and scoring
+        # an even sparse pair (36 labelled maximisers of one class, scored as one
+        # graph) and a dense pair at n = 12, taken with the vertex-capped key walk
+        # raised to reach them, so they pin its keys and scoring
         (("verify", "brute", "--n", "12", "--m", "20", *_JSON), "1701a558b937c408b1464b65dc6bbef052650358fb609cafe6a52f4e9c32416b"),
         (("verify", "brute", "--n", "12", "--m", "40", *_JSON), "654119112b89b48082f80e8878b142535025bbabae328176cf70b22c209b0d43"),
     ],

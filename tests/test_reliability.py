@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 from lmrttg import reliability
 from lmrttg.errors import DomainError, SizeLimitError
 from lmrttg.families import build_lmrttg, lmrttg_ms
-from lmrttg.graphs import Graph, TwoTerminalGraph, canonical_key, canonical_key_ordered, vertex_pairs
-from lmrttg.reliability import NVEC_MAX_VERTICES, _prefix_scan, find_lmrttg, n_vector, reliability_at
-from oracles import nvec_oracle, prefix_survivors_oracle
+from lmrttg.graphs import Graph, TwoTerminalGraph, canonical_key, vertex_pairs
+from lmrttg.reliability import NVEC_MAX_VERTICES, _prefix_scan, find_lmrttg, n_vector, optimum_search, reliability_at
+from oracles import nvec_oracle, ordered_iso_oracle, prefix_survivors_oracle
 
 
 def _labeled_graphs(n, m):
@@ -225,16 +225,62 @@ def test_prefix_scan_covers_every_labeled_candidate():
 
 def test_sparse_prefix_scan_is_the_construction():
     # on 5 <= m <= 2n-3 the best cells put (m-1)//2 inner vertices in both
-    # terminals' neighbourhoods and any leftover edge inside them, and every
-    # maximiser is the construction with its terminals in order
-    pairs = [(n, m) for n in range(4, 21) for m in range(5, 2 * n - 2)]
-    assert len(pairs) == 289
+    # terminals' neighbourhoods and any leftover edge inside them, every
+    # maximiser is the construction with its terminals in order, and the
+    # scan returns the construction itself, label for label
+    pairs = [(n, m) for n in range(4, 61) for m in range(5, 2 * n - 2)]
+    assert len(pairs) == 3249
     for n, m in pairs:
         x = (m - 1) // 2
         _, survivors, scored = _prefix_scan(n, m)
         assert survivors == comb(n - 2, x) * comb(x, 2) ** ((m - 1) % 2), (n, m)
-        key = canonical_key_ordered(build_lmrttg(n, m))
-        assert {canonical_key_ordered(TwoTerminalGraph(g, 0, 1)) for g in scored} == {key}, (n, m)
+        assert scored == [build_lmrttg(n, m).graph], (n, m)
+
+
+def test_prefix_scan_scores_one_graph_per_ordered_class():
+    # no two scored graphs are isomorphic by a map that keeps terminal 0 at 0
+    # and terminal 1 at 1, so no class is scored twice
+    for n in range(2, 10):
+        for m in range(1, comb(n, 2) + 1):
+            scored = [TwoTerminalGraph(g, 0, 1) for g in _prefix_scan(n, m)[2]]
+            for i, a in enumerate(scored):
+                for b in scored[i + 1 :]:
+                    assert not ordered_iso_oracle(a, b), (n, m, a.graph.edges(), b.graph.edges())
+
+
+@st.composite
+def _candidates(draw):
+    """``(n, m, edges)``: m edges on n = 7..9 vertices.  Half of the draws
+    relabel the inner vertices of a scored graph and may then move one
+    edge, so that candidates tie with the optimum or come close to it."""
+    n = draw(st.integers(7, 9))
+    pairs = vertex_pairs(n)
+    m = draw(st.integers(1, len(pairs)))
+    if draw(st.booleans()):
+        return n, m, draw(st.lists(st.sampled_from(pairs), min_size=m, max_size=m, unique=True))
+    perm = (0, 1, *draw(st.permutations(range(2, n))))
+    g = draw(st.sampled_from(_prefix_scan(n, m)[2]))
+    edges = {tuple(sorted((perm[u], perm[v]))) for u, v in g.edges()}
+    if m < len(pairs) and draw(st.booleans()):
+        edges.remove(draw(st.sampled_from(sorted(edges))))
+        edges.add(draw(st.sampled_from([pair for pair in pairs if pair not in edges])))
+    return n, m, sorted(edges)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_candidates())
+def test_no_labelled_candidate_beats_the_scored_graphs(case):
+    # past the exhaustive oracle's n <= 6: no candidate with terminals 0 and
+    # 1 has a larger vector than the best scored graph, and one that ties is
+    # isomorphic to a scored graph by a map keeping 0 at 0 and 1 at 1
+    n, m, edges = case
+    candidate = TwoTerminalGraph(Graph.from_edges(n, edges), 0, 1)
+    scored = [TwoTerminalGraph(g, 0, 1) for g in _prefix_scan(n, m)[2]]
+    vecs = [n_vector(tg) for tg in scored]
+    vec = n_vector(candidate)
+    assert vec <= max(vecs), (n, m, edges)
+    if vec == max(vecs):
+        assert any(v == vec and ordered_iso_oracle(candidate, tg) for v, tg in zip(vecs, scored)), (n, m, edges)
 
 
 def test_keys_accept_every_graph_the_search_scores():
@@ -244,23 +290,22 @@ def test_keys_accept_every_graph_the_search_scores():
     for n in range(2, NVEC_MAX_VERTICES + 1):
         graphs = [TwoTerminalGraph(g, 0, 1) for m in range(1, comb(n, 2) + 1) for g in _prefix_scan(n, m)[2]]
         for tg in graphs + [build_lmrttg(n, m) for m in lmrttg_ms(n)]:
-            canonical_key_ordered(tg)
-            canonical_key_ordered(TwoTerminalGraph(tg.graph, tg.t, tg.s))
+            canonical_key(tg)
 
 
 def test_search_scores_vectors_only_to_break_a_tie(monkeypatch):
-    # a lone ordered key in the scored list is the optimum without a vector;
-    # two or more keys get one vector each
+    # a lone graph in the scored list is the optimum without a vector; two
+    # or more graphs get one vector each
     calls = []
     nvec = reliability._nvec
     monkeypatch.setattr(reliability, "_nvec", lambda g, s, t: calls.append(g) or nvec(g, s, t))
     tied = []
     for n in range(4, 11):
         for m in lmrttg_ms(n):
-            keys = {canonical_key_ordered(TwoTerminalGraph(g, 0, 1)) for g in _prefix_scan(n, m)[2]}
+            scored = _prefix_scan(n, m)[2]
             calls.clear()
-            reliability._search(n, m)
-            assert len(calls) == (len(keys) if len(keys) > 1 else 0), (n, m)
-            if len(keys) > 1:
+            optimum_search(n, m)
+            assert len(calls) == (len(scored) if len(scored) > 1 else 0), (n, m)
+            if len(scored) > 1:
                 tied.append((n, m))
     assert len(tied) == 21 and tied[:3] == [(6, 12), (7, 14), (7, 16)]

@@ -263,6 +263,48 @@ def test_api_check_flags_names_read_only_by_their_definition(tmp_path):
     assert sorted(_unread_api([lib], [user])) == ["lib.Box", "lib.Box._private", "lib.Box.size", "lib.recursive"]
 
 
+def _private_imports(path):
+    """(line, name) for each single-underscore name that a source file takes
+    from another package module: by ``from .module import _name``, or as an
+    attribute of a module bound by ``from . import module``."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    relative = [node for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.level]
+    modules = {alias.asname or alias.name for node in relative if node.module is None for alias in node.names}
+    found = [
+        (node.lineno, f"{node.module}.{alias.name}")
+        for node in relative
+        if node.module is not None
+        for alias in node.names
+        if re.match(r"_(?!_)", alias.name)
+    ]
+    found += [
+        (node.lineno, f"{node.value.id}.{node.attr}")
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id in modules
+        and re.match(r"_(?!_)", node.attr)
+    ]
+    return sorted(found)
+
+
+def test_library_modules_share_no_private_names():
+    # a single-underscore name is its module's own: another module that
+    # reaches for it ties itself to a helper that may change without notice
+    found = [f"{path.name}:{line}: {name}" for path in sorted(SRC.glob("*.py")) for line, name in _private_imports(path)]
+    assert found == []
+
+
+def test_private_import_check_flags_underscore_names(tmp_path):
+    path = tmp_path / "sample.py"
+    path.write_text(
+        "from __future__ import annotations\nfrom . import graphs, reliability as rel\n"
+        "from .graphs import Graph, _built as b, __all__\nfrom os import _exit\n"
+        "x = rel._search(4, 5) + graphs.__doc__ + graphs.Graph._private\ny = graphs._canonical\n"
+    )
+    assert _private_imports(path) == [(3, "graphs._built"), (5, "rel._search"), (6, "graphs._canonical")]
+
+
 def _size_caps(path):
     """(line, source, named) for each ``SizeLimitError(...)`` call in a source
     file; ``named`` says that its text is an f-string that formats a value
