@@ -19,7 +19,7 @@ starts at ``n = BAND_MIN_N``, and every band scan takes its n range from
 published case analysis (the clique order ``k``, the regime selector ``q``
 and the crossover offset ``r``) as exact rationals; it decides no sign.
 ``table(n, istar_only)`` is the classification table at n, read off
-``cells``.
+``cells`` in runs of rows that share a sign and a band flag.
 """
 
 from __future__ import annotations
@@ -181,19 +181,29 @@ def cells(n: int, ms: range):
     only term of the gap that is not plainly affine is ``j'^2 - j^2 = (j' +
     j)(j' - j)``.  There ``j' + j = C(k+1,2) + C(k'+1,2) - C(n,2)`` is
     constant on the cell and ``j' - j`` is affine in m.
+
+    The step follows in closed form.  Taking j to j-1 raises ``M1(C1)`` by
+    ``(4k-1) + (j-1)^2 - j^2 = 4k - 2j``.  Taking m to m+1 and j' to j'+1
+    raises ``M1(S1)`` by ``4(n-1) - (4k'-1) + (j'+1)^2 - j'^2 = 4(n-1) -
+    4k' + 2j' + 2``.  So ``d = 4(n - k - k') + 2(j + j') - 2``, the same at
+    every m of the cell, as ``j + j'`` is.
+
+    After a cell of s pairs the next m has ``(k, j - s)``, or ``(k+1, k+1)``
+    where j ran out, and ``(k', j' + s)``, or ``(k'-1, 1)`` where j' passed
+    k', as ``C(k'+1,2) - (k'+1) = C(k',2) - 1``.
     """
     if n < 0 or ms.step != 1 or not 0 <= ms.start <= ms.stop <= comb(n, 2) + 1:
         raise DomainError(f"cells need n >= 0 and a unit-step range within 0..C(n,2); got n={n}, {ms}")
-    c = comb(n, 2)
     m0 = ms.start
+    k, j = quasi_complete_params(m0)
+    kp, jp = quasi_complete_params(comb(n, 2) - m0)  # quasi_star_params(n, m0), for m0 known to be in range
     while m0 < ms.stop:
-        k, j = quasi_complete_params(m0)
-        kp, jp = quasi_complete_params(c - m0)  # quasi_star_params(n, m0), for m0 known to be in range
-        last = min(m0 + j - 1, m0 + kp - jp, ms.stop - 1)
-        gap = _m1_gap(n, k, j, kp, jp)
-        d = _m1_gap(n, k, j - 1, kp, jp + 1) - gap if last > m0 else 0
-        yield m0, last, k, j, kp, jp, gap, d
-        m0 = last + 1
+        size = min(j, kp - jp + 1, ms.stop - m0)
+        d = 4 * (n - k - kp) + 2 * (j + jp) - 2 if size > 1 else 0
+        yield m0, m0 + size - 1, k, j, kp, jp, _m1_gap(n, k, j, kp, jp), d
+        m0 += size
+        k, j = (k + 1, k + 1) if size == j else (k, j - size)
+        kp, jp = (kp - 1, 1) if jp + size > kp else (kp, jp + size)
 
 
 def cell_ties(gap: int, d: int, size: int):
@@ -238,22 +248,30 @@ _SIGN_TEXT = tuple(str(Sign.of(x)) for x in (0, 1, -1))
 
 
 def table(n: int, istar_only: bool) -> tuple:
-    """``((k_n, q_n, R_n), rows)`` at n: the spectrum columns, rationals as
-    text and empty below CLASSIFY_MIN_N, and a generator of ``(m, sign,
-    in_J, k, j, kp, jp)`` for m in ``0..C(n,2)``.  A cell of ``cells`` gives
-    its row at ``m0 + i`` the sign text of ``gap + d i`` (empty below
-    CLASSIFY_MIN_N) and the parameters ``(k, j - i, kp, jp + i)``.
-    ``istar_only`` keeps the rows of ``cell_ties``, none below CLASSIFY_MIN_N."""
+    """``((k_n, q_n, R_n), runs)`` at n: the spectrum columns, rationals as
+    text and empty below CLASSIFY_MIN_N, and a generator of the rows for m
+    in ``0..C(n,2)`` as runs ``(m_lo, m_hi, sign, in_J, k, j, kp, jp)``.  A
+    run is a cell of ``cells`` cut at the band's edges and at the gap's
+    zero, where ``gap + d i`` is zero from ``ceil(-gap / d)`` to before
+    ``floor(-gap / d) + 1``, so its sign text (empty below CLASSIFY_MIN_N)
+    and band flag hold on all of it; its row at ``m_lo + i`` has ``(k, j -
+    i, kp, jp + i)``.  ``istar_only`` keeps the tie runs, none below
+    CLASSIFY_MIN_N."""
     if n < CLASSIFY_MIN_N:
-        return ("", "", ""), iter(()) if istar_only else _table_rows(n, False, ("",) * 3)
+        return ("", "", ""), iter(()) if istar_only else _table_runs(n, False, ("",) * 3)
     sp = spectrum(n)
-    return (sp.k, str(sp.q), str(sp.r)), _table_rows(n, istar_only, _SIGN_TEXT)
+    return (sp.k, str(sp.q), str(sp.r)), _table_runs(n, istar_only, _SIGN_TEXT)
 
 
-def _table_rows(n: int, istar_only: bool, signs: tuple):
+def _table_runs(n: int, istar_only: bool, signs: tuple):
     band = central_band(n)
     for m0, last, k, j, kp, jp, gap, d in cells(n, range(comb(n, 2) + 1)):
         size = last - m0 + 1
-        for i in cell_ties(gap, d, size) if istar_only else range(size):
-            g = gap + d * i
-            yield m0 + i, signs[(g > 0) - (g < 0)], int(m0 + i in band), k, j - i, kp, jp + i
+        zero = (-(gap // d), -gap // d + 1) if d else ()
+        inner = [i for i in (band.start - m0, band.stop - m0, *zero) if 0 < i < size]
+        cuts = [0, *sorted(set(inner)), size] if inner else (0, size)
+        for lo, hi in zip(cuts, cuts[1:]):
+            g = gap + d * lo
+            if g and istar_only:
+                continue
+            yield m0 + lo, m0 + hi - 1, signs[(g > 0) - (g < 0)], int(m0 + lo in band), k, j - lo, kp, jp + lo

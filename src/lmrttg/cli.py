@@ -106,30 +106,40 @@ def _cmd_invariants(args) -> int:
 
 def _cmd_classify(args) -> int:
     """One write per n, so that an n whose rows do not fit in memory prints
-    nothing when it comes first.  A JSON block is the indented JSON of the
-    n's row objects, keys sorted, without the list's brackets; joined by
-    commas and bracketed, the blocks are the indented JSON of every row."""
+    nothing when it comes first.  Each run of ``table`` fills its fixed
+    columns into one ``%`` template, mapped over the run's (m, j, j').  A
+    JSON block is the indented JSON of the n's row objects, keys sorted,
+    without the list's brackets; joined by commas and bracketed, the blocks
+    are the indented JSON of every row."""
     n_lo, n_hi = args.n
-    blocks = ((n, *table(n, args.istar_only)) for n in range(n_lo, n_hi + 1))
     if args.format == "json":
         sep = "["
-        for n, shared, rows in blocks:
+        for n in range(n_lo, n_hi + 1):
+            shared, runs = table(n, args.istar_only)
             k_n, q_n, r_n = map(json.dumps, shared)
-            text = ",".join(
-                f'\n  {{\n    "R_n": {r_n},\n    "in_J": {b},\n    "j": {j},\n    "jp": {jp},'
-                f'\n    "k": {k},\n    "k_n": {k_n},\n    "kp": {kp},\n    "m": {m},'
-                f'\n    "n": {n},\n    "q_n": {q_n},\n    "sign": "{s}"\n  }}'
-                for m, s, b, k, j, kp, jp in rows
-            )
-            if text:
-                sys.stdout.write(sep + text)
+            blocks = []
+            for lo, hi, s, b, k, j, kp, jp in runs:
+                row = (
+                    f'\n  {{\n    "R_n": {r_n},\n    "in_J": {b},\n    "j": %d,\n    "jp": %d,'
+                    f'\n    "k": {k},\n    "k_n": {k_n},\n    "kp": {kp},\n    "m": %d,'
+                    f'\n    "n": {n},\n    "q_n": {q_n},\n    "sign": "{s}"\n  }}'
+                )
+                cols = zip(range(j, j - hi + lo - 1, -1), range(jp, jp + hi - lo + 1), range(lo, hi + 1))
+                blocks.append(",".join(map(row.__mod__, cols)))
+            if blocks:
+                sys.stdout.write(sep + ",".join(blocks))
                 sep = ","
         sys.stdout.write("[]\n" if sep == "[" else "\n]\n")
         return 0
     head = ",".join(TABLE_COLUMNS) + "\n"  # written with the first n
-    for n, shared, rows in blocks:
+    for n in range(n_lo, n_hi + 1):
+        shared, runs = table(n, args.istar_only)
         t = ",".join(map(str, shared))
-        sys.stdout.write(head + "".join(f"{n},{m},{s},{b},{k},{j},{kp},{jp},{t}\n" for m, s, b, k, j, kp, jp in rows))
+        blocks = [head]
+        for lo, hi, s, b, k, j, kp, jp in runs:
+            cols = zip(range(lo, hi + 1), range(j, j - hi + lo - 1, -1), range(jp, jp + hi - lo + 1))
+            blocks.append("".join(map(f"{n},%d,{s},{b},{k},%d,{kp},%d,{t}\n".__mod__, cols)))
+        sys.stdout.write("".join(blocks))
         head = ""
     sys.stdout.write(head)
     return 0

@@ -88,7 +88,8 @@ class InvariantBundle(NamedTuple):
 
 def invariant_bundle(g: Graph) -> InvariantBundle:
     """The exact invariants of one graph in one pass: the degrees, then one
-    loop over ``g.edges()`` that sums ``d(u) d(v)`` for M2 and the common
+    walk over the rows that sums ``d(u)^2`` for M1, and over the set bits
+    above u, the edges uv with u < v, ``d(u) d(v)`` for M2 and the common
     neighbours of u and v, three per triangle.
 
     ``p4`` counts paths on four vertices, each once.  A walk a-u-v-b is a
@@ -100,15 +101,18 @@ def invariant_bundle(g: Graph) -> InvariantBundle:
     """
     rows = g.rows
     degs = [row.bit_count() for row in rows]
-    m2 = common = 0
-    for u, v in g.edges():
-        m2 += degs[u] * degs[v]
-        common += (rows[u] & rows[v]).bit_count()
-    k3 = common // 3
-    m1 = sum(d * d for d in degs)
-    m = sum(degs) // 2
-    p3 = (m1 - 2 * m) // 2  # the sum of C(d, 2)
-    return InvariantBundle(m1=m1, m2=m2, k3=k3, p3=p3, p4=m2 - m1 + m - 3 * k3, h_value=m2 - 6 * k3, m=m)
+    m1 = m2 = common = 0
+    for u, row in enumerate(rows):
+        du, w = degs[u], row >> (u + 1) << (u + 1)
+        m1 += du * du
+        while w:
+            low = w & -w
+            v = low.bit_length() - 1
+            m2 += du * degs[v]
+            common += (row & rows[v]).bit_count()
+            w ^= low
+    k3, m = common // 3, sum(degs) // 2  # p3, the fourth field, is the sum of C(d, 2)
+    return InvariantBundle(m1, m2, k3, (m1 - 2 * m) // 2, m2 - m1 + m - 3 * k3, m2 - 6 * k3, m)
 
 
 def complement_residuals(n: int, b: InvariantBundle, bc: InvariantBundle) -> tuple:

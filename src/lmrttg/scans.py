@@ -292,17 +292,22 @@ def _p4_by_walk(g: Graph) -> int:
     """Four-vertex paths counted at their middle edge: each edge uv with
     u < v, every neighbour a != v of u and every neighbour b != u, a of v
     give the path a-u-v-b, and every path has one middle edge and so is
-    counted once.  Independent of the closed form in ``invariant_bundle``:
-    no degree sums or triangle counts."""
+    counted once.  With ``ends`` the neighbours of v but u, each start a
+    adds ``|ends| - [a in ends]`` choices of b.  Independent of the closed
+    form in ``invariant_bundle``: no degree sums or triangle counts."""
     rows = g.rows
     total = 0
-    for u, v in g.edges():
-        ends = rows[v] & ~(1 << u)
-        starts = rows[u] & ~(1 << v)
-        while starts:
-            a = starts & -starts
-            total += (ends & ~a).bit_count()
-            starts ^= a
+    for u, row in enumerate(rows):
+        bit, w = 1 << u, row >> (u + 1) << (u + 1)
+        while w:
+            low = w & -w
+            ends = rows[low.bit_length() - 1] ^ bit
+            count, starts = ends.bit_count(), row ^ low
+            while starts:
+                a = starts & -starts
+                starts ^= a
+                total += count - 1 if ends & a else count
+            w ^= low
     return total
 
 

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from lmrttg.classify import (
     BAND_MIN_N,
     Sign,
+    _m1_gap,
     cells,
     central_band,
     classify,
@@ -174,6 +175,13 @@ def test_cells_match_the_parameter_functions_below_n_5():
         assert got == [(m, *quasi_complete_params(m), *quasi_star_params(n, m), gap(n, m)) for m in range(comb(n, 2) + 1)]
     with pytest.raises(DomainError):
         list(cells(-1, range(0)))
+
+
+def test_cell_step_is_the_gap_difference():
+    # the closed-form step d of every cell equals the gap's difference across the cell's first step
+    for n in [*range(61), 200, 436]:
+        for m0, last, k, j, kp, jp, g0, d in cells(n, range(comb(n, 2) + 1)):
+            assert d == (_m1_gap(n, k, j - 1, kp, jp + 1) - g0 if last > m0 else 0), (n, m0)
 
 
 @given(st.data())

@@ -350,6 +350,18 @@ _JSON = ("--format", "json", "--no-meta")
         # raised to reach them, so they pin its keys and scoring
         (("verify", "brute", "--n", "12", "--m", "20", *_JSON), "1701a558b937c408b1464b65dc6bbef052650358fb609cafe6a52f4e9c32416b"),
         (("verify", "brute", "--n", "12", "--m", "40", *_JSON), "654119112b89b48082f80e8878b142535025bbabae328176cf70b22c209b0d43"),
+        # rows below CLASSIFY_MIN_N (no sign) and the tie rows alone, taken before
+        # the table was written in runs, so they pin the run writer
+        (("classify", "--n", "1..12", "--format", "csv"), "322e0c8115fbdf10a2095736e4b1e84394235abadda2d788d2f65335850ac044"),
+        (("classify", "--n", "1..12", "--format", "json"), "27e184f833ba9f9729d86fdf17f9244ed98f1ad040fd46e407c79857c43e4fe9"),
+        (
+            ("classify", "--n", "1..60", "--istar-only", "--format", "csv"),
+            "744d17b4f329f4bfab9a67e1ae6b8562cff7c55427931fe6a3c938b1196d52e4",
+        ),
+        (
+            ("classify", "--n", "1..60", "--istar-only", "--format", "json"),
+            "39171ef77844d68c7653cd08ecbf05c2f1f52f8b39bc2493be2925030ce55117",
+        ),
     ],
 )
 def test_pinned_output_bytes(capsys, argv, digest):

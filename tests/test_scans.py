@@ -161,6 +161,20 @@ def test_identity_suite_checks_the_family_closed_forms(monkeypatch):
     assert rep.pairs_scanned == 796
 
 
+@pytest.mark.parametrize("field, first", [("p4", "p4 closed form"), ("k3", "triangle/path expansion of h")])
+def test_identity_suite_catches_a_broken_bundle(monkeypatch, field, first):
+    # a bundle whose p4 or k3 is off by one fails the walk or the h expansion,
+    # and Goodman's complement identities, on every graph
+    def broken(g):
+        b = invariant_bundle(g)
+        return b._replace(**{field: getattr(b, field) + 1})
+
+    monkeypatch.setattr(scans, "invariant_bundle", broken)
+    rep = identity_suite(seed=3, samples=20)
+    assert rep.pairs_scanned == 20 + 796 == len(rep.records)
+    assert all(r["failed"] == [first, "complementation identities"] for r in rep.records)
+
+
 def test_band_decomposition_violations_empty():
     assert band_decomposition_violations(8, 60) == []
 

@@ -1,7 +1,9 @@
 """Static checks on the library source."""
 
 import ast
+import json
 import os
+import platform
 import re
 import shlex
 import subprocess
@@ -555,3 +557,21 @@ def test_readme_command_lines_parse():
             parser.parse_args(shlex.split(line, comments=True)[1:])
         except SystemExit:
             pytest.fail(f"README example does not parse: {line}")
+
+
+def test_layer_bench_writes_its_json(tmp_path):
+    # the layer harness runs end to end at tiny sizes; its timings are checked for shape only
+    out = tmp_path / "bench.json"
+    argv = [sys.executable, str(ROOT / "tools" / "layer_bench.py"), "--tiny", "--runs", "2", "--out", str(out)]
+    proc = subprocess.run(argv, capture_output=True, text=True, timeout=300)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    doc = json.loads(out.read_text(encoding="utf-8"))
+    assert set(doc) == {"machine", "python", "runs", "tiny", "layers"} and (doc["runs"], doc["tiny"]) == (2, True)
+    assert doc["python"] == platform.python_version() and doc["machine"]["cpus"] == os.cpu_count()
+    counts = {}
+    for name, layer in doc["layers"].items():
+        (tree,) = layer["trees"].values()
+        assert set(tree) == {"count", "median_s", "iqr_s", "samples_s"} and len(tree["samples_s"]) == 2
+        assert min(tree["samples_s"]) <= tree["median_s"] <= max(tree["samples_s"]) and tree["iqr_s"] >= 0
+        counts[name] = tree["count"]
+    assert counts == {"identity_suite": 40 + 796, "classify_csv": 284, "scan_tie_band": 38, "band_bounds_report": 189}
